@@ -20,7 +20,13 @@ from typing import Callable, Optional
 
 import requests
 
-from .prompts import PromptView, parse_prompt
+from .prompts import (
+    ActorOutput,
+    PromptView,
+    format_actor_output,
+    format_thinker_output,
+    parse_prompt,
+)
 from .world import SENTINEL, parse_action
 
 
@@ -185,14 +191,6 @@ CANNED_REFLECTION = (
 )
 
 
-def _actor_raw(thought: str, action: str) -> str:
-    return f"<think>{thought}</think>\n<answer>{action}</answer>"
-
-
-def _thinker_raw(text: str) -> str:
-    return f"<deepthink>{text}</deepthink>"
-
-
 def _successful_actions(view: PromptView) -> set[str]:
     return {a for a, o in view.steps if o != SENTINEL}
 
@@ -230,7 +228,7 @@ def loop_actor(prompt: str, seed: int) -> str:
         return CANNED_REFLECTION
     view = parse_prompt(prompt)
     action = view.steps[-1][0] if view.steps else "look around"
-    return _actor_raw("keep going", action)
+    return format_actor_output(ActorOutput("keep going", action))
 
 
 def greedy_actor(prompt: str, seed: int) -> str:
@@ -241,17 +239,17 @@ def greedy_actor(prompt: str, seed: int) -> str:
     view = parse_prompt(prompt)
     planned = _latest_plan_step(view)
     if planned is not None:
-        return _actor_raw("following the plan", planned)
+        return format_actor_output(ActorOutput("following the plan", planned))
     naive = NAIVE_PLANS.get(view.instruction, ["look around"])
     done = _successful_actions(view)
     attempted = [a for a, _ in view.steps]
     candidates = [a for a in naive if a not in done]
     if not candidates:
-        return _actor_raw("nothing left to try", "look around")
+        return format_actor_output(ActorOutput("nothing left to try", "look around"))
     for action in candidates:
         if action not in attempted:
-            return _actor_raw("trying the direct approach", action)
-    return _actor_raw("trying again", candidates[-1])
+            return format_actor_output(ActorOutput("trying the direct approach", action))
+    return format_actor_output(ActorOutput("trying again", candidates[-1]))
 
 
 def obedient_actor(prompt: str, seed: int) -> str:
@@ -262,7 +260,7 @@ def obedient_actor(prompt: str, seed: int) -> str:
     view = parse_prompt(prompt)
     planned = _latest_plan_step(view)
     if planned is not None:
-        return _actor_raw("following the plan", planned)
+        return format_actor_output(ActorOutput("following the plan", planned))
     return loop_actor(prompt, seed)
 
 
@@ -274,8 +272,9 @@ def oracle_actor(prompt: str, seed: int) -> str:
     script = SOLUTIONS.get(view.instruction, [])
     idx = len(view.steps)
     if idx < len(script):
-        return _actor_raw("executing the known solution", script[idx])
-    return _actor_raw("done", "look around")
+        return format_actor_output(
+            ActorOutput("executing the known solution", script[idx]))
+    return format_actor_output(ActorOutput("done", "look around"))
 
 
 def wanderer_actor(prompt: str, seed: int) -> str:
@@ -289,7 +288,7 @@ def wanderer_actor(prompt: str, seed: int) -> str:
         naive = NAIVE_PLANS.get(view.instruction, [])
         cycle = naive + ["look around"] if naive else ["look around"]
     action = cycle[len(view.steps) % len(cycle)]
-    return _actor_raw("wandering", action)
+    return format_actor_output(ActorOutput("wandering", action))
 
 
 def staged_actor(prompt: str, seed: int) -> str:
@@ -302,8 +301,8 @@ def staged_actor(prompt: str, seed: int) -> str:
     limit = 2 * (len(view.reflections) + 1)
     idx = len(view.steps)
     if idx < min(limit, len(script)):
-        return _actor_raw("one more stage", script[idx])
-    return _actor_raw("out of ideas", "look around")
+        return format_actor_output(ActorOutput("one more stage", script[idx]))
+    return format_actor_output(ActorOutput("out of ideas", "look around"))
 
 
 _RULE_EXPLANATIONS = {
@@ -370,11 +369,11 @@ def oracle_thinker(prompt: str, seed: int) -> str:
     else:
         lines.append("Plan:")
         lines.append("- look around")
-    return _thinker_raw("\n".join(lines))
+    return format_thinker_output("\n".join(lines))
 
 
 def null_thinker(prompt: str, seed: int) -> str:
-    return _thinker_raw(
+    return format_thinker_output(
         "Summary: everything looks fine so far.\ncontinue")
 
 

@@ -3,7 +3,9 @@
 Rendering is pure: two renders of the same inputs produce identical bytes.
 When a rendered prompt would exceed the character budget, the oldest
 (action, observation) pairs are dropped first; the instruction, the initial
-observation, and every deep thought are always retained.
+observation, and every deep thought are always retained. Fitting costs one
+extra build, not one build per dropped step: the drop count comes from the
+exact character cost of each step's two lines.
 """
 
 from __future__ import annotations
@@ -70,19 +72,14 @@ DEFAULT_CHAR_BUDGET = 100_000
 def _history_lines(view: HistoryView, drop_oldest: int = 0) -> list[str]:
     thoughts_at: dict[int, list[str]] = {}
     for anchor, text in view.thoughts:
-        thoughts_at.setdefault(anchor, []).append(text)
-    lines: list[str] = []
-    if drop_oldest > 0:
-        lines.append(TRUNCATION_MARKER)
+        thoughts_at.setdefault(anchor, []).append(f"Deep Thought: {text}")
+    lines = [TRUNCATION_MARKER] if drop_oldest > 0 else []
+    lines += thoughts_at.get(0, [])  # anchor 0 thoughts precede the first step
     for i, (action, observation) in enumerate(view.steps, start=1):
         if i > drop_oldest:
             lines.append(f"Action: {action}")
             lines.append(f"Observation: {observation}")
-        for text in thoughts_at.get(i, []):
-            lines.append(f"Deep Thought: {text}")
-    for text in thoughts_at.get(0, []):
-        # anchor 0 thoughts precede the first step
-        lines.insert(1 if drop_oldest else 0, f"Deep Thought: {text}")
+        lines += thoughts_at.get(i, [])
     return lines
 
 
@@ -136,7 +133,7 @@ def render_actor_prompt(task: TaskSpec, view: HistoryView,
         ]
         return "\n".join(parts)
 
-    return _fit_budget(build, len(view.steps), char_budget)
+    return _fit_budget(build, view.steps, char_budget)
 
 
 def render_thinker_prompt(task: TaskSpec, view: HistoryView,
@@ -181,16 +178,24 @@ def render_thinker_prompt(task: TaskSpec, view: HistoryView,
         ]
         return "\n".join(parts)
 
-    return _fit_budget(build, len(view.steps), char_budget)
+    return _fit_budget(build, view.steps, char_budget)
 
 
-def _fit_budget(build, n_steps: int, char_budget: int) -> str:
+def _fit_budget(build, steps: list[tuple[str, str]], char_budget: int) -> str:
+    """Build with the fewest oldest steps dropped that fits, or all of them.
+    Only the dropped steps' lines and the truncation marker change the
+    length, so the drop count follows from the full prompt's excess."""
     prompt = build(0)
+    excess = len(prompt) - char_budget
+    if excess <= 0 or not steps:
+        return prompt
+    excess += len(TRUNCATION_MARKER) + 1
     drop = 0
-    while len(prompt) > char_budget and drop < n_steps:
+    while excess > 0 and drop < len(steps):
+        action, observation = steps[drop]
+        excess -= len("Action: \nObservation: \n") + len(action) + len(observation)
         drop += 1
-        prompt = build(drop)
-    return prompt
+    return build(drop)
 
 
 _THINK_RE = re.compile(r"<think>(.*?)</think>", re.DOTALL)

@@ -1,7 +1,12 @@
 """Prompt rendering, tagged-output parsing, truncation, and introspection."""
 
-import pytest
+from unittest import mock
 
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from ttexplore import load_builtin_world, prompts
 from ttexplore.prompts import (
     ACTOR_FORMAT_BLOCK,
     THINKER_FORMAT_BLOCK,
@@ -113,6 +118,105 @@ def test_truncation_drops_oldest_pairs_keeps_invariants(task):
 def test_no_truncation_under_budget(task, view):
     prompt = render_actor_prompt(task, view)
     assert TRUNCATION_MARKER not in prompt
+
+
+def _reference_fit_budget(build, steps, char_budget):
+    """Drop one oldest step at a time and rebuild until the prompt fits."""
+    prompt = build(0)
+    drop = 0
+    while len(prompt) > char_budget and drop < len(steps):
+        drop += 1
+        prompt = build(drop)
+    return prompt
+
+
+TASK_ID = "minihouse-1"
+
+
+@pytest.fixture(scope="module")
+def mh1_task():
+    return load_builtin_world("minihouse1").tasks[TASK_ID]
+
+
+def _build_lengths(render, task, view):
+    """Length of the prompt built with each drop count from 0 to every step."""
+    def lengths(build, steps, _budget):
+        return [len(build(drop)) for drop in range(len(steps) + 1)]
+    with mock.patch.object(prompts, "_fit_budget", lengths):
+        return render(task, view)
+
+
+@st.composite
+def histories(draw, text, thought_text):
+    steps = draw(st.lists(st.tuples(text, text), max_size=12))
+    n = len(steps)
+    anchor = st.one_of(st.just(0), st.integers(0, n), st.just(n))
+    return HistoryView(
+        task_id=TASK_ID,
+        initial_observation=draw(text),
+        steps=steps,
+        thoughts=draw(st.lists(st.tuples(anchor, thought_text), max_size=4)),
+        reflections=draw(st.lists(text, max_size=3)),
+    )
+
+
+def budgets(lengths):
+    """From nothing at all to more than the whole prompt, with every drop
+    count's exact length and its neighbours."""
+    exact = st.sampled_from(lengths).flatmap(lambda n: st.integers(max(0, n - 1), n + 1))
+    return st.one_of(st.integers(0, lengths[0] + 50), exact)
+
+
+# Any text, including empty and multi-line observations.
+_ANY_TEXT = st.text(alphabet="ab :.\n", max_size=30)
+
+
+@settings(max_examples=300, deadline=None)
+@given(view=histories(_ANY_TEXT, _ANY_TEXT), data=st.data())
+def test_fit_budget_matches_drop_one_at_a_time(mh1_task, view, data):
+    for render in (render_actor_prompt, render_thinker_prompt):
+        budget = data.draw(budgets(_build_lengths(render, mh1_task, view)))
+        with mock.patch.object(prompts, "_fit_budget", _reference_fit_budget):
+            expected = render(mh1_task, view, budget)
+        assert render(mh1_task, view, budget) == expected
+
+
+# Text that cannot be mistaken for a tag line: single-line steps and
+# reflections, thoughts whose lines are non-empty and lower case.
+_LINE = st.text(alphabet="ab :.", max_size=20)
+_THOUGHT = st.lists(st.text(alphabet="ab .", min_size=1).map(str.strip).filter(bool),
+                    min_size=1, max_size=3).map("\n".join)
+
+
+@settings(max_examples=200, deadline=None)
+@given(view=histories(_LINE, _THOUGHT), data=st.data())
+def test_parse_prompt_recovers_what_the_render_kept(mh1_task, view, data):
+    thoughts = sorted(view.thoughts, key=lambda t: t[0])
+    for render in (render_actor_prompt, render_thinker_prompt):
+        lengths = _build_lengths(render, mh1_task, view)
+        budget = data.draw(budgets(lengths))
+        recovered = parse_prompt(render(mh1_task, view, budget))
+        if render is render_actor_prompt:
+            assert recovered.reflections == view.reflections
+        if lengths[0] <= budget:
+            assert recovered.steps == view.steps
+            assert recovered.thoughts == thoughts
+            continue
+        # the fewest oldest steps dropped that fits, or all of them
+        drop = next((d for d, n in enumerate(lengths) if n <= budget), len(view.steps))
+        assert recovered.steps == view.steps[drop:]
+        assert [t for _, t in recovered.thoughts] == [t for _, t in thoughts]
+
+
+def test_anchor_zero_thoughts_keep_their_order(task):
+    view = HistoryView(task_id=task.id, initial_observation="obs",
+                       steps=[("look around", "x")],
+                       thoughts=[(0, "first"), (0, "second")])
+    for render in (render_actor_prompt, render_thinker_prompt):
+        for budget in (10 ** 6, 0):
+            prompt = render(task, view, budget)
+            assert prompt.index("Deep Thought: first") < prompt.index("Deep Thought: second")
+            assert parse_prompt(prompt).thoughts == [(0, "first"), (0, "second")]
 
 
 # --- output parsing --------------------------------------------------------
