@@ -245,8 +245,7 @@ def _verify_episode(world: TextWorld, task, seed: int,
     state, _ = world.reset(task, seed)
     for record in records:
         step = record["step"]
-        state, obs, done = world.step(state, record["action"], step_index=step)
-        score = world.process_score(state, task).value
+        state, obs, score, done = world.step(state, record["action"], task)
         if obs.text != record["observation"]:
             return (f"step {step}: observation mismatch, stored "
                     f"{record['observation']!r}, replay gave {obs.text!r}")

@@ -61,22 +61,6 @@ def top_k_repetition(values: Sequence[str], k: int = DEFAULT_K) -> float:
     return top / len(values)
 
 
-def action_diversity(actions: Sequence[str]) -> float:
-    return diversity(actions)
-
-
-def action_repetition(actions: Sequence[str], k: int = DEFAULT_K) -> float:
-    return top_k_repetition(actions, k)
-
-
-def observation_diversity(observations: Sequence[str]) -> float:
-    return diversity(observations)
-
-
-def observation_repetition(observations: Sequence[str], k: int = DEFAULT_K) -> float:
-    return top_k_repetition(observations, k)
-
-
 def compute_metrics(actions: Sequence[str], observations: Sequence[str],
                     k: int = DEFAULT_K) -> ExplorationMetrics:
     return ExplorationMetrics(

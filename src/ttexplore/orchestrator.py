@@ -182,9 +182,8 @@ def _run_episode(world: TextWorld, actor: PolicyHandle, task: TaskSpec,
         for t in range(1, cfg.max_steps + 1):
             action = _act(actor, task, view, seed, cfg)
             step_start = time.perf_counter()
-            state, obs, done = world.step(state, action, step_index=t)
+            state, obs, score, done = world.step(state, action, task)
             wall_ms = (time.perf_counter() - step_start) * 1000.0
-            score = world.process_score(state, task).value
             traj.steps.append(StepRecord(action=action, observation=obs.text,
                                          score_after=score, wall_ms=wall_ms,
                                          done=done))
@@ -200,7 +199,7 @@ def _run_episode(world: TextWorld, actor: PolicyHandle, task: TaskSpec,
         log.error("episode aborted: %s", exc)
         traj.error = f"{type(exc).__name__}: {exc}"
     traj.final = Final(
-        success=done and score == 100.0,
+        success=done,
         process_score=score,
         steps_used=len(traj.steps),
         wall_ms_total=(time.perf_counter() - t_start) * 1000.0,

@@ -149,15 +149,16 @@ def divide_subtasks(task: TaskSpec, strong_traj: Trajectory) -> list[SubTask]:
 
 def replay_with_history(world: TextWorld, task: TaskSpec, seed: int,
                         actions: list[str]) -> tuple:
-    """Fold the actions from reset, collecting (state, view, scores)."""
+    """Fold the actions from reset, collecting (state, view, scores);
+    scores[i] is the process score after the first i actions."""
     state, obs0 = world.reset(task, seed)
     view = HistoryView(task.id, obs0.text)
-    score = 0.0
-    for i, action in enumerate(actions, start=1):
-        state, obs, _ = world.step(state, action, step_index=i)
-        score = world.process_score(state, task).value
+    scores = [0.0]
+    for action in actions:
+        state, obs, score, _ = world.step(state, action, task)
+        scores.append(score)
         view.steps.append((action, obs.text))
-    return state, view, score
+    return state, view, scores
 
 
 def classify_difficulty(world: TextWorld, task: TaskSpec, sub: SubTask,
@@ -165,19 +166,17 @@ def classify_difficulty(world: TextWorld, task: TaskSpec, sub: SubTask,
     """Run the weak policy from the replayed prefix for up to y steps;
     completion within x steps is easy, within (x, y] medium, never is hard."""
     cfg.validate()
-    state, view, score = replay_with_history(world, task, sub.seed,
-                                             sub.prefix_actions)
-    if score != sub.start_score:
+    state, view, scores = replay_with_history(world, task, sub.seed,
+                                              sub.prefix_actions)
+    if scores[-1] != sub.start_score:
         raise IntegrityError(
-            f"prefix replay of {sub.parent_task_id} gave {score}, "
+            f"prefix replay of {sub.parent_task_id} gave {scores[-1]}, "
             f"recorded start is {sub.start_score}")
     weak_actions: list[str] = []
     completion: Optional[int] = None
-    base = len(sub.prefix_actions)
     for t in range(1, cfg.y + 1):
         action = _act(weak, task, view, sub.seed, cfg.run)
-        state, obs, _ = world.step(state, action, step_index=base + t)
-        score = world.process_score(state, task).value
+        state, obs, score, _ = world.step(state, action, task)
         weak_actions.append(action)
         view.steps.append((action, obs.text))
         if _completed(score, sub, cfg):
@@ -222,9 +221,8 @@ def build_rollout_context(world: TextWorld, task: TaskSpec, sub: SubTask,
         # shorter weak runs are padded by repeating the last action
         weak_prefix.append(weak_prefix[-1] if weak_prefix else "look around")
     actions = sub.prefix_actions + weak_prefix
-    state, view, score = replay_with_history(world, task, sub.seed, actions)
-    expected = world.process_score(
-        world.replay(task, sub.seed, sub.prefix_actions), task).value
+    _, view, scores = replay_with_history(world, task, sub.seed, actions)
+    expected = scores[len(sub.prefix_actions)]
     if expected != sub.start_score:
         raise IntegrityError(
             f"context rebuild for {sub.parent_task_id} diverged: "
@@ -287,12 +285,10 @@ def evaluate_thought(world: TextWorld, actor_frozen: PolicyHandle,
     view.thoughts.append((thought.anchor_step, thought.text))
     continuation: list[StepRecord] = []
     improved_at: Optional[int] = None
-    base = len(view.steps)
     budget = cfg.y - cfg.x
     for t in range(1, budget + 1):
         action = _act(actor_frozen, task, view, sub.seed, cfg.run)
-        state, obs, done = world.step(state, action, step_index=base + t)
-        score = world.process_score(state, task).value
+        state, obs, score, done = world.step(state, action, task)
         continuation.append(StepRecord(action=action, observation=obs.text,
                                        score_after=score, wall_ms=0.0, done=done))
         view.steps.append((action, obs.text))
@@ -382,9 +378,6 @@ def export_grpo(groups: list[RolloutGroup], path: str | Path) -> dict:
     path = Path(path)
     lines = []
     for group in groups:
-        prompts = {group.prompt}
-        if len(prompts) != 1:
-            raise PipelineError(f"group {group.context_id} has mixed prompts")
         lines.append(json.dumps({
             "context_id": group.context_id,
             "prompt": group.prompt,

@@ -1,10 +1,11 @@
 """Deterministic partially observable text-world engine.
 
 Worlds are declared in YAML: rooms, entities, a rule table, and tasks with
-subgoal predicates. Rules are guard/effect pairs evaluated in declaration
-order; the first matching reject wins and the step yields the sentinel
-observation. Seeds only shuffle entity enumeration order in observation text,
-never reachability or scoring.
+subgoal predicates. Each rule names a guard; the table is checked in
+declaration order, the first guard that fires rejects the action, and the
+step yields the sentinel observation. The hidden rules come only from this
+table; the built-in checks after it cover validity alone. Seeds only shuffle
+entity enumeration order in observation text, never reachability or scoring.
 """
 
 from __future__ import annotations
@@ -57,7 +58,6 @@ class WorldState:
 @dataclass(frozen=True)
 class Observation:
     text: str
-    step_index: int = 0
 
 
 @dataclass(frozen=True)
@@ -69,8 +69,7 @@ class ProcessScore:
 @dataclass(frozen=True)
 class Rule:
     id: str
-    guard: str
-    effect: str = "reject"
+    guard: str  # a key of GUARDS
 
 
 @dataclass
@@ -191,11 +190,8 @@ def _guard_locked_needs_key(state: WorldState, action: Action) -> bool:
     target = _receptacle(state, action.item)
     if target is None or "locked" not in target.attributes:
         return False
-    key = None
-    for attr in target.attributes:
-        if attr.startswith("unlocks-with:"):
-            key = attr.split(":", 1)[1]
-    return state.agent.hand != key
+    hand = state.agent.hand
+    return hand is None or f"unlocks-with:{hand}" not in target.attributes
 
 
 GUARDS = {
@@ -251,29 +247,24 @@ class TextWorld:
         validate_task(task)
         state = task.initial_world.copy()
         state.rng_seed = seed
-        return state, Observation(self._room_description(state), step_index=0)
+        return state, Observation(self._room_description(state))
 
     def step(self, state: WorldState, action_text: str,
-             step_index: int = 0) -> tuple[WorldState, Observation, bool]:
+             task: TaskSpec) -> tuple[WorldState, Observation, float, bool]:
+        """Decide one step: the new state (the same object when the action is
+        rejected), its observation, the task's process score after the step,
+        and whether that score is 100."""
         action = parse_action(action_text)
-        verdict = self.check_rule(state, action_text)
-        if isinstance(verdict, Reject):
-            done = self._all_satisfied(state)
-            return state, Observation(SENTINEL, step_index), done
-        new_state = state.copy()
-        text = self._apply(new_state, action)
-        done = self._all_satisfied(new_state)
-        return new_state, Observation(text, step_index), done
+        if isinstance(self._verdict(state, action), Reject):
+            text = SENTINEL
+        else:
+            state = state.copy()
+            text = self._apply(state, action)
+        score = self.process_score(state, task).value
+        return state, Observation(text), score, score == 100.0
 
     def check_rule(self, state: WorldState, action_text: str) -> Allow | Reject:
-        action = parse_action(action_text)
-        for rule in self.rules:
-            guard = GUARDS.get(rule.guard)
-            if guard is None:
-                raise WorldValidationError(f"unknown rule guard: {rule.guard!r}")
-            if rule.effect == "reject" and guard(state, action):
-                return Reject(rule.id)
-        return self._builtin_check(state, action)
+        return self._verdict(state, parse_action(action_text))
 
     def process_score(self, state: WorldState, task: TaskSpec) -> ProcessScore:
         satisfied = frozenset(
@@ -285,23 +276,18 @@ class TextWorld:
 
     def replay(self, task: TaskSpec, seed: int, actions: list[str]) -> WorldState:
         state, _ = self.reset(task, seed)
-        for i, action in enumerate(actions, start=1):
-            state, _, _ = self.step(state, action, step_index=i)
+        for action in actions:
+            state = self.step(state, action, task)[0]
         return state
 
     # -- internals -------------------------------------------------------
 
-    def _all_satisfied(self, state: WorldState) -> bool:
-        task = self._task_for_state(state)
-        if task is None:
-            return False
-        return self.process_score(state, task).value == 100.0
-
-    def _task_for_state(self, state: WorldState) -> Optional[TaskSpec]:
-        # worlds ship one task each; multi-task worlds resolve via step(task=...)
-        if len(self.tasks) == 1:
-            return next(iter(self.tasks.values()))
-        return None
+    def _verdict(self, state: WorldState, action: Action) -> Allow | Reject:
+        """The rule table in declaration order, then the validity checks."""
+        for rule in self.rules:
+            if GUARDS[rule.guard](state, action):
+                return Reject(rule.id)
+        return self._builtin_check(state, action)
 
     def _builtin_check(self, state: WorldState, action: Action) -> Allow | Reject:
         if action.verb == "unknown":
@@ -326,9 +312,7 @@ class TextWorld:
             if source is None or item is None or item.location != source.id:
                 return Reject("invalid-target")
             if state.agent.hand is not None:
-                return Reject("one-item-hand")
-            if source.open is False:
-                return Reject("closed-blocks-access")
+                return Reject("hand-full")  # the state has one hand slot
             return ALLOW
         if action.verb == "put":
             dest = _receptacle(state, action.target)
@@ -336,8 +320,6 @@ class TextWorld:
                 return Reject("invalid-target")
             if state.agent.hand != action.item:
                 return Reject("not-holding")
-            if dest.open is False:
-                return Reject("closed-blocks-access")
             return ALLOW
         return Reject("unknown-verb")
 
@@ -469,8 +451,16 @@ def load_world(path: str | Path) -> TextWorld:
     agent = Agent(room=data["agent"]["room"],
                   facing=data["agent"].get("facing"),
                   hand=data["agent"].get("hand"))
-    rules = [Rule(id=r["id"], guard=r["guard"], effect=r.get("effect", "reject"))
-             for r in data["rules"]]
+    rules = []
+    for r in data["rules"]:
+        if r["guard"] not in GUARDS:
+            raise WorldValidationError(
+                f"rule {r['id']!r}: unknown rule guard: {r['guard']!r}")
+        if r.get("effect", "reject") != "reject":
+            raise WorldValidationError(
+                f"rule {r['id']!r}: unknown effect {r['effect']!r}; "
+                f"rules can only reject")
+        rules.append(Rule(id=r["id"], guard=r["guard"]))
     world = TextWorld(data["id"], data["rooms"], entities, agent, rules)
 
     base_state = WorldState(

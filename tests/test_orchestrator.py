@@ -3,6 +3,7 @@
 import json
 
 import pytest
+import yaml
 
 from ttexplore.orchestrator import (
     FALLBACK_ACTION,
@@ -18,6 +19,7 @@ from ttexplore.orchestrator import (
     select_best,
 )
 from ttexplore.policies import SCRIPTED_POLICIES, scripted
+from ttexplore.world import builtin_world_path, load_world
 
 
 # --- configuration validation ----------------------------------------------
@@ -45,6 +47,22 @@ def test_react_oracle_succeeds_in_six_steps(minihouse1, oracle):
     assert [s.score_after for s in traj.steps] == \
         [0.0, 0.0, 33.33, 66.67, 66.67, 100.0]
     assert traj.thoughts == []
+
+
+def test_multi_task_world_episode_ends_at_full_score(tmp_path, oracle):
+    # the engine scores the task it is given, so a world with two tasks
+    # still ends its episode when that task is done
+    doc = yaml.safe_load(builtin_world_path("minihouse1").read_text(encoding="utf-8"))
+    doc["tasks"].append({**doc["tasks"][0], "id": "minihouse-1-copy"})
+    path = tmp_path / "two_tasks.yaml"
+    path.write_text(yaml.safe_dump(doc), encoding="utf-8")
+    world = load_world(path)
+    assert len(world.tasks) == 2
+    cfg = RunConfig(mode="react", max_steps=20, seed=0)
+    traj = run_react(world, oracle, world.tasks["minihouse-1"], cfg)
+    assert traj.final.success
+    assert traj.final.steps_used == 6
+    assert traj.steps[-1].done and traj.steps[-1].score_after == 100.0
 
 
 def test_react_exhausts_budget_without_success(minihouse1, greedy):

@@ -138,6 +138,15 @@ def test_rollout_context_pads_short_weak_runs(minihouse2, classified_subs):
     assert ctx.weak_prefix[2:] == [sub.weak_actions[-1]] * (cfg.x - 2)
 
 
+def test_rollout_context_integrity_check(minihouse2, classified_subs):
+    subs, cfg = classified_subs
+    task = minihouse2.tasks["minihouse-2"]
+    sub = subs[1]
+    sub.start_score = 66.67  # the prefix really ends at 33.33
+    with pytest.raises(IntegrityError, match="diverged"):
+        build_rollout_context(minihouse2, task, sub, cfg)
+
+
 def test_context_requires_classified_sub(minihouse2):
     task = minihouse2.tasks["minihouse-2"]
     sub = SubTask(parent_task_id=task.id, seed=0, prefix_actions=[],

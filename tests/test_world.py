@@ -1,15 +1,20 @@
 """World engine: parsing, rules, scoring, determinism, schema validation."""
 
+import copy
 import dataclasses
 
 import pytest
 import yaml
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from ttexplore.world import (
+    ALLOW,
     SENTINEL,
     Allow,
     Reject,
     WorldValidationError,
+    builtin_world_path,
     load_builtin_world,
     load_world,
     parse_action,
@@ -50,7 +55,7 @@ def test_parse_action_keeps_raw_and_trims():
 def test_rejected_action_yields_exact_sentinel(minihouse1):
     task = minihouse1.tasks["minihouse-1"]
     state, _ = minihouse1.reset(task, seed=0)
-    _, obs, _ = minihouse1.step(state, "open fridge 1", step_index=1)
+    _, obs, _, _ = minihouse1.step(state, "open fridge 1", task)
     assert obs.text == SENTINEL
 
 
@@ -58,8 +63,8 @@ def test_rejected_action_leaves_state_unchanged(minihouse1):
     task = minihouse1.tasks["minihouse-1"]
     state, _ = minihouse1.reset(task, seed=0)
     before = state.copy()
-    state, obs, _ = minihouse1.step(state, "take apple 1 from fridge 1",
-                                    step_index=1)
+    state, obs, _, _ = minihouse1.step(state, "take apple 1 from fridge 1",
+                                       task)
     assert obs.text == SENTINEL
     assert dataclasses.asdict(state) == dataclasses.asdict(before)
 
@@ -67,7 +72,7 @@ def test_rejected_action_leaves_state_unchanged(minihouse1):
 def test_accepted_action_does_not_mutate_input_state(minihouse1):
     task = minihouse1.tasks["minihouse-1"]
     state, _ = minihouse1.reset(task, seed=0)
-    new_state, _, _ = minihouse1.step(state, "go to kitchen", step_index=1)
+    new_state, _, _, _ = minihouse1.step(state, "go to kitchen", task)
     assert state.agent.room == "hallway"
     assert new_state.agent.room == "kitchen"
 
@@ -92,15 +97,15 @@ def test_check_rule_allow(minihouse1):
 def test_unknown_verb_rejected(minihouse1):
     task = minihouse1.tasks["minihouse-1"]
     state, _ = minihouse1.reset(task, seed=0)
-    _, obs, _ = minihouse1.step(state, "dance wildly", step_index=1)
+    _, obs, _, _ = minihouse1.step(state, "dance wildly", task)
     assert obs.text == SENTINEL
 
 
 def test_locked_receptacle_needs_key_in_hand(keymaze1):
     task = keymaze1.tasks["keymaze-1"]
     state, _ = keymaze1.reset(task, seed=0)
-    for i, action in enumerate(["go to vault", "go to chest 1"], start=1):
-        state, _, _ = keymaze1.step(state, action, step_index=i)
+    for action in ["go to vault", "go to chest 1"]:
+        state, _, _, _ = keymaze1.step(state, action, task)
     assert keymaze1.check_rule(state, "open chest 1") == Reject("locked-needs-key")
     state.agent.hand = "key 1"
     state.entities["key 1"].location = "hand"
@@ -110,11 +115,58 @@ def test_locked_receptacle_needs_key_in_hand(keymaze1):
 def test_already_open_is_rejected(minihouse1):
     task = minihouse1.tasks["minihouse-1"]
     state, _ = minihouse1.reset(task, seed=0)
-    for i, action in enumerate(
-            ["go to kitchen", "go to fridge 1", "open fridge 1"], start=1):
-        state, _, _ = minihouse1.step(state, action, step_index=i)
-    _, obs, _ = minihouse1.step(state, "open fridge 1", step_index=4)
+    for action in ["go to kitchen", "go to fridge 1", "open fridge 1"]:
+        state, _, _, _ = minihouse1.step(state, action, task)
+    _, obs, _, _ = minihouse1.step(state, "open fridge 1", task)
     assert obs.text == SENTINEL
+
+
+def builtin_doc(name):
+    return yaml.safe_load(builtin_world_path(name).read_text(encoding="utf-8"))
+
+
+def test_empty_rule_table_enforces_only_validity(tmp_path):
+    # closed-blocks-access is a hidden rule: without it in the table, a
+    # closed fridge does not block taking from it
+    doc = builtin_doc("minihouse1")
+    doc["rules"] = []
+    world = load_world(write_world(tmp_path, doc))
+    task = world.tasks["minihouse-1"]
+    state, _ = world.reset(task, seed=0)
+    assert world.check_rule(state, "take apple 1 from fridge 1") == ALLOW
+    state, obs, _, _ = world.step(state, "take apple 1 from fridge 1", task)
+    assert obs.text == "You take apple 1 from fridge 1."
+    assert state.agent.hand == "apple 1"
+    # the one hand slot is a validity check, under its own id
+    verdict = world.check_rule(state, "take soap 1 from cabinet 1")
+    assert verdict == Reject("hand-full")
+
+
+def test_locked_without_key_attribute_rejects_empty_hand(tmp_path):
+    doc = builtin_doc("keymaze1")
+    doc["entities"]["chest 1"]["attributes"] = ["locked"]
+    world = load_world(write_world(tmp_path, doc))
+    task = world.tasks["keymaze-1"]
+    state, _ = world.reset(task, seed=0)
+    state.agent.room, state.agent.facing = "vault", "chest 1"
+    assert state.agent.hand is None
+    assert world.check_rule(state, "open chest 1") == Reject("locked-needs-key")
+
+
+def test_locked_opens_with_any_listed_key(tmp_path):
+    doc = builtin_doc("keymaze1")
+    doc["entities"]["chest 1"]["attributes"] = [
+        "locked", "unlocks-with:key 1", "unlocks-with:key 2"]
+    doc["entities"]["key 2"] = {"kind": "object", "location": "drawer 1"}
+    world = load_world(write_world(tmp_path, doc))
+    task = world.tasks["keymaze-1"]
+    for key in ("key 1", "key 2", "gem 1"):
+        state, _ = world.reset(task, seed=0)
+        state.agent.room, state.agent.facing = "vault", "chest 1"
+        state.agent.hand = key
+        state.entities[key].location = "hand"
+        verdict = world.check_rule(state, "open chest 1")
+        assert verdict == (Reject("locked-needs-key") if key == "gem 1" else ALLOW)
 
 
 # --- process score ---------------------------------------------------------
@@ -132,9 +184,10 @@ SOLUTION_1 = [
 def run_actions(world, task, actions, seed=0):
     state, _ = world.reset(task, seed)
     scores, dones = [], []
-    for i, action in enumerate(actions, start=1):
-        state, _, done = world.step(state, action, step_index=i)
-        scores.append(world.process_score(state, task).value)
+    for action in actions:
+        state, _, score, done = world.step(state, action, task)
+        assert score == world.process_score(state, task).value
+        scores.append(score)
         dones.append(done)
     return state, scores, dones
 
@@ -178,8 +231,8 @@ def test_same_seed_identical_observations(minihouse1):
     def transcript(seed):
         state, obs0 = minihouse1.reset(task, seed)
         texts = [obs0.text]
-        for i, action in enumerate(SOLUTION_1, start=1):
-            state, obs, _ = minihouse1.step(state, action, step_index=i)
+        for action in SOLUTION_1:
+            state, obs, _, _ = minihouse1.step(state, action, task)
             texts.append(obs.text)
         return texts
 
@@ -191,7 +244,7 @@ def test_seed_changes_only_enumeration_order(minihouse1):
     texts = {}
     for seed in range(6):
         state, _ = minihouse1.reset(task, seed)
-        _, kitchen_obs, _ = minihouse1.step(state, "go to kitchen", step_index=1)
+        _, kitchen_obs, _, _ = minihouse1.step(state, "go to kitchen", task)
         _, scores, dones = run_actions(minihouse1, task, SOLUTION_1, seed)
         texts[seed] = kitchen_obs.text
         assert scores == [0.0, 0.0, 33.33, 66.67, 66.67, 100.0]
@@ -270,11 +323,23 @@ def test_initially_satisfied_subgoal_rejected(tmp_path):
 def test_unknown_guard_name_rejected(tmp_path):
     doc = world_doc()
     doc["rules"][0]["guard"] = "no-such-guard"
-    world = load_world(write_world(tmp_path, doc))
-    task = world.tasks["t"]
-    state, _ = world.reset(task, 0)
     with pytest.raises(WorldValidationError, match="no-such-guard"):
-        world.check_rule(state, "look around")
+        load_world(write_world(tmp_path, doc))
+
+
+@pytest.mark.parametrize("effect", ["allow", "warn", None])
+def test_rule_effect_other_than_reject_rejected(tmp_path, effect):
+    doc = world_doc()
+    doc["rules"][0]["effect"] = effect
+    with pytest.raises(WorldValidationError, match="effect"):
+        load_world(write_world(tmp_path, doc))
+
+
+def test_rule_effect_reject_accepted(tmp_path):
+    doc = world_doc()
+    doc["rules"][0]["effect"] = "reject"
+    world = load_world(write_world(tmp_path, doc))
+    assert [(r.id, r.guard) for r in world.rules] == [("r1", "closed-blocks-access")]
 
 
 def test_builtin_worlds_load():
@@ -284,3 +349,69 @@ def test_builtin_worlds_load():
         world = load_builtin_world(name)
         assert world.id == wid
         assert world.tasks
+
+
+# --- properties over random action sequences ---------------------------------
+
+WORLDS = {name: load_builtin_world(name)
+          for name in ("minihouse1", "minihouse2", "keymaze1")}
+
+
+def _vocabulary(world):
+    receptacles = sorted(e.id for e in world.entities.values()
+                         if e.kind == "receptacle")
+    objects = sorted(e.id for e in world.entities.values() if e.kind == "object")
+    actions = ["look around", "dance", "take", "go to attic"]
+    actions += [f"go to {name}" for name in list(world.rooms) + receptacles]
+    actions += [f"open {r}" for r in receptacles]
+    actions += [f"take {o} from {r}" for o in objects for r in receptacles]
+    actions += [f"put {o} {prep} {r}" for o in objects for r in receptacles
+                for prep in ("in", "on")]
+    return actions
+
+
+SOLUTIONS = {
+    "minihouse1": SOLUTION_1,
+    "minihouse2": ["go to kitchen", "go to cabinet 1", "open cabinet 1",
+                   "take soap 1 from cabinet 1", "go to table 1",
+                   "put soap 1 on table 1"],
+    "keymaze1": ["go to drawer 1", "open drawer 1", "take key 1 from drawer 1",
+                 "go to chest 1", "open chest 1", "put key 1 in chest 1",
+                 "take gem 1 from chest 1", "go to shelf 1",
+                 "put gem 1 on shelf 1"],
+}
+
+
+@st.composite
+def episodes(draw):
+    """Random actions interleaved with the world's solution in order, so that
+    sequences also reach states with a non-zero score."""
+    name = draw(st.sampled_from(sorted(WORLDS)))
+    world = WORLDS[name]
+    vocabulary = _vocabulary(world)
+    solution = iter(SOLUTIONS[name])
+    actions = []
+    for follow in draw(st.lists(st.booleans(), max_size=25)):
+        action = next(solution, None) if follow else None
+        actions.append(action or draw(st.sampled_from(vocabulary)))
+    return world, draw(st.integers(0, 5)), actions
+
+
+@settings(max_examples=200, deadline=None)
+@given(episodes())
+def test_step_properties(episode):
+    world, seed, actions = episode
+    task = next(iter(world.tasks.values()))
+    state, _ = world.reset(task, seed)
+    for action in actions:
+        before = copy.deepcopy(state)
+        new_state, obs, score, done = world.step(state, action, task)
+        # step never mutates the state passed in
+        assert state == before
+        if obs.text == SENTINEL:
+            assert new_state == before
+        assert score == world.process_score(new_state, task).value
+        assert done == (score == 100.0)
+        state = new_state
+    # replay is the fold of step over the actions
+    assert world.replay(task, seed, actions) == state
