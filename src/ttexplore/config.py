@@ -7,7 +7,7 @@ environment variables only, never from config files.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 from pathlib import Path
 from typing import Optional
 
@@ -66,13 +66,9 @@ def parse_policy(data: dict, role: str, where: str) -> PolicyHandle:
         f"{where}: backend must be 'scripted' or 'remote', got {data['backend']!r}")
 
 
-_RUN_KEYS = {"mode", "inner_mode", "n_trigger", "max_steps", "retries_N",
-             "samples_N", "seed", "trigger_policy", "char_budget",
-             "include_prior_thoughts", "metrics_k"}
+_RUN_KEYS = {f.name for f in fields(RunConfig)}
 
-_PIPELINE_KEYS = {"x", "y", "m", "reward_mode", "penalty_rate",
-                  "nodes_per_trajectory", "rollout_max_steps",
-                  "completion_rule", "sample_retry_budget"}
+_PIPELINE_KEYS = {f.name for f in fields(PipelineConfig)} - {"run"}
 
 _TOP_KEYS = {"world", "tasks", "actor", "thinker", "weak", "strong",
              "run", "pipeline", "store_dir", "seeds", "parallelism"}

@@ -13,12 +13,12 @@ import json
 import logging
 import time
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass, field, replace
+from dataclasses import asdict, dataclass, field, replace
 from pathlib import Path
 from typing import Optional
 
 from . import metrics as metrics_mod
-from .policies import PolicyHandle, complete
+from .policies import ConfigError, PolicyHandle, RemoteError, complete
 from .prompts import (
     DeepThought,
     HistoryView,
@@ -62,19 +62,7 @@ class RunConfig:
             raise ValueError(f"unknown trigger policy {self.trigger_policy!r}")
 
     def as_dict(self) -> dict:
-        return {
-            "mode": self.mode,
-            "inner_mode": self.inner_mode,
-            "n_trigger": self.n_trigger,
-            "max_steps": self.max_steps,
-            "retries_N": self.retries_N,
-            "samples_N": self.samples_N,
-            "seed": self.seed,
-            "trigger_policy": self.trigger_policy,
-            "char_budget": self.char_budget,
-            "include_prior_thoughts": self.include_prior_thoughts,
-            "metrics_k": self.metrics_k,
-        }
+        return asdict(self)
 
 
 @dataclass
@@ -195,7 +183,7 @@ def _run_episode(world: TextWorld, actor: PolicyHandle, task: TaskSpec,
                 if text is not None:
                     traj.thoughts.append(DeepThought(text=text, anchor_step=t))
                     view.thoughts.append((t, text))
-    except Exception as exc:  # unrecoverable backend error
+    except (RemoteError, ConfigError) as exc:  # a policy backend failed
         log.error("episode aborted: %s", exc)
         traj.error = f"{type(exc).__name__}: {exc}"
     traj.final = Final(

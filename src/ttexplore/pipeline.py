@@ -2,21 +2,31 @@
 
 Stages: divide a strong trajectory into sub-tasks at process-score
 milestones, probe each sub-task's difficulty with a weak policy, drop the
-easy ones, build shared rollout contexts (replayed prefix + a fixed-length
-weak continuation), sample the trainable thinker m times per context, score
-each thought by letting a frozen actor continue, and export the grouped
-records for policy-gradient training plus thinker SFT pairs.
+easy ones, build shared rollout contexts (prefix + a fixed-length weak
+continuation, folded from reset once), sample the trainable thinker m times
+per context, score each thought by letting a frozen actor continue from the
+context's state, and export the grouped records for policy-gradient training
+plus thinker SFT pairs. A sub-task is completed at the first step whose score
+rises above its start score. The multi-node ablation,
+`build_multinode_contexts`, runs whole capped episodes outside `forge`.
 """
 
 from __future__ import annotations
 
 import json
 import logging
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from pathlib import Path
 from typing import Optional
 
-from .orchestrator import RunConfig, StepRecord, Trajectory, _act
+from .orchestrator import (
+    RunConfig,
+    StepRecord,
+    Trajectory,
+    _act,
+    run_react,
+    run_ttexplore,
+)
 from .policies import PolicyHandle, complete
 from .prompts import (
     DeepThought,
@@ -25,7 +35,7 @@ from .prompts import (
     parse_thinker_output,
     render_thinker_prompt,
 )
-from .world import TaskSpec, TextWorld
+from .world import TaskSpec, TextWorld, WorldState
 
 log = logging.getLogger(__name__)
 
@@ -53,9 +63,6 @@ class PipelineConfig:
     m: int = 4
     reward_mode: str = BINARY
     penalty_rate: float = 0.05
-    nodes_per_trajectory: int = 1
-    rollout_max_steps: int = 25
-    completion_rule: str = "any_improvement"  # or "next_milestone"
     sample_retry_budget: int = 3
     run: RunConfig = field(default_factory=RunConfig)
 
@@ -68,8 +75,6 @@ class PipelineConfig:
             raise ValueError("penalty rate must be >= 0")
         if self.reward_mode not in (BINARY, STEP_PENALTY):
             raise ValueError(f"unknown reward mode {self.reward_mode!r}")
-        if self.completion_rule not in ("any_improvement", "next_milestone"):
-            raise ValueError(f"unknown completion rule {self.completion_rule!r}")
 
 
 @dataclass
@@ -91,6 +96,7 @@ class RolloutContext:
     prompt: str
     history: HistoryView
     weak_prefix: list[str]
+    state: WorldState  # after the prefix and the weak steps; never mutated
 
 
 @dataclass
@@ -119,21 +125,24 @@ class RolloutGroup:
 # Sub-task division and filtering
 # ---------------------------------------------------------------------------
 
-def divide_subtasks(task: TaskSpec, strong_traj: Trajectory) -> list[SubTask]:
+def divide_subtasks(world: TextWorld, task: TaskSpec,
+                    strong_traj: Trajectory) -> list[SubTask]:
     """One sub-task per strict process-score increase; sub-task j starts at
     milestone j-1, so its prefix is the strong trajectory up to and including
-    the step that reached the previous milestone."""
+    the step that reached the previous milestone. The first sub-task starts
+    at the task's initial score."""
+    start = world.process_score(task.initial_world, task).value
     scores = [s.score_after for s in strong_traj.steps]
     actions = strong_traj.actions()
     increases = [i for i in range(len(scores))
-                 if scores[i] > (scores[i - 1] if i > 0 else 0.0)]
+                 if scores[i] > (scores[i - 1] if i > 0 else start)]
     if not increases:
         log.warning("strong trajectory for %s is flat; no sub-tasks",
                     strong_traj.task_id)
         return []
     subs: list[SubTask] = []
     prev_end = 0  # steps included in the prefix
-    prev_score = 0.0
+    prev_score = start
     for i in increases:
         subs.append(SubTask(
             parent_task_id=task.id,
@@ -153,7 +162,7 @@ def replay_with_history(world: TextWorld, task: TaskSpec, seed: int,
     scores[i] is the process score after the first i actions."""
     state, obs0 = world.reset(task, seed)
     view = HistoryView(task.id, obs0.text)
-    scores = [0.0]
+    scores = [world.process_score(state, task).value]
     for action in actions:
         state, obs, score, _ = world.step(state, action, task)
         scores.append(score)
@@ -172,31 +181,36 @@ def classify_difficulty(world: TextWorld, task: TaskSpec, sub: SubTask,
         raise IntegrityError(
             f"prefix replay of {sub.parent_task_id} gave {scores[-1]}, "
             f"recorded start is {sub.start_score}")
-    weak_actions: list[str] = []
-    completion: Optional[int] = None
-    for t in range(1, cfg.y + 1):
-        action = _act(weak, task, view, sub.seed, cfg.run)
-        state, obs, score, _ = world.step(state, action, task)
-        weak_actions.append(action)
-        view.steps.append((action, obs.text))
-        if _completed(score, sub, cfg):
-            completion = t
-            break
+    weak_steps, completion = _continue(world, task, weak, sub, state, view,
+                                       cfg.y, cfg.run)
     if completion is None:
         sub.difficulty = HARD
     elif completion <= cfg.x:
         sub.difficulty = EASY
     else:
         sub.difficulty = MEDIUM
-    sub.weak_actions = weak_actions
+    sub.weak_actions = [s.action for s in weak_steps]
     sub.completion_step = completion
     return sub
 
 
-def _completed(score: float, sub: SubTask, cfg: PipelineConfig) -> bool:
-    if cfg.completion_rule == "next_milestone":
-        return score >= sub.target_score
-    return score > sub.start_score
+def _continue(world: TextWorld, task: TaskSpec, policy: PolicyHandle,
+              sub: SubTask, state: WorldState, view: HistoryView, budget: int,
+              run_cfg: RunConfig) -> tuple[list[StepRecord], Optional[int]]:
+    """Let the policy act from (state, view) for up to `budget` steps,
+    appending each step to the view; stops at the first step whose score
+    rises above the sub-task's start score and returns the steps and that
+    1-based step (None if no step did)."""
+    steps: list[StepRecord] = []
+    for t in range(1, budget + 1):
+        action = _act(policy, task, view, sub.seed, run_cfg)
+        state, obs, score, done = world.step(state, action, task)
+        steps.append(StepRecord(action=action, observation=obs.text,
+                                score_after=score, wall_ms=0.0, done=done))
+        view.steps.append((action, obs.text))
+        if score > sub.start_score:
+            return steps, t
+    return steps, None
 
 
 def filter_subtasks(subs: list[SubTask]) -> list[SubTask]:
@@ -221,7 +235,7 @@ def build_rollout_context(world: TextWorld, task: TaskSpec, sub: SubTask,
         # shorter weak runs are padded by repeating the last action
         weak_prefix.append(weak_prefix[-1] if weak_prefix else "look around")
     actions = sub.prefix_actions + weak_prefix
-    _, view, scores = replay_with_history(world, task, sub.seed, actions)
+    state, view, scores = replay_with_history(world, task, sub.seed, actions)
     expected = scores[len(sub.prefix_actions)]
     if expected != sub.start_score:
         raise IntegrityError(
@@ -230,7 +244,7 @@ def build_rollout_context(world: TextWorld, task: TaskSpec, sub: SubTask,
     prompt = render_thinker_prompt(task, view, char_budget=cfg.run.char_budget)
     context_id = f"{task.id}-s{sub.seed}-p{len(sub.prefix_actions)}"
     return RolloutContext(context_id=context_id, sub=sub, prompt=prompt,
-                          history=view, weak_prefix=weak_prefix)
+                          history=view, weak_prefix=weak_prefix, state=state)
 
 
 class GroupDiscarded(PipelineError):
@@ -276,25 +290,16 @@ def continuation_reward(mode: str, improved_at: Optional[int],
 def evaluate_thought(world: TextWorld, actor_frozen: PolicyHandle,
                      task: TaskSpec, context: RolloutContext,
                      thought: DeepThought, cfg: PipelineConfig) -> RewardRecord:
-    """Let the frozen actor continue for up to (y - x) steps with the thought
-    injected at the context boundary."""
+    """Let the frozen actor continue from the context's state for up to
+    (y - x) steps with the thought injected at the context boundary."""
     cfg.validate()
-    sub = context.sub
-    state, view, _ = replay_with_history(
-        world, task, sub.seed, sub.prefix_actions + context.weak_prefix)
-    view.thoughts.append((thought.anchor_step, thought.text))
-    continuation: list[StepRecord] = []
-    improved_at: Optional[int] = None
-    budget = cfg.y - cfg.x
-    for t in range(1, budget + 1):
-        action = _act(actor_frozen, task, view, sub.seed, cfg.run)
-        state, obs, score, done = world.step(state, action, task)
-        continuation.append(StepRecord(action=action, observation=obs.text,
-                                       score_after=score, wall_ms=0.0, done=done))
-        view.steps.append((action, obs.text))
-        if improved_at is None and score > sub.start_score:
-            improved_at = t
-            break
+    history = context.history
+    view = HistoryView(history.task_id, history.initial_observation,
+                       steps=list(history.steps),
+                       thoughts=[(thought.anchor_step, thought.text)])
+    continuation, improved_at = _continue(world, task, actor_frozen,
+                                          context.sub, context.state, view,
+                                          cfg.y - cfg.x, cfg.run)
     reward = continuation_reward(cfg.reward_mode, improved_at, cfg.penalty_rate)
     return RewardRecord(context_id=context.context_id, thought=thought,
                         continuation=continuation, reward=reward,
@@ -318,7 +323,8 @@ def rollout_group(world: TextWorld, task: TaskSpec, context: RolloutContext,
 # Multi-node ablation contexts
 # ---------------------------------------------------------------------------
 
-NODE_INTERVALS = {2: 9, 4: 6}
+ROLLOUT_MAX_STEPS = 25
+NODE_INTERVALS = {2: 9, 4: 6}  # trigger intervals under ROLLOUT_MAX_STEPS
 
 
 @dataclass
@@ -338,28 +344,26 @@ class MultiNodeGroup:
 
 def build_multinode_contexts(world: TextWorld, task: TaskSpec,
                              thinker: PolicyHandle, actor_frozen: PolicyHandle,
-                             cfg: PipelineConfig,
+                             cfg: PipelineConfig, nodes: int,
                              base_seed: int = 0) -> MultiNodeGroup:
     """Rollouts whose trajectory reward is shared by every thinking node.
     Node counts of 2 and 4 map to trigger intervals of 9 and 6 under the
     rollout step cap; a node count of 1 is the standard single-node path."""
-    from .orchestrator import run_ttexplore
-
-    nodes = cfg.nodes_per_trajectory
     if nodes == 1:
         raise ValueError("single-node data comes from the standard pipeline; "
                          "use divide/classify/rollout instead")
     if nodes not in NODE_INTERVALS:
-        raise ValueError(f"unsupported nodes_per_trajectory: {nodes}")
+        raise ValueError(f"unsupported node count: {nodes}")
     interval = NODE_INTERVALS[nodes]
     run_cfg = RunConfig(mode="ttexplore", n_trigger=interval,
-                        max_steps=cfg.rollout_max_steps,
+                        max_steps=ROLLOUT_MAX_STEPS,
                         char_budget=cfg.run.char_budget)
+    start = world.process_score(task.initial_world, task).value
     rollouts = []
     for j in range(cfg.m):
-        episode_cfg = RunConfig(**{**run_cfg.as_dict(), "seed": base_seed + j})
-        traj = run_ttexplore(world, actor_frozen, thinker, task, episode_cfg)
-        improved = [i + 1 for i, s in enumerate(traj.steps) if s.score_after > 0.0]
+        traj = run_ttexplore(world, actor_frozen, thinker, task,
+                             replace(run_cfg, seed=base_seed + j))
+        improved = [i + 1 for i, s in enumerate(traj.steps) if s.score_after > start]
         reward = continuation_reward(cfg.reward_mode,
                                      improved[0] if improved else None,
                                      cfg.penalty_rate)
@@ -367,7 +371,7 @@ def build_multinode_contexts(world: TextWorld, task: TaskSpec,
             trajectory=traj, reward=reward,
             trigger_steps=[t.anchor_step for t in traj.thoughts]))
     return MultiNodeGroup(task_id=task.id, interval=interval,
-                          max_steps=cfg.rollout_max_steps, rollouts=rollouts)
+                          max_steps=ROLLOUT_MAX_STEPS, rollouts=rollouts)
 
 
 # ---------------------------------------------------------------------------
@@ -431,8 +435,6 @@ def forge(world: TextWorld, tasks: list[TaskSpec], strong: PolicyHandle,
           actor_frozen: PolicyHandle, cfg: PipelineConfig,
           seeds: Optional[list[int]] = None) -> ForgeResult:
     """Run the full data factory over the given tasks."""
-    from .orchestrator import run_react
-
     cfg.validate()
     seeds = seeds if seeds is not None else [0]
     strong_trajs: list[Trajectory] = []
@@ -450,7 +452,7 @@ def forge(world: TextWorld, tasks: list[TaskSpec], strong: PolicyHandle,
             if strong_traj.final.process_score <= 0.0:
                 skipped.append(f"{task.id}-s{seed}: strong trajectory flat")
                 continue
-            subs = divide_subtasks(task, strong_traj)
+            subs = divide_subtasks(world, task, strong_traj)
             for sub in subs:
                 classify_difficulty(world, task, sub, weak, cfg)
             all_subs.extend(subs)
@@ -479,7 +481,6 @@ def forge(world: TextWorld, tasks: list[TaskSpec], strong: PolicyHandle,
             "x": cfg.x, "y": cfg.y, "m": cfg.m,
             "reward_mode": cfg.reward_mode,
             "penalty_rate": cfg.penalty_rate,
-            "completion_rule": cfg.completion_rule,
         },
         "subtasks": len(all_subs),
         "difficulty_counts": difficulty_counts,

@@ -35,10 +35,9 @@ class ConfigError(ValueError):
 
 
 class RemoteError(RuntimeError):
-    def __init__(self, message: str, attempts: int, retryable: bool = True):
+    def __init__(self, message: str, attempts: int):
         super().__init__(message)
         self.attempts = attempts
-        self.retryable = retryable
 
 
 @dataclass(frozen=True)
@@ -106,7 +105,8 @@ def _complete_remote(policy: PolicyHandle, prompt: str) -> str:
                                  timeout=backend.timeout_s)
             resp.raise_for_status()
             return resp.json()["choices"][0]["message"]["content"]
-        except (requests.RequestException, KeyError, ValueError) as exc:
+        except (requests.RequestException, LookupError, TypeError,
+                ValueError) as exc:
             last_error = exc
             if attempt < backend.max_retries:
                 time.sleep(0.5 * (attempt + 1))

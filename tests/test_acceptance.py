@@ -161,7 +161,7 @@ def test_criterion_4_pipeline_soundness():
     assert [s.score_after for s in strong.steps] == \
         [0.0, 0.0, 33.33, 33.33, 66.67, 100.0]
 
-    subs = divide_subtasks(task, strong)
+    subs = divide_subtasks(world, task, strong)
     assert {len(s.prefix_actions) for s in subs} == {0, 3, 5}
     assert [(s.start_score, s.target_score) for s in subs] == \
         [(0.0, 33.33), (33.33, 66.67), (66.67, 100.0)]

@@ -8,6 +8,7 @@ import yaml
 from click.testing import CliRunner
 
 from ttexplore.cli import main
+from ttexplore.config import ConfigValidationError, load_config
 
 
 @pytest.fixture
@@ -82,6 +83,14 @@ def test_run_unknown_run_key_fails_naming_it(runner, tmp_path):
     result = runner.invoke(main, ["run", "--config", str(cfg)])
     assert result.exit_code != 0
     assert "n_triggerr" in result.output
+
+
+@pytest.mark.parametrize("key", ["completion_rule", "nodes_per_trajectory",
+                                 "rollout_max_steps"])
+def test_removed_pipeline_keys_are_rejected(tmp_path, key):
+    path = write_config(tmp_path, config_doc(pipeline={"x": 5, key: 1}))
+    with pytest.raises(ConfigValidationError, match=key):
+        load_config(path)
 
 
 def test_run_missing_world_no_partial_store(runner, tmp_path):

@@ -18,8 +18,8 @@ from ttexplore.orchestrator import (
     run_ttexplore,
     select_best,
 )
-from ttexplore.policies import SCRIPTED_POLICIES, scripted
-from ttexplore.world import builtin_world_path, load_world
+from ttexplore.policies import SCRIPTED_POLICIES, RemoteError, scripted
+from ttexplore.world import Rule, TextWorld, builtin_world_path, load_world
 
 
 # --- configuration validation ----------------------------------------------
@@ -150,7 +150,7 @@ def test_thinker_parse_failure_skips_thought(minihouse1, monkeypatch):
 
 def test_backend_crash_recorded_as_episode_error(minihouse1, monkeypatch):
     def explode(prompt, seed):
-        raise RuntimeError("backend gone")
+        raise RemoteError("backend gone", attempts=1)
     monkeypatch.setitem(SCRIPTED_POLICIES, "crash-actor", explode)
     traj = run_react(minihouse1, scripted("actor", "crash-actor"),
                      minihouse1.tasks["minihouse-1"],
@@ -158,6 +158,16 @@ def test_backend_crash_recorded_as_episode_error(minihouse1, monkeypatch):
     assert traj.error is not None
     assert "backend gone" in traj.error
     assert not traj.final.success
+
+
+def test_own_bug_crashes_instead_of_aborting(minihouse1, greedy):
+    # built directly, so load_world's guard check never sees the bad rule
+    world = TextWorld(minihouse1.id, list(minihouse1.rooms), minihouse1.entities,
+                      minihouse1.agent, [Rule("r", "no-such-guard")])
+    world.tasks = minihouse1.tasks
+    with pytest.raises(KeyError, match="no-such-guard"):
+        run_react(world, greedy, world.tasks["minihouse-1"],
+                  RunConfig(mode="react", seed=0))
 
 
 # --- reflect-and-retry ------------------------------------------------------

@@ -1,10 +1,20 @@
 """Training-data pipeline: division, difficulty filtering, rewards, exports."""
 
+import copy
 import json
 
 import pytest
+import yaml
 
-from ttexplore.orchestrator import Final, RunConfig, StepRecord, Trajectory
+from ttexplore import load_builtin_world, pipeline
+from ttexplore.orchestrator import (
+    Final,
+    RunConfig,
+    StepRecord,
+    Trajectory,
+    _act,
+    run_react,
+)
 from ttexplore.pipeline import (
     BINARY,
     EASY,
@@ -15,6 +25,7 @@ from ttexplore.pipeline import (
     IntegrityError,
     PipelineConfig,
     PipelineError,
+    RewardRecord,
     SubTask,
     build_multinode_contexts,
     build_rollout_context,
@@ -25,10 +36,12 @@ from ttexplore.pipeline import (
     export_sft,
     filter_subtasks,
     forge,
+    replay_with_history,
     rollout_group,
     sample_thoughts,
 )
 from ttexplore.policies import SCRIPTED_POLICIES, scripted
+from ttexplore.world import builtin_world_path, load_world
 
 
 def synthetic_trajectory(task_id, actions, scores, seed=0):
@@ -49,7 +62,7 @@ def test_divide_at_strict_increases(minihouse2):
     actions = [f"a{i}" for i in range(1, 7)]
     traj = synthetic_trajectory(task.id, actions,
                                 [0.0, 0.0, 33.33, 33.33, 66.67, 100.0])
-    subs = divide_subtasks(task, traj)
+    subs = divide_subtasks(minihouse2, task, traj)
     assert [len(s.prefix_actions) for s in subs] == [0, 3, 5]
     assert [(s.start_score, s.target_score) for s in subs] == \
         [(0.0, 33.33), (33.33, 66.67), (66.67, 100.0)]
@@ -59,15 +72,39 @@ def test_divide_at_strict_increases(minihouse2):
 def test_divide_flat_trajectory_yields_nothing(minihouse2):
     task = minihouse2.tasks["minihouse-2"]
     traj = synthetic_trajectory(task.id, ["a", "b"], [0.0, 0.0])
-    assert divide_subtasks(task, traj) == []
+    assert divide_subtasks(minihouse2, task, traj) == []
 
 
 def test_divide_first_step_increase(minihouse2):
     task = minihouse2.tasks["minihouse-2"]
     traj = synthetic_trajectory(task.id, ["a", "b"], [50.0, 100.0])
-    subs = divide_subtasks(task, traj)
+    subs = divide_subtasks(minihouse2, task, traj)
     assert [len(s.prefix_actions) for s in subs] == [0, 1]
     assert subs[0].start_score == 0.0
+
+
+@pytest.fixture
+def open_fridge(tmp_path):
+    """minihouse1 with the fridge already open: the task starts at 33.33."""
+    doc = yaml.safe_load(builtin_world_path("minihouse1").read_text(encoding="utf-8"))
+    doc["entities"]["fridge 1"]["open"] = True
+    doc["tasks"][0]["allow_initial_subgoals"] = True
+    path = tmp_path / "open-fridge.yaml"
+    path.write_text(yaml.safe_dump(doc), encoding="utf-8")
+    return load_world(path)
+
+
+def test_divide_starts_at_the_initial_score(open_fridge, oracle):
+    world = open_fridge
+    task = world.tasks["minihouse-1"]
+    strong = run_react(world, oracle, task, RunConfig(mode="react", seed=0))
+    subs = divide_subtasks(world, task, strong)
+    assert [(s.start_score, s.target_score) for s in subs] == \
+        [(33.33, 66.67), (66.67, 100.0)]
+    assert subs[1].prefix_actions
+    weak = scripted("actor", "wanderer-actor")
+    for s in subs:  # the prefix replay reproduces each start score
+        classify_difficulty(world, task, s, weak, PipelineConfig())
 
 
 # --- difficulty classification ----------------------------------------------
@@ -75,11 +112,8 @@ def test_divide_first_step_increase(minihouse2):
 @pytest.fixture
 def classified_subs(minihouse2, oracle):
     task = minihouse2.tasks["minihouse-2"]
-    strong = Trajectory(task_id=task.id, seed=0, mode="react",
-                        initial_observation="")
-    from ttexplore.orchestrator import run_react
     strong = run_react(minihouse2, oracle, task, RunConfig(mode="react", seed=0))
-    subs = divide_subtasks(task, strong)
+    subs = divide_subtasks(minihouse2, task, strong)
     cfg = PipelineConfig()
     weak = scripted("actor", "wanderer-actor")
     return [classify_difficulty(minihouse2, task, s, weak, cfg) for s in subs], cfg
@@ -214,6 +248,86 @@ def test_unfillable_group_is_discarded_not_padded(minihouse2, classified_subs,
                         retry_budget=2)
 
 
+def reference_evaluate_thought(world, actor_frozen, task, context, thought, cfg):
+    """Thought evaluation as it was before contexts kept their state: replay
+    the prefix and the weak steps from reset for every thought."""
+    sub = context.sub
+    state, view, _ = replay_with_history(
+        world, task, sub.seed, sub.prefix_actions + context.weak_prefix)
+    view.thoughts.append((thought.anchor_step, thought.text))
+    continuation, improved_at = [], None
+    for t in range(1, cfg.y - cfg.x + 1):
+        action = _act(actor_frozen, task, view, sub.seed, cfg.run)
+        state, obs, score, done = world.step(state, action, task)
+        continuation.append(StepRecord(action=action, observation=obs.text,
+                                       score_after=score, wall_ms=0.0, done=done))
+        view.steps.append((action, obs.text))
+        if score > sub.start_score:
+            improved_at = t
+            break
+    reward = continuation_reward(cfg.reward_mode, improved_at, cfg.penalty_rate)
+    return RewardRecord(context_id=context.context_id, thought=thought,
+                        continuation=continuation, reward=reward,
+                        improved_at=improved_at)
+
+
+@pytest.mark.parametrize("world_name", ["minihouse1", "minihouse2", "keymaze1"])
+def test_snapshot_evaluation_matches_replay_from_reset(world_name, monkeypatch):
+    world = load_builtin_world(world_name)
+    pairs = []
+    real = pipeline.evaluate_thought
+
+    def checked(world, actor_frozen, task, context, thought, cfg):
+        record = real(world, actor_frozen, task, context, thought, cfg)
+        pairs.append((record, reference_evaluate_thought(
+            world, actor_frozen, task, context, thought, cfg)))
+        return record
+
+    monkeypatch.setattr(pipeline, "evaluate_thought", checked)
+    result = forge(world, list(world.tasks.values()),
+                   strong=scripted("actor", "oracle-actor"),
+                   weak=scripted("actor", "wanderer-actor"),
+                   thinker=scripted("thinker", "noisy-thinker"),
+                   actor_frozen=scripted("actor", "obedient-actor"),
+                   cfg=PipelineConfig(), seeds=[0, 1])
+    assert result.groups
+    assert len(pairs) == sum(len(g.records) for g in result.groups)
+    for record, reference in pairs:
+        assert record == reference
+
+
+def test_rollout_group_leaves_the_context_untouched(minihouse2, classified_subs):
+    subs, cfg = classified_subs
+    task = minihouse2.tasks["minihouse-2"]
+    ctx = build_rollout_context(minihouse2, task, subs[1], cfg)
+    state, history = copy.deepcopy(ctx.state), copy.deepcopy(ctx.history)
+    group = rollout_group(minihouse2, task, ctx,
+                          scripted("thinker", "oracle-thinker"),
+                          scripted("actor", "obedient-actor"), cfg, base_seed=0)
+    assert all(r.improved_at for r in group.records)  # the actor did move
+    assert ctx.state == state
+    assert ctx.history == history
+
+
+def test_forge_folds_each_context_once(minihouse2, monkeypatch):
+    calls = []
+    real = pipeline.replay_with_history
+
+    def counting(*args):
+        calls.append(args)
+        return real(*args)
+
+    monkeypatch.setattr(pipeline, "replay_with_history", counting)
+    result = forge(minihouse2, [minihouse2.tasks["minihouse-2"]],
+                   strong=scripted("actor", "oracle-actor"),
+                   weak=scripted("actor", "wanderer-actor"),
+                   thinker=scripted("thinker", "noisy-thinker"),
+                   actor_frozen=scripted("actor", "obedient-actor"),
+                   cfg=PipelineConfig(), seeds=[0])
+    # one fold per classified sub-task and one per rollout context
+    assert len(calls) == result.manifest["subtasks"] + result.manifest["groups"]
+
+
 # --- multi-node rollouts -----------------------------------------------------
 
 def test_multinode_interval_mapping(minihouse2):
@@ -221,9 +335,9 @@ def test_multinode_interval_mapping(minihouse2):
     thinker = scripted("thinker", "oracle-thinker")
     actor = scripted("actor", "greedy-actor")
     for nodes, interval in ((2, 9), (4, 6)):
-        cfg = PipelineConfig(nodes_per_trajectory=nodes, m=2)
+        cfg = PipelineConfig(m=2)
         group = build_multinode_contexts(minihouse2, task, thinker, actor, cfg,
-                                         base_seed=0)
+                                         nodes, base_seed=0)
         assert group.interval == interval
         assert group.max_steps == 25
         for rollout in group.rollouts:
@@ -237,9 +351,20 @@ def test_multinode_rejects_unsupported_counts(minihouse2):
     thinker = scripted("thinker", "oracle-thinker")
     actor = scripted("actor", "greedy-actor")
     for nodes in (1, 3):
-        cfg = PipelineConfig(nodes_per_trajectory=nodes)
         with pytest.raises(ValueError):
-            build_multinode_contexts(minihouse2, task, thinker, actor, cfg)
+            build_multinode_contexts(minihouse2, task, thinker, actor,
+                                     PipelineConfig(), nodes)
+
+
+def test_multinode_reward_counts_from_the_initial_score(open_fridge):
+    task = open_fridge.tasks["minihouse-1"]
+    group = build_multinode_contexts(open_fridge, task,
+                                     scripted("thinker", "null-thinker"),
+                                     scripted("actor", "loop-actor"),
+                                     PipelineConfig(m=2), 2)
+    for rollout in group.rollouts:
+        assert rollout.trajectory.final.process_score == 33.33
+        assert rollout.reward == 0.0
 
 
 # --- exports and the driver --------------------------------------------------
@@ -311,5 +436,3 @@ def test_pipeline_config_validation():
         PipelineConfig(m=0).validate()
     with pytest.raises(ValueError):
         PipelineConfig(reward_mode="bonus").validate()
-    with pytest.raises(ValueError):
-        PipelineConfig(completion_rule="maybe").validate()

@@ -213,3 +213,13 @@ def test_remote_malformed_body_is_an_error(monkeypatch):
     monkeypatch.setattr("ttexplore.policies.time.sleep", lambda s: None)
     with pytest.raises(RemoteError):
         complete(remote_handle(), "p")
+
+
+@pytest.mark.parametrize("body", [{"choices": []}, {"choices": None},
+                                  {"choices": [{"message": None}]}])
+def test_remote_body_of_wrong_shape_is_an_error(monkeypatch, body):
+    monkeypatch.setattr("ttexplore.policies.requests.post",
+                        lambda *a, **k: FakeResponse(body))
+    monkeypatch.setattr("ttexplore.policies.time.sleep", lambda s: None)
+    with pytest.raises(RemoteError):
+        complete(remote_handle(), "p")
