@@ -24,7 +24,7 @@ from .config import (
     select_tasks,
 )
 from .metrics import SummaryTable, aggregate, compute_metrics, _mean2
-from .orchestrator import RunStoreError, read_transcript, run_batch
+from .orchestrator import RunStoreError, read_transcript, run_batch, write_json_atomic
 from .pipeline import export_grpo, export_sft, forge
 from .world import TextWorld, WorldValidationError, load_world
 
@@ -36,16 +36,19 @@ def _fail(message: str, code: int = 2) -> None:
 
 def _fresh_store(root: Path, label: str | None) -> Path:
     """A new, never-existing subdirectory of the store root. Existing stores
-    are never reused or overwritten."""
+    are never reused or overwritten; the create itself refuses an existing
+    directory, so there is no window between a check and the create."""
     stamp = _dt.datetime.now(_dt.timezone.utc).strftime("%Y%m%dT%H%M%S")
     base = f"{stamp}-{label}" if label else stamp
     candidate = root / base
     suffix = 0
-    while candidate.exists():
-        suffix += 1
-        candidate = root / f"{base}-{suffix}"
-    candidate.mkdir(parents=True)
-    return candidate
+    while True:
+        try:
+            candidate.mkdir(parents=True, exist_ok=False)
+            return candidate
+        except FileExistsError:
+            suffix += 1
+            candidate = root / f"{base}-{suffix}"
 
 
 def _load_experiment(config_path: str) -> ExperimentConfig:
@@ -290,10 +293,7 @@ def cmd_forge(config_path, out_dir, label) -> None:
     export_grpo(result.groups, out / "grpo.jsonl")
     export_sft(world, world.tasks, result.strong_trajectories,
                out / "sft.jsonl", char_budget=exp.run.char_budget)
-    (out / "forge_manifest.json").write_text(
-        json.dumps(result.manifest, indent=2, ensure_ascii=False,
-                   sort_keys=True) + "\n",
-        encoding="utf-8")
+    write_json_atomic(out / "forge_manifest.json", result.manifest)
     click.echo(f"store: {out}")
     click.echo(json.dumps(result.manifest, indent=2, sort_keys=True))
     if result.manifest["groups"] == 0:

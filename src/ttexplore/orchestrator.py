@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import json
 import logging
+import os
 import time
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import asdict, dataclass, field, replace
@@ -164,7 +165,7 @@ def _run_episode(world: TextWorld, actor: PolicyHandle, task: TaskSpec,
     traj = Trajectory(task_id=task.id, seed=seed,
                       mode="ttexplore" if thinker else "react",
                       initial_observation=obs0.text)
-    score = 0.0
+    score = world.process_score(state, task).value
     done = False
     try:
         for t in range(1, cfg.max_steps + 1):
@@ -304,6 +305,20 @@ class RunStoreError(RuntimeError):
     pass
 
 
+def write_json_atomic(path: Path, data: dict) -> None:
+    """Write indented, key-sorted JSON to a temp file beside `path`, then
+    rename it over `path`: readers see the old file or the new one, never a
+    partial write."""
+    text = json.dumps(data, indent=2, ensure_ascii=False, sort_keys=True) + "\n"
+    tmp = path.with_name(path.name + ".tmp")
+    try:
+        tmp.write_text(text, encoding="utf-8")
+        os.replace(tmp, path)
+    except BaseException:
+        tmp.unlink(missing_ok=True)
+        raise
+
+
 def _episode_filename(index: int, traj: Trajectory) -> str:
     safe_task = traj.task_id.replace(" ", "_").replace("/", "_")
     return f"{index:03d}_{safe_task}_s{traj.seed}.jsonl"
@@ -399,13 +414,9 @@ def run_batch(world: TextWorld, items: list[tuple[TaskSpec, int]], cfg: RunConfi
             "episodes": entries,
             "aggregate": metrics_mod.aggregate_deterministic(results),
         }
-        (store_dir / "manifest.json").write_text(
-            json.dumps(manifest, indent=2, ensure_ascii=False, sort_keys=True) + "\n",
-            encoding="utf-8")
-        timings = {
+        write_json_atomic(store_dir / "manifest.json", manifest)
+        write_json_atomic(store_dir / "timings.json", {
             "episodes": [round(r.wall_s, 6) for r in results],
             "total_s": round(sum(r.wall_s for r in results), 6),
-        }
-        (store_dir / "timings.json").write_text(
-            json.dumps(timings, indent=2) + "\n", encoding="utf-8")
+        })
     return results

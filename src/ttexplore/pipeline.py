@@ -449,10 +449,10 @@ def forge(world: TextWorld, tasks: list[TaskSpec], strong: PolicyHandle,
                                 char_budget=cfg.run.char_budget)
             strong_traj = run_react(world, strong, task, run_cfg)
             strong_trajs.append(strong_traj)
-            if strong_traj.final.process_score <= 0.0:
+            subs = divide_subtasks(world, task, strong_traj)
+            if not subs:
                 skipped.append(f"{task.id}-s{seed}: strong trajectory flat")
                 continue
-            subs = divide_subtasks(world, task, strong_traj)
             for sub in subs:
                 classify_difficulty(world, task, sub, weak, cfg)
             all_subs.extend(subs)

@@ -247,47 +247,61 @@ class PromptView:
     reflections: list[str] = field(default_factory=list)
 
 
+# Every token starts at a line start. An empty line is a single-line token no
+# branch acts on, so the extra empty match `finditer` yields right after a
+# thought that ends on an empty line changes nothing.
+_PROMPT_TOKEN_RE = re.compile(
+    r"^(?:(?P<pairs>Action: [^\n]*\nObservation: [^\n]*"
+    r"(?:\nAction: [^\n]*\nObservation: [^\n]*)*)"
+    r"|Deep Thought: (?P<thought>[^\n]*(?:\n(?!Action: |Deep Thought: "
+    r"|\n(?:Attention:|Previous Reflections:)$)[^\n]*)*)"
+    r"|[^\n]*)",
+    re.MULTILINE)
+_PAIR_RE = re.compile(r"^Action: (.*)\nObservation: (.*)$", re.MULTILINE)
+
+
 def parse_prompt(prompt: str) -> PromptView:
     """Recover the structured history from a rendered prompt.
 
     Scripted policies are pure functions of (prompt, seed); this is how they
-    read the episode state back out of the text.
+    read the episode state back out of the text. One regex pass splits the
+    prompt into three kinds of token:
+
+    - a run of adjacent ``Action: `` / ``Observation: `` line pairs, whose
+      steps come from one ``findall``;
+    - a ``Deep Thought: `` line with its continuation lines, which end before
+      an ``Action: `` or ``Deep Thought: `` line, or before an empty line
+      followed by ``Attention:`` or ``Previous Reflections:``;
+    - any other single line: the instruction, the initial observation, the
+      reflections section and its ``- `` items, a lone ``Action: ``, and an
+      ``Observation: `` that pairs with the pending action.
     """
     view = PromptView()
-    lines = prompt.split("\n")
-    i = 0
     pending_action: Optional[str] = None
     in_reflections = False
-    while i < len(lines):
-        line = lines[i]
-        if line.startswith("The Task: "):
-            view.instruction = line[len("The Task: "):]
-            in_reflections = False
-        elif line.startswith("Initial Observation: "):
-            view.initial_observation = line[len("Initial Observation: "):]
-        elif line == "Previous Reflections:":
-            in_reflections = True
-        elif line == "Attention:":
-            in_reflections = False
-        elif in_reflections and line.startswith("- "):
-            view.reflections.append(line[2:])
-        elif line.startswith("Action: "):
-            pending_action = line[len("Action: "):]
-        elif line.startswith("Observation: "):
-            if pending_action is not None:
+    for token in _PROMPT_TOKEN_RE.finditer(prompt):
+        pairs, thought = token.group("pairs", "thought")
+        if pairs is not None:
+            view.steps += _PAIR_RE.findall(pairs)
+            pending_action = None
+        elif thought is not None:
+            view.thoughts.append((len(view.steps), thought.rstrip()))
+        else:
+            line = token.group()
+            if line.startswith("The Task: "):
+                view.instruction = line[len("The Task: "):]
+                in_reflections = False
+            elif line.startswith("Initial Observation: "):
+                view.initial_observation = line[len("Initial Observation: "):]
+            elif line == "Previous Reflections:":
+                in_reflections = True
+            elif line == "Attention:":
+                in_reflections = False
+            elif in_reflections and line.startswith("- "):
+                view.reflections.append(line[2:])
+            elif line.startswith("Action: "):
+                pending_action = line[len("Action: "):]
+            elif line.startswith("Observation: ") and pending_action is not None:
                 view.steps.append((pending_action, line[len("Observation: "):]))
                 pending_action = None
-        elif line.startswith("Deep Thought: "):
-            text_lines = [line[len("Deep Thought: "):]]
-            while i + 1 < len(lines):
-                nxt = lines[i + 1]
-                if nxt.startswith(("Action: ", "Deep Thought: ")):
-                    break
-                if nxt == "" and i + 2 < len(lines) and lines[i + 2] in (
-                        "Attention:", "Previous Reflections:"):
-                    break
-                i += 1
-                text_lines.append(lines[i])
-            view.thoughts.append((len(view.steps), "\n".join(text_lines).rstrip()))
-        i += 1
     return view

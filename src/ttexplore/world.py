@@ -10,7 +10,6 @@ entity enumeration order in observation text, never reachability or scoring.
 
 from __future__ import annotations
 
-import copy
 import random
 from dataclasses import dataclass, field
 from decimal import ROUND_HALF_UP, Decimal
@@ -52,7 +51,14 @@ class WorldState:
     rng_seed: int
 
     def copy(self) -> "WorldState":
-        return copy.deepcopy(self)
+        """Copies entities, their attribute sets and the agent; shares `rooms`."""
+        return WorldState(
+            rooms=self.rooms,
+            entities={eid: Entity(e.id, e.kind, e.location, e.open, set(e.attributes))
+                      for eid, e in self.entities.items()},
+            agent=Agent(self.agent.room, self.agent.facing, self.agent.hand),
+            rng_seed=self.rng_seed,
+        )
 
 
 @dataclass(frozen=True)

@@ -1,12 +1,15 @@
 """Command-line interface behavior: stores, exit codes, verification."""
 
+import datetime
 import json
 from pathlib import Path
+from types import SimpleNamespace
 
 import pytest
 import yaml
 from click.testing import CliRunner
 
+from ttexplore import cli
 from ttexplore.cli import main
 from ttexplore.config import ConfigValidationError, load_config
 
@@ -65,6 +68,18 @@ def test_run_never_reuses_a_store(runner, tmp_path):
     stores = list((tmp_path / "runs").iterdir())
     assert len(stores) == 2
     assert len({s.name for s in stores}) == 2
+
+
+def test_fresh_store_skips_a_store_created_after_the_check(tmp_path, monkeypatch):
+    now = datetime.datetime(2026, 1, 2, 3, 4, 5, tzinfo=datetime.timezone.utc)
+    monkeypatch.setattr(cli, "_dt", SimpleNamespace(
+        datetime=SimpleNamespace(now=lambda tz: now), timezone=datetime.timezone))
+    # another process creates the first candidate after any existence check
+    monkeypatch.setattr(Path, "exists", lambda self: False)
+    (tmp_path / "20260102T030405-x").mkdir()
+    store = cli._fresh_store(tmp_path, "x")
+    assert store == tmp_path / "20260102T030405-x-1"
+    assert store.is_dir() and not any(store.iterdir())
 
 
 def test_run_unknown_config_key_fails_naming_it(runner, tmp_path):

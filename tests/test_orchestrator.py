@@ -1,6 +1,7 @@
 """Episode runners, thinker triggering, retry harnesses, and the run store."""
 
 import json
+import os
 
 import pytest
 import yaml
@@ -17,6 +18,7 @@ from ttexplore.orchestrator import (
     run_reflexion,
     run_ttexplore,
     select_best,
+    write_json_atomic,
 )
 from ttexplore.policies import SCRIPTED_POLICIES, RemoteError, scripted
 from ttexplore.world import Rule, TextWorld, builtin_world_path, load_world
@@ -160,6 +162,19 @@ def test_backend_crash_recorded_as_episode_error(minihouse1, monkeypatch):
     assert not traj.final.success
 
 
+def test_abort_before_the_first_step_keeps_the_initial_score(open_fridge,
+                                                              monkeypatch):
+    def explode(prompt, seed):
+        raise RemoteError("backend gone", attempts=1)
+    monkeypatch.setitem(SCRIPTED_POLICIES, "crash-actor", explode)
+    traj = run_react(open_fridge, scripted("actor", "crash-actor"),
+                     open_fridge.tasks["minihouse-1"],
+                     RunConfig(mode="react", seed=0))
+    assert traj.error is not None
+    assert traj.final.steps_used == 0
+    assert traj.final.process_score == 33.33
+
+
 def test_own_bug_crashes_instead_of_aborting(minihouse1, greedy):
     # built directly, so load_world's guard check never sees the bad rule
     world = TextWorld(minihouse1.id, list(minihouse1.rooms), minihouse1.entities,
@@ -254,6 +269,26 @@ def test_run_batch_parallel_preserves_order(minihouse1, oracle, tmp_path):
     parallel = run_batch(minihouse1, items, cfg, oracle, parallelism=4)
     assert [r.trajectory.seed for r in parallel] == \
         [r.trajectory.seed for r in serial] == [0, 1, 2, 3]
+
+
+def test_failed_json_write_keeps_the_old_file(minihouse1, oracle, tmp_path,
+                                              monkeypatch):
+    task = minihouse1.tasks["minihouse-1"]
+    run_batch(minihouse1, [(task, 0)], RunConfig(mode="react", seed=0), oracle,
+              store_dir=tmp_path)
+    path = tmp_path / "manifest.json"
+    old = path.read_bytes()
+    files = sorted(tmp_path.iterdir())
+    with pytest.raises(TypeError):  # json.dumps fails before any write
+        write_json_atomic(path, {"episodes": object()})
+
+    def broken_replace(src, dst):
+        raise OSError("disk gone")
+    monkeypatch.setattr(os, "replace", broken_replace)
+    with pytest.raises(OSError, match="disk gone"):  # fails after the temp write
+        write_json_atomic(path, {"episodes": []})
+    assert path.read_bytes() == old
+    assert sorted(tmp_path.iterdir()) == files
 
 
 def test_read_transcript_corruption_names_file_and_line(tmp_path):

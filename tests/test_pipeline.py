@@ -4,7 +4,6 @@ import copy
 import json
 
 import pytest
-import yaml
 
 from ttexplore import load_builtin_world, pipeline
 from ttexplore.orchestrator import (
@@ -41,7 +40,6 @@ from ttexplore.pipeline import (
     sample_thoughts,
 )
 from ttexplore.policies import SCRIPTED_POLICIES, scripted
-from ttexplore.world import builtin_world_path, load_world
 
 
 def synthetic_trajectory(task_id, actions, scores, seed=0):
@@ -81,17 +79,6 @@ def test_divide_first_step_increase(minihouse2):
     subs = divide_subtasks(minihouse2, task, traj)
     assert [len(s.prefix_actions) for s in subs] == [0, 1]
     assert subs[0].start_score == 0.0
-
-
-@pytest.fixture
-def open_fridge(tmp_path):
-    """minihouse1 with the fridge already open: the task starts at 33.33."""
-    doc = yaml.safe_load(builtin_world_path("minihouse1").read_text(encoding="utf-8"))
-    doc["entities"]["fridge 1"]["open"] = True
-    doc["tasks"][0]["allow_initial_subgoals"] = True
-    path = tmp_path / "open-fridge.yaml"
-    path.write_text(yaml.safe_dump(doc), encoding="utf-8")
-    return load_world(path)
 
 
 def test_divide_starts_at_the_initial_score(open_fridge, oracle):
@@ -427,6 +414,18 @@ def test_forge_skips_flat_strong_runs(minihouse2):
                    cfg=PipelineConfig(), seeds=[0])
     assert result.groups == []
     assert any("flat" in s for s in result.skipped)
+
+
+def test_forge_reports_a_flat_run_that_starts_above_zero(open_fridge):
+    result = forge(open_fridge, [open_fridge.tasks["minihouse-1"]],
+                   strong=scripted("actor", "loop-actor"),
+                   weak=scripted("actor", "wanderer-actor"),
+                   thinker=scripted("thinker", "noisy-thinker"),
+                   actor_frozen=scripted("actor", "obedient-actor"),
+                   cfg=PipelineConfig(), seeds=[0])
+    assert result.strong_trajectories[0].final.process_score == 33.33
+    assert result.manifest["subtasks"] == 0
+    assert result.skipped == ["minihouse-1-s0: strong trajectory flat"]
 
 
 def test_pipeline_config_validation():

@@ -7,6 +7,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from ttexplore import load_builtin_world, prompts
+from ttexplore.orchestrator import RunConfig, run_ttexplore
+from ttexplore.policies import scripted
 from ttexplore.prompts import (
     ACTOR_FORMAT_BLOCK,
     THINKER_FORMAT_BLOCK,
@@ -290,3 +292,92 @@ def test_parse_prompt_recovers_reflections(task):
                        reflections=["first lesson", "second lesson"])
     recovered = parse_prompt(render_actor_prompt(task, view))
     assert recovered.reflections == ["first lesson", "second lesson"]
+
+
+# --- the one-pass parser against the line-by-line reference ----------------
+
+def _reference_parse_prompt(prompt):
+    """The line-by-line state machine the regex tokenizer replaced."""
+    view = prompts.PromptView()
+    lines = prompt.split("\n")
+    i = 0
+    pending_action = None
+    in_reflections = False
+    while i < len(lines):
+        line = lines[i]
+        if line.startswith("The Task: "):
+            view.instruction = line[len("The Task: "):]
+            in_reflections = False
+        elif line.startswith("Initial Observation: "):
+            view.initial_observation = line[len("Initial Observation: "):]
+        elif line == "Previous Reflections:":
+            in_reflections = True
+        elif line == "Attention:":
+            in_reflections = False
+        elif in_reflections and line.startswith("- "):
+            view.reflections.append(line[2:])
+        elif line.startswith("Action: "):
+            pending_action = line[len("Action: "):]
+        elif line.startswith("Observation: "):
+            if pending_action is not None:
+                view.steps.append((pending_action, line[len("Observation: "):]))
+                pending_action = None
+        elif line.startswith("Deep Thought: "):
+            text_lines = [line[len("Deep Thought: "):]]
+            while i + 1 < len(lines):
+                nxt = lines[i + 1]
+                if nxt.startswith(("Action: ", "Deep Thought: ")):
+                    break
+                if nxt == "" and i + 2 < len(lines) and lines[i + 2] in (
+                        "Attention:", "Previous Reflections:"):
+                    break
+                i += 1
+                text_lines.append(lines[i])
+            view.thoughts.append((len(view.steps), "\n".join(text_lines).rstrip()))
+        i += 1
+    return view
+
+
+# Pieces of every tag line the parser knows, plus filler and line breaks, so
+# that joined strings put tags at line starts, mid-line and next to empty lines.
+_FRAGMENTS = st.sampled_from([
+    "Action: ", "Observation: ", "Deep Thought: ", "- ", "Attention:",
+    "Previous Reflections:", "The Task: ", "Initial Observation: ",
+    "Action: a\nObservation: b", "\n", "\n\n", "a", " ", "Action:",
+])
+_TAGGED_TEXT = st.lists(_FRAGMENTS, max_size=24).map("".join)
+
+
+@settings(max_examples=1000, deadline=None)
+@given(_TAGGED_TEXT)
+def test_parse_prompt_matches_reference_on_any_string(text):
+    assert parse_prompt(text) == _reference_parse_prompt(text)
+
+
+@settings(max_examples=200, deadline=None)
+@given(view=histories(_TAGGED_TEXT, _TAGGED_TEXT), data=st.data())
+def test_parse_prompt_matches_reference_on_renders(mh1_task, view, data):
+    for render in (render_actor_prompt, render_thinker_prompt):
+        budget = data.draw(budgets(_build_lengths(render, mh1_task, view)))
+        prompt = render(mh1_task, view, budget)
+        assert parse_prompt(prompt) == _reference_parse_prompt(prompt)
+
+
+def test_parse_prompt_matches_reference_on_a_long_episode():
+    """The final prompts of an 800-step episode: runs of step pairs broken
+    by about 130 deep thoughts, over the default budget."""
+    world = load_builtin_world("keymaze1")
+    task = world.tasks["keymaze-1"]
+    traj = run_ttexplore(world, scripted("actor", "loop-actor"),
+                         scripted("thinker", "oracle-thinker"), task,
+                         RunConfig(mode="ttexplore", max_steps=800))
+    view = HistoryView(task.id, traj.initial_observation,
+                       steps=[(s.action, s.observation) for s in traj.steps],
+                       thoughts=[(t.anchor_step, t.text) for t in traj.thoughts])
+    assert len(view.steps) == 800 and len(view.thoughts) > 100
+    for render in (render_actor_prompt, render_thinker_prompt):
+        prompt = render(task, view)
+        assert TRUNCATION_MARKER in prompt
+        parsed = parse_prompt(prompt)
+        assert parsed == _reference_parse_prompt(prompt)
+        assert len(parsed.thoughts) == len(view.thoughts)

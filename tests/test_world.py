@@ -11,8 +11,11 @@ from hypothesis import strategies as st
 from ttexplore.world import (
     ALLOW,
     SENTINEL,
+    Agent,
     Allow,
+    Entity,
     Reject,
+    WorldState,
     WorldValidationError,
     builtin_world_path,
     load_builtin_world,
@@ -415,3 +418,36 @@ def test_step_properties(episode):
         state = new_state
     # replay is the fold of step over the actions
     assert world.replay(task, seed, actions) == state
+
+
+# --- state copy ----------------------------------------------------------------
+
+def test_state_fields_are_pinned():
+    """`WorldState.copy` copies field by field, so a new field needs a look there."""
+    assert [f.name for f in dataclasses.fields(Entity)] == \
+        ["id", "kind", "location", "open", "attributes"]
+    assert [f.name for f in dataclasses.fields(Agent)] == ["room", "facing", "hand"]
+    assert [f.name for f in dataclasses.fields(WorldState)] == \
+        ["rooms", "entities", "agent", "rng_seed"]
+
+
+@settings(max_examples=100, deadline=None)
+@given(episodes())
+def test_copy_equals_deepcopy_and_shares_nothing_mutable(episode):
+    world, seed, actions = episode
+    task = next(iter(world.tasks.values()))
+    state = world.replay(task, seed, actions)
+    dup = state.copy()
+    assert dup == copy.deepcopy(state)
+    assert dup.entities is not state.entities
+    assert dup.agent is not state.agent
+    for eid, ent in state.entities.items():
+        assert dup.entities[eid] is not ent
+        assert dup.entities[eid].attributes is not ent.attributes
+    # every valid action applied to the copy leaves the source as it was
+    before = copy.deepcopy(state)
+    for action in map(parse_action, _vocabulary(world)):
+        if isinstance(world._builtin_check(dup, action), Allow):
+            world._apply(dup, action)
+    assert dup != before
+    assert state == before
