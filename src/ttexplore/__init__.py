@@ -52,11 +52,7 @@ from .orchestrator import (
     StepRecord,
     Trajectory,
     run_batch,
-    run_best_of_n,
     run_mode,
-    run_react,
-    run_reflexion,
-    run_ttexplore,
     select_best,
 )
 from .pipeline import (
@@ -86,8 +82,7 @@ __all__ = [
     "ExplorationMetrics", "SummaryTable", "aggregate", "compute_metrics",
     "diversity", "top_k_repetition",
     "EpisodeResult", "Final", "RunConfig", "StepRecord", "Trajectory",
-    "run_batch", "run_best_of_n", "run_mode", "run_react", "run_reflexion",
-    "run_ttexplore", "select_best",
+    "run_batch", "run_mode", "select_best",
     "PipelineConfig", "RolloutGroup", "SubTask", "classify_difficulty",
     "continuation_reward", "divide_subtasks", "export_grpo", "export_sft",
     "filter_subtasks", "forge",

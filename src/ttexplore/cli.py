@@ -23,7 +23,7 @@ from .config import (
     resolve_world_path,
     select_tasks,
 )
-from .metrics import SummaryTable, aggregate, compute_metrics, _mean2
+from .metrics import DEFAULT_K, aggregate, episode_metrics
 from .orchestrator import RunStoreError, read_transcript, run_batch, write_json_atomic
 from .pipeline import export_grpo, export_sft, forge
 from .world import TextWorld, WorldValidationError, load_world
@@ -49,6 +49,28 @@ def _fresh_store(root: Path, label: str | None) -> Path:
         except FileExistsError:
             suffix += 1
             candidate = root / f"{base}-{suffix}"
+
+
+def _read_store(store: Path) -> tuple[dict, list[list[dict]]]:
+    """A run store's manifest and the records of each episode's transcript;
+    a missing or corrupt store file fails naming the file."""
+    manifest_path = store / "manifest.json"
+    if not manifest_path.exists():
+        _fail(f"{store}: not a run store (no manifest.json)")
+    try:
+        manifest = json.loads(manifest_path.read_text(encoding="utf-8"))
+    except json.JSONDecodeError as exc:
+        _fail(f"{manifest_path}: corrupt manifest: {exc}")
+    transcripts = []
+    for entry in manifest.get("episodes", []):
+        path = store / entry["file"]
+        if not path.exists():
+            _fail(f"{store}: transcript {entry['file']} is missing")
+        try:
+            transcripts.append(read_transcript(path))
+        except RunStoreError as exc:
+            _fail(str(exc))
+    return manifest, transcripts
 
 
 def _load_experiment(config_path: str) -> ExperimentConfig:
@@ -105,10 +127,9 @@ def cmd_run(config_path, mode, n_trigger, max_steps, samples_n, retries_n,
         cfg.retries_N = retries_n
     try:
         cfg.validate()
+        cfg.episode_thinker(exp.thinker)
     except ValueError as exc:
         _fail(str(exc))
-    if cfg.mode == "ttexplore" and exp.thinker is None:
-        _fail("mode 'ttexplore' needs a 'thinker' policy in the config")
 
     try:
         world = exp.load_world()
@@ -126,7 +147,7 @@ def cmd_run(config_path, mode, n_trigger, max_steps, samples_n, retries_n,
         parallelism=parallelism if parallelism is not None else exp.parallelism,
         world_file=exp.world_file)
 
-    table = aggregate(results)
+    table = aggregate([r.summary() for r in results])
     click.echo(f"store: {store}")
     click.echo(table.to_text())
     errors = [r.trajectory.error for r in results if r.trajectory.error]
@@ -140,54 +161,35 @@ def cmd_run(config_path, mode, n_trigger, max_steps, samples_n, retries_n,
 
 @main.command("metrics")
 @click.argument("store", type=click.Path(exists=True, file_okay=False))
-@click.option("--k", type=int, default=3, show_default=True,
+@click.option("--k", type=int, default=DEFAULT_K, show_default=True,
               help="Top-k window for the repetition metric.")
 @click.option("--jsonl", "as_jsonl", is_flag=True,
               help="Emit the summary as a single JSON line.")
 def cmd_metrics(store, k, as_jsonl) -> None:
     """Recompute exploration metrics from stored transcripts."""
     store = Path(store)
-    manifest_path = store / "manifest.json"
-    if not manifest_path.exists():
-        _fail(f"{store}: not a run store (no manifest.json)")
-    manifest = json.loads(manifest_path.read_text(encoding="utf-8"))
+    manifest, transcripts = _read_store(store)
     episodes = manifest.get("episodes", [])
     if not episodes:
         _fail(f"{store}: manifest lists no episodes")
+    if not (store / "timings.json").exists():
+        _fail(f"{store}: timings.json is missing")
+    timings = json.loads((store / "timings.json").read_text(encoding="utf-8"))
 
-    rows = []
-    for entry in episodes:
-        path = store / entry["file"]
-        if not path.exists():
-            _fail(f"{store}: transcript {entry['file']} is missing")
-        try:
-            records = read_transcript(path)
-        except RunStoreError as exc:
-            _fail(str(exc))
-        if not records:
-            _fail(f"{path}: empty transcript")
-        m = compute_metrics([r["action"] for r in records],
-                            [r["observation"] for r in records], k=k)
-        rows.append((entry, records, m))
-
-    table = SummaryTable(
-        count=len(rows),
-        success_rate=_mean2([100.0 if e["success"] else 0.0 for e, _, _ in rows]),
-        mean_process_score=_mean2([r[-1]["score"] for _, r, _ in rows]),
-        mean_wall_s=0.0,
-        mean_action_diversity=_mean2([m.action_diversity for _, _, m in rows]),
-        mean_action_repetition=_mean2([m.action_repetition for _, _, m in rows]),
-        mean_observation_diversity=_mean2(
-            [m.observation_diversity for _, _, m in rows]),
-        mean_observation_repetition=_mean2(
-            [m.observation_repetition for _, _, m in rows]),
-    )
+    metrics = [episode_metrics([r["action"] for r in records],
+                               [r["observation"] for r in records], k=k)
+               for records in transcripts]
+    # success and process score come from the manifest, which replay
+    # verifies against the transcripts
+    table = aggregate([(entry["success"], entry["process_score"], m, wall_s)
+                       for entry, m, wall_s
+                       in zip(episodes, metrics, timings["episodes"])])
     if as_jsonl:
         click.echo(table.to_jsonl())
     else:
-        for entry, records, m in rows:
+        for entry, records, m in zip(episodes, transcripts, metrics):
             click.echo(f"{entry['file']}: steps={len(records)} "
-                       f"score={records[-1]['score']} "
+                       f"score={entry['process_score']} "
                        f"adiv={m.action_diversity:.4f} "
                        f"arep={m.action_repetition:.4f} "
                        f"odiv={m.observation_diversity:.4f} "
@@ -204,10 +206,7 @@ def cmd_metrics(store, k, as_jsonl) -> None:
 def cmd_replay(store, world_override) -> None:
     """Re-execute every stored episode and verify each recorded score."""
     store = Path(store)
-    manifest_path = store / "manifest.json"
-    if not manifest_path.exists():
-        _fail(f"{store}: not a run store (no manifest.json)")
-    manifest = json.loads(manifest_path.read_text(encoding="utf-8"))
+    manifest, transcripts = _read_store(store)
     world_file = world_override or manifest.get("world_file")
     if not world_file:
         _fail("manifest records no world file; pass --world")
@@ -217,19 +216,14 @@ def cmd_replay(store, world_override) -> None:
         _fail(str(exc))
 
     failures = 0
-    for entry in manifest.get("episodes", []):
-        path = store / entry["file"]
-        try:
-            records = read_transcript(path)
-        except RunStoreError as exc:
-            _fail(str(exc))
+    for entry, records in zip(manifest.get("episodes", []), transcripts):
         task = world.tasks.get(entry["task_id"])
         if task is None:
             click.echo(f"FAIL {entry['file']}: task {entry['task_id']!r} "
                        f"not in world {world.id!r}")
             failures += 1
             continue
-        mismatch = _verify_episode(world, task, entry["seed"], records)
+        mismatch = _verify_episode(world, task, entry, records)
         if mismatch is None:
             click.echo(f"PASS {entry['file']}")
         else:
@@ -241,11 +235,13 @@ def cmd_replay(store, world_override) -> None:
     click.echo("replay PASS")
 
 
-def _verify_episode(world: TextWorld, task, seed: int,
+def _verify_episode(world: TextWorld, task, entry: dict,
                     records: list[dict]) -> str | None:
     """Replay the recorded actions and return a description of the first
-    mismatching step, or None when everything matches."""
-    state, _ = world.reset(task, seed)
+    mismatching step or of a manifest outcome the replay contradicts, or None
+    when everything matches."""
+    state, _ = world.reset(task, entry["seed"])
+    score, done = world.process_score(state, task).value, False
     for record in records:
         step = record["step"]
         state, obs, score, done = world.step(state, record["action"], task)
@@ -258,6 +254,10 @@ def _verify_episode(world: TextWorld, task, seed: int,
         if done != record["done"]:
             return (f"step {step}: done mismatch, stored {record['done']}, "
                     f"replay gave {done}")
+    if (entry["process_score"], entry["success"]) != (score, done):
+        return (f"manifest outcome mismatch, stored score "
+                f"{entry['process_score']} success {entry['success']}, replay "
+                f"gave {score} {done}")
     return None
 
 

@@ -72,6 +72,15 @@ def compute_metrics(actions: Sequence[str], observations: Sequence[str],
     )
 
 
+def episode_metrics(actions: Sequence[str], observations: Sequence[str],
+                    k: int = DEFAULT_K) -> ExplorationMetrics:
+    """The metrics of one episode; an episode that ended before its first
+    step (a policy backend failed) reads 0 on every metric."""
+    if not actions:
+        return ExplorationMetrics(0.0, 0.0, 0.0, 0.0, k)
+    return compute_metrics(actions, observations, k)
+
+
 def _mean2(values: Iterable[float]) -> float:
     values = list(values)
     total = sum(Decimal(str(v)) for v in values) / Decimal(len(values))
@@ -110,29 +119,29 @@ class SummaryTable:
         return "\n".join(f"{name.ljust(width)}  {value}" for name, value in rows)
 
 
-def aggregate_deterministic(results: Sequence) -> dict:
+Episode = tuple[bool, float, ExplorationMetrics, float]
+
+
+def aggregate_deterministic(episodes: Sequence[Episode]) -> dict:
     """Aggregate stats safe to persist in a reproducible manifest: everything
     from the summary table except wall-clock timing."""
-    table = aggregate(results).as_dict()
+    table = aggregate(episodes).as_dict()
     table.pop("mean_wall_s")
     return table
 
 
-def aggregate(results: Sequence) -> SummaryTable:
-    """Aggregate EpisodeResult-like records (trajectory + metrics + timing)."""
-    if not results:
+def aggregate(episodes: Sequence[Episode]) -> SummaryTable:
+    """Aggregate (success, process score, metrics, wall seconds) per episode."""
+    if not episodes:
         raise EmptyTrajectoryError("cannot aggregate an empty result list")
-    scores = [r.trajectory.final.process_score for r in results]
-    succ = [100.0 if r.trajectory.final.success else 0.0 for r in results]
+    success, scores, ms, wall_s = zip(*episodes)
     return SummaryTable(
-        count=len(results),
-        success_rate=_mean2(succ),
+        count=len(episodes),
+        success_rate=_mean2(100.0 if s else 0.0 for s in success),
         mean_process_score=_mean2(scores),
-        mean_wall_s=_mean2([r.wall_s for r in results]),
-        mean_action_diversity=_mean2([r.metrics.action_diversity for r in results]),
-        mean_action_repetition=_mean2([r.metrics.action_repetition for r in results]),
-        mean_observation_diversity=_mean2(
-            [r.metrics.observation_diversity for r in results]),
-        mean_observation_repetition=_mean2(
-            [r.metrics.observation_repetition for r in results]),
+        mean_wall_s=_mean2(wall_s),
+        mean_action_diversity=_mean2(m.action_diversity for m in ms),
+        mean_action_repetition=_mean2(m.action_repetition for m in ms),
+        mean_observation_diversity=_mean2(m.observation_diversity for m in ms),
+        mean_observation_repetition=_mean2(m.observation_repetition for m in ms),
     )

@@ -1,10 +1,12 @@
-"""Episode execution engines and the run store.
+"""Episode execution and the run store.
 
-Runners: plain ReAct loop, the actor/thinker exploration loop with
-fixed-frequency thinker triggering, a reflect-and-retry harness, and
-best-of-N sampling. Thinker invocations never consume the step budget.
-Episodes are strictly sequential inside; the batch runner parallelizes
-across episodes only.
+`run_mode` runs one episode of any mode. An episode is of one of two kinds:
+plain ReAct (actor only) or ttexplore (the actor plus a thinker triggered
+every `n_trigger` steps). Mode `reflexion` retries failed episodes with
+reflections and `bestofn` keeps the best of N episodes; for these two,
+`inner_mode` picks the episode kind. Thinker invocations never consume the
+step budget. Episodes are strictly sequential inside; the batch runner
+parallelizes across episodes only.
 """
 
 from __future__ import annotations
@@ -39,7 +41,7 @@ FALLBACK_ACTION = "look around"
 @dataclass
 class RunConfig:
     mode: str = "react"  # react | ttexplore | reflexion | bestofn
-    inner_mode: str = "ttexplore"  # for bestofn
+    inner_mode: str = "ttexplore"  # episode kind for reflexion and bestofn
     n_trigger: int = 6
     max_steps: int = 50
     retries_N: int = 5
@@ -47,8 +49,6 @@ class RunConfig:
     seed: int = 0
     trigger_policy: str = "fixed"  # fixed | on_failure
     char_budget: int = 100_000
-    include_prior_thoughts: bool = True
-    metrics_k: int = 3
 
     def validate(self) -> None:
         if self.mode not in ("react", "ttexplore", "reflexion", "bestofn"):
@@ -62,6 +62,18 @@ class RunConfig:
         if self.trigger_policy not in ("fixed", "on_failure"):
             raise ValueError(f"unknown trigger policy {self.trigger_policy!r}")
 
+    def episode_thinker(self, thinker: Optional[PolicyHandle]) -> Optional[PolicyHandle]:
+        """The thinker each episode runs with. `inner_mode` picks the episode
+        kind for reflexion and bestofn, `mode` for the other two: a ttexplore
+        episode needs the thinker, a ReAct episode drops it."""
+        wrapper = self.mode in ("reflexion", "bestofn")
+        if (self.inner_mode if wrapper else self.mode) == "react":
+            return None
+        if thinker is None:
+            how = f" with inner_mode {self.inner_mode!r}" if wrapper else ""
+            raise ValueError(f"mode {self.mode!r}{how} needs a thinker policy")
+        return thinker
+
     def as_dict(self) -> dict:
         return asdict(self)
 
@@ -71,7 +83,6 @@ class StepRecord:
     action: str
     observation: str
     score_after: float
-    wall_ms: float
     done: bool = False
 
 
@@ -80,7 +91,6 @@ class Final:
     success: bool
     process_score: float
     steps_used: int
-    wall_ms_total: float
 
 
 @dataclass
@@ -91,7 +101,7 @@ class Trajectory:
     initial_observation: str
     steps: list[StepRecord] = field(default_factory=list)
     thoughts: list[DeepThought] = field(default_factory=list)
-    final: Final = field(default_factory=lambda: Final(False, 0.0, 0, 0.0))
+    final: Final = field(default_factory=lambda: Final(False, 0.0, 0))
     error: Optional[str] = None
 
     def actions(self) -> list[str]:
@@ -106,6 +116,11 @@ class EpisodeResult:
     trajectory: Trajectory
     metrics: metrics_mod.ExplorationMetrics
     wall_s: float
+
+    def summary(self) -> tuple[bool, float, metrics_mod.ExplorationMetrics, float]:
+        """What `metrics.aggregate` reads of the episode."""
+        final = self.trajectory.final
+        return final.success, final.process_score, self.metrics, self.wall_s
 
 
 def _act(actor: PolicyHandle, task: TaskSpec, view: HistoryView, seed: int,
@@ -127,12 +142,7 @@ def _act(actor: PolicyHandle, task: TaskSpec, view: HistoryView, seed: int,
 def _think(thinker: PolicyHandle, task: TaskSpec, view: HistoryView, seed: int,
            cfg: RunConfig) -> Optional[str]:
     """One thinker invocation; a persistent parse failure skips the thought."""
-    thinker_view = view
-    if not cfg.include_prior_thoughts:
-        thinker_view = HistoryView(view.task_id, view.initial_observation,
-                                   steps=list(view.steps), thoughts=[],
-                                   reflections=list(view.reflections))
-    prompt = render_thinker_prompt(task, thinker_view, char_budget=cfg.char_budget)
+    prompt = render_thinker_prompt(task, view, char_budget=cfg.char_budget)
     for attempt in range(2):
         raw = complete(thinker, prompt, seed=seed)
         try:
@@ -158,7 +168,6 @@ def _run_episode(world: TextWorld, actor: PolicyHandle, task: TaskSpec,
                  reflections: Optional[list[str]] = None,
                  seed: Optional[int] = None) -> Trajectory:
     seed = cfg.seed if seed is None else seed
-    t_start = time.perf_counter()
     state, obs0 = world.reset(task, seed)
     view = HistoryView(task.id, obs0.text,
                        reflections=list(reflections or []))
@@ -170,12 +179,9 @@ def _run_episode(world: TextWorld, actor: PolicyHandle, task: TaskSpec,
     try:
         for t in range(1, cfg.max_steps + 1):
             action = _act(actor, task, view, seed, cfg)
-            step_start = time.perf_counter()
             state, obs, score, done = world.step(state, action, task)
-            wall_ms = (time.perf_counter() - step_start) * 1000.0
             traj.steps.append(StepRecord(action=action, observation=obs.text,
-                                         score_after=score, wall_ms=wall_ms,
-                                         done=done))
+                                         score_after=score, done=done))
             view.steps.append((action, obs.text))
             if done:
                 break
@@ -187,27 +193,9 @@ def _run_episode(world: TextWorld, actor: PolicyHandle, task: TaskSpec,
     except (RemoteError, ConfigError) as exc:  # a policy backend failed
         log.error("episode aborted: %s", exc)
         traj.error = f"{type(exc).__name__}: {exc}"
-    traj.final = Final(
-        success=done,
-        process_score=score,
-        steps_used=len(traj.steps),
-        wall_ms_total=(time.perf_counter() - t_start) * 1000.0,
-    )
+    traj.final = Final(success=done, process_score=score,
+                       steps_used=len(traj.steps))
     return traj
-
-
-def run_react(world: TextWorld, actor: PolicyHandle, task: TaskSpec,
-              cfg: RunConfig) -> Trajectory:
-    cfg.validate()
-    return _run_episode(world, actor, task, cfg)
-
-
-def run_ttexplore(world: TextWorld, actor: PolicyHandle, thinker: PolicyHandle,
-                  task: TaskSpec, cfg: RunConfig) -> Trajectory:
-    cfg.validate()
-    if thinker is None:
-        raise ValueError("ttexplore mode requires a thinker handle")
-    return _run_episode(world, actor, task, cfg, thinker=thinker)
 
 
 def _reflection_prompt(task: TaskSpec, traj: Trajectory) -> str:
@@ -231,11 +219,10 @@ def _reflection_prompt(task: TaskSpec, traj: Trajectory) -> str:
     return "\n".join(lines)
 
 
-def run_reflexion(world: TextWorld, actor: PolicyHandle, task: TaskSpec,
-                  cfg: RunConfig, thinker: Optional[PolicyHandle] = None) -> Trajectory:
+def _reflexion(world: TextWorld, actor: PolicyHandle, task: TaskSpec,
+               cfg: RunConfig, thinker: Optional[PolicyHandle]) -> Trajectory:
     """Up to retries_N independent attempts; after each failure a reflection
     generated by the actor backend is prepended to the next attempt."""
-    cfg.validate()
     reflections: list[str] = []
     best: Optional[Trajectory] = None
     for attempt in range(cfg.retries_N):
@@ -254,22 +241,17 @@ def run_reflexion(world: TextWorld, actor: PolicyHandle, task: TaskSpec,
     return best
 
 
-def run_best_of_n(world: TextWorld, actor: PolicyHandle, task: TaskSpec,
-                  cfg: RunConfig, thinker: Optional[PolicyHandle] = None) -> Trajectory:
-    """samples_N independent episodes of the inner mode; returns the one with
-    the maximal process score, ties broken by lowest sample index, then
-    fewest steps."""
-    cfg.validate()
-    samples: list[Trajectory] = []
-    for i in range(cfg.samples_N):
-        sample_cfg = replace(cfg, mode=cfg.inner_mode, seed=cfg.seed + i)
-        inner_thinker = thinker if cfg.inner_mode == "ttexplore" else None
-        traj = _run_episode(world, actor, task, sample_cfg, thinker=inner_thinker)
-        samples.append(traj)
-    return select_best(samples)
+def _best_of_n(world: TextWorld, actor: PolicyHandle, task: TaskSpec,
+               cfg: RunConfig, thinker: Optional[PolicyHandle]) -> Trajectory:
+    """samples_N independent episodes, sample i with seed `cfg.seed + i`."""
+    return select_best([
+        _run_episode(world, actor, task, cfg, thinker=thinker, seed=cfg.seed + i)
+        for i in range(cfg.samples_N)])
 
 
 def select_best(samples: list[Trajectory]) -> Trajectory:
+    """The sample with the highest process score; a tie goes to the fewest
+    steps, then to the lowest sample index."""
     best_idx = 0
     for i, traj in enumerate(samples[1:], start=1):
         best = samples[best_idx]
@@ -284,17 +266,15 @@ def select_best(samples: list[Trajectory]) -> Trajectory:
 
 def run_mode(world: TextWorld, actor: PolicyHandle, task: TaskSpec,
              cfg: RunConfig, thinker: Optional[PolicyHandle] = None) -> Trajectory:
-    if cfg.mode == "react":
-        return run_react(world, actor, task, cfg)
-    if cfg.mode == "ttexplore":
-        if thinker is None:
-            raise ValueError("ttexplore mode requires a thinker handle")
-        return run_ttexplore(world, actor, thinker, task, cfg)
+    """One episode of `cfg.mode`; `RunConfig.episode_thinker` decides whether
+    the thinker runs."""
+    cfg.validate()
+    thinker = cfg.episode_thinker(thinker)
     if cfg.mode == "reflexion":
-        return run_reflexion(world, actor, task, cfg, thinker=thinker)
+        return _reflexion(world, actor, task, cfg, thinker)
     if cfg.mode == "bestofn":
-        return run_best_of_n(world, actor, task, cfg, thinker=thinker)
-    raise ValueError(f"unknown mode {cfg.mode!r}")
+        return _best_of_n(world, actor, task, cfg, thinker)
+    return _run_episode(world, actor, task, cfg, thinker=thinker)
 
 
 # ---------------------------------------------------------------------------
@@ -382,11 +362,7 @@ def run_batch(world: TextWorld, items: list[tuple[TaskSpec, int]], cfg: RunConfi
         episode_cfg = replace(cfg, seed=seed)
         traj = run_mode(world, actor, task, episode_cfg, thinker=thinker)
         wall_s = time.perf_counter() - t0
-        if traj.steps:
-            m = metrics_mod.compute_metrics(traj.actions(), traj.observations(),
-                                            k=cfg.metrics_k)
-        else:
-            m = metrics_mod.ExplorationMetrics(0.0, 0.0, 0.0, 0.0, cfg.metrics_k)
+        m = metrics_mod.episode_metrics(traj.actions(), traj.observations())
         if store_dir is not None:
             try:
                 write_transcript(store_dir / _episode_filename(index, traj), traj)
@@ -402,6 +378,11 @@ def run_batch(world: TextWorld, items: list[tuple[TaskSpec, int]], cfg: RunConfi
         results = [one(pair) for pair in indexed]
 
     if store_dir is not None:
+        # the manifest goes last, so a store with one has all of its files
+        write_json_atomic(store_dir / "timings.json", {
+            "episodes": [round(r.wall_s, 6) for r in results],
+            "total_s": round(sum(r.wall_s for r in results), 6),
+        })
         entries = [
             _episode_manifest_entry(_episode_filename(i, r.trajectory),
                                     r.trajectory, r.metrics)
@@ -412,11 +393,8 @@ def run_batch(world: TextWorld, items: list[tuple[TaskSpec, int]], cfg: RunConfi
             "world_file": world_file,
             "world_id": world.id,
             "episodes": entries,
-            "aggregate": metrics_mod.aggregate_deterministic(results),
+            "aggregate": metrics_mod.aggregate_deterministic(
+                [r.summary() for r in results]),
         }
         write_json_atomic(store_dir / "manifest.json", manifest)
-        write_json_atomic(store_dir / "timings.json", {
-            "episodes": [round(r.wall_s, 6) for r in results],
-            "total_s": round(sum(r.wall_s for r in results), 6),
-        })
     return results

@@ -24,8 +24,7 @@ from .orchestrator import (
     StepRecord,
     Trajectory,
     _act,
-    run_react,
-    run_ttexplore,
+    run_mode,
 )
 from .policies import PolicyHandle, complete
 from .prompts import (
@@ -206,7 +205,7 @@ def _continue(world: TextWorld, task: TaskSpec, policy: PolicyHandle,
         action = _act(policy, task, view, sub.seed, run_cfg)
         state, obs, score, done = world.step(state, action, task)
         steps.append(StepRecord(action=action, observation=obs.text,
-                                score_after=score, wall_ms=0.0, done=done))
+                                score_after=score, done=done))
         view.steps.append((action, obs.text))
         if score > sub.start_score:
             return steps, t
@@ -361,8 +360,8 @@ def build_multinode_contexts(world: TextWorld, task: TaskSpec,
     start = world.process_score(task.initial_world, task).value
     rollouts = []
     for j in range(cfg.m):
-        traj = run_ttexplore(world, actor_frozen, thinker, task,
-                             replace(run_cfg, seed=base_seed + j))
+        traj = run_mode(world, actor_frozen, task,
+                        replace(run_cfg, seed=base_seed + j), thinker)
         improved = [i + 1 for i, s in enumerate(traj.steps) if s.score_after > start]
         reward = continuation_reward(cfg.reward_mode,
                                      improved[0] if improved else None,
@@ -447,7 +446,7 @@ def forge(world: TextWorld, tasks: list[TaskSpec], strong: PolicyHandle,
             run_cfg = RunConfig(mode="react", seed=seed,
                                 max_steps=task.max_steps_default,
                                 char_budget=cfg.run.char_budget)
-            strong_traj = run_react(world, strong, task, run_cfg)
+            strong_traj = run_mode(world, strong, task, run_cfg)
             strong_trajs.append(strong_traj)
             subs = divide_subtasks(world, task, strong_traj)
             if not subs:

@@ -8,7 +8,7 @@ this module directly after an intentional format change.
 from pathlib import Path
 
 from ttexplore import load_builtin_world
-from ttexplore.orchestrator import RunConfig, run_ttexplore
+from ttexplore.orchestrator import RunConfig, run_mode
 from ttexplore.pipeline import PipelineConfig, export_grpo, export_sft, forge
 from ttexplore.policies import scripted
 
@@ -33,9 +33,9 @@ def build_sft(path: Path) -> None:
                           ("keymaze1", "keymaze-1")]:
         world = load_builtin_world(name)
         task = world.tasks[task_id]
-        traj = run_ttexplore(world, scripted("actor", "greedy-actor"),
-                             scripted("thinker", "oracle-thinker"), task,
-                             RunConfig(mode="ttexplore", seed=0))
+        traj = run_mode(world, scripted("actor", "greedy-actor"), task,
+                        RunConfig(mode="ttexplore", seed=0),
+                        scripted("thinker", "oracle-thinker"))
         assert traj.final.success
         part = path.with_suffix(".part")
         export_sft(world, world.tasks, [traj], part)

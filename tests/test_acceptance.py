@@ -25,8 +25,7 @@ from ttexplore.orchestrator import (
     RunConfig,
     Trajectory,
     run_batch,
-    run_react,
-    run_ttexplore,
+    run_mode,
     select_best,
 )
 from ttexplore.pipeline import (
@@ -63,9 +62,9 @@ def test_criterion_1_dominance():
         for seed in SEEDS:
             actor = scripted("actor", "greedy-actor")
             thinker = scripted("thinker", "oracle-thinker")
-            base = run_react(world, actor, task, RunConfig(mode="react", seed=seed))
-            strong = run_ttexplore(world, actor, thinker, task,
-                                   RunConfig(mode="ttexplore", seed=seed))
+            base = run_mode(world, actor, task, RunConfig(mode="react", seed=seed))
+            strong = run_mode(world, actor, task,
+                              RunConfig(mode="ttexplore", seed=seed), thinker)
             react_scores.setdefault(world_name, []).append(base.final.process_score)
             explore_scores.setdefault(world_name, []).append(strong.final.process_score)
             react_succ.append(base.final.success)
@@ -140,7 +139,7 @@ def test_criterion_3_trigger_arithmetic():
         for max_steps in (25, 50):
             cfg = RunConfig(mode="ttexplore", n_trigger=n, max_steps=max_steps,
                             seed=0)
-            traj = run_ttexplore(world, looper, thinker, task, cfg)
+            traj = run_mode(world, looper, task, cfg, thinker)
             assert traj.final.steps_used == max_steps
             expected = (max_steps - 1) // n
             assert len(traj.thoughts) == expected, (n, max_steps)
@@ -156,8 +155,8 @@ def test_criterion_3_trigger_arithmetic():
 def test_criterion_4_pipeline_soundness():
     world = load_builtin_world("minihouse2")
     task = world.tasks["minihouse-2"]
-    strong = run_react(world, scripted("actor", "oracle-actor"), task,
-                       RunConfig(mode="react", seed=0))
+    strong = run_mode(world, scripted("actor", "oracle-actor"), task,
+                      RunConfig(mode="react", seed=0))
     assert [s.score_after for s in strong.steps] == \
         [0.0, 0.0, 33.33, 33.33, 66.67, 100.0]
 
@@ -247,7 +246,7 @@ def test_criterion_6_determinism_and_replay(tmp_path):
 def _traj(score, steps):
     t = Trajectory(task_id="t", seed=0, mode="react", initial_observation="o")
     t.final = Final(success=score == 100.0, process_score=score,
-                    steps_used=steps, wall_ms_total=0.0)
+                    steps_used=steps)
     return t
 
 

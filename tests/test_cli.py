@@ -2,6 +2,7 @@
 
 import datetime
 import json
+from decimal import ROUND_HALF_UP, Decimal
 from pathlib import Path
 from types import SimpleNamespace
 
@@ -9,9 +10,11 @@ import pytest
 import yaml
 from click.testing import CliRunner
 
-from ttexplore import cli
+from ttexplore import cli, load_builtin_world
 from ttexplore.cli import main
 from ttexplore.config import ConfigValidationError, load_config
+from ttexplore.orchestrator import RunConfig, run_batch
+from ttexplore.policies import SCRIPTED_POLICIES, RemoteError, scripted
 
 
 @pytest.fixture
@@ -47,6 +50,16 @@ def run_store(runner, tmp_path):
                                   "--store-dir", str(tmp_path / "runs")])
     assert result.exit_code == 0, result.output
     return next((tmp_path / "runs").iterdir())
+
+
+def stored_summary(store):
+    """The manifest's aggregate plus the mean of the wall times in
+    timings.json, rounded half-up to two decimals like every summary mean."""
+    manifest = json.loads((store / "manifest.json").read_text())
+    wall_s = json.loads((store / "timings.json").read_text())["episodes"]
+    mean = sum(Decimal(str(w)) for w in wall_s) / len(wall_s)
+    return {**manifest["aggregate"],
+            "mean_wall_s": float(mean.quantize(Decimal("0.01"), ROUND_HALF_UP))}
 
 
 # --- run ---------------------------------------------------------------------
@@ -108,6 +121,13 @@ def test_removed_pipeline_keys_are_rejected(tmp_path, key):
         load_config(path)
 
 
+@pytest.mark.parametrize("key", ["include_prior_thoughts", "metrics_k"])
+def test_removed_run_keys_are_rejected(tmp_path, key):
+    path = write_config(tmp_path, config_doc(run={"mode": "react", key: 1}))
+    with pytest.raises(ConfigValidationError, match=key):
+        load_config(path)
+
+
 def test_run_missing_world_no_partial_store(runner, tmp_path):
     doc = config_doc(world="no-such-world")
     cfg = write_config(tmp_path, doc)
@@ -124,6 +144,23 @@ def test_run_invalid_flag_combination(runner, tmp_path):
                                   "--n-trigger", "50", "--max-steps", "50"])
     assert result.exit_code != 0
     assert "n_trigger" in result.output
+
+
+def test_run_checks_the_thinker_before_creating_a_store(runner, tmp_path):
+    doc = config_doc()
+    del doc["thinker"]
+    cfg = write_config(tmp_path, doc)
+    result = runner.invoke(main, ["run", "--config", str(cfg), "--mode", "bestofn",
+                                  "--store-dir", str(tmp_path / "runs")])
+    assert result.exit_code != 0
+    assert "thinker" in result.output and "inner_mode" in result.output
+    assert not (tmp_path / "runs").exists()
+    # ReAct episodes need no thinker
+    doc["run"]["inner_mode"] = "react"
+    cfg = write_config(tmp_path, doc)
+    result = runner.invoke(main, ["run", "--config", str(cfg), "--mode", "bestofn",
+                                  "--store-dir", str(tmp_path / "runs")])
+    assert result.exit_code == 0, result.output
 
 
 def test_run_flags_override_config(runner, tmp_path):
@@ -161,10 +198,31 @@ def test_metrics_recomputes_from_transcripts(runner, tmp_path):
     result = runner.invoke(main, ["metrics", str(store)])
     assert result.exit_code == 0, result.output
     assert "mean_action_diversity" in result.output
+    # a wall time that does not round to 0, so the summary must read it
+    (store / "timings.json").write_text('{"episodes": [1.235], "total_s": 1.235}')
     result = runner.invoke(main, ["metrics", str(store), "--jsonl"])
     summary = json.loads(result.output.strip())
     assert summary["count"] == 1
     assert summary["success_rate"] == 100.0
+    assert summary["mean_wall_s"] == 1.24
+    assert summary == stored_summary(store)
+
+
+def test_metrics_on_a_store_aborted_before_the_first_step(runner, tmp_path,
+                                                           monkeypatch):
+    def explode(prompt, seed):
+        raise RemoteError("backend gone", attempts=1)
+    monkeypatch.setitem(SCRIPTED_POLICIES, "crash-actor", explode)
+    world = load_builtin_world("minihouse1")
+    store = tmp_path / "store"
+    run_batch(world, [(world.tasks["minihouse-1"], 0)], RunConfig(mode="react"),
+              scripted("actor", "crash-actor"), store_dir=store,
+              world_file="minihouse1")
+    assert (store / "000_minihouse-1_s0.jsonl").read_text() == ""
+    assert runner.invoke(main, ["replay", str(store)]).exit_code == 0
+    result = runner.invoke(main, ["metrics", str(store), "--jsonl"])
+    assert result.exit_code == 0, result.output
+    assert json.loads(result.output) == stored_summary(store)
 
 
 def test_metrics_on_non_store_fails(runner, tmp_path):
@@ -222,6 +280,37 @@ def test_replay_fails_on_tampered_action(runner, tmp_path):
     result = runner.invoke(main, ["replay", str(store)])
     assert result.exit_code != 0
     assert "step 7" in result.output
+
+
+def test_replay_missing_transcript_names_the_file(runner, tmp_path):
+    store = run_store(runner, tmp_path)
+    transcript = next(store.glob("*.jsonl"))
+    transcript.unlink()
+    result = runner.invoke(main, ["replay", str(store)])
+    assert result.exit_code != 0
+    assert isinstance(result.exception, SystemExit)  # no traceback
+    assert transcript.name in result.output
+
+
+@pytest.mark.parametrize("command", ["metrics", "replay"])
+def test_corrupt_manifest_names_the_file(runner, tmp_path, command):
+    store = run_store(runner, tmp_path)
+    (store / "manifest.json").write_text('{"episodes": [', encoding="utf-8")
+    result = runner.invoke(main, [command, str(store)])
+    assert result.exit_code != 0
+    assert isinstance(result.exception, SystemExit)  # no traceback
+    assert "manifest.json" in result.output
+
+
+def test_replay_fails_on_a_tampered_manifest_outcome(runner, tmp_path):
+    store = run_store(runner, tmp_path)
+    path = store / "manifest.json"
+    manifest = json.loads(path.read_text())
+    manifest["episodes"][0]["process_score"] = 66.67
+    path.write_text(json.dumps(manifest))
+    result = runner.invoke(main, ["replay", str(store)])
+    assert result.exit_code != 0
+    assert "manifest outcome mismatch" in result.output
 
 
 # --- forge -------------------------------------------------------------------

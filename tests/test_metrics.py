@@ -9,9 +9,12 @@ from hypothesis import strategies as st
 
 from ttexplore.metrics import (
     EmptyTrajectoryError,
+    ExplorationMetrics,
     SummaryTable,
+    aggregate,
     compute_metrics,
     diversity,
+    episode_metrics,
     top_k_repetition,
 )
 
@@ -116,6 +119,12 @@ def test_bounds_and_degenerate_cases(seq):
         assert math.isclose(div, 1.0, abs_tol=TOL)
 
 
+def test_episode_without_steps_reads_zero():
+    assert episode_metrics([], [], k=2) == ExplorationMetrics(0.0, 0.0, 0.0, 0.0, 2)
+    assert episode_metrics(["a", "a"], ["x", "y"]) == \
+        compute_metrics(["a", "a"], ["x", "y"])
+
+
 # --- aggregation ------------------------------------------------------------
 
 def test_summary_table_text_and_jsonl_round_trip():
@@ -128,3 +137,15 @@ def test_summary_table_text_and_jsonl_round_trip():
     assert "success_rate" in text and "50.0" in text
     import json
     assert json.loads(table.to_jsonl())["count"] == 2
+
+
+def test_aggregate_rounds_each_mean_half_up():
+    solved = ExplorationMetrics(1.0, 0.5, 0.75, 0.25)
+    table = aggregate([(True, 100.0, solved, 0.125),
+                       (False, 33.33, ExplorationMetrics(0.0, 0.0, 0.0, 0.0), 0.0)])
+    assert table == SummaryTable(
+        count=2, success_rate=50.0, mean_process_score=66.67, mean_wall_s=0.06,
+        mean_action_diversity=0.5, mean_action_repetition=0.25,
+        mean_observation_diversity=0.38, mean_observation_repetition=0.13)
+    with pytest.raises(EmptyTrajectoryError):
+        aggregate([])

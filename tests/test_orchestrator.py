@@ -1,22 +1,20 @@
 """Episode runners, thinker triggering, retry harnesses, and the run store."""
 
+import dataclasses
 import json
 import os
 
 import pytest
 import yaml
 
+from ttexplore import orchestrator
 from ttexplore.orchestrator import (
     FALLBACK_ACTION,
     RunConfig,
     RunStoreError,
     read_transcript,
     run_batch,
-    run_best_of_n,
     run_mode,
-    run_react,
-    run_reflexion,
-    run_ttexplore,
     select_best,
     write_json_atomic,
 )
@@ -42,8 +40,8 @@ def test_invalid_config_rejected(kwargs):
 # --- plain episodes ---------------------------------------------------------
 
 def test_react_oracle_succeeds_in_six_steps(minihouse1, oracle):
-    traj = run_react(minihouse1, oracle, minihouse1.tasks["minihouse-1"],
-                     RunConfig(mode="react", seed=0))
+    traj = run_mode(minihouse1, oracle, minihouse1.tasks["minihouse-1"],
+                    RunConfig(mode="react", seed=0))
     assert traj.final.success
     assert traj.final.steps_used == 6
     assert [s.score_after for s in traj.steps] == \
@@ -61,7 +59,7 @@ def test_multi_task_world_episode_ends_at_full_score(tmp_path, oracle):
     world = load_world(path)
     assert len(world.tasks) == 2
     cfg = RunConfig(mode="react", max_steps=20, seed=0)
-    traj = run_react(world, oracle, world.tasks["minihouse-1"], cfg)
+    traj = run_mode(world, oracle, world.tasks["minihouse-1"], cfg)
     assert traj.final.success
     assert traj.final.steps_used == 6
     assert traj.steps[-1].done and traj.steps[-1].score_after == 100.0
@@ -69,7 +67,7 @@ def test_multi_task_world_episode_ends_at_full_score(tmp_path, oracle):
 
 def test_react_exhausts_budget_without_success(minihouse1, greedy):
     cfg = RunConfig(mode="react", max_steps=20, n_trigger=6, seed=0)
-    traj = run_react(minihouse1, greedy, minihouse1.tasks["minihouse-1"], cfg)
+    traj = run_mode(minihouse1, greedy, minihouse1.tasks["minihouse-1"], cfg)
     assert not traj.final.success
     assert traj.final.steps_used == 20
     assert traj.final.process_score == 0.0
@@ -77,17 +75,39 @@ def test_react_exhausts_budget_without_success(minihouse1, greedy):
 
 def test_ttexplore_recovers_where_react_fails(minihouse1, greedy, oracle_thinker):
     cfg = RunConfig(mode="ttexplore", seed=0)
-    traj = run_ttexplore(minihouse1, greedy, oracle_thinker,
-                         minihouse1.tasks["minihouse-1"], cfg)
+    traj = run_mode(minihouse1, greedy, minihouse1.tasks["minihouse-1"], cfg,
+                    oracle_thinker)
     assert traj.final.success
     assert [t.anchor_step for t in traj.thoughts] == [6]
 
 
 def test_ttexplore_requires_thinker(minihouse1, greedy):
     with pytest.raises(ValueError):
-        run_ttexplore(minihouse1, greedy, None,
-                      minihouse1.tasks["minihouse-1"],
-                      RunConfig(mode="ttexplore"))
+        run_mode(minihouse1, greedy, minihouse1.tasks["minihouse-1"],
+                 RunConfig(mode="ttexplore"), None)
+
+
+@pytest.mark.parametrize("mode", ["reflexion", "bestofn"])
+def test_inner_mode_picks_the_episode_kind(minihouse1, greedy, oracle_thinker,
+                                           mode):
+    task = minihouse1.tasks["minihouse-1"]
+    cfg = RunConfig(mode=mode, inner_mode="ttexplore", retries_N=2,
+                    samples_N=2, seed=0)
+    with pytest.raises(ValueError, match="thinker"):
+        run_mode(minihouse1, greedy, task, cfg)
+    traj = run_mode(minihouse1, greedy, task, cfg, oracle_thinker)
+    assert traj.thoughts and traj.final.success
+    # a ReAct episode ignores the thinker it is handed
+    cfg = dataclasses.replace(cfg, inner_mode="react")
+    traj = run_mode(minihouse1, greedy, task, cfg, oracle_thinker)
+    assert traj.thoughts == [] and traj.final.process_score == 0.0
+
+
+def test_react_mode_ignores_the_thinker(minihouse1, greedy, oracle_thinker):
+    traj = run_mode(minihouse1, greedy, minihouse1.tasks["minihouse-1"],
+                    RunConfig(mode="react", inner_mode="ttexplore", seed=0),
+                    oracle_thinker)
+    assert traj.mode == "react" and traj.thoughts == []
 
 
 # --- trigger arithmetic -----------------------------------------------------
@@ -97,8 +117,8 @@ def test_ttexplore_requires_thinker(minihouse1, greedy):
 def test_full_length_episode_trigger_count(minihouse1, oracle_thinker, n, max_steps):
     cfg = RunConfig(mode="ttexplore", n_trigger=n, max_steps=max_steps, seed=0)
     looper = scripted("actor", "loop-actor")
-    traj = run_ttexplore(minihouse1, looper, oracle_thinker,
-                         minihouse1.tasks["minihouse-1"], cfg)
+    traj = run_mode(minihouse1, looper, minihouse1.tasks["minihouse-1"], cfg,
+                    oracle_thinker)
     assert traj.final.steps_used == max_steps  # the looper never finishes
     assert len(traj.thoughts) == (max_steps - 1) // n
     assert [t.anchor_step for t in traj.thoughts] == \
@@ -107,8 +127,8 @@ def test_full_length_episode_trigger_count(minihouse1, oracle_thinker, n, max_st
 
 def test_no_trigger_after_success(minihouse1, oracle, oracle_thinker):
     cfg = RunConfig(mode="ttexplore", n_trigger=6, seed=0)
-    traj = run_ttexplore(minihouse1, oracle, oracle_thinker,
-                         minihouse1.tasks["minihouse-1"], cfg)
+    traj = run_mode(minihouse1, oracle, minihouse1.tasks["minihouse-1"], cfg,
+                    oracle_thinker)
     assert traj.final.steps_used == 6
     assert traj.thoughts == []  # success at step 6 preempts the trigger
 
@@ -117,12 +137,12 @@ def test_on_failure_trigger_skips_clean_windows(minihouse1, oracle_thinker):
     cfg = RunConfig(mode="ttexplore", n_trigger=3, max_steps=10,
                     trigger_policy="on_failure", seed=0)
     # the oracle never hits the sentinel, so the thinker must stay silent
-    traj = run_ttexplore(minihouse1, scripted("actor", "oracle-actor"),
-                         oracle_thinker, minihouse1.tasks["minihouse-1"], cfg)
+    traj = run_mode(minihouse1, scripted("actor", "oracle-actor"),
+                    minihouse1.tasks["minihouse-1"], cfg, oracle_thinker)
     assert traj.thoughts == []
     # the greedy actor fails immediately, so the trigger fires
-    traj = run_ttexplore(minihouse1, scripted("actor", "greedy-actor"),
-                         oracle_thinker, minihouse1.tasks["minihouse-1"], cfg)
+    traj = run_mode(minihouse1, scripted("actor", "greedy-actor"),
+                    minihouse1.tasks["minihouse-1"], cfg, oracle_thinker)
     assert traj.thoughts
 
 
@@ -132,8 +152,8 @@ def test_actor_parse_failure_falls_back(minihouse1, monkeypatch):
     monkeypatch.setitem(SCRIPTED_POLICIES, "broken-actor",
                         lambda prompt, seed: "no tags here")
     cfg = RunConfig(mode="react", max_steps=3, n_trigger=2, seed=0)
-    traj = run_react(minihouse1, scripted("actor", "broken-actor"),
-                     minihouse1.tasks["minihouse-1"], cfg)
+    traj = run_mode(minihouse1, scripted("actor", "broken-actor"),
+                    minihouse1.tasks["minihouse-1"], cfg)
     assert traj.actions() == [FALLBACK_ACTION] * 3
     assert traj.error is None
 
@@ -142,9 +162,9 @@ def test_thinker_parse_failure_skips_thought(minihouse1, monkeypatch):
     monkeypatch.setitem(SCRIPTED_POLICIES, "broken-thinker",
                         lambda prompt, seed: "still no tags")
     cfg = RunConfig(mode="ttexplore", n_trigger=2, max_steps=5, seed=0)
-    traj = run_ttexplore(minihouse1, scripted("actor", "loop-actor"),
-                         scripted("thinker", "broken-thinker"),
-                         minihouse1.tasks["minihouse-1"], cfg)
+    traj = run_mode(minihouse1, scripted("actor", "loop-actor"),
+                    minihouse1.tasks["minihouse-1"], cfg,
+                    scripted("thinker", "broken-thinker"))
     assert traj.thoughts == []
     assert traj.final.steps_used == 5
     assert traj.error is None
@@ -154,9 +174,9 @@ def test_backend_crash_recorded_as_episode_error(minihouse1, monkeypatch):
     def explode(prompt, seed):
         raise RemoteError("backend gone", attempts=1)
     monkeypatch.setitem(SCRIPTED_POLICIES, "crash-actor", explode)
-    traj = run_react(minihouse1, scripted("actor", "crash-actor"),
-                     minihouse1.tasks["minihouse-1"],
-                     RunConfig(mode="react", seed=0))
+    traj = run_mode(minihouse1, scripted("actor", "crash-actor"),
+                    minihouse1.tasks["minihouse-1"],
+                    RunConfig(mode="react", seed=0))
     assert traj.error is not None
     assert "backend gone" in traj.error
     assert not traj.final.success
@@ -167,9 +187,9 @@ def test_abort_before_the_first_step_keeps_the_initial_score(open_fridge,
     def explode(prompt, seed):
         raise RemoteError("backend gone", attempts=1)
     monkeypatch.setitem(SCRIPTED_POLICIES, "crash-actor", explode)
-    traj = run_react(open_fridge, scripted("actor", "crash-actor"),
-                     open_fridge.tasks["minihouse-1"],
-                     RunConfig(mode="react", seed=0))
+    traj = run_mode(open_fridge, scripted("actor", "crash-actor"),
+                    open_fridge.tasks["minihouse-1"],
+                    RunConfig(mode="react", seed=0))
     assert traj.error is not None
     assert traj.final.steps_used == 0
     assert traj.final.process_score == 33.33
@@ -181,26 +201,25 @@ def test_own_bug_crashes_instead_of_aborting(minihouse1, greedy):
                       minihouse1.agent, [Rule("r", "no-such-guard")])
     world.tasks = minihouse1.tasks
     with pytest.raises(KeyError, match="no-such-guard"):
-        run_react(world, greedy, world.tasks["minihouse-1"],
-                  RunConfig(mode="react", seed=0))
+        run_mode(world, greedy, world.tasks["minihouse-1"],
+                 RunConfig(mode="react", seed=0))
 
 
 # --- reflect-and-retry ------------------------------------------------------
 
 def test_reflexion_improves_staged_actor(minihouse1):
-    cfg = RunConfig(mode="reflexion", retries_N=5, max_steps=10,
-                    n_trigger=6, seed=0)
-    traj = run_reflexion(minihouse1, scripted("actor", "staged-actor"),
-                         minihouse1.tasks["minihouse-1"], cfg)
+    cfg = RunConfig(mode="reflexion", inner_mode="react", retries_N=5,
+                    max_steps=10, n_trigger=6, seed=0)
+    traj = run_mode(minihouse1, scripted("actor", "staged-actor"),
+                    minihouse1.tasks["minihouse-1"], cfg)
     assert traj.mode == "reflexion"
     assert traj.final.success  # third attempt reaches all six script steps
 
 
 def test_reflexion_returns_best_attempt_when_all_fail(minihouse1, greedy):
-    cfg = RunConfig(mode="reflexion", retries_N=2, max_steps=5,
-                    n_trigger=3, seed=0)
-    traj = run_reflexion(minihouse1, greedy,
-                         minihouse1.tasks["minihouse-1"], cfg)
+    cfg = RunConfig(mode="reflexion", inner_mode="react", retries_N=2,
+                    max_steps=5, n_trigger=3, seed=0)
+    traj = run_mode(minihouse1, greedy, minihouse1.tasks["minihouse-1"], cfg)
     assert not traj.final.success
     assert traj.final.process_score == 0.0
 
@@ -210,23 +229,21 @@ def test_reflexion_returns_best_attempt_when_all_fail(minihouse1, greedy):
 def test_best_of_n_single_sample_is_identity(minihouse1, greedy, oracle_thinker):
     cfg_one = RunConfig(mode="bestofn", inner_mode="ttexplore", samples_N=1,
                         seed=4)
-    best = run_best_of_n(minihouse1, greedy, minihouse1.tasks["minihouse-1"],
-                         cfg_one, thinker=oracle_thinker)
-    direct = run_ttexplore(minihouse1, greedy, oracle_thinker,
-                           minihouse1.tasks["minihouse-1"],
-                           RunConfig(mode="ttexplore", seed=4))
+    best = run_mode(minihouse1, greedy, minihouse1.tasks["minihouse-1"],
+                    cfg_one, oracle_thinker)
+    direct = run_mode(minihouse1, greedy, minihouse1.tasks["minihouse-1"],
+                      RunConfig(mode="ttexplore", seed=4), oracle_thinker)
     assert best.actions() == direct.actions()
     assert best.final.process_score == direct.final.process_score
 
 
 def test_select_best_prefers_score_then_lowest_index():
-    import dataclasses
     from ttexplore.orchestrator import Final, Trajectory
 
     def traj(score, steps):
         t = Trajectory(task_id="t", seed=0, mode="react", initial_observation="o")
         t.final = Final(success=score == 100.0, process_score=score,
-                        steps_used=steps, wall_ms_total=0.0)
+                        steps_used=steps)
         return t
 
     chosen = select_best([traj(33.33, 5), traj(66.67, 9), traj(66.67, 9)])
@@ -289,6 +306,22 @@ def test_failed_json_write_keeps_the_old_file(minihouse1, oracle, tmp_path,
         write_json_atomic(path, {"episodes": []})
     assert path.read_bytes() == old
     assert sorted(tmp_path.iterdir()) == files
+
+
+def test_manifest_is_written_after_the_timings(minihouse1, oracle, tmp_path,
+                                               monkeypatch):
+    write = orchestrator.write_json_atomic
+
+    def failing_timings(path, data):
+        if path.name == "timings.json":
+            raise OSError("disk full")
+        write(path, data)
+    monkeypatch.setattr(orchestrator, "write_json_atomic", failing_timings)
+    task = minihouse1.tasks["minihouse-1"]
+    with pytest.raises(OSError, match="disk full"):
+        run_batch(minihouse1, [(task, 0)], RunConfig(mode="react", seed=0),
+                  oracle, store_dir=tmp_path)
+    assert not (tmp_path / "manifest.json").exists()
 
 
 def test_read_transcript_corruption_names_file_and_line(tmp_path):

@@ -12,7 +12,7 @@ from ttexplore.orchestrator import (
     StepRecord,
     Trajectory,
     _act,
-    run_react,
+    run_mode,
 )
 from ttexplore.pipeline import (
     BINARY,
@@ -47,9 +47,9 @@ def synthetic_trajectory(task_id, actions, scores, seed=0):
                       initial_observation="obs")
     for action, score in zip(actions, scores):
         traj.steps.append(StepRecord(action=action, observation="ok",
-                                     score_after=score, wall_ms=0.0))
+                                     score_after=score))
     traj.final = Final(success=scores[-1] == 100.0, process_score=scores[-1],
-                       steps_used=len(actions), wall_ms_total=0.0)
+                       steps_used=len(actions))
     return traj
 
 
@@ -84,7 +84,7 @@ def test_divide_first_step_increase(minihouse2):
 def test_divide_starts_at_the_initial_score(open_fridge, oracle):
     world = open_fridge
     task = world.tasks["minihouse-1"]
-    strong = run_react(world, oracle, task, RunConfig(mode="react", seed=0))
+    strong = run_mode(world, oracle, task, RunConfig(mode="react", seed=0))
     subs = divide_subtasks(world, task, strong)
     assert [(s.start_score, s.target_score) for s in subs] == \
         [(33.33, 66.67), (66.67, 100.0)]
@@ -99,7 +99,7 @@ def test_divide_starts_at_the_initial_score(open_fridge, oracle):
 @pytest.fixture
 def classified_subs(minihouse2, oracle):
     task = minihouse2.tasks["minihouse-2"]
-    strong = run_react(minihouse2, oracle, task, RunConfig(mode="react", seed=0))
+    strong = run_mode(minihouse2, oracle, task, RunConfig(mode="react", seed=0))
     subs = divide_subtasks(minihouse2, task, strong)
     cfg = PipelineConfig()
     weak = scripted("actor", "wanderer-actor")
@@ -247,7 +247,7 @@ def reference_evaluate_thought(world, actor_frozen, task, context, thought, cfg)
         action = _act(actor_frozen, task, view, sub.seed, cfg.run)
         state, obs, score, done = world.step(state, action, task)
         continuation.append(StepRecord(action=action, observation=obs.text,
-                                       score_after=score, wall_ms=0.0, done=done))
+                                       score_after=score, done=done))
         view.steps.append((action, obs.text))
         if score > sub.start_score:
             improved_at = t
@@ -376,10 +376,9 @@ def test_export_grpo_schema(minihouse2, classified_subs, tmp_path):
 
 def test_export_sft_one_record_per_thought(minihouse2, greedy, oracle_thinker,
                                            tmp_path):
-    from ttexplore.orchestrator import run_ttexplore
     task = minihouse2.tasks["minihouse-2"]
-    traj = run_ttexplore(minihouse2, greedy, oracle_thinker, task,
-                         RunConfig(mode="ttexplore", seed=0))
+    traj = run_mode(minihouse2, greedy, task, RunConfig(mode="ttexplore", seed=0),
+                    oracle_thinker)
     out = tmp_path / "sft.jsonl"
     stats = export_sft(minihouse2, minihouse2.tasks, [traj], out)
     assert stats == {"records": len(traj.thoughts)} and stats["records"] >= 1

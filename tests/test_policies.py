@@ -4,7 +4,7 @@ import json
 
 import pytest
 
-from ttexplore.orchestrator import RunConfig, run_react
+from ttexplore.orchestrator import RunConfig, run_mode
 from ttexplore.policies import (
     SCRIPTED_POLICIES,
     SOLUTIONS,
@@ -130,8 +130,8 @@ def test_wanderer_cycle_position_tracks_history_length(minihouse2):
 
 def test_staged_actor_progresses_with_reflections(minihouse1, oracle):
     cfg = RunConfig(mode="react", max_steps=50, seed=0)
-    traj = run_react(minihouse1, scripted("actor", "staged-actor"),
-                     minihouse1.tasks["minihouse-1"], cfg)
+    traj = run_mode(minihouse1, scripted("actor", "staged-actor"),
+                    minihouse1.tasks["minihouse-1"], cfg)
     assert not traj.final.success  # two steps only, then idles
 
 

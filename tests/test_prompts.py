@@ -7,7 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from ttexplore import load_builtin_world, prompts
-from ttexplore.orchestrator import RunConfig, run_ttexplore
+from ttexplore.orchestrator import RunConfig, run_mode
 from ttexplore.policies import scripted
 from ttexplore.prompts import (
     ACTOR_FORMAT_BLOCK,
@@ -368,9 +368,9 @@ def test_parse_prompt_matches_reference_on_a_long_episode():
     by about 130 deep thoughts, over the default budget."""
     world = load_builtin_world("keymaze1")
     task = world.tasks["keymaze-1"]
-    traj = run_ttexplore(world, scripted("actor", "loop-actor"),
-                         scripted("thinker", "oracle-thinker"), task,
-                         RunConfig(mode="ttexplore", max_steps=800))
+    traj = run_mode(world, scripted("actor", "loop-actor"), task,
+                    RunConfig(mode="ttexplore", max_steps=800),
+                    scripted("thinker", "oracle-thinker"))
     view = HistoryView(task.id, traj.initial_observation,
                        steps=[(s.action, s.observation) for s in traj.steps],
                        thoughts=[(t.anchor_step, t.text) for t in traj.thoughts])
