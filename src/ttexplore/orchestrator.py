@@ -182,14 +182,14 @@ def _run_episode(world: TextWorld, actor: PolicyHandle, task: TaskSpec,
             state, obs, score, done = world.step(state, action, task)
             traj.steps.append(StepRecord(action=action, observation=obs.text,
                                          score_after=score, done=done))
-            view.steps.append((action, obs.text))
+            view.add_step(action, obs.text)
             if done:
                 break
             if thinker is not None and _should_trigger(cfg, t, view):
                 text = _think(thinker, task, view, seed, cfg)
                 if text is not None:
                     traj.thoughts.append(DeepThought(text=text, anchor_step=t))
-                    view.thoughts.append((t, text))
+                    view.add_thought(text)
     except (RemoteError, ConfigError) as exc:  # a policy backend failed
         log.error("episode aborted: %s", exc)
         traj.error = f"{type(exc).__name__}: {exc}"

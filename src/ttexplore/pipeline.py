@@ -165,7 +165,7 @@ def replay_with_history(world: TextWorld, task: TaskSpec, seed: int,
     for action in actions:
         state, obs, score, _ = world.step(state, action, task)
         scores.append(score)
-        view.steps.append((action, obs.text))
+        view.add_step(action, obs.text)
     return state, view, scores
 
 
@@ -206,7 +206,7 @@ def _continue(world: TextWorld, task: TaskSpec, policy: PolicyHandle,
         state, obs, score, done = world.step(state, action, task)
         steps.append(StepRecord(action=action, observation=obs.text,
                                 score_after=score, done=done))
-        view.steps.append((action, obs.text))
+        view.add_step(action, obs.text)
         if score > sub.start_score:
             return steps, t
     return steps, None
@@ -275,8 +275,9 @@ def sample_thoughts(thinker: PolicyHandle, context: RolloutContext, m: int,
 
 def continuation_reward(mode: str, improved_at: Optional[int],
                         rate: float = 0.05) -> float:
-    """Reward for a continuation whose first score improvement happened at
-    1-based step `improved_at` (None = no improvement)."""
+    """Reward for completing the unit being evaluated (a sub-task in `forge`,
+    the whole task in `build_multinode_contexts`) at 1-based step
+    `improved_at` (None = not completed)."""
     if improved_at is None:
         return 0.0
     if mode == BINARY:
@@ -292,10 +293,8 @@ def evaluate_thought(world: TextWorld, actor_frozen: PolicyHandle,
     """Let the frozen actor continue from the context's state for up to
     (y - x) steps with the thought injected at the context boundary."""
     cfg.validate()
-    history = context.history
-    view = HistoryView(history.task_id, history.initial_observation,
-                       steps=list(history.steps),
-                       thoughts=[(thought.anchor_step, thought.text)])
+    view = context.history.copy()
+    view.add_thought(thought.text)
     continuation, improved_at = _continue(world, task, actor_frozen,
                                           context.sub, context.state, view,
                                           cfg.y - cfg.x, cfg.run)
@@ -345,7 +344,9 @@ def build_multinode_contexts(world: TextWorld, task: TaskSpec,
                              thinker: PolicyHandle, actor_frozen: PolicyHandle,
                              cfg: PipelineConfig, nodes: int,
                              base_seed: int = 0) -> MultiNodeGroup:
-    """Rollouts whose trajectory reward is shared by every thinking node.
+    """Rollouts whose task-level reward is shared by every thinking node:
+    an episode that completes the task is rewarded at its completing step,
+    any other episode gets 0.
     Node counts of 2 and 4 map to trigger intervals of 9 and 6 under the
     rollout step cap; a node count of 1 is the standard single-node path."""
     if nodes == 1:
@@ -357,14 +358,14 @@ def build_multinode_contexts(world: TextWorld, task: TaskSpec,
     run_cfg = RunConfig(mode="ttexplore", n_trigger=interval,
                         max_steps=ROLLOUT_MAX_STEPS,
                         char_budget=cfg.run.char_budget)
-    start = world.process_score(task.initial_world, task).value
     rollouts = []
     for j in range(cfg.m):
         traj = run_mode(world, actor_frozen, task,
                         replace(run_cfg, seed=base_seed + j), thinker)
-        improved = [i + 1 for i, s in enumerate(traj.steps) if s.score_after > start]
+        # a successful episode ends at the step that completes the task
         reward = continuation_reward(cfg.reward_mode,
-                                     improved[0] if improved else None,
+                                     traj.final.steps_used if traj.final.success
+                                     else None,
                                      cfg.penalty_rate)
         rollouts.append(MultiNodeRollout(
             trajectory=traj, reward=reward,

@@ -6,7 +6,9 @@ Two backend families:
   episode state back out of the rendered prompt text, so the whole test suite
   runs offline. The behavior table lives in this module.
 * remote — a chat-completions style HTTP endpoint; one single-turn request per
-  call, API key taken from an environment variable.
+  call, API key taken from an environment variable. A 4xx response other than
+  429 fails at once; 5xx, 429, timeouts and malformed bodies are retried up to
+  `max_retries` times.
 """
 
 from __future__ import annotations
@@ -35,9 +37,14 @@ class ConfigError(ValueError):
 
 
 class RemoteError(RuntimeError):
-    def __init__(self, message: str, attempts: int):
+    """A remote completion failed; `status` is the HTTP status of the last
+    attempt, None when it got no response."""
+
+    def __init__(self, message: str, attempts: int,
+                 status: Optional[int] = None):
         super().__init__(message)
         self.attempts = attempts
+        self.status = status
 
 
 @dataclass(frozen=True)
@@ -98,19 +105,25 @@ def _complete_remote(policy: PolicyHandle, prompt: str) -> str:
     }
     last_error: Optional[Exception] = None
     attempts = 0
+    status: Optional[int] = None
     for attempt in range(backend.max_retries + 1):
         attempts = attempt + 1
+        status = None
         try:
             resp = requests.post(backend.endpoint, json=payload, headers=headers,
                                  timeout=backend.timeout_s)
+            status = resp.status_code
             resp.raise_for_status()
             return resp.json()["choices"][0]["message"]["content"]
         except (requests.RequestException, LookupError, TypeError,
                 ValueError) as exc:
             last_error = exc
+            if status is not None and 400 <= status < 500 and status != 429:
+                break  # a client error: retrying sends the same bad request
             if attempt < backend.max_retries:
                 time.sleep(0.5 * (attempt + 1))
-    raise RemoteError(f"remote completion failed: {last_error}", attempts=attempts)
+    raise RemoteError(f"remote completion failed: {last_error}",
+                      attempts=attempts, status=status)
 
 
 # ---------------------------------------------------------------------------

@@ -3,17 +3,24 @@
 Rendering is pure: two renders of the same inputs produce identical bytes.
 When a rendered prompt would exceed the character budget, the oldest
 (action, observation) pairs are dropped first; the instruction, the initial
-observation, and every deep thought are always retained. Fitting costs one
-extra build, not one build per dropped step: the drop count comes from the
-exact character cost of each step's two lines.
+observation, and every deep thought are always retained.
+
+A `HistoryView` renders each history line once, when it is appended, and
+keeps a running prefix sum of the steps' character costs. A render joins
+list slices with no per-step Python. Fitting costs one extra build: the drop
+count comes from bisecting the prefix sums for the full prompt's excess, and
+a history longer than the budget is never joined whole. What still grows
+with the history is C-speed copying of what the prompt keeps: about the
+character budget, plus the deep thoughts, which are never dropped.
 """
 
 from __future__ import annotations
 
 import re
+from bisect import bisect_left, bisect_right
 from dataclasses import dataclass, field
 from enum import Enum
-from typing import Optional
+from typing import Iterable, Optional
 
 from .world import TaskSpec
 
@@ -47,14 +54,109 @@ class DeepThought:
     anchor_step: int
 
 
-@dataclass
+class _ReadOnlyList(list):
+    """A list callers can read and compare but not change in place."""
+
+    def _read_only(self, *args, **kwargs):
+        raise TypeError("read-only: use HistoryView.add_step / add_thought")
+
+    append = extend = insert = pop = remove = clear = sort = reverse = _read_only
+    __setitem__ = __delitem__ = __iadd__ = __imul__ = _read_only
+
+    def __reduce__(self):
+        return type(self), (list(self),)
+
+
 class HistoryView:
-    """Everything a prompt render needs about an episode in progress."""
-    task_id: str
-    initial_observation: str
-    steps: list[tuple[str, str]] = field(default_factory=list)  # (action, observation)
-    thoughts: list[tuple[int, str]] = field(default_factory=list)  # (anchor_step, text)
-    reflections: list[str] = field(default_factory=list)
+    """Everything a prompt render needs about an episode in progress.
+
+    Each history line is rendered once, when it is appended: a step becomes
+    ``Action: …\nObservation: …`` and a thought ``Deep Thought: …``. The view
+    keeps the lines in render order, the thought lines again in anchor order,
+    and a running prefix sum of each step's character cost, so a render and
+    its budget fit join list slices without a per-step loop. ``add_step`` and
+    ``add_thought`` are the one append path; ``steps`` and ``thoughts`` are
+    read-only. A thought given to the constructor with an anchor outside
+    ``[0, len(steps)]`` makes every render of the view raise.
+    """
+
+    def __init__(self, task_id: str, initial_observation: str,
+                 steps: Iterable[tuple[str, str]] = (),
+                 thoughts: Iterable[tuple[int, str]] = (),
+                 reflections: Iterable[str] = ()):
+        self.task_id = task_id
+        self.initial_observation = initial_observation
+        self.reflections = list(reflections)
+        self._steps = _ReadOnlyList()  # (action, observation)
+        self._thoughts = _ReadOnlyList(thoughts)  # (anchor_step, text)
+        self._lines: list[str] = []  # render order with nothing dropped
+        self._thought_lines: list[str] = []  # in anchor order
+        self._anchors: list[int] = []
+        self._cost = [0]  # characters of the first i steps' lines
+        self._chars = 0  # characters of all lines
+        steps = list(steps)
+        self._error = next((
+            f"thought anchor {a} outside history of length {len(steps)}"
+            for a, _ in self._thoughts if not 0 <= a <= len(steps)), None)
+        if self._error is None:
+            for anchor, text in sorted(self._thoughts, key=lambda t: t[0]):
+                for step in steps[len(self._steps):anchor]:
+                    self.add_step(*step)
+                self._put_thought(anchor, text)
+        for step in steps[len(self._steps):]:
+            self.add_step(*step)
+
+    @property
+    def steps(self) -> list[tuple[str, str]]:
+        return self._steps
+
+    @property
+    def thoughts(self) -> list[tuple[int, str]]:
+        return self._thoughts
+
+    def add_step(self, action: str, observation: str) -> None:
+        line = f"Action: {action}\nObservation: {observation}"
+        list.append(self._steps, (action, observation))
+        self._lines.append(line)
+        self._chars += len(line) + 1
+        self._cost.append(self._cost[-1] + len(line) + 1)
+
+    def add_thought(self, text: str) -> None:
+        """A deep thought anchored after the latest step."""
+        list.append(self._thoughts, (len(self._steps), text))
+        self._put_thought(len(self._steps), text)
+
+    def _put_thought(self, anchor: int, text: str) -> None:
+        line = f"Deep Thought: {text}"
+        self._lines.append(line)
+        self._chars += len(line) + 1
+        self._thought_lines.append(line)
+        self._anchors.append(anchor)
+
+    def copy(self) -> "HistoryView":
+        """An independent view: appends to the copy leave this one untouched."""
+        new = object.__new__(HistoryView)
+        new.__dict__ = {k: type(v)(v) if isinstance(v, list) else v
+                        for k, v in vars(self).items()}
+        return new
+
+    def _history_lines(self, drop_oldest: int = 0) -> list[str]:
+        """The history section with the oldest steps dropped. Thoughts
+        anchored at dropped steps follow the truncation marker; the dropped
+        steps and those thoughts are the first lines in render order."""
+        if drop_oldest == 0:
+            return self._lines
+        thoughts = bisect_right(self._anchors, drop_oldest)
+        return [TRUNCATION_MARKER, *self._thought_lines[:thoughts],
+                *self._lines[drop_oldest + thoughts:]]
+
+    def __eq__(self, other: object) -> bool:
+        # the caches follow from the steps and thoughts
+        return isinstance(other, HistoryView) and vars(self) == vars(other)
+
+    def __repr__(self) -> str:
+        return (f"HistoryView({self.task_id!r}, steps={self._steps!r}, "
+                f"thoughts={self._thoughts!r})")
 
 
 ACTOR_FORMAT_BLOCK = (
@@ -69,29 +171,12 @@ TRUNCATION_MARKER = "[... earlier steps truncated ...]"
 DEFAULT_CHAR_BUDGET = 100_000
 
 
-def _history_lines(view: HistoryView, drop_oldest: int = 0) -> list[str]:
-    thoughts_at: dict[int, list[str]] = {}
-    for anchor, text in view.thoughts:
-        thoughts_at.setdefault(anchor, []).append(f"Deep Thought: {text}")
-    lines = [TRUNCATION_MARKER] if drop_oldest > 0 else []
-    lines += thoughts_at.get(0, [])  # anchor 0 thoughts precede the first step
-    for i, (action, observation) in enumerate(view.steps, start=1):
-        if i > drop_oldest:
-            lines.append(f"Action: {action}")
-            lines.append(f"Observation: {observation}")
-        lines += thoughts_at.get(i, [])
-    return lines
-
-
 def _check_history(task: TaskSpec, view: HistoryView) -> None:
     if view.task_id != task.id:
         raise ContractViolation(
             f"history belongs to task {view.task_id!r}, not {task.id!r}")
-    anchors = [a for a, _ in view.thoughts]
-    for a in anchors:
-        if a < 0 or a > len(view.steps):
-            raise ContractViolation(f"thought anchor {a} outside history of "
-                                    f"length {len(view.steps)}")
+    if view._error is not None:
+        raise ContractViolation(view._error)
 
 
 def render_actor_prompt(task: TaskSpec, view: HistoryView,
@@ -115,7 +200,7 @@ def render_actor_prompt(task: TaskSpec, view: HistoryView,
             "",
             f"Initial Observation: {view.initial_observation}",
         ]
-        history = _history_lines(view, drop)
+        history = view._history_lines(drop)
         if history:
             parts += ["", "History:"] + history
         if view.reflections:
@@ -133,7 +218,7 @@ def render_actor_prompt(task: TaskSpec, view: HistoryView,
         ]
         return "\n".join(parts)
 
-    return _fit_budget(build, view.steps, char_budget)
+    return _fit_budget(build, view, char_budget)
 
 
 def render_thinker_prompt(task: TaskSpec, view: HistoryView,
@@ -141,7 +226,7 @@ def render_thinker_prompt(task: TaskSpec, view: HistoryView,
     _check_history(task, view)
 
     def build(drop: int) -> str:
-        history = _history_lines(view, drop)
+        history = view._history_lines(drop)
         parts = [
             "You are a Thinker Agent responsible for uncovering the implicit "
             "rules of the environment. You must analyze the history trajectory "
@@ -178,24 +263,27 @@ def render_thinker_prompt(task: TaskSpec, view: HistoryView,
         ]
         return "\n".join(parts)
 
-    return _fit_budget(build, view.steps, char_budget)
+    return _fit_budget(build, view, char_budget)
 
 
-def _fit_budget(build, steps: list[tuple[str, str]], char_budget: int) -> str:
+def _fit_budget(build, view: HistoryView, char_budget: int) -> str:
     """Build with the fewest oldest steps dropped that fits, or all of them.
     Only the dropped steps' lines and the truncation marker change the
-    length, so the drop count follows from the full prompt's excess."""
-    prompt = build(0)
-    excess = len(prompt) - char_budget
-    if excess <= 0 or not steps:
-        return prompt
-    excess += len(TRUNCATION_MARKER) + 1
-    drop = 0
-    while excess > 0 and drop < len(steps):
-        action, observation = steps[drop]
-        excess -= len("Action: \nObservation: \n") + len(action) + len(observation)
-        drop += 1
-    return build(drop)
+    length, so the drop count is the first prefix of step costs that covers
+    the full prompt's excess plus the marker's line. A history that alone
+    exceeds the budget is never joined whole: the full prompt's length then
+    comes from the prompt with every step dropped."""
+    steps = len(view.steps)
+    marker = len(TRUNCATION_MARKER) + 1
+    if steps and view._chars > char_budget:
+        full = len(build(steps)) - marker + view._cost[-1]
+    else:
+        prompt = build(0)
+        full = len(prompt)
+        if full <= char_budget or not steps:
+            return prompt
+    drop = bisect_left(view._cost, full - char_budget + marker, 1)
+    return build(min(drop, steps))
 
 
 _THINK_RE = re.compile(r"<think>(.*?)</think>", re.DOTALL)

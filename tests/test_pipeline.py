@@ -241,14 +241,14 @@ def reference_evaluate_thought(world, actor_frozen, task, context, thought, cfg)
     sub = context.sub
     state, view, _ = replay_with_history(
         world, task, sub.seed, sub.prefix_actions + context.weak_prefix)
-    view.thoughts.append((thought.anchor_step, thought.text))
+    view.add_thought(thought.text)
     continuation, improved_at = [], None
     for t in range(1, cfg.y - cfg.x + 1):
         action = _act(actor_frozen, task, view, sub.seed, cfg.run)
         state, obs, score, done = world.step(state, action, task)
         continuation.append(StepRecord(action=action, observation=obs.text,
                                        score_after=score, done=done))
-        view.steps.append((action, obs.text))
+        view.add_step(action, obs.text)
         if score > sub.start_score:
             improved_at = t
             break
@@ -352,6 +352,28 @@ def test_multinode_reward_counts_from_the_initial_score(open_fridge):
     for rollout in group.rollouts:
         assert rollout.trajectory.final.process_score == 33.33
         assert rollout.reward == 0.0
+
+
+@pytest.mark.parametrize("nodes,successes", [(2, [False, False, True, True]),
+                                              (4, [False] * 4)])
+def test_multinode_reward_is_the_task_outcome(keymaze1, nodes, successes):
+    """A rollout that reaches a subgoal (33.33) without completing the task
+    earns nothing; a completing one is rewarded at its completing step."""
+    task = keymaze1.tasks["keymaze-1"]
+    args = (keymaze1, task, scripted("thinker", "noisy-thinker"),
+            scripted("actor", "greedy-actor"))
+    binary = build_multinode_contexts(*args, PipelineConfig(), nodes)
+    finals = [r.trajectory.final for r in binary.rollouts]
+    assert [f.success for f in finals] == successes
+    assert [f.process_score for f in finals] == [100.0 if s else 33.33 for s in successes]
+    assert [r.reward for r in binary.rollouts] == [1.0 if s else 0.0 for s in successes]
+    penalty = build_multinode_contexts(*args, PipelineConfig(reward_mode=STEP_PENALTY),
+                                       nodes)
+    assert [r.trajectory.final for r in penalty.rollouts] == finals
+    # the task completes at step 18: 1 - 0.05 * 17
+    assert [f.steps_used for f in finals if f.success] == [18] * sum(successes)
+    assert [r.reward for r in penalty.rollouts] == \
+        [pytest.approx(0.15) if s else 0.0 for s in successes]
 
 
 # --- exports and the driver --------------------------------------------------

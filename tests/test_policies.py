@@ -1,6 +1,8 @@
 """Scripted fixture policies and the remote backend contract."""
 
 import json
+import threading
+from http.server import BaseHTTPRequestHandler, HTTPServer
 
 import pytest
 
@@ -223,3 +225,84 @@ def test_remote_body_of_wrong_shape_is_an_error(monkeypatch, body):
     monkeypatch.setattr("ttexplore.policies.time.sleep", lambda s: None)
     with pytest.raises(RemoteError):
         complete(remote_handle(), "p")
+
+
+# --- remote failure classes, against a loopback server -----------------------
+
+class StatusStub:
+    """A loopback chat endpoint that answers the n-th request with
+    `statuses[n]` (the last status repeats); a 200 carries a completion."""
+
+    def __init__(self):
+        self.statuses = [200]
+        self.requests = 0
+        stub = self
+
+        class Handler(BaseHTTPRequestHandler):
+            def do_POST(self):
+                self.rfile.read(int(self.headers["Content-Length"]))
+                status = stub.statuses[min(stub.requests, len(stub.statuses) - 1)]
+                stub.requests += 1
+                body = json.dumps({"choices": [{"message": {"content": "done"}}]}
+                                  if status == 200 else {"error": status}).encode()
+                self.send_response(status)
+                self.send_header("Content-Type", "application/json")
+                self.send_header("Content-Length", str(len(body)))
+                self.end_headers()
+                self.wfile.write(body)
+
+            def log_message(self, *args):
+                pass
+
+        self.httpd = HTTPServer(("127.0.0.1", 0), Handler)
+        self.thread = threading.Thread(target=self.httpd.serve_forever,
+                                       kwargs={"poll_interval": 0.05}, daemon=True)
+
+    def handle(self, max_retries=2):
+        host, port = self.httpd.server_address[:2]
+        return PolicyHandle(role="actor", backend=RemoteBackend(
+            endpoint=f"http://{host}:{port}/v1/chat/completions",
+            model="test-model", max_retries=max_retries, timeout_s=5.0))
+
+
+@pytest.fixture
+def stub(monkeypatch):
+    # requests would send even a loopback call to a proxy named in the environment
+    monkeypatch.setenv("NO_PROXY", "127.0.0.1")
+    monkeypatch.setenv("no_proxy", "127.0.0.1")
+    server = StatusStub()
+    server.thread.start()
+    try:
+        yield server
+    finally:
+        server.httpd.shutdown()
+        server.thread.join(timeout=10)
+        server.httpd.server_close()
+    assert not server.thread.is_alive()
+
+
+@pytest.fixture
+def sleeps(monkeypatch):
+    slept = []
+    monkeypatch.setattr("ttexplore.policies.time.sleep", slept.append)
+    return slept
+
+
+@pytest.mark.parametrize("status,attempts", [(401, 1), (404, 1), (500, 3), (429, 3)])
+def test_remote_fails_client_errors_at_once_and_retries_the_rest(
+        stub, sleeps, status, attempts):
+    stub.statuses = [status]
+    with pytest.raises(RemoteError) as exc:
+        complete(stub.handle(max_retries=2), "p")
+    assert exc.value.status == status
+    assert exc.value.attempts == attempts
+    assert stub.requests == attempts
+    assert len(sleeps) == attempts - 1  # a 401 or 404 never sleeps
+
+
+@pytest.mark.parametrize("status", [500, 429])
+def test_remote_recovers_after_a_transient_error(stub, sleeps, status):
+    stub.statuses = [status, 200]
+    assert complete(stub.handle(max_retries=2), "p") == "done"
+    assert stub.requests == 2
+    assert len(sleeps) == 1

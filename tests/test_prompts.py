@@ -1,5 +1,6 @@
 """Prompt rendering, tagged-output parsing, truncation, and introspection."""
 
+import copy
 from unittest import mock
 
 import pytest
@@ -122,11 +123,11 @@ def test_no_truncation_under_budget(task, view):
     assert TRUNCATION_MARKER not in prompt
 
 
-def _reference_fit_budget(build, steps, char_budget):
+def _reference_fit_budget(build, view, char_budget):
     """Drop one oldest step at a time and rebuild until the prompt fits."""
     prompt = build(0)
     drop = 0
-    while len(prompt) > char_budget and drop < len(steps):
+    while len(prompt) > char_budget and drop < len(view.steps):
         drop += 1
         prompt = build(drop)
     return prompt
@@ -142,8 +143,8 @@ def mh1_task():
 
 def _build_lengths(render, task, view):
     """Length of the prompt built with each drop count from 0 to every step."""
-    def lengths(build, steps, _budget):
-        return [len(build(drop)) for drop in range(len(steps) + 1)]
+    def lengths(build, view, _budget):
+        return [len(build(drop)) for drop in range(len(view.steps) + 1)]
     with mock.patch.object(prompts, "_fit_budget", lengths):
         return render(task, view)
 
@@ -208,6 +209,85 @@ def test_parse_prompt_recovers_what_the_render_kept(mh1_task, view, data):
         drop = next((d for d, n in enumerate(lengths) if n <= budget), len(view.steps))
         assert recovered.steps == view.steps[drop:]
         assert [t for _, t in recovered.thoughts] == [t for _, t in thoughts]
+
+
+# --- the incremental view against the per-step reference ---------------------
+
+def _reference_history_lines(view, drop_oldest=0):
+    """The per-step loop that re-formatted every step on every render."""
+    thoughts_at = {}
+    for anchor, text in view.thoughts:
+        thoughts_at.setdefault(anchor, []).append(f"Deep Thought: {text}")
+    lines = [TRUNCATION_MARKER] if drop_oldest > 0 else []
+    lines += thoughts_at.get(0, [])  # anchor 0 thoughts precede the first step
+    for i, (action, observation) in enumerate(view.steps, start=1):
+        if i > drop_oldest:
+            lines.append(f"Action: {action}")
+            lines.append(f"Observation: {observation}")
+        lines += thoughts_at.get(i, [])
+    return lines
+
+
+def _built_by_appends(view):
+    """The same history through `add_step` and `add_thought`, as an episode
+    appends it: at each position, the thoughts anchored there, then the step."""
+    built = HistoryView(view.task_id, view.initial_observation,
+                        reflections=view.reflections)
+    for n in range(len(view.steps) + 1):
+        for anchor, text in view.thoughts:
+            if anchor == n:
+                built.add_thought(text)
+        if n < len(view.steps):
+            built.add_step(*view.steps[n])
+    return built
+
+
+# Steps long enough that the history alone can exceed a budget the fitted
+# prompt still keeps steps under.
+_LONG_TEXT = st.text(alphabet="ab :.\n", min_size=100, max_size=400)
+
+
+@settings(max_examples=300, deadline=None)
+@given(view=histories(st.one_of(_ANY_TEXT, _LONG_TEXT), _ANY_TEXT), data=st.data())
+def test_appended_and_constructed_views_render_as_the_reference(mh1_task, view, data):
+    built = _built_by_appends(view)
+    for drop in range(len(view.steps) + 1):
+        expected = _reference_history_lines(view, drop)
+        for v in (view, built):
+            lines = v._history_lines(drop)
+            assert "\n".join(lines) == "\n".join(expected)
+            assert bool(lines) == bool(expected)
+    for render in (render_actor_prompt, render_thinker_prompt):
+        budget = data.draw(budgets(_build_lengths(render, mh1_task, view)))
+        with mock.patch.object(HistoryView, "_history_lines", _reference_history_lines), \
+                mock.patch.object(prompts, "_fit_budget", _reference_fit_budget):
+            expected = render(mh1_task, view, budget)
+        assert render(mh1_task, view, budget) == expected
+        assert render(mh1_task, built, budget) == expected
+
+
+def test_view_lists_are_read_only_and_copies_are_independent(task, view):
+    with pytest.raises(TypeError):
+        view.steps.append(("look around", "x"))
+    with pytest.raises(TypeError):
+        view.thoughts.append((0, "text"))
+    with pytest.raises(AttributeError):
+        view.steps = []
+    def renders(v):
+        return [render(task, v, budget)
+                for render in (render_actor_prompt, render_thinker_prompt)
+                for budget in (10 ** 6, 0)]
+
+    before, rendered = copy.deepcopy(view), renders(view)
+    dup = view.copy()
+    assert dup == view
+    dup.add_step("look around", "You are in the kitchen.")
+    dup.add_thought("one more thought")
+    assert view == before and renders(view) == rendered
+    assert dup != view and len(dup.steps) == len(view.steps) + 1
+    # the copy's caches extend correctly: it renders as a view built afresh
+    assert renders(dup) == renders(HistoryView(
+        dup.task_id, dup.initial_observation, steps=dup.steps, thoughts=dup.thoughts))
 
 
 def test_anchor_zero_thoughts_keep_their_order(task):

@@ -444,10 +444,15 @@ def test_copy_equals_deepcopy_and_shares_nothing_mutable(episode):
     for eid, ent in state.entities.items():
         assert dup.entities[eid] is not ent
         assert dup.entities[eid].attributes is not ent.attributes
-    # every valid action applied to the copy leaves the source as it was
+    # every valid action applied to the copy leaves the source as it was;
+    # the actions can undo each other (take an item, put it back), so the
+    # copy is checked to have changed after some action, not at the end
     before = copy.deepcopy(state)
+    changed = False
     for action in map(parse_action, _vocabulary(world)):
         if isinstance(world._builtin_check(dup, action), Allow):
+            prior = copy.deepcopy(dup)
             world._apply(dup, action)
-    assert dup != before
+            changed = changed or dup != prior
+    assert changed
     assert state == before
