@@ -172,9 +172,17 @@ def cmd_metrics(store, k, as_jsonl) -> None:
     episodes = manifest.get("episodes", [])
     if not episodes:
         _fail(f"{store}: manifest lists no episodes")
-    if not (store / "timings.json").exists():
+    timings_path = store / "timings.json"
+    if not timings_path.exists():
         _fail(f"{store}: timings.json is missing")
-    timings = json.loads((store / "timings.json").read_text(encoding="utf-8"))
+    try:
+        walls = json.loads(timings_path.read_text(encoding="utf-8"))["episodes"]
+        count = len(walls)
+    except (json.JSONDecodeError, LookupError, TypeError) as exc:
+        _fail(f"{timings_path}: corrupt timings: {exc}")
+    if count != len(episodes):
+        _fail(f"{timings_path}: {count} episode timings, the manifest lists "
+              f"{len(episodes)} episodes")
 
     metrics = [episode_metrics([r["action"] for r in records],
                                [r["observation"] for r in records], k=k)
@@ -183,7 +191,7 @@ def cmd_metrics(store, k, as_jsonl) -> None:
     # verifies against the transcripts
     table = aggregate([(entry["success"], entry["process_score"], m, wall_s)
                        for entry, m, wall_s
-                       in zip(episodes, metrics, timings["episodes"])])
+                       in zip(episodes, metrics, walls)])
     if as_jsonl:
         click.echo(table.to_jsonl())
     else:

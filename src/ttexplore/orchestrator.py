@@ -57,20 +57,25 @@ class RunConfig:
             raise ValueError(f"unknown inner mode {self.inner_mode!r}")
         if self.n_trigger <= 0 or self.max_steps <= 0:
             raise ValueError("n_trigger and max_steps must be positive")
-        if self.n_trigger >= self.max_steps:
+        if self.n_trigger >= self.max_steps and self.episode_kind == "ttexplore":
             raise ValueError("n_trigger must be smaller than max_steps")
         if self.trigger_policy not in ("fixed", "on_failure"):
             raise ValueError(f"unknown trigger policy {self.trigger_policy!r}")
 
+    @property
+    def episode_kind(self) -> str:
+        """`inner_mode` for reflexion and bestofn, `mode` for the other two."""
+        return (self.inner_mode if self.mode in ("reflexion", "bestofn")
+                else self.mode)
+
     def episode_thinker(self, thinker: Optional[PolicyHandle]) -> Optional[PolicyHandle]:
-        """The thinker each episode runs with. `inner_mode` picks the episode
-        kind for reflexion and bestofn, `mode` for the other two: a ttexplore
-        episode needs the thinker, a ReAct episode drops it."""
-        wrapper = self.mode in ("reflexion", "bestofn")
-        if (self.inner_mode if wrapper else self.mode) == "react":
+        """The thinker each episode runs with: a ttexplore episode needs the
+        thinker, a ReAct episode drops it."""
+        if self.episode_kind == "react":
             return None
         if thinker is None:
-            how = f" with inner_mode {self.inner_mode!r}" if wrapper else ""
+            how = (f" with inner_mode {self.inner_mode!r}"
+                   if self.mode != self.episode_kind else "")
             raise ValueError(f"mode {self.mode!r}{how} needs a thinker policy")
         return thinker
 

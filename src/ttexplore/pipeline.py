@@ -2,13 +2,14 @@
 
 Stages: divide a strong trajectory into sub-tasks at process-score
 milestones, probe each sub-task's difficulty with a weak policy, drop the
-easy ones, build shared rollout contexts (prefix + a fixed-length weak
-continuation, folded from reset once), sample the trainable thinker m times
-per context, score each thought by letting a frozen actor continue from the
-context's state, and export the grouped records for policy-gradient training
-plus thinker SFT pairs. A sub-task is completed at the first step whose score
-rises above its start score. The multi-node ablation,
-`build_multinode_contexts`, runs whole capped episodes outside `forge`.
+easy ones, keep the probe's state and history after its x-th weak step as
+each kept sub-task's shared rollout context (one fold from reset per
+sub-task), sample the trainable thinker m times per context, score each
+thought by letting a frozen actor continue from the context's state, and
+export the grouped records for policy-gradient training plus thinker SFT
+pairs. A sub-task is completed at the first step whose score rises above its
+start score. The multi-node ablation, `build_multinode_contexts`, runs whole
+capped episodes outside `forge`.
 """
 
 from __future__ import annotations
@@ -86,6 +87,8 @@ class SubTask:
     difficulty: str = UNSET
     weak_actions: list[str] = field(default_factory=list)
     completion_step: Optional[int] = None
+    # the probe's state and history after x weak steps; None when easy
+    context: Optional[tuple[WorldState, HistoryView]] = None
 
 
 @dataclass
@@ -94,8 +97,7 @@ class RolloutContext:
     sub: SubTask
     prompt: str
     history: HistoryView
-    weak_prefix: list[str]
-    state: WorldState  # after the prefix and the weak steps; never mutated
+    state: WorldState  # after the prefix and x weak steps; never mutated
 
 
 @dataclass
@@ -156,38 +158,39 @@ def divide_subtasks(world: TextWorld, task: TaskSpec,
 
 
 def replay_with_history(world: TextWorld, task: TaskSpec, seed: int,
-                        actions: list[str]) -> tuple:
-    """Fold the actions from reset, collecting (state, view, scores);
-    scores[i] is the process score after the first i actions."""
+                        actions: list[str]) -> tuple[WorldState, HistoryView, float]:
+    """Fold the actions from reset into (state, view, process score)."""
     state, obs0 = world.reset(task, seed)
     view = HistoryView(task.id, obs0.text)
-    scores = [world.process_score(state, task).value]
+    score = world.process_score(state, task).value
     for action in actions:
         state, obs, score, _ = world.step(state, action, task)
-        scores.append(score)
         view.add_step(action, obs.text)
-    return state, view, scores
+    return state, view, score
 
 
 def classify_difficulty(world: TextWorld, task: TaskSpec, sub: SubTask,
                         weak: PolicyHandle, cfg: PipelineConfig) -> SubTask:
     """Run the weak policy from the replayed prefix for up to y steps;
-    completion within x steps is easy, within (x, y] medium, never is hard."""
+    completion within x steps is easy, within (x, y] medium, never is hard;
+    a sub-task still open after x steps keeps that step as its context."""
     cfg.validate()
-    state, view, scores = replay_with_history(world, task, sub.seed,
-                                              sub.prefix_actions)
-    if scores[-1] != sub.start_score:
+    state, view, score = replay_with_history(world, task, sub.seed,
+                                             sub.prefix_actions)
+    if score != sub.start_score:
         raise IntegrityError(
-            f"prefix replay of {sub.parent_task_id} gave {scores[-1]}, "
+            f"prefix replay of {sub.parent_task_id} gave {score}, "
             f"recorded start is {sub.start_score}")
-    weak_steps, completion = _continue(world, task, weak, sub, state, view,
-                                       cfg.y, cfg.run)
+    weak_steps, completion, state = _continue(world, task, weak, sub, state,
+                                              view, cfg.x, cfg.run)
+    sub.difficulty = EASY
     if completion is None:
-        sub.difficulty = HARD
-    elif completion <= cfg.x:
-        sub.difficulty = EASY
-    else:
-        sub.difficulty = MEDIUM
+        sub.context = (state, view.copy())
+        more, later, _ = _continue(world, task, weak, sub, state, view,
+                                   cfg.y - cfg.x, cfg.run)
+        weak_steps += more
+        completion = None if later is None else cfg.x + later
+        sub.difficulty = HARD if completion is None else MEDIUM
     sub.weak_actions = [s.action for s in weak_steps]
     sub.completion_step = completion
     return sub
@@ -195,11 +198,12 @@ def classify_difficulty(world: TextWorld, task: TaskSpec, sub: SubTask,
 
 def _continue(world: TextWorld, task: TaskSpec, policy: PolicyHandle,
               sub: SubTask, state: WorldState, view: HistoryView, budget: int,
-              run_cfg: RunConfig) -> tuple[list[StepRecord], Optional[int]]:
+              run_cfg: RunConfig
+              ) -> tuple[list[StepRecord], Optional[int], WorldState]:
     """Let the policy act from (state, view) for up to `budget` steps,
     appending each step to the view; stops at the first step whose score
-    rises above the sub-task's start score and returns the steps and that
-    1-based step (None if no step did)."""
+    rises above the sub-task's start score and returns the steps, that
+    1-based step (None if no step did) and the last state."""
     steps: list[StepRecord] = []
     for t in range(1, budget + 1):
         action = _act(policy, task, view, sub.seed, run_cfg)
@@ -208,8 +212,8 @@ def _continue(world: TextWorld, task: TaskSpec, policy: PolicyHandle,
                                 score_after=score, done=done))
         view.add_step(action, obs.text)
         if score > sub.start_score:
-            return steps, t
-    return steps, None
+            return steps, t, state
+    return steps, None, state
 
 
 def filter_subtasks(subs: list[SubTask]) -> list[SubTask]:
@@ -224,26 +228,18 @@ def filter_subtasks(subs: list[SubTask]) -> list[SubTask]:
 # Rollout contexts, thought sampling, reward computation
 # ---------------------------------------------------------------------------
 
-def build_rollout_context(world: TextWorld, task: TaskSpec, sub: SubTask,
+def build_rollout_context(task: TaskSpec, sub: SubTask,
                           cfg: PipelineConfig) -> RolloutContext:
-    cfg.validate()
-    if not sub.weak_actions:
-        raise PipelineError("sub-task has no weak trajectory; classify it first")
-    weak_prefix = list(sub.weak_actions[:cfg.x])
-    while len(weak_prefix) < cfg.x:
-        # shorter weak runs are padded by repeating the last action
-        weak_prefix.append(weak_prefix[-1] if weak_prefix else "look around")
-    actions = sub.prefix_actions + weak_prefix
-    state, view, scores = replay_with_history(world, task, sub.seed, actions)
-    expected = scores[len(sub.prefix_actions)]
-    if expected != sub.start_score:
-        raise IntegrityError(
-            f"context rebuild for {sub.parent_task_id} diverged: "
-            f"{expected} != {sub.start_score}")
+    """The shared context of a kept sub-task: its probe's state and history
+    after x weak steps, with the thinker prompt rendered from them."""
+    if sub.context is None:
+        raise PipelineError("sub-task has no rollout context; classify it "
+                            "first (easy sub-tasks have none)")
+    state, view = sub.context
     prompt = render_thinker_prompt(task, view, char_budget=cfg.run.char_budget)
     context_id = f"{task.id}-s{sub.seed}-p{len(sub.prefix_actions)}"
     return RolloutContext(context_id=context_id, sub=sub, prompt=prompt,
-                          history=view, weak_prefix=weak_prefix, state=state)
+                          history=view, state=state)
 
 
 class GroupDiscarded(PipelineError):
@@ -295,9 +291,9 @@ def evaluate_thought(world: TextWorld, actor_frozen: PolicyHandle,
     cfg.validate()
     view = context.history.copy()
     view.add_thought(thought.text)
-    continuation, improved_at = _continue(world, task, actor_frozen,
-                                          context.sub, context.state, view,
-                                          cfg.y - cfg.x, cfg.run)
+    continuation, improved_at, _ = _continue(world, task, actor_frozen,
+                                             context.sub, context.state, view,
+                                             cfg.y - cfg.x, cfg.run)
     reward = continuation_reward(cfg.reward_mode, improved_at, cfg.penalty_rate)
     return RewardRecord(context_id=context.context_id, thought=thought,
                         continuation=continuation, reward=reward,
@@ -400,20 +396,19 @@ def export_sft(world: TextWorld, tasks: dict[str, TaskSpec],
                trajectories: list[Trajectory], path: str | Path,
                char_budget: int = 100_000) -> dict:
     """One record per deep thought: the thinker prompt at the anchor and the
-    thought text as completion."""
+    thought text as completion. Each trajectory grows one view; an episode
+    anchors at most one thought per step, so each prompt sees the steps up
+    to its anchor and the thoughts anchored before it."""
     path = Path(path)
     lines = []
     for traj in trajectories:
         task = tasks[traj.task_id]
+        view = HistoryView(traj.task_id, traj.initial_observation)
         for thought in traj.thoughts:
-            view = HistoryView(
-                traj.task_id, traj.initial_observation,
-                steps=[(s.action, s.observation)
-                       for s in traj.steps[:thought.anchor_step]],
-                thoughts=[(t.anchor_step, t.text) for t in traj.thoughts
-                          if t.anchor_step < thought.anchor_step],
-            )
+            for step in traj.steps[len(view.steps):thought.anchor_step]:
+                view.add_step(step.action, step.observation)
             prompt = render_thinker_prompt(task, view, char_budget=char_budget)
+            view.add_thought(thought.text)
             lines.append(json.dumps({"prompt": prompt,
                                      "completion": thought.text},
                                     ensure_ascii=False))
@@ -457,7 +452,7 @@ def forge(world: TextWorld, tasks: list[TaskSpec], strong: PolicyHandle,
                 classify_difficulty(world, task, sub, weak, cfg)
             all_subs.extend(subs)
             for sub in filter_subtasks(subs):
-                context = build_rollout_context(world, task, sub, cfg)
+                context = build_rollout_context(task, sub, cfg)
                 base_seed = seed * 10_000 + len(sub.prefix_actions) * 100
                 try:
                     groups.append(rollout_group(world, task, context, thinker,

@@ -236,12 +236,15 @@ def _latest_plan_step(view: PromptView) -> Optional[str]:
     return None
 
 
+def _repeat_last(view: PromptView) -> str:
+    action = view.steps[-1][0] if view.steps else "look around"
+    return format_actor_output(ActorOutput("keep going", action))
+
+
 def loop_actor(prompt: str, seed: int) -> str:
     if REFLECTION_MARKER in prompt:
         return CANNED_REFLECTION
-    view = parse_prompt(prompt)
-    action = view.steps[-1][0] if view.steps else "look around"
-    return format_actor_output(ActorOutput("keep going", action))
+    return _repeat_last(parse_prompt(prompt))
 
 
 def greedy_actor(prompt: str, seed: int) -> str:
@@ -274,7 +277,7 @@ def obedient_actor(prompt: str, seed: int) -> str:
     planned = _latest_plan_step(view)
     if planned is not None:
         return format_actor_output(ActorOutput("following the plan", planned))
-    return loop_actor(prompt, seed)
+    return _repeat_last(view)
 
 
 def oracle_actor(prompt: str, seed: int) -> str:

@@ -232,6 +232,18 @@ def test_metrics_on_non_store_fails(runner, tmp_path):
     assert "manifest.json" in result.output
 
 
+@pytest.mark.parametrize("timings", ['{"episodes": [', '{"episodes": []}',
+                                     '{"episodes": [1.0, 2.0]}', '[]'])
+def test_metrics_rejects_timings_that_do_not_match_the_manifest(runner, tmp_path,
+                                                                timings):
+    store = run_store(runner, tmp_path)
+    (store / "timings.json").write_text(timings, encoding="utf-8")
+    result = runner.invoke(main, ["metrics", str(store)])
+    assert result.exit_code == 2
+    assert isinstance(result.exception, SystemExit)  # no traceback
+    assert "timings.json" in result.output
+
+
 def test_metrics_corrupt_transcript_names_file_and_line(runner, tmp_path):
     store = run_store(runner, tmp_path)
     transcript = next(store.glob("*.jsonl"))

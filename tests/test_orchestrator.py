@@ -29,12 +29,22 @@ from ttexplore.world import Rule, TextWorld, builtin_world_path, load_world
     {"inner_mode": "warp"},
     {"n_trigger": 0},
     {"max_steps": 0},
-    {"n_trigger": 50, "max_steps": 50},
+    {"n_trigger": 50, "max_steps": 50, "mode": "ttexplore"},
+    {"max_steps": 6, "mode": "reflexion"},
+    {"max_steps": 6, "mode": "bestofn"},
     {"trigger_policy": "sometimes"},
 ])
 def test_invalid_config_rejected(kwargs):
     with pytest.raises(ValueError):
         RunConfig(**kwargs).validate()
+
+
+def test_react_episodes_ignore_the_trigger_bound(minihouse1, oracle):
+    # a ReAct episode never triggers the thinker, so n_trigger does not bound it
+    RunConfig(mode="reflexion", inner_mode="react", max_steps=6).validate()
+    traj = run_mode(minihouse1, oracle, minihouse1.tasks["minihouse-1"],
+                    RunConfig(mode="react", max_steps=6, seed=0))
+    assert traj.final.success and traj.final.steps_used == 6
 
 
 # --- plain episodes ---------------------------------------------------------

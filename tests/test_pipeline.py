@@ -4,6 +4,7 @@ import copy
 import json
 
 import pytest
+import yaml
 
 from ttexplore import load_builtin_world, pipeline
 from ttexplore.orchestrator import (
@@ -40,6 +41,8 @@ from ttexplore.pipeline import (
     sample_thoughts,
 )
 from ttexplore.policies import SCRIPTED_POLICIES, scripted
+from ttexplore.prompts import TRUNCATION_MARKER, HistoryView, render_thinker_prompt
+from ttexplore.world import builtin_world_path, load_world
 
 
 def synthetic_trajectory(task_id, actions, scores, seed=0):
@@ -142,38 +145,23 @@ def test_classification_integrity_check(minihouse2):
 def test_rollout_context_takes_x_weak_steps(minihouse2, classified_subs):
     subs, cfg = classified_subs
     task = minihouse2.tasks["minihouse-2"]
-    ctx = build_rollout_context(minihouse2, task, subs[1], cfg)
-    assert len(ctx.weak_prefix) == cfg.x
-    assert ctx.weak_prefix == subs[1].weak_actions[:cfg.x]
-    assert len(ctx.history.steps) == len(subs[1].prefix_actions) + cfg.x
+    ctx = build_rollout_context(task, subs[1], cfg)
+    assert [a for a, _ in ctx.history.steps] == \
+        subs[1].prefix_actions + subs[1].weak_actions[:cfg.x]
+    assert len(subs[1].weak_actions) > cfg.x
     assert ctx.context_id == "minihouse-2-s0-p3"
 
 
-def test_rollout_context_pads_short_weak_runs(minihouse2, classified_subs):
+def test_context_requires_classified_sub(minihouse2, classified_subs):
+    task = minihouse2.tasks["minihouse-2"]
     subs, cfg = classified_subs
-    task = minihouse2.tasks["minihouse-2"]
-    sub = subs[1]
-    sub.weak_actions = sub.weak_actions[:2]
-    ctx = build_rollout_context(minihouse2, task, sub, cfg)
-    assert len(ctx.weak_prefix) == cfg.x
-    assert ctx.weak_prefix[2:] == [sub.weak_actions[-1]] * (cfg.x - 2)
-
-
-def test_rollout_context_integrity_check(minihouse2, classified_subs):
-    subs, cfg = classified_subs
-    task = minihouse2.tasks["minihouse-2"]
-    sub = subs[1]
-    sub.start_score = 66.67  # the prefix really ends at 33.33
-    with pytest.raises(IntegrityError, match="diverged"):
-        build_rollout_context(minihouse2, task, sub, cfg)
-
-
-def test_context_requires_classified_sub(minihouse2):
-    task = minihouse2.tasks["minihouse-2"]
-    sub = SubTask(parent_task_id=task.id, seed=0, prefix_actions=[],
-                  start_score=0.0, target_score=33.33)
-    with pytest.raises(PipelineError, match="classify"):
-        build_rollout_context(minihouse2, task, sub, PipelineConfig())
+    unclassified = SubTask(parent_task_id=task.id, seed=0, prefix_actions=[],
+                           start_score=0.0, target_score=33.33)
+    easy = subs[2]
+    assert easy.difficulty == EASY and easy.weak_actions
+    for sub in (unclassified, easy):
+        with pytest.raises(PipelineError, match="classify"):
+            build_rollout_context(task, sub, cfg)
 
 
 @pytest.mark.parametrize("t,expected", [(None, 0.0), (1, 1.0), (4, 1.0)])
@@ -194,7 +182,7 @@ def test_step_penalty_floor_at_zero():
 def test_rollout_group_rewards_follow_thought_quality(minihouse2, classified_subs):
     subs, cfg = classified_subs
     task = minihouse2.tasks["minihouse-2"]
-    ctx = build_rollout_context(minihouse2, task, subs[1], cfg)
+    ctx = build_rollout_context(task, subs[1], cfg)
     frozen = scripted("actor", "obedient-actor")
     good = rollout_group(minihouse2, task, ctx,
                          scripted("thinker", "oracle-thinker"), frozen, cfg,
@@ -215,7 +203,7 @@ def test_rollout_group_rewards_follow_thought_quality(minihouse2, classified_sub
 def test_continuation_capped_at_y_minus_x(minihouse2, classified_subs):
     subs, cfg = classified_subs
     task = minihouse2.tasks["minihouse-2"]
-    ctx = build_rollout_context(minihouse2, task, subs[0], cfg)
+    ctx = build_rollout_context(task, subs[0], cfg)
     group = rollout_group(minihouse2, task, ctx,
                           scripted("thinker", "null-thinker"),
                           scripted("actor", "obedient-actor"), cfg, base_seed=0)
@@ -227,7 +215,7 @@ def test_unfillable_group_is_discarded_not_padded(minihouse2, classified_subs,
                                                   monkeypatch):
     subs, cfg = classified_subs
     task = minihouse2.tasks["minihouse-2"]
-    ctx = build_rollout_context(minihouse2, task, subs[1], cfg)
+    ctx = build_rollout_context(task, subs[1], cfg)
     monkeypatch.setitem(SCRIPTED_POLICIES, "tagless-thinker",
                         lambda prompt, seed: "no tags")
     with pytest.raises(GroupDiscarded):
@@ -240,7 +228,7 @@ def reference_evaluate_thought(world, actor_frozen, task, context, thought, cfg)
     the prefix and the weak steps from reset for every thought."""
     sub = context.sub
     state, view, _ = replay_with_history(
-        world, task, sub.seed, sub.prefix_actions + context.weak_prefix)
+        world, task, sub.seed, sub.prefix_actions + sub.weak_actions[:cfg.x])
     view.add_thought(thought.text)
     continuation, improved_at = [], None
     for t in range(1, cfg.y - cfg.x + 1):
@@ -260,33 +248,52 @@ def reference_evaluate_thought(world, actor_frozen, task, context, thought, cfg)
 
 @pytest.mark.parametrize("world_name", ["minihouse1", "minihouse2", "keymaze1"])
 def test_snapshot_evaluation_matches_replay_from_reset(world_name, monkeypatch):
+    """Each context is the probe's state after x weak steps and each thought
+    continues from it; both equal a fold from reset."""
     world = load_builtin_world(world_name)
-    pairs = []
-    real = pipeline.evaluate_thought
+    cfg = PipelineConfig()
+    pairs, contexts = [], []
+    real_evaluate = pipeline.evaluate_thought
+    real_build = pipeline.build_rollout_context
 
     def checked(world, actor_frozen, task, context, thought, cfg):
-        record = real(world, actor_frozen, task, context, thought, cfg)
+        record = real_evaluate(world, actor_frozen, task, context, thought, cfg)
         pairs.append((record, reference_evaluate_thought(
             world, actor_frozen, task, context, thought, cfg)))
         return record
 
+    def built(task, sub, cfg):
+        context = real_build(task, sub, cfg)
+        contexts.append((task, context))
+        return context
+
     monkeypatch.setattr(pipeline, "evaluate_thought", checked)
+    monkeypatch.setattr(pipeline, "build_rollout_context", built)
     result = forge(world, list(world.tasks.values()),
                    strong=scripted("actor", "oracle-actor"),
                    weak=scripted("actor", "wanderer-actor"),
                    thinker=scripted("thinker", "noisy-thinker"),
                    actor_frozen=scripted("actor", "obedient-actor"),
-                   cfg=PipelineConfig(), seeds=[0, 1])
+                   cfg=cfg, seeds=[0, 1])
     assert result.groups
     assert len(pairs) == sum(len(g.records) for g in result.groups)
     for record, reference in pairs:
         assert record == reference
+    assert len(contexts) == len(result.groups)
+    for task, context in contexts:
+        sub = context.sub
+        state, view, _ = replay_with_history(
+            world, task, sub.seed, sub.prefix_actions + sub.weak_actions[:cfg.x])
+        assert context.state == state
+        assert context.history == view
+        assert context.prompt == render_thinker_prompt(
+            task, view, char_budget=cfg.run.char_budget)
 
 
 def test_rollout_group_leaves_the_context_untouched(minihouse2, classified_subs):
     subs, cfg = classified_subs
     task = minihouse2.tasks["minihouse-2"]
-    ctx = build_rollout_context(minihouse2, task, subs[1], cfg)
+    ctx = build_rollout_context(task, subs[1], cfg)
     state, history = copy.deepcopy(ctx.state), copy.deepcopy(ctx.history)
     group = rollout_group(minihouse2, task, ctx,
                           scripted("thinker", "oracle-thinker"),
@@ -311,8 +318,9 @@ def test_forge_folds_each_context_once(minihouse2, monkeypatch):
                    thinker=scripted("thinker", "noisy-thinker"),
                    actor_frozen=scripted("actor", "obedient-actor"),
                    cfg=PipelineConfig(), seeds=[0])
-    # one fold per classified sub-task and one per rollout context
-    assert len(calls) == result.manifest["subtasks"] + result.manifest["groups"]
+    # one fold per sub-task: its rollout context comes from the probe
+    assert result.manifest["groups"] == 2
+    assert len(calls) == result.manifest["subtasks"] == 3
 
 
 # --- multi-node rollouts -----------------------------------------------------
@@ -381,7 +389,7 @@ def test_multinode_reward_is_the_task_outcome(keymaze1, nodes, successes):
 def test_export_grpo_schema(minihouse2, classified_subs, tmp_path):
     subs, cfg = classified_subs
     task = minihouse2.tasks["minihouse-2"]
-    ctx = build_rollout_context(minihouse2, task, subs[1], cfg)
+    ctx = build_rollout_context(task, subs[1], cfg)
     group = rollout_group(minihouse2, task, ctx,
                           scripted("thinker", "noisy-thinker"),
                           scripted("actor", "obedient-actor"), cfg, base_seed=0)
@@ -410,6 +418,47 @@ def test_export_sft_one_record_per_thought(minihouse2, greedy, oracle_thinker,
         assert "You are a Thinker Agent" in record["prompt"]
 
 
+def reference_export_sft(world, tasks, trajectories, path, char_budget=100_000):
+    """SFT export as it was before one view per trajectory: rebuild the view
+    from the first step for every thought."""
+    lines = []
+    for traj in trajectories:
+        task = tasks[traj.task_id]
+        for thought in traj.thoughts:
+            view = HistoryView(
+                traj.task_id, traj.initial_observation,
+                steps=[(s.action, s.observation)
+                       for s in traj.steps[:thought.anchor_step]],
+                thoughts=[(t.anchor_step, t.text) for t in traj.thoughts
+                          if t.anchor_step < thought.anchor_step],
+            )
+            prompt = render_thinker_prompt(task, view, char_budget=char_budget)
+            lines.append(json.dumps({"prompt": prompt,
+                                     "completion": thought.text},
+                                    ensure_ascii=False))
+    path.write_text("\n".join(lines) + ("\n" if lines else ""), encoding="utf-8")
+
+
+@pytest.mark.parametrize("char_budget", [100_000, 1500])
+def test_export_sft_matches_a_per_thought_rebuild(keymaze1, char_budget,
+                                                  tmp_path):
+    task = keymaze1.tasks["keymaze-1"]
+    thinker = scripted("thinker", "oracle-thinker")
+    trajs = [run_mode(keymaze1, scripted("actor", actor), task,
+                      RunConfig(mode="ttexplore", seed=seed), thinker)
+             for actor in ("loop-actor", "greedy-actor") for seed in (0, 1)]
+    assert all(len(t.thoughts) > 1 for t in trajs)
+    out, ref = tmp_path / "sft.jsonl", tmp_path / "reference.jsonl"
+    stats = export_sft(keymaze1, keymaze1.tasks, trajs, out,
+                       char_budget=char_budget)
+    reference_export_sft(keymaze1, keymaze1.tasks, trajs, ref,
+                         char_budget=char_budget)
+    assert stats == {"records": sum(len(t.thoughts) for t in trajs)}
+    assert out.read_bytes() == ref.read_bytes()
+    truncated = TRUNCATION_MARKER in out.read_text(encoding="utf-8")
+    assert truncated == (char_budget == 1500)
+
+
 def test_forge_end_to_end(minihouse2, tmp_path):
     result = forge(minihouse2, [minihouse2.tasks["minihouse-2"]],
                    strong=scripted("actor", "oracle-actor"),
@@ -424,6 +473,28 @@ def test_forge_end_to_end(minihouse2, tmp_path):
     rewards = [r.reward for g in result.groups for r in g.records]
     assert set(rewards) <= {0.0, 1.0}
     assert 0.0 in rewards and 1.0 in rewards
+
+
+def test_forge_runs_tasks_with_max_steps_at_the_trigger_interval(minihouse2,
+                                                                 tmp_path):
+    # the strong run is ReAct, so the default n_trigger of 6 does not bound it
+    doc = yaml.safe_load(builtin_world_path("minihouse2").read_text(encoding="utf-8"))
+    doc["tasks"][0]["max_steps"] = 6
+    path = tmp_path / "six-steps.yaml"
+    path.write_text(yaml.safe_dump(doc), encoding="utf-8")
+    short = load_world(path)
+    results = [forge(world, [world.tasks["minihouse-2"]],
+                     strong=scripted("actor", "oracle-actor"),
+                     weak=scripted("actor", "wanderer-actor"),
+                     thinker=scripted("thinker", "noisy-thinker"),
+                     actor_frozen=scripted("actor", "obedient-actor"),
+                     cfg=PipelineConfig(), seeds=[0])
+               for world in (short, minihouse2)]
+    assert short.tasks["minihouse-2"].max_steps_default == 6
+    assert results[0].manifest == results[1].manifest
+    assert results[0].manifest["groups"] == 2
+    assert results[0].manifest["difficulty_counts"] == {EASY: 1, MEDIUM: 1, HARD: 1}
+    assert results[0].manifest["mean_reward"] == 0.75
 
 
 def test_forge_skips_flat_strong_runs(minihouse2):

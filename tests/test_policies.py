@@ -6,6 +6,7 @@ from http.server import BaseHTTPRequestHandler, HTTPServer
 
 import pytest
 
+from ttexplore import policies
 from ttexplore.orchestrator import RunConfig, run_mode
 from ttexplore.policies import (
     SCRIPTED_POLICIES,
@@ -65,6 +66,24 @@ def test_loop_actor_repeats_last_action(minihouse1):
     prompt = actor_prompt(minihouse1, "minihouse-1",
                           steps=[("go to kitchen", "fine")])
     assert parse_actor_output(complete(handle, prompt)).action == "go to kitchen"
+
+
+def test_obedient_actor_without_a_plan_loops_on_one_parse(minihouse1,
+                                                          monkeypatch):
+    prompt = actor_prompt(minihouse1, "minihouse-1",
+                          steps=[("go to kitchen", "fine")])
+    calls = []
+    real = policies.parse_prompt
+
+    def counting(text):
+        calls.append(text)
+        return real(text)
+
+    monkeypatch.setattr(policies, "parse_prompt", counting)
+    answer = complete(scripted("actor", "obedient-actor"), prompt)
+    assert len(calls) == 1
+    assert answer == complete(scripted("actor", "loop-actor"), prompt)
+    assert parse_actor_output(answer).action == "go to kitchen"
 
 
 def test_greedy_actor_follows_plan_lines(minihouse1):
