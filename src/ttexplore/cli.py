@@ -25,7 +25,7 @@ from .config import (
 )
 from .metrics import DEFAULT_K, aggregate, episode_metrics
 from .orchestrator import RunStoreError, read_transcript, run_batch, write_json_atomic
-from .pipeline import export_grpo, export_sft, forge
+from .pipeline import export_grpo, forge
 from .world import TextWorld, WorldValidationError, load_world
 
 
@@ -279,7 +279,7 @@ def _verify_episode(world: TextWorld, task, entry: dict,
 @click.option("--label", default=None,
               help="Suffix for the new output directory name.")
 def cmd_forge(config_path, out_dir, label) -> None:
-    """Build grouped thinker training data and SFT pairs.
+    """Build grouped thinker training data.
 
     Difficulty thresholds default to x=5 and y=15 weak-policy steps; the
     step-penalty reward rate defaults to 0.05 per extra step.
@@ -299,8 +299,6 @@ def cmd_forge(config_path, out_dir, label) -> None:
     result = forge(world, tasks, exp.strong, exp.weak, exp.thinker, exp.actor,
                    exp.pipeline, seeds=exp.seeds)
     export_grpo(result.groups, out / "grpo.jsonl")
-    export_sft(world, world.tasks, result.strong_trajectories,
-               out / "sft.jsonl", char_budget=exp.run.char_budget)
     write_json_atomic(out / "forge_manifest.json", result.manifest)
     click.echo(f"store: {out}")
     click.echo(json.dumps(result.manifest, indent=2, sort_keys=True))

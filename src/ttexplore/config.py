@@ -7,9 +7,9 @@ environment variables only, never from config files.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, fields
+from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Optional
+from typing import Optional, get_type_hints
 
 import yaml
 
@@ -23,7 +23,9 @@ class ConfigValidationError(ValueError):
     pass
 
 
-_POLICY_KEYS_SCRIPTED = {"backend", "name", "temperature", "max_output_tokens"}
+# a scripted policy is a pure function of (prompt, seed): decode settings
+# would never reach it
+_POLICY_KEYS_SCRIPTED = {"backend", "name"}
 _POLICY_KEYS_REMOTE = {"backend", "endpoint", "model", "api_key_env",
                        "max_retries", "timeout_s", "temperature",
                        "max_output_tokens"}
@@ -33,24 +35,23 @@ def _check_keys(data: dict, allowed: set, where: str) -> None:
     unknown = set(data) - allowed
     if unknown:
         raise ConfigValidationError(
-            f"unknown key(s) in {where}: {', '.join(sorted(unknown))}")
+            f"unknown key(s) in {where}: {', '.join(sorted(map(str, unknown)))}")
 
 
 def parse_policy(data: dict, role: str, where: str) -> PolicyHandle:
     if not isinstance(data, dict) or "backend" not in data:
         raise ConfigValidationError(f"{where}: policy needs a 'backend' key")
-    decode = DecodeParams(
-        temperature=float(data.get("temperature", 0.0)),
-        max_output_tokens=int(data.get("max_output_tokens", 1024)),
-    )
     if data["backend"] == "scripted":
         _check_keys(data, _POLICY_KEYS_SCRIPTED, where)
         if "name" not in data:
             raise ConfigValidationError(f"{where}: scripted policy needs 'name'")
-        return PolicyHandle(role=role, backend=ScriptedBackend(data["name"]),
-                            decode=decode)
+        return PolicyHandle(role=role, backend=ScriptedBackend(data["name"]))
     if data["backend"] == "remote":
         _check_keys(data, _POLICY_KEYS_REMOTE, where)
+        decode = DecodeParams(
+            temperature=float(data.get("temperature", 0.0)),
+            max_output_tokens=int(data.get("max_output_tokens", 1024)),
+        )
         for key in ("endpoint", "model"):
             if key not in data:
                 raise ConfigValidationError(f"{where}: remote policy needs {key!r}")
@@ -66,9 +67,10 @@ def parse_policy(data: dict, role: str, where: str) -> PolicyHandle:
         f"{where}: backend must be 'scripted' or 'remote', got {data['backend']!r}")
 
 
-_RUN_KEYS = {f.name for f in fields(RunConfig)}
+_RUN_TYPES = get_type_hints(RunConfig)
 
-_PIPELINE_KEYS = {f.name for f in fields(PipelineConfig)} - {"run"}
+_PIPELINE_TYPES = {k: t for k, t in get_type_hints(PipelineConfig).items()
+                   if k != "run"}
 
 _TOP_KEYS = {"world", "tasks", "actor", "thinker", "weak", "strong",
              "run", "pipeline", "store_dir", "seeds", "parallelism"}
@@ -103,11 +105,29 @@ def resolve_world_path(name_or_path: str) -> Path:
         f"world {name_or_path!r}: no such file and no builtin world by that name")
 
 
+def _section(data: dict, key: str, types: dict[str, type], where: str) -> dict:
+    """The `key:` mapping of a config, each value of its field's type; an int
+    passes for a float, a bool never passes for an int."""
+    section = data.get(key) or {}
+    if not isinstance(section, dict):
+        raise ConfigValidationError(f"{where}: {key!r} must be a mapping")
+    _check_keys(section, set(types), f"{where}:{key}")
+    for name, value in section.items():
+        want = types[name]
+        if type(value) is not want and not (want is float and type(value) is int):
+            raise ConfigValidationError(f"{where}:{key}: {name} must be of "
+                                        f"type {want.__name__}, got {value!r}")
+    return section
+
+
 def load_config(path: str | Path) -> ExperimentConfig:
     path = Path(path)
     if not path.exists():
         raise ConfigValidationError(f"config file not found: {path}")
-    data = yaml.safe_load(path.read_text(encoding="utf-8")) or {}
+    try:
+        data = yaml.safe_load(path.read_text(encoding="utf-8")) or {}
+    except (OSError, UnicodeError, yaml.YAMLError) as exc:
+        raise ConfigValidationError(f"{path}: cannot load config: {exc}") from None
     if not isinstance(data, dict):
         raise ConfigValidationError(f"{path}: config must be a mapping")
     _check_keys(data, _TOP_KEYS, str(path))
@@ -116,16 +136,15 @@ def load_config(path: str | Path) -> ExperimentConfig:
     if "actor" not in data:
         raise ConfigValidationError(f"{path}: missing required key 'actor'")
 
+    if not isinstance(data["world"], str):
+        raise ConfigValidationError(f"{path}: 'world' must be a name or a path")
     resolve_world_path(data["world"])  # existence check at load time
 
-    run_data = data.get("run", {}) or {}
-    _check_keys(run_data, _RUN_KEYS, f"{path}:run")
-    run = RunConfig(**run_data)
+    run = RunConfig(**_section(data, "run", _RUN_TYPES, str(path)))
     run.validate()
 
-    pipe_data = data.get("pipeline", {}) or {}
-    _check_keys(pipe_data, _PIPELINE_KEYS, f"{path}:pipeline")
-    pipeline = PipelineConfig(**pipe_data)
+    pipeline = PipelineConfig(**_section(data, "pipeline", _PIPELINE_TYPES,
+                                         str(path)))
     pipeline.run = run
     pipeline.validate()
 

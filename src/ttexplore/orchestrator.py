@@ -168,6 +168,12 @@ def _should_trigger(cfg: RunConfig, t: int, view: HistoryView) -> bool:
     return True
 
 
+def _aborted(exc: Exception) -> str:
+    """Log a policy backend failure; return it as a trajectory's `error`."""
+    log.error("episode aborted: %s", exc)
+    return f"{type(exc).__name__}: {exc}"
+
+
 def _run_episode(world: TextWorld, actor: PolicyHandle, task: TaskSpec,
                  cfg: RunConfig, thinker: Optional[PolicyHandle] = None,
                  reflections: Optional[list[str]] = None,
@@ -196,8 +202,7 @@ def _run_episode(world: TextWorld, actor: PolicyHandle, task: TaskSpec,
                     traj.thoughts.append(DeepThought(text=text, anchor_step=t))
                     view.add_thought(text)
     except (RemoteError, ConfigError) as exc:  # a policy backend failed
-        log.error("episode aborted: %s", exc)
-        traj.error = f"{type(exc).__name__}: {exc}"
+        traj.error = _aborted(exc)
     traj.final = Final(success=done, process_score=score,
                        steps_used=len(traj.steps))
     return traj
@@ -227,7 +232,9 @@ def _reflection_prompt(task: TaskSpec, traj: Trajectory) -> str:
 def _reflexion(world: TextWorld, actor: PolicyHandle, task: TaskSpec,
                cfg: RunConfig, thinker: Optional[PolicyHandle]) -> Trajectory:
     """Up to retries_N independent attempts; after each failure a reflection
-    generated by the actor backend is prepended to the next attempt."""
+    generated by the actor backend is prepended to the next attempt. A backend
+    failure while reflecting ends the retries: the best attempt so far is
+    returned with the failure as its `error`."""
     reflections: list[str] = []
     best: Optional[Trajectory] = None
     for attempt in range(cfg.retries_N):
@@ -239,8 +246,12 @@ def _reflexion(world: TextWorld, actor: PolicyHandle, task: TaskSpec,
         if traj.final.success:
             break
         if attempt < cfg.retries_N - 1:
-            reflection = complete(actor, _reflection_prompt(task, traj),
-                                  seed=cfg.seed).strip()
+            try:
+                reflection = complete(actor, _reflection_prompt(task, traj),
+                                      seed=cfg.seed).strip()
+            except (RemoteError, ConfigError) as exc:  # a policy backend failed
+                best.error = _aborted(exc)
+                break
             reflections.append(reflection)
     assert best is not None
     return best

@@ -6,10 +6,11 @@ easy ones, keep the probe's state and history after its x-th weak step as
 each kept sub-task's shared rollout context (one fold from reset per
 sub-task), sample the trainable thinker m times per context, score each
 thought by letting a frozen actor continue from the context's state, and
-export the grouped records for policy-gradient training plus thinker SFT
-pairs. A sub-task is completed at the first step whose score rises above its
-start score. The multi-node ablation, `build_multinode_contexts`, runs whole
-capped episodes outside `forge`.
+export the grouped records for policy-gradient training. `export_sft` turns
+ttexplore-mode trajectories into thinker SFT pairs. A sub-task is completed
+at the first step whose score rises above its start score. The multi-node
+ablation, `build_multinode_contexts`, runs whole capped episodes outside
+`forge`.
 """
 
 from __future__ import annotations

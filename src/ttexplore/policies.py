@@ -13,14 +13,16 @@ Two backend families:
 
 from __future__ import annotations
 
+import http.client
+import json
 import os
 import random
 import time
+import urllib.error
+import urllib.request
 import zlib
 from dataclasses import dataclass, field
 from typing import Callable, Optional
-
-import requests
 
 from .prompts import (
     ActorOutput,
@@ -74,9 +76,8 @@ class PolicyHandle:
     decode: DecodeParams = field(default_factory=DecodeParams)
 
 
-def scripted(role: str, name: str, temperature: float = 0.0) -> PolicyHandle:
-    return PolicyHandle(role=role, backend=ScriptedBackend(name),
-                        decode=DecodeParams(temperature=temperature))
+def scripted(role: str, name: str) -> PolicyHandle:
+    return PolicyHandle(role=role, backend=ScriptedBackend(name))
 
 
 def complete(policy: PolicyHandle, prompt: str, seed: int = 0) -> str:
@@ -97,12 +98,12 @@ def _complete_remote(policy: PolicyHandle, prompt: str) -> str:
     api_key = os.environ.get(backend.api_key_env)
     if api_key:
         headers["Authorization"] = f"Bearer {api_key}"
-    payload = {
+    payload = json.dumps({
         "model": backend.model,
         "messages": [{"role": "user", "content": prompt}],
         "temperature": policy.decode.temperature,
         "max_tokens": policy.decode.max_output_tokens,
-    }
+    }).encode("utf-8")
     last_error: Optional[Exception] = None
     attempts = 0
     status: Optional[int] = None
@@ -110,18 +111,22 @@ def _complete_remote(policy: PolicyHandle, prompt: str) -> str:
         attempts = attempt + 1
         status = None
         try:
-            resp = requests.post(backend.endpoint, json=payload, headers=headers,
-                                 timeout=backend.timeout_s)
-            status = resp.status_code
-            resp.raise_for_status()
-            return resp.json()["choices"][0]["message"]["content"]
-        except (requests.RequestException, LookupError, TypeError,
+            request = urllib.request.Request(backend.endpoint, data=payload,
+                                             headers=headers, method="POST")
+            with urllib.request.urlopen(request, timeout=backend.timeout_s) as resp:
+                status = resp.status
+                body = json.loads(resp.read())
+            return body["choices"][0]["message"]["content"]
+        except urllib.error.HTTPError as exc:  # an answer with a 3xx-5xx status
+            status, last_error = exc.code, exc
+            exc.close()
+        except (OSError, http.client.HTTPException, LookupError, TypeError,
                 ValueError) as exc:
             last_error = exc
-            if status is not None and 400 <= status < 500 and status != 429:
-                break  # a client error: retrying sends the same bad request
-            if attempt < backend.max_retries:
-                time.sleep(0.5 * (attempt + 1))
+        if status is not None and 400 <= status < 500 and status != 429:
+            break  # a client error: retrying sends the same bad request
+        if attempt < backend.max_retries:
+            time.sleep(0.5 * (attempt + 1))
     raise RemoteError(f"remote completion failed: {last_error}",
                       attempts=attempts, status=status)
 

@@ -437,36 +437,69 @@ def _validate_world(state: WorldState) -> None:
         raise WorldValidationError(f"agent room {state.agent.room!r} does not exist")
 
 
+def _field(spec, key: str, where: str):
+    """`spec[key]`; a `spec` that is not a mapping or lacks the key fails
+    naming `where` and the key."""
+    if not isinstance(spec, dict):
+        raise WorldValidationError(f"{where}: expected a mapping, got {spec!r}")
+    if key not in spec:
+        raise WorldValidationError(f"{where}: missing key {key!r}")
+    return spec[key]
+
+
+_TOP_LEVEL = {"id": str, "rooms": list, "entities": dict, "agent": dict,
+              "rules": list, "tasks": list}
+
+
 def load_world(path: str | Path) -> TextWorld:
-    """Load a world definition file and its tasks."""
+    """Load a world definition file and its tasks; every schema violation is a
+    WorldValidationError naming the file."""
     path = Path(path)
-    data = yaml.safe_load(path.read_text(encoding="utf-8"))
-    for key in ("id", "rooms", "entities", "agent", "rules", "tasks"):
+    try:
+        data = yaml.safe_load(path.read_text(encoding="utf-8"))
+    except (OSError, UnicodeError, yaml.YAMLError) as exc:
+        raise WorldValidationError(f"{path}: cannot load world file: {exc}") from None
+    try:
+        return _build_world(data)
+    except WorldValidationError as exc:
+        raise WorldValidationError(f"{path}: {exc}") from None
+
+
+def _build_world(data) -> TextWorld:
+    if not isinstance(data, dict):
+        raise WorldValidationError(f"a world file must be a mapping, got {data!r}")
+    for key, shape in _TOP_LEVEL.items():
         if key not in data:
-            raise WorldValidationError(f"{path}: missing top-level key {key!r}")
+            raise WorldValidationError(f"missing top-level key {key!r}")
+        if not isinstance(data[key], shape):
+            raise WorldValidationError(
+                f"top-level key {key!r} must be of type {shape.__name__}")
 
     entities: dict[str, Entity] = {}
     for eid, spec in data["entities"].items():
+        where = f"entity {eid!r}"
         entities[eid] = Entity(
             id=eid,
-            kind=spec["kind"],
-            location=spec["location"],
+            kind=_field(spec, "kind", where),
+            location=_field(spec, "location", where),
             open=spec.get("open"),
             attributes=set(spec.get("attributes", [])),
         )
-    agent = Agent(room=data["agent"]["room"],
+    agent = Agent(room=_field(data["agent"], "room", "agent"),
                   facing=data["agent"].get("facing"),
                   hand=data["agent"].get("hand"))
     rules = []
-    for r in data["rules"]:
-        if r["guard"] not in GUARDS:
+    for i, r in enumerate(data["rules"], start=1):
+        rid = _field(r, "id", f"rule {i}")
+        guard = _field(r, "guard", f"rule {rid!r}")
+        if guard not in GUARDS:
             raise WorldValidationError(
-                f"rule {r['id']!r}: unknown rule guard: {r['guard']!r}")
+                f"rule {rid!r}: unknown rule guard: {guard!r}")
         if r.get("effect", "reject") != "reject":
             raise WorldValidationError(
-                f"rule {r['id']!r}: unknown effect {r['effect']!r}; "
+                f"rule {rid!r}: unknown effect {r['effect']!r}; "
                 f"rules can only reject")
-        rules.append(Rule(id=r["id"], guard=r["guard"]))
+        rules.append(Rule(id=rid, guard=guard))
     world = TextWorld(data["id"], data["rooms"], entities, agent, rules)
 
     base_state = WorldState(
@@ -477,19 +510,26 @@ def load_world(path: str | Path) -> TextWorld:
     )
     _validate_world(base_state)
 
-    for tdata in data["tasks"]:
+    for i, tdata in enumerate(data["tasks"], start=1):
+        tid = _field(tdata, "id", f"task {i}")
         subgoals = []
-        for g in tdata.get("subgoals", []):
+        for j, g in enumerate(tdata.get("subgoals", [])):
+            conditions = _field(g, "all", f"task {tid!r}: subgoal {j}")
             subgoals.append(Subgoal(description=g.get("description", ""),
-                                    conditions=g.get("all", [])))
+                                    conditions=conditions))
+        try:
+            max_steps = int(tdata.get("max_steps", 50))
+        except (TypeError, ValueError):
+            raise WorldValidationError(f"task {tid!r}: max_steps must be an "
+                                       f"int, got {tdata['max_steps']!r}") from None
         task = TaskSpec(
-            id=tdata["id"],
-            instruction=tdata["instruction"],
+            id=tid,
+            instruction=_field(tdata, "instruction", f"task {tid!r}"),
             initial_world=base_state.copy(),
             subgoals=subgoals,
             action_space_doc=tdata.get("action_space", ""),
             examples=list(tdata.get("examples", [])),
-            max_steps_default=int(tdata.get("max_steps", 50)),
+            max_steps_default=max_steps,
         )
         validate_task(task)
         initial_score = world.process_score(task.initial_world, task)

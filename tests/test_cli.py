@@ -15,6 +15,7 @@ from ttexplore.cli import main
 from ttexplore.config import ConfigValidationError, load_config
 from ttexplore.orchestrator import RunConfig, run_batch
 from ttexplore.policies import SCRIPTED_POLICIES, RemoteError, scripted
+from ttexplore.world import builtin_world_path
 
 
 @pytest.fixture
@@ -337,7 +338,8 @@ def test_forge_produces_exports(runner, tmp_path):
     assert result.exit_code == 0, result.output
     out = next((tmp_path / "out").iterdir())
     assert (out / "grpo.jsonl").exists()
-    assert (out / "sft.jsonl").exists()
+    # the strong policy's ReAct runs have no thoughts to export as SFT pairs
+    assert not (out / "sft.jsonl").exists()
     manifest = json.loads((out / "forge_manifest.json").read_text())
     assert manifest["groups"] == 2
     assert manifest["difficulty_counts"] == {"easy": 1, "medium": 1, "hard": 1}
@@ -384,3 +386,63 @@ def test_validate_broken_world_file(runner, tmp_path):
     result = runner.invoke(main, ["validate", "--world", str(bad)])
     assert result.exit_code != 0
     assert "rooms" in result.output
+
+
+def test_scripted_policy_rejects_decode_settings(runner, tmp_path):
+    doc = config_doc(actor={"backend": "scripted", "name": "greedy-actor",
+                            "temperature": 0.9})
+    result = runner.invoke(main, ["validate", "--config",
+                                  str(write_config(tmp_path, doc))])
+    assert result.exit_code == 2
+    assert "temperature" in result.output
+    assert "config ok" not in result.output
+
+
+def _world_yaml(edit):
+    doc = yaml.safe_load(builtin_world_path("minihouse1").read_text(
+        encoding="utf-8"))
+    edit(doc)
+    return yaml.safe_dump(doc)
+
+
+def _config_yaml(**overrides):
+    return yaml.safe_dump(config_doc(**overrides))
+
+
+@pytest.mark.parametrize("option,text,named", [
+    ("--world", None, []),  # no such file
+    ("--world", "", ["mapping"]),
+    ("--world", _world_yaml(lambda d: d["entities"]["apple 1"].pop("kind")),
+     ["apple 1", "'kind'"]),
+    ("--world", _world_yaml(lambda d: d["rules"][1].pop("guard")),
+     ["one-item-hand", "'guard'"]),
+    ("--world", _world_yaml(lambda d: d["tasks"][0].pop("instruction")),
+     ["minihouse-1", "'instruction'"]),
+    ("--world", _world_yaml(lambda d: d["tasks"][0]["subgoals"].append("x")),
+     ["minihouse-1", "subgoal 3"]),
+    ("--world", _world_yaml(lambda d: d["tasks"][0].update(max_steps="many")),
+     ["minihouse-1", "max_steps"]),
+    ("--world", "id: [unclosed\n", []),
+    ("--config", "world: minihouse1\nactor: {backend: scripted\n", []),
+    ("--config", _config_yaml(world=["minihouse1"]), ["world"]),
+    ("--config", _config_yaml(run=[1, 2]), ["run", "mapping"]),
+    ("--config", _config_yaml(run={"n_trigger": "six"}), ["n_trigger", "int"]),
+    ("--config", _config_yaml(run={"max_steps": True}), ["max_steps", "int"]),
+    ("--config", _config_yaml(pipeline={"x": "5"}), ["pipeline", "x", "int"]),
+    ("--config", _config_yaml(pipeline={"penalty_rate": "0.1"}),
+     ["penalty_rate", "float"]),
+], ids=["missing-world", "empty-world", "entity-without-kind",
+        "rule-without-guard", "task-without-instruction", "subgoal-not-a-mapping",
+        "task-max-steps-not-an-int", "world-yaml-syntax", "config-yaml-syntax",
+        "config-world-list", "run-list", "run-str-for-int", "run-bool-for-int",
+        "pipeline-str-for-int", "pipeline-str-for-float"])
+def test_validate_malformed_input_fails_naming_the_file_and_key(
+        runner, tmp_path, option, text, named):
+    path = tmp_path / "bad.yaml"
+    if text is not None:
+        path.write_text(text, encoding="utf-8")
+    result = runner.invoke(main, ["validate", option, str(path)])
+    assert result.exit_code == 2, result.output
+    assert result.output.startswith("error: ")
+    for word in ["bad.yaml", *named]:
+        assert word in result.output

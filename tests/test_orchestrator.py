@@ -234,6 +234,30 @@ def test_reflexion_returns_best_attempt_when_all_fail(minihouse1, greedy):
     assert traj.final.process_score == 0.0
 
 
+def test_reflection_backend_failure_aborts_the_episode_not_the_batch(
+        minihouse1, monkeypatch, tmp_path):
+    greedy_actor = SCRIPTED_POLICIES["greedy-actor"]
+
+    def fails_to_reflect(prompt, seed):
+        if prompt.startswith("Reflection Request:"):
+            raise RemoteError("backend gone", attempts=3, status=503)
+        return greedy_actor(prompt, seed)
+
+    monkeypatch.setitem(SCRIPTED_POLICIES, "reflect-crash-actor", fails_to_reflect)
+    cfg = RunConfig(mode="reflexion", inner_mode="react", retries_N=2,
+                    max_steps=5, seed=0)
+    results = run_batch(minihouse1, [(minihouse1.tasks["minihouse-1"], 0)], cfg,
+                        scripted("actor", "reflect-crash-actor"),
+                        store_dir=tmp_path)
+    [result] = results
+    traj = result.trajectory
+    assert traj.error == "RemoteError: backend gone"
+    assert traj.mode == "reflexion"
+    assert traj.final.steps_used == 5  # the first attempt, the only one run
+    manifest = json.loads((tmp_path / "manifest.json").read_text())
+    assert [e["error"] for e in manifest["episodes"]] == ["RemoteError: backend gone"]
+
+
 # --- best-of-N --------------------------------------------------------------
 
 def test_best_of_n_single_sample_is_identity(minihouse1, greedy, oracle_thinker):

@@ -1,11 +1,15 @@
 """Scripted fixture policies and the remote backend contract."""
 
 import json
+import os
+import subprocess
+import sys
 import threading
 from http.server import BaseHTTPRequestHandler, HTTPServer
 
 import pytest
 
+import ttexplore
 from ttexplore import policies
 from ttexplore.orchestrator import RunConfig, run_mode
 from ttexplore.policies import (
@@ -156,114 +160,37 @@ def test_staged_actor_progresses_with_reflections(minihouse1, oracle):
     assert not traj.final.success  # two steps only, then idles
 
 
-# --- remote backend --------------------------------------------------------
-
-class FakeResponse:
-    def __init__(self, payload, status=200):
-        self._payload = payload
-        self.status_code = status
-
-    def raise_for_status(self):
-        if self.status_code >= 400:
-            import requests
-            raise requests.HTTPError(f"status {self.status_code}")
-
-    def json(self):
-        return self._payload
-
-
-def remote_handle():
-    return PolicyHandle(
-        role="actor",
-        backend=RemoteBackend(endpoint="http://example.invalid/v1/chat",
-                              model="test-model", max_retries=1, timeout_s=1.0),
-        decode=DecodeParams(temperature=0.5, max_output_tokens=64),
-    )
-
-
-def test_remote_success_and_payload(monkeypatch):
-    calls = []
-
-    def fake_post(url, json=None, headers=None, timeout=None):
-        calls.append((url, json, headers))
-        return FakeResponse(
-            {"choices": [{"message": {"content": "<think>t</think>"
-                                                 "<answer>go</answer>"}}]})
-
-    monkeypatch.setattr("ttexplore.policies.requests.post", fake_post)
-    monkeypatch.setenv("TTEXPLORE_API_KEY", "sk-test")
-    out = complete(remote_handle(), "the prompt")
-    assert "go" in out
-    url, payload, headers = calls[0]
-    assert payload["messages"] == [{"role": "user", "content": "the prompt"}]
-    assert payload["temperature"] == 0.5
-    assert headers["Authorization"] == "Bearer sk-test"
-
-
-def test_remote_key_never_in_payload(monkeypatch):
-    captured = {}
-
-    def fake_post(url, json=None, headers=None, timeout=None):
-        captured["json"] = json
-        return FakeResponse({"choices": [{"message": {"content": "x"}}]})
-
-    monkeypatch.setattr("ttexplore.policies.requests.post", fake_post)
-    monkeypatch.setenv("TTEXPLORE_API_KEY", "sk-secret")
-    complete(remote_handle(), "p")
-    assert "sk-secret" not in json.dumps(captured["json"])
-
-
-def test_remote_retries_then_raises(monkeypatch):
-    attempts = []
-
-    def fake_post(url, json=None, headers=None, timeout=None):
-        attempts.append(1)
-        return FakeResponse({}, status=500)
-
-    monkeypatch.setattr("ttexplore.policies.requests.post", fake_post)
-    monkeypatch.setattr("ttexplore.policies.time.sleep", lambda s: None)
-    with pytest.raises(RemoteError) as exc:
-        complete(remote_handle(), "p")
-    assert exc.value.attempts == 2  # max_retries=1 means two attempts
-    assert len(attempts) == 2
-
-
-def test_remote_malformed_body_is_an_error(monkeypatch):
-    monkeypatch.setattr("ttexplore.policies.requests.post",
-                        lambda *a, **k: FakeResponse({"unexpected": True}))
-    monkeypatch.setattr("ttexplore.policies.time.sleep", lambda s: None)
-    with pytest.raises(RemoteError):
-        complete(remote_handle(), "p")
-
-
-@pytest.mark.parametrize("body", [{"choices": []}, {"choices": None},
-                                  {"choices": [{"message": None}]}])
-def test_remote_body_of_wrong_shape_is_an_error(monkeypatch, body):
-    monkeypatch.setattr("ttexplore.policies.requests.post",
-                        lambda *a, **k: FakeResponse(body))
-    monkeypatch.setattr("ttexplore.policies.time.sleep", lambda s: None)
-    with pytest.raises(RemoteError):
-        complete(remote_handle(), "p")
-
-
-# --- remote failure classes, against a loopback server -----------------------
+# --- remote backend, against a loopback server -------------------------------
 
 class StatusStub:
     """A loopback chat endpoint that answers the n-th request with
-    `statuses[n]` (the last status repeats); a 200 carries a completion."""
+    `statuses[n]` (the last status repeats); a 200 carries `body`, by default
+    a completion. Each request's headers and JSON payload are kept in
+    `received`. With `delay_s` set, every answer waits that long, and a
+    request still waiting when the test ends gets no answer."""
 
     def __init__(self):
         self.statuses = [200]
+        self.body = json.dumps(
+            {"choices": [{"message": {"content": "done"}}]}).encode()
+        self.delay_s = 0.0
+        self.done = threading.Event()
         self.requests = 0
+        self.received = []
         stub = self
 
         class Handler(BaseHTTPRequestHandler):
             def do_POST(self):
-                self.rfile.read(int(self.headers["Content-Length"]))
+                payload = self.rfile.read(int(self.headers["Content-Length"]))
+                stub.received.append((self.headers, json.loads(payload)))
                 status = stub.statuses[min(stub.requests, len(stub.statuses) - 1)]
                 stub.requests += 1
-                body = json.dumps({"choices": [{"message": {"content": "done"}}]}
-                                  if status == 200 else {"error": status}).encode()
+                # not time.sleep: the `sleeps` fixture replaces it in every
+                # thread, this one included
+                if stub.delay_s and stub.done.wait(stub.delay_s):
+                    return
+                body = (stub.body if status == 200
+                        else json.dumps({"error": status}).encode())
                 self.send_response(status)
                 self.send_header("Content-Type", "application/json")
                 self.send_header("Content-Length", str(len(body)))
@@ -277,16 +204,20 @@ class StatusStub:
         self.thread = threading.Thread(target=self.httpd.serve_forever,
                                        kwargs={"poll_interval": 0.05}, daemon=True)
 
-    def handle(self, max_retries=2):
+    def handle(self, max_retries=2, timeout_s=5.0):
         host, port = self.httpd.server_address[:2]
-        return PolicyHandle(role="actor", backend=RemoteBackend(
-            endpoint=f"http://{host}:{port}/v1/chat/completions",
-            model="test-model", max_retries=max_retries, timeout_s=5.0))
+        return PolicyHandle(
+            role="actor",
+            backend=RemoteBackend(
+                endpoint=f"http://{host}:{port}/v1/chat/completions",
+                model="test-model", max_retries=max_retries,
+                timeout_s=timeout_s),
+            decode=DecodeParams(temperature=0.5, max_output_tokens=64))
 
 
 @pytest.fixture
 def stub(monkeypatch):
-    # requests would send even a loopback call to a proxy named in the environment
+    # urllib sends even a loopback call to a proxy named in the environment
     monkeypatch.setenv("NO_PROXY", "127.0.0.1")
     monkeypatch.setenv("no_proxy", "127.0.0.1")
     server = StatusStub()
@@ -294,6 +225,7 @@ def stub(monkeypatch):
     try:
         yield server
     finally:
+        server.done.set()
         server.httpd.shutdown()
         server.thread.join(timeout=10)
         server.httpd.server_close()
@@ -305,6 +237,71 @@ def sleeps(monkeypatch):
     slept = []
     monkeypatch.setattr("ttexplore.policies.time.sleep", slept.append)
     return slept
+
+
+def test_remote_success_and_payload(stub, monkeypatch):
+    stub.body = json.dumps({"choices": [{"message": {
+        "content": "<think>t</think><answer>go</answer>"}}]}).encode()
+    monkeypatch.setenv("TTEXPLORE_API_KEY", "sk-test")
+    out = complete(stub.handle(), "the prompt")
+    assert "go" in out
+    headers, payload = stub.received[0]
+    assert payload["model"] == "test-model"
+    assert payload["messages"] == [{"role": "user", "content": "the prompt"}]
+    assert payload["temperature"] == 0.5
+    assert payload["max_tokens"] == 64
+    assert headers["Authorization"] == "Bearer sk-test"
+
+
+def test_remote_key_never_in_payload(stub, monkeypatch):
+    monkeypatch.setenv("TTEXPLORE_API_KEY", "sk-secret")
+    complete(stub.handle(), "p")
+    _, payload = stub.received[0]
+    assert "sk-secret" not in json.dumps(payload)
+
+
+def test_remote_retries_then_raises(stub, sleeps):
+    stub.statuses = [500]
+    with pytest.raises(RemoteError) as exc:
+        complete(stub.handle(max_retries=1), "p")
+    assert exc.value.attempts == 2  # max_retries=1 means two attempts
+    assert stub.requests == 2
+
+
+def test_remote_malformed_body_is_an_error(stub, sleeps):
+    stub.body = json.dumps({"unexpected": True}).encode()
+    with pytest.raises(RemoteError) as exc:
+        complete(stub.handle(), "p")
+    assert exc.value.status == 200
+    assert exc.value.attempts == stub.requests == 3
+
+
+@pytest.mark.parametrize("body", [{"choices": []}, {"choices": None},
+                                  {"choices": [{"message": None}]}])
+def test_remote_body_of_wrong_shape_is_an_error(stub, sleeps, body):
+    stub.body = json.dumps(body).encode()
+    with pytest.raises(RemoteError) as exc:
+        complete(stub.handle(), "p")
+    assert exc.value.status == 200
+    assert exc.value.attempts == stub.requests == 3
+
+
+def test_remote_non_json_body_is_an_error(stub, sleeps):
+    stub.body = b"<html>not json</html>"
+    with pytest.raises(RemoteError) as exc:
+        complete(stub.handle(max_retries=2), "p")
+    assert exc.value.status == 200
+    assert exc.value.attempts == stub.requests == 3
+    assert len(sleeps) == 2
+
+
+def test_remote_timeout_has_no_status(stub, sleeps):
+    stub.delay_s = 30.0
+    with pytest.raises(RemoteError) as exc:
+        complete(stub.handle(max_retries=2, timeout_s=0.2), "p")
+    assert exc.value.status is None
+    assert exc.value.attempts == 3
+    assert len(sleeps) == 2
 
 
 @pytest.mark.parametrize("status,attempts", [(401, 1), (404, 1), (500, 3), (429, 3)])
@@ -325,3 +322,15 @@ def test_remote_recovers_after_a_transient_error(stub, sleeps, status):
     assert complete(stub.handle(max_retries=2), "p") == "done"
     assert stub.requests == 2
     assert len(sleeps) == 1
+
+
+def test_import_loads_no_third_party_http_client():
+    # the remote backend posts through the standard library
+    env = {**os.environ,
+           "PYTHONPATH": os.pathsep.join([os.path.dirname(os.path.dirname(
+               ttexplore.__file__)), os.environ.get("PYTHONPATH", "")])}
+    out = subprocess.run(
+        [sys.executable, "-c", "import sys, ttexplore, ttexplore.cli; "
+                               "print('requests' in sys.modules)"],
+        capture_output=True, text=True, env=env, timeout=60, check=True)
+    assert out.stdout.strip() == "False"
