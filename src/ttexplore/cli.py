@@ -150,12 +150,13 @@ def cmd_run(config_path, mode, n_trigger, max_steps, samples_n, retries_n,
     table = aggregate([r.summary() for r in results])
     click.echo(f"store: {store}")
     click.echo(table.to_text())
-    errors = [r.trajectory.error for r in results if r.trajectory.error]
-    if errors:
-        click.echo(f"{len(errors)} episode(s) aborted on internal errors:",
-                   err=True)
-        for err in errors:
-            click.echo(f"  {err}", err=True)
+    aborted = [r.trajectory for r in results if r.trajectory.error]
+    if aborted:
+        click.echo(f"{len(aborted)} episode(s) aborted on policy backend "
+                   f"failures:", err=True)
+        for traj in aborted:
+            click.echo(f"  {traj.task_id} seed {traj.seed}: {traj.error}",
+                       err=True)
         sys.exit(1)
 
 

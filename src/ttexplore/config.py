@@ -1,15 +1,17 @@
 """Experiment configuration loading.
 
 One structured YAML file is the source of truth; CLI flags override it.
-Unknown keys are errors so typos never pass silently. API keys come from
-environment variables only, never from config files.
+Unknown keys are errors so typos never pass silently, and every value passes
+one type check, with the types of the `RunConfig`, `PipelineConfig`,
+`RemoteBackend` and `DecodeParams` fields. API keys come from environment
+variables only, never from config files.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from pathlib import Path
-from typing import Optional, get_type_hints
+from typing import Optional, get_args, get_origin, get_type_hints
 
 import yaml
 
@@ -23,12 +25,23 @@ class ConfigValidationError(ValueError):
     pass
 
 
+def _fields(cls, *omit: str) -> dict[str, type]:
+    """The settable fields of a config dataclass and their types."""
+    return {k: t for k, t in get_type_hints(cls).items() if k not in omit}
+
+
 # a scripted policy is a pure function of (prompt, seed): decode settings
 # would never reach it
-_POLICY_KEYS_SCRIPTED = {"backend", "name"}
-_POLICY_KEYS_REMOTE = {"backend", "endpoint", "model", "api_key_env",
-                       "max_retries", "timeout_s", "temperature",
-                       "max_output_tokens"}
+_SCRIPTED_TYPES = {"backend": str, "name": str}
+_REMOTE_TYPES = {"backend": str, **_fields(RemoteBackend), **_fields(DecodeParams)}
+
+# RunConfig.seed is set per episode from `seeds`
+_RUN_TYPES = _fields(RunConfig, "seed")
+_PIPELINE_TYPES = _fields(PipelineConfig, "run")
+
+_TOP_TYPES = {"world": str, "tasks": list[str], "seeds": list[int],
+              "parallelism": int, "store_dir": str}
+_TOP_KEYS = {*_TOP_TYPES, "actor", "thinker", "weak", "strong", "run", "pipeline"}
 
 
 def _check_keys(data: dict, allowed: set, where: str) -> None:
@@ -38,42 +51,59 @@ def _check_keys(data: dict, allowed: set, where: str) -> None:
             f"unknown key(s) in {where}: {', '.join(sorted(map(str, unknown)))}")
 
 
+def _of_type(value, want: type) -> bool:
+    return type(value) is want or (want is float and type(value) is int)
+
+
+def _check_types(data: dict, types: dict, where: str) -> None:
+    """Each value of `data` whose key `types` lists has that type: an int
+    passes for a float, a bool never passes for an int, and `list[T]` means
+    a non-empty list of `T`."""
+    for name in types.keys() & data.keys():
+        value, want = data[name], types[name]
+        if get_origin(want) is list:
+            (item,) = get_args(want)
+            ok = (type(value) is list and value != []
+                  and all(_of_type(v, item) for v in value))
+            what = f"a non-empty list of {item.__name__}"
+        else:
+            ok, what = _of_type(value, want), f"of type {want.__name__}"
+        if not ok:
+            raise ConfigValidationError(
+                f"{where}: {name} must be {what}, got {value!r}")
+
+
+def _section(section, types: dict, where: str) -> dict:
+    """`section`, a mapping with only the keys of `types`, each value of its
+    key's type."""
+    if not isinstance(section, dict):
+        raise ConfigValidationError(f"{where}: must be a mapping")
+    _check_keys(section, set(types), where)
+    _check_types(section, types, where)
+    return section
+
+
 def parse_policy(data: dict, role: str, where: str) -> PolicyHandle:
     if not isinstance(data, dict) or "backend" not in data:
         raise ConfigValidationError(f"{where}: policy needs a 'backend' key")
     if data["backend"] == "scripted":
-        _check_keys(data, _POLICY_KEYS_SCRIPTED, where)
+        _section(data, _SCRIPTED_TYPES, where)
         if "name" not in data:
             raise ConfigValidationError(f"{where}: scripted policy needs 'name'")
         return PolicyHandle(role=role, backend=ScriptedBackend(data["name"]))
     if data["backend"] == "remote":
-        _check_keys(data, _POLICY_KEYS_REMOTE, where)
-        decode = DecodeParams(
-            temperature=float(data.get("temperature", 0.0)),
-            max_output_tokens=int(data.get("max_output_tokens", 1024)),
-        )
+        _section(data, _REMOTE_TYPES, where)
         for key in ("endpoint", "model"):
             if key not in data:
                 raise ConfigValidationError(f"{where}: remote policy needs {key!r}")
-        backend = RemoteBackend(
-            endpoint=data["endpoint"],
-            model=data["model"],
-            api_key_env=data.get("api_key_env", "TTEXPLORE_API_KEY"),
-            max_retries=int(data.get("max_retries", 2)),
-            timeout_s=float(data.get("timeout_s", 60.0)),
-        )
-        return PolicyHandle(role=role, backend=backend, decode=decode)
+
+        def given(cls) -> dict:
+            return {k: data[k] for k in _fields(cls) if k in data}
+
+        return PolicyHandle(role=role, backend=RemoteBackend(**given(RemoteBackend)),
+                            decode=DecodeParams(**given(DecodeParams)))
     raise ConfigValidationError(
         f"{where}: backend must be 'scripted' or 'remote', got {data['backend']!r}")
-
-
-_RUN_TYPES = get_type_hints(RunConfig)
-
-_PIPELINE_TYPES = {k: t for k, t in get_type_hints(PipelineConfig).items()
-                   if k != "run"}
-
-_TOP_KEYS = {"world", "tasks", "actor", "thinker", "weak", "strong",
-             "run", "pipeline", "store_dir", "seeds", "parallelism"}
 
 
 @dataclass
@@ -87,8 +117,8 @@ class ExperimentConfig:
     run: RunConfig
     pipeline: PipelineConfig
     store_dir: Path
-    seeds: list[int] = field(default_factory=lambda: [0])
-    parallelism: int = 1
+    seeds: list[int]
+    parallelism: int
 
     def load_world(self) -> TextWorld:
         return load_world(resolve_world_path(self.world_file))
@@ -105,21 +135,6 @@ def resolve_world_path(name_or_path: str) -> Path:
         f"world {name_or_path!r}: no such file and no builtin world by that name")
 
 
-def _section(data: dict, key: str, types: dict[str, type], where: str) -> dict:
-    """The `key:` mapping of a config, each value of its field's type; an int
-    passes for a float, a bool never passes for an int."""
-    section = data.get(key) or {}
-    if not isinstance(section, dict):
-        raise ConfigValidationError(f"{where}: {key!r} must be a mapping")
-    _check_keys(section, set(types), f"{where}:{key}")
-    for name, value in section.items():
-        want = types[name]
-        if type(value) is not want and not (want is float and type(value) is int):
-            raise ConfigValidationError(f"{where}:{key}: {name} must be of "
-                                        f"type {want.__name__}, got {value!r}")
-    return section
-
-
 def load_config(path: str | Path) -> ExperimentConfig:
     path = Path(path)
     if not path.exists():
@@ -131,46 +146,38 @@ def load_config(path: str | Path) -> ExperimentConfig:
     if not isinstance(data, dict):
         raise ConfigValidationError(f"{path}: config must be a mapping")
     _check_keys(data, _TOP_KEYS, str(path))
+    _check_types(data, _TOP_TYPES, str(path))
     if "world" not in data:
         raise ConfigValidationError(f"{path}: missing required key 'world'")
-    if "actor" not in data:
+    if data.get("actor") is None:
         raise ConfigValidationError(f"{path}: missing required key 'actor'")
-
-    if not isinstance(data["world"], str):
-        raise ConfigValidationError(f"{path}: 'world' must be a name or a path")
     resolve_world_path(data["world"])  # existence check at load time
 
-    run = RunConfig(**_section(data, "run", _RUN_TYPES, str(path)))
+    run = RunConfig(**_section(data.get("run") or {}, _RUN_TYPES, f"{path}:run"))
     run.validate()
 
-    pipeline = PipelineConfig(**_section(data, "pipeline", _PIPELINE_TYPES,
-                                         str(path)))
+    pipeline = PipelineConfig(**_section(data.get("pipeline") or {},
+                                         _PIPELINE_TYPES, f"{path}:pipeline"))
     pipeline.run = run
     pipeline.validate()
 
     def policy(key: str, role: str) -> Optional[PolicyHandle]:
-        if key not in data or data[key] is None:
+        if data.get(key) is None:
             return None
         return parse_policy(data[key], role, f"{path}:{key}")
-
-    actor = policy("actor", "actor")
-    assert actor is not None
-    seeds = data.get("seeds", [run.seed])
-    if not isinstance(seeds, list):
-        seeds = [seeds]
 
     return ExperimentConfig(
         world_file=data["world"],
         task_ids=data.get("tasks"),
-        actor=actor,
+        actor=parse_policy(data["actor"], "actor", f"{path}:actor"),
         thinker=policy("thinker", "thinker"),
         weak=policy("weak", "actor"),
         strong=policy("strong", "actor"),
         run=run,
         pipeline=pipeline,
         store_dir=Path(data.get("store_dir", "runs")),
-        seeds=[int(s) for s in seeds],
-        parallelism=int(data.get("parallelism", 1)),
+        seeds=data.get("seeds", [0]),
+        parallelism=data.get("parallelism", 1),
     )
 
 

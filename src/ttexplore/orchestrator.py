@@ -29,9 +29,10 @@ from .prompts import (
     parse_actor_output,
     parse_thinker_output,
     render_actor_prompt,
+    render_reflection_prompt,
     render_thinker_prompt,
 )
-from .world import SENTINEL, TaskSpec, TextWorld
+from .world import TaskSpec, TextWorld
 
 log = logging.getLogger(__name__)
 
@@ -46,8 +47,7 @@ class RunConfig:
     max_steps: int = 50
     retries_N: int = 5
     samples_N: int = 5
-    seed: int = 0
-    trigger_policy: str = "fixed"  # fixed | on_failure
+    seed: int = 0  # set per episode by run_batch
     char_budget: int = 100_000
 
     def validate(self) -> None:
@@ -59,8 +59,6 @@ class RunConfig:
             raise ValueError("n_trigger and max_steps must be positive")
         if self.n_trigger >= self.max_steps and self.episode_kind == "ttexplore":
             raise ValueError("n_trigger must be smaller than max_steps")
-        if self.trigger_policy not in ("fixed", "on_failure"):
-            raise ValueError(f"unknown trigger policy {self.trigger_policy!r}")
 
     @property
     def episode_kind(self) -> str:
@@ -159,15 +157,6 @@ def _think(thinker: PolicyHandle, task: TaskSpec, view: HistoryView, seed: int,
     return None
 
 
-def _should_trigger(cfg: RunConfig, t: int, view: HistoryView) -> bool:
-    if t % cfg.n_trigger != 0 or t >= cfg.max_steps:
-        return False
-    if cfg.trigger_policy == "on_failure":
-        recent = view.steps[-cfg.n_trigger:]
-        return any(obs == SENTINEL for _, obs in recent)
-    return True
-
-
 def _aborted(exc: Exception) -> str:
     """Log a policy backend failure; return it as a trajectory's `error`."""
     log.error("episode aborted: %s", exc)
@@ -196,7 +185,7 @@ def _run_episode(world: TextWorld, actor: PolicyHandle, task: TaskSpec,
             view.add_step(action, obs.text)
             if done:
                 break
-            if thinker is not None and _should_trigger(cfg, t, view):
+            if thinker is not None and t % cfg.n_trigger == 0 and t < cfg.max_steps:
                 text = _think(thinker, task, view, seed, cfg)
                 if text is not None:
                     traj.thoughts.append(DeepThought(text=text, anchor_step=t))
@@ -206,27 +195,6 @@ def _run_episode(world: TextWorld, actor: PolicyHandle, task: TaskSpec,
     traj.final = Final(success=done, process_score=score,
                        steps_used=len(traj.steps))
     return traj
-
-
-def _reflection_prompt(task: TaskSpec, traj: Trajectory) -> str:
-    lines = [
-        "Reflection Request: the previous attempt at this task failed.",
-        "",
-        f"The Task: {task.instruction}",
-        "",
-        "Transcript:",
-    ]
-    for step in traj.steps:
-        lines.append(f"Action: {step.action}")
-        lines.append(f"Observation: {step.observation}")
-    lines += [
-        "",
-        f"Final score: {traj.final.process_score}",
-        "",
-        "Write a short reflection on what went wrong and what to do "
-        "differently in the next attempt.",
-    ]
-    return "\n".join(lines)
 
 
 def _reflexion(world: TextWorld, actor: PolicyHandle, task: TaskSpec,
@@ -246,9 +214,12 @@ def _reflexion(world: TextWorld, actor: PolicyHandle, task: TaskSpec,
         if traj.final.success:
             break
         if attempt < cfg.retries_N - 1:
+            view = HistoryView(task.id, traj.initial_observation,
+                               steps=zip(traj.actions(), traj.observations()))
+            prompt = render_reflection_prompt(task, view, traj.final.process_score,
+                                              cfg.char_budget)
             try:
-                reflection = complete(actor, _reflection_prompt(task, traj),
-                                      seed=cfg.seed).strip()
+                reflection = complete(actor, prompt, seed=cfg.seed).strip()
             except (RemoteError, ConfigError) as exc:  # a policy backend failed
                 best.error = _aborted(exc)
                 break

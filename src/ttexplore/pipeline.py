@@ -64,7 +64,6 @@ class PipelineConfig:
     m: int = 4
     reward_mode: str = BINARY
     penalty_rate: float = 0.05
-    sample_retry_budget: int = 3
     run: RunConfig = field(default_factory=RunConfig)
 
     def validate(self) -> None:
@@ -304,8 +303,7 @@ def evaluate_thought(world: TextWorld, actor_frozen: PolicyHandle,
 def rollout_group(world: TextWorld, task: TaskSpec, context: RolloutContext,
                   thinker: PolicyHandle, actor_frozen: PolicyHandle,
                   cfg: PipelineConfig, base_seed: int = 0) -> RolloutGroup:
-    thoughts = sample_thoughts(thinker, context, cfg.m, base_seed=base_seed,
-                               retry_budget=cfg.sample_retry_budget)
+    thoughts = sample_thoughts(thinker, context, cfg.m, base_seed=base_seed)
     records = [evaluate_thought(world, actor_frozen, task, context, thought, cfg)
                for thought in thoughts]
     group = RolloutGroup(context_id=context.context_id, prompt=context.prompt,

@@ -6,9 +6,9 @@ Two backend families:
   episode state back out of the rendered prompt text, so the whole test suite
   runs offline. The behavior table lives in this module.
 * remote — a chat-completions style HTTP endpoint; one single-turn request per
-  call, API key taken from an environment variable. A 4xx response other than
-  429 fails at once; 5xx, 429, timeouts and malformed bodies are retried up to
-  `max_retries` times.
+  call, API key taken from an environment variable. A 3xx or 4xx response
+  other than 429 fails at once; 5xx, 429, timeouts and malformed bodies are
+  retried up to `max_retries` times.
 """
 
 from __future__ import annotations
@@ -123,8 +123,10 @@ def _complete_remote(policy: PolicyHandle, prompt: str) -> str:
         except (OSError, http.client.HTTPException, LookupError, TypeError,
                 ValueError) as exc:
             last_error = exc
-        if status is not None and 400 <= status < 500 and status != 429:
-            break  # a client error: retrying sends the same bad request
+        if status is not None and 300 <= status < 500 and status != 429:
+            # a client error or an unfollowed redirect: retrying sends the
+            # same request and gets the same answer
+            break
         if attempt < backend.max_retries:
             time.sleep(0.5 * (attempt + 1))
     raise RemoteError(f"remote completion failed: {last_error}",

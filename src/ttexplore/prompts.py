@@ -1,4 +1,5 @@
-"""Prompt rendering and tagged-output parsing for the actor and thinker roles.
+"""Prompt rendering and tagged-output parsing for the actor and thinker roles,
+and the Reflexion baseline's reflection request.
 
 Rendering is pure: two renders of the same inputs produce identical bytes.
 When a rendered prompt would exceed the character budget, the oldest
@@ -262,6 +263,31 @@ def render_thinker_prompt(task: TaskSpec, view: HistoryView,
             THINKER_FORMAT_BLOCK,
         ]
         return "\n".join(parts)
+
+    return _fit_budget(build, view, char_budget)
+
+
+def render_reflection_prompt(task: TaskSpec, view: HistoryView,
+                             process_score: float,
+                             char_budget: int = DEFAULT_CHAR_BUDGET) -> str:
+    """The request for a reflection on a failed attempt whose steps `view`
+    holds; the view carries no thoughts."""
+    _check_history(task, view)
+
+    def build(drop: int) -> str:
+        return "\n".join([
+            "Reflection Request: the previous attempt at this task failed.",
+            "",
+            f"The Task: {task.instruction}",
+            "",
+            "Transcript:",
+            *view._history_lines(drop),
+            "",
+            f"Final score: {process_score}",
+            "",
+            "Write a short reflection on what went wrong and what to do "
+            "differently in the next attempt.",
+        ])
 
     return _fit_budget(build, view, char_budget)
 

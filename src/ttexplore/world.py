@@ -211,6 +211,17 @@ GUARDS = {
 
 # --- subgoal conditions ----------------------------------------------------
 
+# each condition kind and the keys it reads besides `kind`
+CONDITION_KEYS = {
+    "receptacle_open": ("entity",),
+    "in_hand": ("entity",),
+    "was_held": ("entity",),
+    "located": ("entity", "container"),
+    "facing": ("entity",),
+    "agent_in": ("room",),
+}
+
+
 def _cond_holds(state: WorldState, cond: dict) -> bool:
     kind = cond["kind"]
     if kind == "receptacle_open":
@@ -414,13 +425,21 @@ def validate_task(task: TaskSpec) -> None:
     if not task.subgoals:
         raise WorldValidationError(f"task {task.id!r}: subgoals must be non-empty")
     for i, goal in enumerate(task.subgoals):
+        where = f"task {task.id!r}: subgoal {i}"
         if not goal.conditions:
-            raise WorldValidationError(
-                f"task {task.id!r}: subgoal {i} has no conditions")
+            raise WorldValidationError(f"{where} has no conditions")
         for cond in goal.conditions:
-            if "kind" not in cond:
+            if not isinstance(cond, dict) or "kind" not in cond:
+                raise WorldValidationError(f"{where}: condition missing 'kind'")
+            kind = cond["kind"]
+            keys = CONDITION_KEYS.get(kind) if isinstance(kind, str) else None
+            if keys is None:
                 raise WorldValidationError(
-                    f"task {task.id!r}: subgoal {i} condition missing 'kind'")
+                    f"{where}: unknown condition kind {kind!r}")
+            for key in keys:
+                if key not in cond:
+                    raise WorldValidationError(
+                        f"{where}: {kind} condition missing {key!r}")
 
 
 def _validate_world(state: WorldState) -> None:

@@ -14,7 +14,14 @@ from ttexplore import cli, load_builtin_world
 from ttexplore.cli import main
 from ttexplore.config import ConfigValidationError, load_config
 from ttexplore.orchestrator import RunConfig, run_batch
-from ttexplore.policies import SCRIPTED_POLICIES, RemoteError, scripted
+from ttexplore.policies import (
+    SCRIPTED_POLICIES,
+    DecodeParams,
+    PolicyHandle,
+    RemoteBackend,
+    RemoteError,
+    scripted,
+)
 from ttexplore.world import builtin_world_path
 
 
@@ -409,6 +416,10 @@ def _config_yaml(**overrides):
     return yaml.safe_dump(config_doc(**overrides))
 
 
+REMOTE = {"backend": "remote", "model": "m",
+          "endpoint": "http://127.0.0.1:9/v1/chat/completions"}
+
+
 @pytest.mark.parametrize("option,text,named", [
     ("--world", None, []),  # no such file
     ("--world", "", ["mapping"]),
@@ -431,11 +442,36 @@ def _config_yaml(**overrides):
     ("--config", _config_yaml(pipeline={"x": "5"}), ["pipeline", "x", "int"]),
     ("--config", _config_yaml(pipeline={"penalty_rate": "0.1"}),
      ["penalty_rate", "float"]),
+    # a false first condition once hid the second from the load-time score
+    ("--world", _world_yaml(lambda d: d["tasks"][0]["subgoals"][0]["all"]
+                            .append({"kind": "on_top"})),
+     ["minihouse-1", "subgoal 0", "on_top"]),
+    ("--world", _world_yaml(lambda d: d["tasks"][0]["subgoals"][2]["all"][0]
+                            .pop("container")),
+     ["minihouse-1", "subgoal 2", "located", "'container'"]),
+    ("--config", _config_yaml(seeds=["a"]), ["seeds", "int"]),
+    ("--config", _config_yaml(parallelism="two"), ["parallelism", "int"]),
+    ("--config", _config_yaml(actor={**REMOTE, "max_retries": "a"}),
+     ["actor", "max_retries", "int"]),
+    ("--config", _config_yaml(tasks="minihouse-2"), ["tasks", "list"]),
+    ("--config", _config_yaml(store_dir=5), ["store_dir", "str"]),
+    ("--config", _config_yaml(seeds=[]), ["seeds", "non-empty"]),
+    ("--config", _config_yaml(tasks=[]), ["tasks", "non-empty"]),
+    ("--config", _config_yaml(seeds=3), ["seeds", "list"]),
+    ("--config", _config_yaml(actor={**REMOTE, "timeout_s": "60"}),
+     ["actor", "timeout_s", "float"]),
+    ("--config", _config_yaml(run={"seed": 3}), ["run", "seed"]),
+    ("--config", _config_yaml(pipeline={"sample_retry_budget": 3}),
+     ["pipeline", "sample_retry_budget"]),
 ], ids=["missing-world", "empty-world", "entity-without-kind",
         "rule-without-guard", "task-without-instruction", "subgoal-not-a-mapping",
         "task-max-steps-not-an-int", "world-yaml-syntax", "config-yaml-syntax",
         "config-world-list", "run-list", "run-str-for-int", "run-bool-for-int",
-        "pipeline-str-for-int", "pipeline-str-for-float"])
+        "pipeline-str-for-int", "pipeline-str-for-float",
+        "condition-unknown-kind", "condition-missing-key", "seeds-str-item",
+        "parallelism-str", "remote-max-retries-str", "tasks-str",
+        "store-dir-int", "seeds-empty", "tasks-empty", "seeds-scalar",
+        "remote-timeout-str", "run-seed", "pipeline-sample-retry-budget"])
 def test_validate_malformed_input_fails_naming_the_file_and_key(
         runner, tmp_path, option, text, named):
     path = tmp_path / "bad.yaml"
@@ -446,3 +482,37 @@ def test_validate_malformed_input_fails_naming_the_file_and_key(
     assert result.output.startswith("error: ")
     for word in ["bad.yaml", *named]:
         assert word in result.output
+
+
+def test_remote_policy_loads_from_a_config_file(tmp_path):
+    doc = config_doc(actor=REMOTE, thinker={
+        **REMOTE, "model": "t", "api_key_env": "OTHER_KEY", "max_retries": 0,
+        "timeout_s": 5, "temperature": 0.7, "max_output_tokens": 64})
+    exp = load_config(write_config(tmp_path, doc))
+    # only endpoint and model given: every other value is the dataclass default
+    assert exp.actor == PolicyHandle(
+        role="actor", backend=RemoteBackend(REMOTE["endpoint"], "m"),
+        decode=DecodeParams())
+    assert exp.thinker.backend == RemoteBackend(
+        REMOTE["endpoint"], "t", api_key_env="OTHER_KEY", max_retries=0,
+        timeout_s=5.0)
+    assert exp.thinker.decode == DecodeParams(temperature=0.7,
+                                              max_output_tokens=64)
+
+
+def test_run_exits_1_naming_the_aborted_episodes(runner, tmp_path, stub):
+    stub.statuses = [500]
+    actor = {**REMOTE, "endpoint": stub.handle().backend.endpoint,
+             "max_retries": 0}
+    doc = config_doc(actor=actor, run={"mode": "react", "max_steps": 5})
+    result = runner.invoke(main, ["run", "--config",
+                                  str(write_config(tmp_path, doc)),
+                                  "--store-dir", str(tmp_path / "runs")])
+    assert result.exit_code == 1, result.output
+    assert stub.requests == 1  # max_retries: 0 sends one request
+    assert "1 episode(s) aborted" in result.output
+    assert "minihouse-2 seed 0: RemoteError" in result.output
+    store = next((tmp_path / "runs").iterdir())
+    [entry] = json.loads((store / "manifest.json").read_text())["episodes"]
+    assert entry["error"].startswith("RemoteError: ")
+    assert entry["steps_used"] == 0

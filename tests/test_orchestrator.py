@@ -32,7 +32,6 @@ from ttexplore.world import Rule, TextWorld, builtin_world_path, load_world
     {"n_trigger": 50, "max_steps": 50, "mode": "ttexplore"},
     {"max_steps": 6, "mode": "reflexion"},
     {"max_steps": 6, "mode": "bestofn"},
-    {"trigger_policy": "sometimes"},
 ])
 def test_invalid_config_rejected(kwargs):
     with pytest.raises(ValueError):
@@ -141,19 +140,6 @@ def test_no_trigger_after_success(minihouse1, oracle, oracle_thinker):
                     oracle_thinker)
     assert traj.final.steps_used == 6
     assert traj.thoughts == []  # success at step 6 preempts the trigger
-
-
-def test_on_failure_trigger_skips_clean_windows(minihouse1, oracle_thinker):
-    cfg = RunConfig(mode="ttexplore", n_trigger=3, max_steps=10,
-                    trigger_policy="on_failure", seed=0)
-    # the oracle never hits the sentinel, so the thinker must stay silent
-    traj = run_mode(minihouse1, scripted("actor", "oracle-actor"),
-                    minihouse1.tasks["minihouse-1"], cfg, oracle_thinker)
-    assert traj.thoughts == []
-    # the greedy actor fails immediately, so the trigger fires
-    traj = run_mode(minihouse1, scripted("actor", "greedy-actor"),
-                    minihouse1.tasks["minihouse-1"], cfg, oracle_thinker)
-    assert traj.thoughts
 
 
 # --- malformed output handling ---------------------------------------------

@@ -4,8 +4,6 @@ import json
 import os
 import subprocess
 import sys
-import threading
-from http.server import BaseHTTPRequestHandler, HTTPServer
 
 import pytest
 
@@ -18,9 +16,6 @@ from ttexplore.policies import (
     CANNED_REFLECTION,
     REFLECTION_MARKER,
     ConfigError,
-    DecodeParams,
-    PolicyHandle,
-    RemoteBackend,
     RemoteError,
     complete,
     noisy_thinker,
@@ -160,77 +155,7 @@ def test_staged_actor_progresses_with_reflections(minihouse1, oracle):
     assert not traj.final.success  # two steps only, then idles
 
 
-# --- remote backend, against a loopback server -------------------------------
-
-class StatusStub:
-    """A loopback chat endpoint that answers the n-th request with
-    `statuses[n]` (the last status repeats); a 200 carries `body`, by default
-    a completion. Each request's headers and JSON payload are kept in
-    `received`. With `delay_s` set, every answer waits that long, and a
-    request still waiting when the test ends gets no answer."""
-
-    def __init__(self):
-        self.statuses = [200]
-        self.body = json.dumps(
-            {"choices": [{"message": {"content": "done"}}]}).encode()
-        self.delay_s = 0.0
-        self.done = threading.Event()
-        self.requests = 0
-        self.received = []
-        stub = self
-
-        class Handler(BaseHTTPRequestHandler):
-            def do_POST(self):
-                payload = self.rfile.read(int(self.headers["Content-Length"]))
-                stub.received.append((self.headers, json.loads(payload)))
-                status = stub.statuses[min(stub.requests, len(stub.statuses) - 1)]
-                stub.requests += 1
-                # not time.sleep: the `sleeps` fixture replaces it in every
-                # thread, this one included
-                if stub.delay_s and stub.done.wait(stub.delay_s):
-                    return
-                body = (stub.body if status == 200
-                        else json.dumps({"error": status}).encode())
-                self.send_response(status)
-                self.send_header("Content-Type", "application/json")
-                self.send_header("Content-Length", str(len(body)))
-                self.end_headers()
-                self.wfile.write(body)
-
-            def log_message(self, *args):
-                pass
-
-        self.httpd = HTTPServer(("127.0.0.1", 0), Handler)
-        self.thread = threading.Thread(target=self.httpd.serve_forever,
-                                       kwargs={"poll_interval": 0.05}, daemon=True)
-
-    def handle(self, max_retries=2, timeout_s=5.0):
-        host, port = self.httpd.server_address[:2]
-        return PolicyHandle(
-            role="actor",
-            backend=RemoteBackend(
-                endpoint=f"http://{host}:{port}/v1/chat/completions",
-                model="test-model", max_retries=max_retries,
-                timeout_s=timeout_s),
-            decode=DecodeParams(temperature=0.5, max_output_tokens=64))
-
-
-@pytest.fixture
-def stub(monkeypatch):
-    # urllib sends even a loopback call to a proxy named in the environment
-    monkeypatch.setenv("NO_PROXY", "127.0.0.1")
-    monkeypatch.setenv("no_proxy", "127.0.0.1")
-    server = StatusStub()
-    server.thread.start()
-    try:
-        yield server
-    finally:
-        server.done.set()
-        server.httpd.shutdown()
-        server.thread.join(timeout=10)
-        server.httpd.server_close()
-    assert not server.thread.is_alive()
-
+# --- remote backend, against the loopback `stub` of conftest.py ---------------
 
 @pytest.fixture
 def sleeps(monkeypatch):
@@ -304,7 +229,8 @@ def test_remote_timeout_has_no_status(stub, sleeps):
     assert len(sleeps) == 2
 
 
-@pytest.mark.parametrize("status,attempts", [(401, 1), (404, 1), (500, 3), (429, 3)])
+@pytest.mark.parametrize("status,attempts", [(401, 1), (404, 1), (500, 3), (429, 3),
+                                             (307, 1), (308, 1)])
 def test_remote_fails_client_errors_at_once_and_retries_the_rest(
         stub, sleeps, status, attempts):
     stub.statuses = [status]
@@ -313,7 +239,7 @@ def test_remote_fails_client_errors_at_once_and_retries_the_rest(
     assert exc.value.status == status
     assert exc.value.attempts == attempts
     assert stub.requests == attempts
-    assert len(sleeps) == attempts - 1  # a 401 or 404 never sleeps
+    assert len(sleeps) == attempts - 1  # a 3xx, 401 or 404 never sleeps
 
 
 @pytest.mark.parametrize("status", [500, 429])

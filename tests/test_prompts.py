@@ -9,7 +9,7 @@ from hypothesis import strategies as st
 
 from ttexplore import load_builtin_world, prompts
 from ttexplore.orchestrator import RunConfig, run_mode
-from ttexplore.policies import scripted
+from ttexplore.policies import SCRIPTED_POLICIES, loop_actor, scripted
 from ttexplore.prompts import (
     ACTOR_FORMAT_BLOCK,
     THINKER_FORMAT_BLOCK,
@@ -25,6 +25,7 @@ from ttexplore.prompts import (
     parse_prompt,
     parse_thinker_output,
     render_actor_prompt,
+    render_reflection_prompt,
     render_thinker_prompt,
 )
 
@@ -461,3 +462,66 @@ def test_parse_prompt_matches_reference_on_a_long_episode():
         parsed = parse_prompt(prompt)
         assert parsed == _reference_parse_prompt(prompt)
         assert len(parsed.thoughts) == len(view.thoughts)
+
+
+# --- reflection request ------------------------------------------------------
+
+def _reference_reflection_prompt(task, steps, process_score):
+    """The reflection request over a whole failed transcript, unbudgeted, as
+    the episode loop built it before the request was fitted to a budget."""
+    lines = [
+        "Reflection Request: the previous attempt at this task failed.",
+        "",
+        f"The Task: {task.instruction}",
+        "",
+        "Transcript:",
+    ]
+    for action, observation in steps:
+        lines.append(f"Action: {action}")
+        lines.append(f"Observation: {observation}")
+    lines += [
+        "",
+        f"Final score: {process_score}",
+        "",
+        "Write a short reflection on what went wrong and what to do "
+        "differently in the next attempt.",
+    ]
+    return "\n".join(lines)
+
+
+@settings(max_examples=60, deadline=None)
+@given(steps=st.lists(st.tuples(_ANY_TEXT, _ANY_TEXT), max_size=12),
+       score=st.sampled_from([0.0, 33.33, 66.67]))
+def test_reflection_prompt_within_budget_matches_the_reference(mh1_task, steps,
+                                                               score):
+    view = HistoryView(mh1_task.id, "the initial observation", steps=steps)
+    assert render_reflection_prompt(mh1_task, view, score) == \
+        _reference_reflection_prompt(mh1_task, steps, score)
+
+
+def test_reflection_prompt_fits_the_char_budget(monkeypatch):
+    """A 400-step Reflexion attempt under a 1,500-character budget: the
+    reflection request fits and keeps the newest steps."""
+    prompts_seen = []
+
+    def recording_actor(prompt, seed):
+        prompts_seen.append(prompt)
+        return loop_actor(prompt, seed)
+
+    monkeypatch.setitem(SCRIPTED_POLICIES, "recording-actor", recording_actor)
+    world = load_builtin_world("keymaze1")
+    task = world.tasks["keymaze-1"]
+    cfg = RunConfig(mode="reflexion", inner_mode="react", retries_N=2,
+                    max_steps=400, char_budget=1500)
+    traj = run_mode(world, scripted("actor", "recording-actor"), task, cfg)
+    assert not traj.final.success and traj.final.steps_used == 400
+    assert all(len(p) <= 1500 for p in prompts_seen)
+    [reflection] = [p for p in prompts_seen
+                    if p.startswith("Reflection Request:")]
+    _, kept = reflection.split(f"Transcript:\n{TRUNCATION_MARKER}\n")
+    kept_steps = kept.split("\n\nFinal score: ")[0]
+    full = _reference_reflection_prompt(
+        task, zip(traj.actions(), traj.observations()),
+        traj.final.process_score)
+    assert full.split("\n\nFinal score: ")[0].endswith("\n" + kept_steps)
+    assert kept_steps.startswith("Action: ")

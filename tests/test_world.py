@@ -226,6 +226,20 @@ def test_score_monotone_along_solution(minihouse2):
     assert scores == sorted(scores)
 
 
+def test_agent_in_facing_and_in_hand_conditions_are_transient(tmp_path):
+    doc = builtin_doc("minihouse1")
+    doc["tasks"][0]["subgoals"] = [
+        {"all": [{"kind": "agent_in", "room": "kitchen"}]},
+        {"all": [{"kind": "facing", "entity": "fridge 1"}]},
+        {"all": [{"kind": "in_hand", "entity": "apple 1"}]},
+    ]
+    world = load_world(write_world(tmp_path, doc))
+    _, scores, _ = run_actions(world, world.tasks["minihouse-1"], SOLUTION_1)
+    # going to the table ends facing the fridge; putting the apple down
+    # empties the hand
+    assert scores == [33.33, 66.67, 66.67, 100.0, 66.67, 33.33]
+
+
 # --- determinism and seeds -------------------------------------------------
 
 def test_same_seed_identical_observations(minihouse1):
