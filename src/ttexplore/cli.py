@@ -108,25 +108,27 @@ def main() -> None:
               help="Run store root; a fresh subdirectory is created inside.")
 @click.option("--label", default=None,
               help="Suffix for the new run directory name.")
-@click.option("--parallelism", type=int, default=None,
+@click.option("--parallelism", type=click.IntRange(min=1), default=None,
               help="Episodes to run concurrently (config default: 1).")
 def cmd_run(config_path, mode, n_trigger, max_steps, samples_n, retries_n,
             seeds, store_dir, label, parallelism) -> None:
     """Run a batch of episodes and persist transcripts plus a manifest."""
     exp = _load_experiment(config_path)
     cfg = exp.run
-    if mode is not None:
-        cfg.mode = mode
-    if n_trigger is not None:
-        cfg.n_trigger = n_trigger
-    if max_steps is not None:
-        cfg.max_steps = max_steps
-    if samples_n is not None:
-        cfg.samples_N = samples_n
-    if retries_n is not None:
-        cfg.retries_N = retries_n
+    flags = []
+    for field, flag, value in (("mode", "--mode", mode),
+                               ("n_trigger", "--n-trigger", n_trigger),
+                               ("max_steps", "--max-steps", max_steps),
+                               ("samples_N", "--samples-n", samples_n),
+                               ("retries_N", "--retries-n", retries_n)):
+        if value is not None:
+            setattr(cfg, field, value)
+            flags.append(f"{flag} {value}")
     try:
-        cfg.validate()
+        cfg.validate()  # the config file's values passed at load
+    except ValueError as exc:
+        _fail(f"{exc} (with the command-line values {' '.join(flags)})")
+    try:
         cfg.episode_thinker(exp.thinker)
     except ValueError as exc:
         _fail(str(exc))

@@ -16,7 +16,13 @@ from typing import Optional, get_args, get_origin, get_type_hints
 import yaml
 
 from .pipeline import PipelineConfig
-from .policies import DecodeParams, PolicyHandle, RemoteBackend, ScriptedBackend
+from .policies import (
+    SCRIPTED_POLICIES,
+    DecodeParams,
+    PolicyHandle,
+    RemoteBackend,
+    ScriptedBackend,
+)
 from .orchestrator import RunConfig
 from .world import TextWorld, builtin_world_path, load_world
 
@@ -90,6 +96,10 @@ def parse_policy(data: dict, role: str, where: str) -> PolicyHandle:
         _section(data, _SCRIPTED_TYPES, where)
         if "name" not in data:
             raise ConfigValidationError(f"{where}: scripted policy needs 'name'")
+        if data["name"] not in SCRIPTED_POLICIES:
+            raise ConfigValidationError(
+                f"{where}: unknown scripted policy {data['name']!r} "
+                f"(known: {', '.join(SCRIPTED_POLICIES)})")
         return PolicyHandle(role=role, backend=ScriptedBackend(data["name"]))
     if data["backend"] == "remote":
         _section(data, _REMOTE_TYPES, where)
@@ -151,15 +161,20 @@ def load_config(path: str | Path) -> ExperimentConfig:
         raise ConfigValidationError(f"{path}: missing required key 'world'")
     if data.get("actor") is None:
         raise ConfigValidationError(f"{path}: missing required key 'actor'")
+    if data.get("parallelism", 1) < 1:
+        raise ConfigValidationError(
+            f"{path}: parallelism must be >= 1, got {data['parallelism']}")
     resolve_world_path(data["world"])  # existence check at load time
 
     run = RunConfig(**_section(data.get("run") or {}, _RUN_TYPES, f"{path}:run"))
-    run.validate()
-
     pipeline = PipelineConfig(**_section(data.get("pipeline") or {},
                                          _PIPELINE_TYPES, f"{path}:pipeline"))
     pipeline.run = run
-    pipeline.validate()
+    for key, section in (("run", run), ("pipeline", pipeline)):
+        try:
+            section.validate()
+        except ValueError as exc:
+            raise ConfigValidationError(f"{path}:{key}: {exc}") from None
 
     def policy(key: str, role: str) -> Optional[PolicyHandle]:
         if data.get(key) is None:

@@ -273,13 +273,15 @@ def continuation_reward(mode: str, improved_at: Optional[int],
                         rate: float = 0.05) -> float:
     """Reward for completing the unit being evaluated (a sub-task in `forge`,
     the whole task in `build_multinode_contexts`) at 1-based step
-    `improved_at` (None = not completed)."""
+    `improved_at` (None = not completed). A step-penalty reward is rounded
+    to the 4 places of the forge manifest's `mean_reward`, so it carries no
+    float noise (`1 - 0.05 * 14` is 0.3, not 0.29999999999999993)."""
     if improved_at is None:
         return 0.0
     if mode == BINARY:
         return 1.0
     if mode == STEP_PENALTY:
-        return max(0.0, 1.0 - rate * (improved_at - 1))
+        return round(max(0.0, 1.0 - rate * (improved_at - 1)), 4)
     raise ValueError(f"unknown reward mode {mode!r}")
 
 

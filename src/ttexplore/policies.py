@@ -29,6 +29,7 @@ from .prompts import (
     PromptView,
     format_actor_output,
     format_thinker_output,
+    last_action,
     parse_prompt,
 )
 from .world import SENTINEL, parse_action
@@ -243,15 +244,17 @@ def _latest_plan_step(view: PromptView) -> Optional[str]:
     return None
 
 
-def _repeat_last(view: PromptView) -> str:
-    action = view.steps[-1][0] if view.steps else "look around"
-    return format_actor_output(ActorOutput("keep going", action))
+def _repeat_last(action: Optional[str]) -> str:
+    """Repeat the last step's action, or look around before the first."""
+    return format_actor_output(ActorOutput(
+        "keep going", "look around" if action is None else action))
 
 
 def loop_actor(prompt: str, seed: int) -> str:
+    """Repeats its last action; reads only the prompt's tail."""
     if REFLECTION_MARKER in prompt:
         return CANNED_REFLECTION
-    return _repeat_last(parse_prompt(prompt))
+    return _repeat_last(last_action(prompt))
 
 
 def greedy_actor(prompt: str, seed: int) -> str:
@@ -284,7 +287,7 @@ def obedient_actor(prompt: str, seed: int) -> str:
     planned = _latest_plan_step(view)
     if planned is not None:
         return format_actor_output(ActorOutput("following the plan", planned))
-    return _repeat_last(view)
+    return _repeat_last(view.steps[-1][0] if view.steps else None)
 
 
 def oracle_actor(prompt: str, seed: int) -> str:

@@ -351,6 +351,11 @@ def format_thinker_output(text: str) -> str:
 
 
 # --- prompt introspection, used by the scripted fixture policies -----------
+#
+# `parse_prompt` reads the whole prompt back, so its cost grows with the
+# history the prompt keeps. `last_action` parses only the text after the last
+# `Action: ` line; `loop-actor` needs no more, while the other scripted
+# policies still parse the whole prompt.
 
 @dataclass
 class PromptView:
@@ -419,3 +424,25 @@ def parse_prompt(prompt: str) -> PromptView:
                 view.steps.append((pending_action, line[len("Observation: "):]))
                 pending_action = None
     return view
+
+
+def last_action(prompt: str) -> Optional[str]:
+    """The action of `parse_prompt(prompt)`'s last step, or None when it has
+    no step, from a parse of the text after the last ``Action: `` line.
+
+    That line either lies in a run of step pairs, which the suffix parses to
+    the same last step, or begins a token, since no thought or other line
+    swallows it; the steps after such a token do not depend on the text
+    before it. A suffix with no step (a lone action) leaves the last step to
+    the text before that line.
+    """
+    end = len(prompt)
+    while end > 0:
+        start = prompt.rfind("\nAction: ", 0, end) + 1
+        if start == 0 and not prompt.startswith("Action: ", 0, end):
+            return None
+        steps = parse_prompt(prompt[start:end]).steps
+        if steps:
+            return steps[-1][0]
+        end = start
+    return None

@@ -152,6 +152,26 @@ def test_run_invalid_flag_combination(runner, tmp_path):
                                   "--n-trigger", "50", "--max-steps", "50"])
     assert result.exit_code != 0
     assert "n_trigger" in result.output
+    assert "command-line values --n-trigger 50 --max-steps 50" in result.output
+
+
+def test_run_flag_that_fails_validation_names_the_command_line(runner, tmp_path):
+    cfg = write_config(tmp_path)
+    result = runner.invoke(main, ["run", "--config", str(cfg), "--max-steps", "0",
+                                  "--store-dir", str(tmp_path / "runs")])
+    assert result.exit_code == 2, result.output
+    assert "max_steps must be positive" in result.output
+    assert "command-line values --max-steps 0" in result.output
+    assert not (tmp_path / "runs").exists()
+
+
+def test_run_rejects_a_parallelism_flag_below_one(runner, tmp_path):
+    cfg = write_config(tmp_path)
+    result = runner.invoke(main, ["run", "--config", str(cfg), "--parallelism", "-2",
+                                  "--store-dir", str(tmp_path / "runs")])
+    assert result.exit_code == 2, result.output
+    assert "--parallelism" in result.output and "-2" in result.output
+    assert not (tmp_path / "runs").exists()
 
 
 def test_run_checks_the_thinker_before_creating_a_store(runner, tmp_path):
@@ -463,6 +483,12 @@ REMOTE = {"backend": "remote", "model": "m",
     ("--config", _config_yaml(run={"seed": 3}), ["run", "seed"]),
     ("--config", _config_yaml(pipeline={"sample_retry_budget": 3}),
      ["pipeline", "sample_retry_budget"]),
+    ("--config", _config_yaml(actor={"backend": "scripted", "name": "grredy-actor"}),
+     ["bad.yaml:actor", "grredy-actor", *SCRIPTED_POLICIES]),
+    ("--config", _config_yaml(run={"mode": "warp"}), ["bad.yaml:run", "warp"]),
+    ("--config", _config_yaml(pipeline={"x": 15}), ["bad.yaml:pipeline", "0 < x < y"]),
+    ("--config", _config_yaml(parallelism=-2), ["parallelism", ">= 1", "-2"]),
+    ("--config", _config_yaml(parallelism=0), ["parallelism", ">= 1", "0"]),
 ], ids=["missing-world", "empty-world", "entity-without-kind",
         "rule-without-guard", "task-without-instruction", "subgoal-not-a-mapping",
         "task-max-steps-not-an-int", "world-yaml-syntax", "config-yaml-syntax",
@@ -471,7 +497,9 @@ REMOTE = {"backend": "remote", "model": "m",
         "condition-unknown-kind", "condition-missing-key", "seeds-str-item",
         "parallelism-str", "remote-max-retries-str", "tasks-str",
         "store-dir-int", "seeds-empty", "tasks-empty", "seeds-scalar",
-        "remote-timeout-str", "run-seed", "pipeline-sample-retry-budget"])
+        "remote-timeout-str", "run-seed", "pipeline-sample-retry-budget",
+        "scripted-name-misspelled", "run-unknown-mode", "pipeline-x-not-below-y",
+        "parallelism-negative", "parallelism-zero"])
 def test_validate_malformed_input_fails_naming_the_file_and_key(
         runner, tmp_path, option, text, named):
     path = tmp_path / "bad.yaml"

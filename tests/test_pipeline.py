@@ -175,6 +175,13 @@ def test_step_penalty_reward_law(t):
         pytest.approx(1.0 - 0.05 * (t - 1), abs=1e-12)
 
 
+def test_step_penalty_reward_carries_no_float_noise():
+    assert 1.0 - 0.05 * 14 != 0.3
+    assert continuation_reward(STEP_PENALTY, 15) == 0.3
+    for t in range(1, 22):
+        assert repr(continuation_reward(STEP_PENALTY, t)) == repr((21 - t) / 20)
+
+
 def test_step_penalty_floor_at_zero():
     assert continuation_reward(STEP_PENALTY, 30, rate=0.05) == 0.0
 

@@ -21,6 +21,7 @@ from ttexplore.prompts import (
     ParseErrorKind,
     format_actor_output,
     format_thinker_output,
+    last_action,
     parse_actor_output,
     parse_prompt,
     parse_thinker_output,
@@ -462,6 +463,43 @@ def test_parse_prompt_matches_reference_on_a_long_episode():
         parsed = parse_prompt(prompt)
         assert parsed == _reference_parse_prompt(prompt)
         assert len(parsed.thoughts) == len(view.thoughts)
+        assert last_action(prompt) == parsed.steps[-1][0] == view.steps[-1][0]
+
+
+# --- the tail parse against the full parse -----------------------------------
+
+def _full_parse_last_action(text):
+    steps = parse_prompt(text).steps
+    return steps[-1][0] if steps else None
+
+
+@settings(max_examples=1000, deadline=None)
+@given(_TAGGED_TEXT)
+def test_last_action_matches_the_full_parse_on_any_string(text):
+    assert last_action(text) == _full_parse_last_action(text)
+
+
+@settings(max_examples=200, deadline=None)
+@given(view=histories(_TAGGED_TEXT, _TAGGED_TEXT), data=st.data())
+def test_last_action_matches_the_full_parse_on_renders(mh1_task, view, data):
+    for render in (render_actor_prompt, render_thinker_prompt):
+        budget = data.draw(budgets(_build_lengths(render, mh1_task, view)))
+        prompt = render(mh1_task, view, budget)
+        assert last_action(prompt) == _full_parse_last_action(prompt)
+
+
+@pytest.mark.parametrize("text,expected", [
+    ("", None),
+    ("Action: a", None),
+    ("Action: a\nObservation: b", "a"),
+    ("Action: a\nObservation: b\nAction: c", "a"),
+    ("Action: a\nObservation: b\nAction: c\nAction: d\nObservation: e", "d"),
+    # the thought's continuation swallows the observation
+    ("Action: a\nDeep Thought: t\nObservation: b\nAction: c", None),
+    ("x\nAction: a\nObservation: b\nAction: c\nObservation: d\nAction: e", "c"),
+])
+def test_last_action_skips_lone_actions(text, expected):
+    assert last_action(text) == _full_parse_last_action(text) == expected
 
 
 # --- reflection request ------------------------------------------------------
