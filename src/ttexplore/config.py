@@ -96,11 +96,17 @@ def parse_policy(data: dict, role: str, where: str) -> PolicyHandle:
         _section(data, _SCRIPTED_TYPES, where)
         if "name" not in data:
             raise ConfigValidationError(f"{where}: scripted policy needs 'name'")
-        if data["name"] not in SCRIPTED_POLICIES:
+        name = data["name"]
+        if name not in SCRIPTED_POLICIES:
             raise ConfigValidationError(
-                f"{where}: unknown scripted policy {data['name']!r} "
+                f"{where}: unknown scripted policy {name!r} "
                 f"(known: {', '.join(SCRIPTED_POLICIES)})")
-        return PolicyHandle(role=role, backend=ScriptedBackend(data["name"]))
+        named_role = name.rsplit("-", 1)[1]  # every name ends in its role
+        if named_role != role:
+            raise ConfigValidationError(
+                f"{where}: scripted policy {name!r} has role {named_role!r}, "
+                f"but this key needs role {role!r}")
+        return PolicyHandle(role=role, backend=ScriptedBackend(name))
     if data["backend"] == "remote":
         _section(data, _REMOTE_TYPES, where)
         for key in ("endpoint", "model"):
@@ -181,11 +187,17 @@ def load_config(path: str | Path) -> ExperimentConfig:
             return None
         return parse_policy(data[key], role, f"{path}:{key}")
 
+    thinker = policy("thinker", "thinker")
+    try:
+        run.episode_thinker(thinker)
+    except ValueError as exc:
+        raise ConfigValidationError(f"{path}:run: {exc}") from None
+
     return ExperimentConfig(
         world_file=data["world"],
         task_ids=data.get("tasks"),
         actor=parse_policy(data["actor"], "actor", f"{path}:actor"),
-        thinker=policy("thinker", "thinker"),
+        thinker=thinker,
         weak=policy("weak", "actor"),
         strong=policy("strong", "actor"),
         run=run,

@@ -8,7 +8,9 @@ Two backend families:
 * remote — a chat-completions style HTTP endpoint; one single-turn request per
   call, API key taken from an environment variable. A 3xx or 4xx response
   other than 429 fails at once; 5xx, 429, timeouts and malformed bodies are
-  retried up to `max_retries` times.
+  retried up to `max_retries` times. A retry waits 0.5 s times the attempt
+  number, or, after a 429 with an integer `Retry-After`, that many seconds,
+  at most `timeout_s`.
 """
 
 from __future__ import annotations
@@ -111,6 +113,7 @@ def _complete_remote(policy: PolicyHandle, prompt: str) -> str:
     for attempt in range(backend.max_retries + 1):
         attempts = attempt + 1
         status = None
+        wait_s = 0.5 * attempts
         try:
             request = urllib.request.Request(backend.endpoint, data=payload,
                                              headers=headers, method="POST")
@@ -120,6 +123,9 @@ def _complete_remote(policy: PolicyHandle, prompt: str) -> str:
             return body["choices"][0]["message"]["content"]
         except urllib.error.HTTPError as exc:  # an answer with a 3xx-5xx status
             status, last_error = exc.code, exc
+            retry_after = exc.headers.get("Retry-After", "")
+            if status == 429 and retry_after.isascii() and retry_after.isdigit():
+                wait_s = min(int(retry_after), backend.timeout_s)
             exc.close()
         except (OSError, http.client.HTTPException, LookupError, TypeError,
                 ValueError) as exc:
@@ -129,7 +135,7 @@ def _complete_remote(policy: PolicyHandle, prompt: str) -> str:
             # same request and gets the same answer
             break
         if attempt < backend.max_retries:
-            time.sleep(0.5 * (attempt + 1))
+            time.sleep(wait_s)
     raise RemoteError(f"remote completion failed: {last_error}",
                       attempts=attempts, status=status)
 

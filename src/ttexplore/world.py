@@ -104,19 +104,6 @@ class Action:
     raw: str = ""
 
 
-@dataclass(frozen=True)
-class Allow:
-    pass
-
-
-@dataclass(frozen=True)
-class Reject:
-    rule_id: str
-
-
-ALLOW = Allow()
-
-
 def parse_action(text: str) -> Action:
     raw = text.strip()
     lowered = raw.lower()
@@ -166,21 +153,15 @@ def _receptacle(state: WorldState, name: Optional[str]) -> Optional[Entity]:
 
 
 # --- rule guards -----------------------------------------------------------
-# A guard returns True when the rule should fire (reject the action).
-
-def _guard_unknown_verb(state: WorldState, action: Action) -> bool:
-    return action.verb == "unknown"
-
+# A guard returns True when the rule should fire (reject the action). A rule
+# belongs here only if it rejects some action the validity checks allow:
+# otherwise every transcript reads the same with or without it.
 
 def _guard_must_face_target(state: WorldState, action: Action) -> bool:
     target = _interaction_target(action)
     if _receptacle(state, target) is None:
         return False
     return state.agent.facing != target
-
-
-def _guard_one_item_hand(state: WorldState, action: Action) -> bool:
-    return action.verb == "take" and state.agent.hand is not None
 
 
 def _guard_closed_blocks_access(state: WorldState, action: Action) -> bool:
@@ -201,9 +182,7 @@ def _guard_locked_needs_key(state: WorldState, action: Action) -> bool:
 
 
 GUARDS = {
-    "unknown-verb": _guard_unknown_verb,
     "must-face-target": _guard_must_face_target,
-    "one-item-hand": _guard_one_item_hand,
     "closed-blocks-access": _guard_closed_blocks_access,
     "locked-needs-key": _guard_locked_needs_key,
 }
@@ -272,16 +251,13 @@ class TextWorld:
         rejected), its observation, the task's process score after the step,
         and whether that score is 100."""
         action = parse_action(action_text)
-        if isinstance(self._verdict(state, action), Reject):
+        if self._verdict(state, action) is not None:
             text = SENTINEL
         else:
             state = state.copy()
             text = self._apply(state, action)
         score = self.process_score(state, task).value
         return state, Observation(text), score, score == 100.0
-
-    def check_rule(self, state: WorldState, action_text: str) -> Allow | Reject:
-        return self._verdict(state, parse_action(action_text))
 
     def process_score(self, state: WorldState, task: TaskSpec) -> ProcessScore:
         satisfied = frozenset(
@@ -299,46 +275,45 @@ class TextWorld:
 
     # -- internals -------------------------------------------------------
 
-    def _verdict(self, state: WorldState, action: Action) -> Allow | Reject:
-        """The rule table in declaration order, then the validity checks."""
+    def _verdict(self, state: WorldState, action: Action) -> Optional[str]:
+        """The id of the first rule in the table, in declaration order, or
+        of the first validity check that rejects the action; None allows it."""
         for rule in self.rules:
             if GUARDS[rule.guard](state, action):
-                return Reject(rule.id)
+                return rule.id
         return self._builtin_check(state, action)
 
-    def _builtin_check(self, state: WorldState, action: Action) -> Allow | Reject:
-        if action.verb == "unknown":
-            return Reject("unknown-verb")
+    def _builtin_check(self, state: WorldState, action: Action) -> Optional[str]:
         if action.verb == "look":
-            return ALLOW
+            return None
         if action.verb == "go":
             target = action.target
             if target in state.rooms or _receptacle(state, target) is not None:
-                return ALLOW
-            return Reject("invalid-target")
+                return None
+            return "invalid-target"
         if action.verb == "open":
             ent = _receptacle(state, action.item)
             if ent is None or ent.open is None:
-                return Reject("invalid-target")
+                return "invalid-target"
             if ent.open:
-                return Reject("already-open")
-            return ALLOW
+                return "already-open"
+            return None
         if action.verb == "take":
             source = _receptacle(state, action.target)
             item = state.entities.get(action.item or "")
             if source is None or item is None or item.location != source.id:
-                return Reject("invalid-target")
+                return "invalid-target"
             if state.agent.hand is not None:
-                return Reject("hand-full")  # the state has one hand slot
-            return ALLOW
+                return "hand-full"  # the state has one hand slot
+            return None
         if action.verb == "put":
             dest = _receptacle(state, action.target)
             if dest is None:
-                return Reject("invalid-target")
+                return "invalid-target"
             if state.agent.hand != action.item:
-                return Reject("not-holding")
-            return ALLOW
-        return Reject("unknown-verb")
+                return "not-holding"
+            return None
+        return "unknown-verb"
 
     def _apply(self, state: WorldState, action: Action) -> str:
         if action.verb == "look":

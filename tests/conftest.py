@@ -54,14 +54,16 @@ def open_fridge(tmp_path):
 class StatusStub:
     """A loopback chat endpoint that answers the n-th request with
     `statuses[n]` (the last status repeats); a 200 carries `body`, by default
-    a completion. Each request's headers and JSON payload are kept in
-    `received`. With `delay_s` set, every answer waits that long, and a
-    request still waiting when the test ends gets no answer."""
+    a completion, and every answer also carries `answer_headers`. Each
+    request's headers and JSON payload are kept in `received`. With
+    `delay_s` set, every answer waits that long, and a request still waiting
+    when the test ends gets no answer."""
 
     def __init__(self):
         self.statuses = [200]
         self.body = json.dumps(
             {"choices": [{"message": {"content": "done"}}]}).encode()
+        self.answer_headers = {}
         self.delay_s = 0.0
         self.done = threading.Event()
         self.requests = 0
@@ -83,6 +85,8 @@ class StatusStub:
                 self.send_response(status)
                 self.send_header("Content-Type", "application/json")
                 self.send_header("Content-Length", str(len(body)))
+                for name, value in stub.answer_headers.items():
+                    self.send_header(name, value)
                 self.end_headers()
                 self.wfile.write(body)
 

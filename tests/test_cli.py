@@ -175,8 +175,10 @@ def test_run_rejects_a_parallelism_flag_below_one(runner, tmp_path):
 
 
 def test_run_checks_the_thinker_before_creating_a_store(runner, tmp_path):
+    # the file alone is valid: its react episodes need no thinker
     doc = config_doc()
     del doc["thinker"]
+    doc["run"]["mode"] = "react"
     cfg = write_config(tmp_path, doc)
     result = runner.invoke(main, ["run", "--config", str(cfg), "--mode", "bestofn",
                                   "--store-dir", str(tmp_path / "runs")])
@@ -446,7 +448,7 @@ REMOTE = {"backend": "remote", "model": "m",
     ("--world", _world_yaml(lambda d: d["entities"]["apple 1"].pop("kind")),
      ["apple 1", "'kind'"]),
     ("--world", _world_yaml(lambda d: d["rules"][1].pop("guard")),
-     ["one-item-hand", "'guard'"]),
+     ["closed-blocks-access", "'guard'"]),
     ("--world", _world_yaml(lambda d: d["tasks"][0].pop("instruction")),
      ["minihouse-1", "'instruction'"]),
     ("--world", _world_yaml(lambda d: d["tasks"][0]["subgoals"].append("x")),
@@ -489,6 +491,14 @@ REMOTE = {"backend": "remote", "model": "m",
     ("--config", _config_yaml(pipeline={"x": 15}), ["bad.yaml:pipeline", "0 < x < y"]),
     ("--config", _config_yaml(parallelism=-2), ["parallelism", ">= 1", "-2"]),
     ("--config", _config_yaml(parallelism=0), ["parallelism", ">= 1", "0"]),
+    ("--config", _config_yaml(thinker=None),
+     ["bad.yaml:run", "'ttexplore'", "thinker"]),
+    ("--config", _config_yaml(actor={"backend": "scripted", "name": "oracle-thinker"}),
+     ["bad.yaml:actor", "oracle-thinker", "'thinker'", "'actor'"]),
+    ("--config", _config_yaml(thinker={"backend": "scripted", "name": "greedy-actor"}),
+     ["bad.yaml:thinker", "greedy-actor", "'actor'", "'thinker'"]),
+    ("--config", _config_yaml(strong={"backend": "scripted", "name": "null-thinker"}),
+     ["bad.yaml:strong", "null-thinker", "'thinker'", "'actor'"]),
 ], ids=["missing-world", "empty-world", "entity-without-kind",
         "rule-without-guard", "task-without-instruction", "subgoal-not-a-mapping",
         "task-max-steps-not-an-int", "world-yaml-syntax", "config-yaml-syntax",
@@ -499,7 +509,8 @@ REMOTE = {"backend": "remote", "model": "m",
         "store-dir-int", "seeds-empty", "tasks-empty", "seeds-scalar",
         "remote-timeout-str", "run-seed", "pipeline-sample-retry-budget",
         "scripted-name-misspelled", "run-unknown-mode", "pipeline-x-not-below-y",
-        "parallelism-negative", "parallelism-zero"])
+        "parallelism-negative", "parallelism-zero", "ttexplore-without-thinker",
+        "thinker-in-actor-slot", "actor-in-thinker-slot", "thinker-in-strong-slot"])
 def test_validate_malformed_input_fails_naming_the_file_and_key(
         runner, tmp_path, option, text, named):
     path = tmp_path / "bad.yaml"

@@ -250,6 +250,26 @@ def test_remote_recovers_after_a_transient_error(stub, sleeps, status):
     assert len(sleeps) == 1
 
 
+@pytest.mark.parametrize("status,retry_after,slept", [
+    (429, "3", [3, 3]),
+    (429, "0", [0, 0]),
+    (429, "600", [5.0, 5.0]),  # capped at timeout_s
+    (429, None, [0.5, 1.0]),
+    (429, "1.5", [0.5, 1.0]),
+    (429, "-1", [0.5, 1.0]),
+    (429, "Wed, 21 Oct 2026 07:28:00 GMT", [0.5, 1.0]),
+    (503, "3", [0.5, 1.0]),
+])
+def test_remote_429_waits_the_retry_after_seconds(stub, sleeps, status,
+                                                  retry_after, slept):
+    stub.statuses = [status]
+    if retry_after is not None:
+        stub.answer_headers = {"Retry-After": retry_after}
+    with pytest.raises(RemoteError):
+        complete(stub.handle(max_retries=2, timeout_s=5.0), "p")
+    assert sleeps == slept
+
+
 def test_import_loads_no_third_party_http_client():
     # the remote backend posts through the standard library
     env = {**os.environ,

@@ -1,5 +1,6 @@
 """World engine: parsing, rules, scoring, determinism, schema validation."""
 
+import collections
 import copy
 import dataclasses
 
@@ -9,12 +10,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from ttexplore.world import (
-    ALLOW,
     SENTINEL,
     Agent,
-    Allow,
     Entity,
-    Reject,
     WorldState,
     WorldValidationError,
     builtin_world_path,
@@ -80,21 +78,42 @@ def test_accepted_action_does_not_mutate_input_state(minihouse1):
     assert new_state.agent.room == "kitchen"
 
 
+def verdict(world, state, text):
+    return world._verdict(state, parse_action(text))
+
+
 def test_rule_order_first_reject_wins(minihouse1):
-    # facing nothing with a full hand: must-face-target is declared before
-    # one-item-hand, so it is the rule that fires
     task = minihouse1.tasks["minihouse-1"]
     state, _ = minihouse1.reset(task, seed=0)
+    # facing nothing, take from the closed fridge: must-face-target is
+    # declared before closed-blocks-access, so it is the rule that fires
+    assert state.entities["fridge 1"].open is False
+    assert verdict(minihouse1, state, "take apple 1 from fridge 1") == \
+        "must-face-target"
+    # facing nothing with a full hand: the rule fires before the hand-full
+    # validity check
     state.agent.hand = "plate 1"
     state.entities["plate 1"].location = "hand"
-    verdict = minihouse1.check_rule(state, "take apple 1 from fridge 1")
-    assert verdict == Reject("must-face-target")
+    assert verdict(minihouse1, state, "take apple 1 from fridge 1") == \
+        "must-face-target"
 
 
-def test_check_rule_allow(minihouse1):
+def test_verdict_allow(minihouse1):
     task = minihouse1.tasks["minihouse-1"]
     state, _ = minihouse1.reset(task, seed=0)
-    assert isinstance(minihouse1.check_rule(state, "go to kitchen"), Allow)
+    assert verdict(minihouse1, state, "go to kitchen") is None
+
+
+def test_validity_checks_report_their_own_ids(minihouse1):
+    # no rule of the table rejects these actions; the validity checks do
+    task = minihouse1.tasks["minihouse-1"]
+    state, _ = minihouse1.reset(task, seed=0)
+    for action in ["go to kitchen", "go to cabinet 1", "open cabinet 1",
+                   "take soap 1 from cabinet 1", "go to table 1"]:
+        state, obs, _, _ = minihouse1.step(state, action, task)
+        assert obs.text != SENTINEL
+    assert verdict(minihouse1, state, "take plate 1 from table 1") == "hand-full"
+    assert verdict(minihouse1, state, "dance") == "unknown-verb"
 
 
 def test_unknown_verb_rejected(minihouse1):
@@ -109,10 +128,10 @@ def test_locked_receptacle_needs_key_in_hand(keymaze1):
     state, _ = keymaze1.reset(task, seed=0)
     for action in ["go to vault", "go to chest 1"]:
         state, _, _, _ = keymaze1.step(state, action, task)
-    assert keymaze1.check_rule(state, "open chest 1") == Reject("locked-needs-key")
+    assert verdict(keymaze1, state, "open chest 1") == "locked-needs-key"
     state.agent.hand = "key 1"
     state.entities["key 1"].location = "hand"
-    assert isinstance(keymaze1.check_rule(state, "open chest 1"), Allow)
+    assert verdict(keymaze1, state, "open chest 1") is None
 
 
 def test_already_open_is_rejected(minihouse1):
@@ -136,13 +155,12 @@ def test_empty_rule_table_enforces_only_validity(tmp_path):
     world = load_world(write_world(tmp_path, doc))
     task = world.tasks["minihouse-1"]
     state, _ = world.reset(task, seed=0)
-    assert world.check_rule(state, "take apple 1 from fridge 1") == ALLOW
+    assert verdict(world, state, "take apple 1 from fridge 1") is None
     state, obs, _, _ = world.step(state, "take apple 1 from fridge 1", task)
     assert obs.text == "You take apple 1 from fridge 1."
     assert state.agent.hand == "apple 1"
     # the one hand slot is a validity check, under its own id
-    verdict = world.check_rule(state, "take soap 1 from cabinet 1")
-    assert verdict == Reject("hand-full")
+    assert verdict(world, state, "take soap 1 from cabinet 1") == "hand-full"
 
 
 def test_locked_without_key_attribute_rejects_empty_hand(tmp_path):
@@ -153,7 +171,7 @@ def test_locked_without_key_attribute_rejects_empty_hand(tmp_path):
     state, _ = world.reset(task, seed=0)
     state.agent.room, state.agent.facing = "vault", "chest 1"
     assert state.agent.hand is None
-    assert world.check_rule(state, "open chest 1") == Reject("locked-needs-key")
+    assert verdict(world, state, "open chest 1") == "locked-needs-key"
 
 
 def test_locked_opens_with_any_listed_key(tmp_path):
@@ -168,8 +186,8 @@ def test_locked_opens_with_any_listed_key(tmp_path):
         state.agent.room, state.agent.facing = "vault", "chest 1"
         state.agent.hand = key
         state.entities[key].location = "hand"
-        verdict = world.check_rule(state, "open chest 1")
-        assert verdict == (Reject("locked-needs-key") if key == "gem 1" else ALLOW)
+        assert verdict(world, state, "open chest 1") == \
+            ("locked-needs-key" if key == "gem 1" else None)
 
 
 # --- process score ---------------------------------------------------------
@@ -338,10 +356,14 @@ def test_initially_satisfied_subgoal_rejected(tmp_path):
 
 
 def test_unknown_guard_name_rejected(tmp_path):
-    doc = world_doc()
-    doc["rules"][0]["guard"] = "no-such-guard"
-    with pytest.raises(WorldValidationError, match="no-such-guard"):
-        load_world(write_world(tmp_path, doc))
+    # one-item-hand and unknown-verb would reject only what a validity check
+    # rejects, so no world may declare them
+    for guard in ("no-such-guard", "one-item-hand", "unknown-verb"):
+        doc = world_doc()
+        doc["rules"][0]["guard"] = guard
+        with pytest.raises(WorldValidationError,
+                           match=f"unknown rule guard: '{guard}'"):
+            load_world(write_world(tmp_path, doc))
 
 
 @pytest.mark.parametrize("effect", ["allow", "warn", None])
@@ -385,6 +407,52 @@ def _vocabulary(world):
     actions += [f"put {o} {prep} {r}" for o in objects for r in receptacles
                 for prep in ("in", "on")]
     return actions
+
+
+def _unwitnessed_rules(world):
+    """The ids of the rules in `world`'s table that no transcript can reveal.
+
+    A breadth-first walk over `step` from reset tries every action of
+    `_vocabulary` in every reachable state; states are keyed on the agent's
+    and the entities' fields. A rule has a witness once dropping it from the
+    table changes a step's observation. The walk stops when every rule has
+    one."""
+    task = next(iter(world.tasks.values()))
+    unwitnessed = {}
+    for rule in world.rules:
+        without = copy.copy(world)
+        without.rules = [r for r in world.rules if r is not rule]
+        unwitnessed[rule.id] = without
+    start, _ = world.reset(task, seed=0)
+    seen = {_state_key(start)}
+    queue = collections.deque([start])
+    actions = _vocabulary(world)
+    while queue and unwitnessed:
+        state = queue.popleft()
+        for action in actions:
+            new_state, obs, _, _ = world.step(state, action, task)
+            for rule_id, without in list(unwitnessed.items()):
+                if without.step(state, action, task)[1] != obs:
+                    del unwitnessed[rule_id]
+            key = _state_key(new_state)
+            if key not in seen:
+                seen.add(key)
+                queue.append(new_state)
+    return sorted(unwitnessed)
+
+
+def _state_key(state):
+    # `WorldState.copy` keeps the entities in their order
+    return (dataclasses.astuple(state.agent),
+            tuple((e.location, e.open, frozenset(e.attributes))
+                  for e in state.entities.values()))
+
+
+def test_every_declared_rule_has_a_witness():
+    # a rule that rejects only what a validity check already rejects leaves
+    # every observation as it was, so no amount of interaction can infer it
+    assert {name: _unwitnessed_rules(world) for name, world in WORLDS.items()} \
+        == {name: [] for name in WORLDS}
 
 
 SOLUTIONS = {
@@ -464,7 +532,7 @@ def test_copy_equals_deepcopy_and_shares_nothing_mutable(episode):
     before = copy.deepcopy(state)
     changed = False
     for action in map(parse_action, _vocabulary(world)):
-        if isinstance(world._builtin_check(dup, action), Allow):
+        if world._builtin_check(dup, action) is None:
             prior = copy.deepcopy(dup)
             world._apply(dup, action)
             changed = changed or dup != prior
