@@ -61,8 +61,16 @@ def _read_store(store: Path) -> tuple[dict, list[list[dict]]]:
         manifest = json.loads(manifest_path.read_text(encoding="utf-8"))
     except json.JSONDecodeError as exc:
         _fail(f"{manifest_path}: corrupt manifest: {exc}")
+    if not isinstance(manifest, dict):
+        _fail(f"{manifest_path}: the manifest is not a mapping")
+    episodes = manifest.get("episodes", [])
+    if not (isinstance(episodes, list)
+            and all(isinstance(e, dict) for e in episodes)):
+        _fail(f"{manifest_path}: episodes is not a list of mappings")
+    if not all(isinstance(e.get("file"), str) for e in episodes):
+        _fail(f"{manifest_path}: an episode names no transcript file")
     transcripts = []
-    for entry in manifest.get("episodes", []):
+    for entry in episodes:
         path = store / entry["file"]
         if not path.exists():
             _fail(f"{store}: transcript {entry['file']} is missing")

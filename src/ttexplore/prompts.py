@@ -352,10 +352,11 @@ def format_thinker_output(text: str) -> str:
 
 # --- prompt introspection, used by the scripted fixture policies -----------
 #
-# `parse_prompt` reads the whole prompt back, so its cost grows with the
-# history the prompt keeps. `last_action` parses only the text after the last
-# `Action: ` line; `loop-actor` needs no more, while the other scripted
-# policies still parse the whole prompt.
+# `parse_prompt` reads the whole prompt back at one Python step per tagged
+# line and per run of step pairs; the regex engine skips every other line.
+# `last_action` parses only the text after the last `Action: ` line;
+# `loop-actor` needs no more, while the other scripted policies still parse
+# the whole prompt, a cost that grows with the history the prompt keeps.
 
 @dataclass
 class PromptView:
@@ -366,15 +367,15 @@ class PromptView:
     reflections: list[str] = field(default_factory=list)
 
 
-# Every token starts at a line start. An empty line is a single-line token no
-# branch acts on, so the extra empty match `finditer` yields right after a
-# thought that ends on an empty line changes nothing.
 _PROMPT_TOKEN_RE = re.compile(
     r"^(?:(?P<pairs>Action: [^\n]*\nObservation: [^\n]*"
     r"(?:\nAction: [^\n]*\nObservation: [^\n]*)*)"
     r"|Deep Thought: (?P<thought>[^\n]*(?:\n(?!Action: |Deep Thought: "
     r"|\n(?:Attention:|Previous Reflections:)$)[^\n]*)*)"
-    r"|[^\n]*)",
+    r"|The Task: (?P<instruction>[^\n]*)"
+    r"|Initial Observation: (?P<initial>[^\n]*)|- (?P<item>[^\n]*)"
+    r"|Action: (?P<action>[^\n]*)|Observation: (?P<observation>[^\n]*)"
+    r"|(?P<section>Previous Reflections:|Attention:)$)",
     re.MULTILINE)
 _PAIR_RE = re.compile(r"^Action: (.*)\nObservation: (.*)$", re.MULTILINE)
 
@@ -383,46 +384,45 @@ def parse_prompt(prompt: str) -> PromptView:
     """Recover the structured history from a rendered prompt.
 
     Scripted policies are pure functions of (prompt, seed); this is how they
-    read the episode state back out of the text. One regex pass splits the
-    prompt into three kinds of token:
+    read the episode state back out of the text. One regex pass yields a
+    token, named by its group, at each line that starts with a tag:
 
     - a run of adjacent ``Action: `` / ``Observation: `` line pairs, whose
       steps come from one ``findall``;
     - a ``Deep Thought: `` line with its continuation lines, which end before
       an ``Action: `` or ``Deep Thought: `` line, or before an empty line
       followed by ``Attention:`` or ``Previous Reflections:``;
-    - any other single line: the instruction, the initial observation, the
-      reflections section and its ``- `` items, a lone ``Action: ``, and an
-      ``Observation: `` that pairs with the pending action.
+    - a single tagged line: the instruction, the initial observation, the
+      ``Previous Reflections:`` and ``Attention:`` section lines, a ``- ``
+      item, a lone ``Action: ``, and an ``Observation: `` line.
+
+    The engine skips every other line, which cannot change the view.
     """
     view = PromptView()
     pending_action: Optional[str] = None
     in_reflections = False
     for token in _PROMPT_TOKEN_RE.finditer(prompt):
-        pairs, thought = token.group("pairs", "thought")
-        if pairs is not None:
-            view.steps += _PAIR_RE.findall(pairs)
+        kind = token.lastgroup
+        text = token.group(kind)
+        if kind == "pairs":
+            view.steps += _PAIR_RE.findall(text)
             pending_action = None
-        elif thought is not None:
-            view.thoughts.append((len(view.steps), thought.rstrip()))
-        else:
-            line = token.group()
-            if line.startswith("The Task: "):
-                view.instruction = line[len("The Task: "):]
-                in_reflections = False
-            elif line.startswith("Initial Observation: "):
-                view.initial_observation = line[len("Initial Observation: "):]
-            elif line == "Previous Reflections:":
-                in_reflections = True
-            elif line == "Attention:":
-                in_reflections = False
-            elif in_reflections and line.startswith("- "):
-                view.reflections.append(line[2:])
-            elif line.startswith("Action: "):
-                pending_action = line[len("Action: "):]
-            elif line.startswith("Observation: ") and pending_action is not None:
-                view.steps.append((pending_action, line[len("Observation: "):]))
-                pending_action = None
+        elif kind == "thought":
+            view.thoughts.append((len(view.steps), text.rstrip()))
+        elif kind == "action":
+            pending_action = text
+        elif kind == "observation" and pending_action is not None:
+            view.steps.append((pending_action, text))
+            pending_action = None
+        elif kind == "item" and in_reflections:
+            view.reflections.append(text)
+        elif kind == "instruction":
+            view.instruction = text
+            in_reflections = False
+        elif kind == "initial":
+            view.initial_observation = text
+        elif kind == "section":
+            in_reflections = text == "Previous Reflections:"
     return view
 
 

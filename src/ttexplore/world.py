@@ -12,7 +12,6 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass, field
-from decimal import ROUND_HALF_UP, Decimal
 from pathlib import Path
 from typing import Optional
 
@@ -221,8 +220,10 @@ def _cond_holds(state: WorldState, cond: dict) -> bool:
     raise WorldValidationError(f"unknown subgoal condition kind: {kind!r}")
 
 
-def _round2(value: Decimal) -> float:
-    return float(value.quantize(Decimal("0.01"), rounding=ROUND_HALF_UP))
+def _percent(part: int, whole: int) -> float:
+    """100 * part / whole rounded half-up to two decimals, in integers: the
+    one division by 100 rounds the exact hundredths to the nearest double."""
+    return (20000 * part + whole) // (2 * whole) / 100
 
 
 class TextWorld:
@@ -264,7 +265,7 @@ class TextWorld:
             i for i, goal in enumerate(task.subgoals)
             if all(_cond_holds(state, cond) for cond in goal.conditions)
         )
-        value = _round2(Decimal(100) * Decimal(len(satisfied)) / Decimal(len(task.subgoals)))
+        value = _percent(len(satisfied), len(task.subgoals))
         return ProcessScore(value=value, satisfied_subgoals=satisfied)
 
     def replay(self, task: TaskSpec, seed: int, actions: list[str]) -> WorldState:

@@ -344,6 +344,31 @@ def test_corrupt_manifest_names_the_file(runner, tmp_path, command):
     assert "manifest.json" in result.output
 
 
+@pytest.mark.parametrize("command", ["metrics", "replay"])
+@pytest.mark.parametrize("shape", ["list", "episodes-mapping",
+                                   "episode-number", "no-file", "file-number"])
+def test_misshapen_manifest_names_the_file(runner, tmp_path, command, shape):
+    store = run_store(runner, tmp_path)
+    path = store / "manifest.json"
+    manifest = json.loads(path.read_text())
+    entry = manifest["episodes"][0]
+    if shape == "list":
+        manifest = []
+    elif shape == "episodes-mapping":
+        manifest["episodes"] = {"0": entry}
+    elif shape == "episode-number":
+        manifest["episodes"].append(1)
+    elif shape == "no-file":
+        del entry["file"]
+    else:
+        entry["file"] = 3
+    path.write_text(json.dumps(manifest))
+    result = runner.invoke(main, [command, str(store)])
+    assert result.exit_code == 2
+    assert isinstance(result.exception, SystemExit)  # no traceback
+    assert f"error: {path}: " in result.output
+
+
 def test_replay_fails_on_a_tampered_manifest_outcome(runner, tmp_path):
     store = run_store(runner, tmp_path)
     path = store / "manifest.json"

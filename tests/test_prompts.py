@@ -420,12 +420,14 @@ def _reference_parse_prompt(prompt):
     return view
 
 
-# Pieces of every tag line the parser knows, plus filler and line breaks, so
-# that joined strings put tags at line starts, mid-line and next to empty lines.
+# Pieces of every tag line the parser knows, render lines it skips, filler and
+# line breaks, so that joined strings put tags at line starts, mid-line, next
+# to empty lines and between skipped lines.
 _FRAGMENTS = st.sampled_from([
     "Action: ", "Observation: ", "Deep Thought: ", "- ", "Attention:",
     "Previous Reflections:", "The Task: ", "Initial Observation: ",
     "Action: a\nObservation: b", "\n", "\n\n", "a", " ", "Action:",
+    "History:", "Task Examples:", "> go to a", "1. a", "<think> a </think>",
 ])
 _TAGGED_TEXT = st.lists(_FRAGMENTS, max_size=24).map("".join)
 
@@ -464,6 +466,19 @@ def test_parse_prompt_matches_reference_on_a_long_episode():
         assert parsed == _reference_parse_prompt(prompt)
         assert len(parsed.thoughts) == len(view.thoughts)
         assert last_action(prompt) == parsed.steps[-1][0] == view.steps[-1][0]
+
+
+@pytest.mark.parametrize("world_id", ["minihouse1", "minihouse2", "keymaze1"])
+@pytest.mark.parametrize("render", [render_actor_prompt, render_thinker_prompt])
+def test_parse_prompt_tokenizes_only_tagged_lines(world_id, render):
+    """An empty-history prompt gives one token per line the parser acts on:
+    five action-doc items, the task, the initial observation and
+    `Attention:`, out of 26 or more lines."""
+    world = load_builtin_world(world_id)
+    task = next(iter(world.tasks.values()))
+    prompt = render(task, HistoryView(task.id, world.reset(task, 0)[1].text))
+    assert prompt.count("\n") + 1 >= 26
+    assert len(prompts._PROMPT_TOKEN_RE.findall(prompt)) == 8
 
 
 # --- the tail parse against the full parse -----------------------------------

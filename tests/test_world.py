@@ -3,6 +3,7 @@
 import collections
 import copy
 import dataclasses
+from decimal import ROUND_HALF_UP, Decimal
 
 import pytest
 import yaml
@@ -15,6 +16,7 @@ from ttexplore.world import (
     Entity,
     WorldState,
     WorldValidationError,
+    _percent,
     builtin_world_path,
     load_builtin_world,
     load_world,
@@ -217,6 +219,18 @@ def test_score_thirds_round_half_up(minihouse1):
     task = minihouse1.tasks["minihouse-1"]
     _, scores, _ = run_actions(minihouse1, task, SOLUTION_1)
     assert scores == [0.0, 0.0, 33.33, 66.67, 66.67, 100.0]
+
+
+def test_integer_percent_matches_the_decimal_formula():
+    """The process score's integer rounding against the `Decimal` formula it
+    replaced, for every k <= n <= 2,000 subgoals."""
+    def reference(k, n):
+        value = Decimal(100) * Decimal(k) / Decimal(n)
+        return float(value.quantize(Decimal("0.01"), rounding=ROUND_HALF_UP))
+
+    mismatches = [(k, n) for n in range(1, 2001) for k in range(n + 1)
+                  if _percent(k, n) != reference(k, n)]
+    assert mismatches == []
 
 
 def test_done_iff_score_100(minihouse1):
