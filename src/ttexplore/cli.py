@@ -51,9 +51,16 @@ def _fresh_store(root: Path, label: str | None) -> Path:
             candidate = root / f"{base}-{suffix}"
 
 
+# the keys of a manifest episode and of a transcript record that `metrics`
+# and `replay` read
+_EPISODE_KEYS = ("file", "task_id", "seed", "success", "process_score")
+_RECORD_KEYS = ("step", "action", "observation", "score", "done")
+
+
 def _read_store(store: Path) -> tuple[dict, list[list[dict]]]:
     """A run store's manifest and the records of each episode's transcript;
-    a missing or corrupt store file fails naming the file."""
+    a missing or corrupt store file, or one without a key that `metrics` or
+    `replay` reads, fails naming the file."""
     manifest_path = store / "manifest.json"
     if not manifest_path.exists():
         _fail(f"{store}: not a run store (no manifest.json)")
@@ -67,7 +74,11 @@ def _read_store(store: Path) -> tuple[dict, list[list[dict]]]:
     if not (isinstance(episodes, list)
             and all(isinstance(e, dict) for e in episodes)):
         _fail(f"{manifest_path}: episodes is not a list of mappings")
-    if not all(isinstance(e.get("file"), str) for e in episodes):
+    for i, entry in enumerate(episodes):
+        for key in _EPISODE_KEYS:
+            if key not in entry:
+                _fail(f"{manifest_path}: episode {i} has no {key!r}")
+    if not all(isinstance(e["file"], str) for e in episodes):
         _fail(f"{manifest_path}: an episode names no transcript file")
     transcripts = []
     for entry in episodes:
@@ -75,9 +86,16 @@ def _read_store(store: Path) -> tuple[dict, list[list[dict]]]:
         if not path.exists():
             _fail(f"{store}: transcript {entry['file']} is missing")
         try:
-            transcripts.append(read_transcript(path))
+            records = read_transcript(path)
         except RunStoreError as exc:
             _fail(str(exc))
+        for i, record in enumerate(records, 1):
+            if not isinstance(record, dict):
+                _fail(f"{path}: transcript record {i} is not a mapping")
+            for key in _RECORD_KEYS:
+                if key not in record:
+                    _fail(f"{path}: transcript record {i} has no {key!r}")
+        transcripts.append(records)
     return manifest, transcripts
 
 

@@ -15,6 +15,7 @@ Two backend families:
 
 from __future__ import annotations
 
+import functools
 import http.client
 import json
 import os
@@ -27,6 +28,7 @@ from dataclasses import dataclass, field
 from typing import Callable, Optional
 
 from .prompts import (
+    REFLECTION_MARKER,
     ActorOutput,
     PromptView,
     format_actor_output,
@@ -210,8 +212,6 @@ WANDER_CYCLES: dict[str, list[str]] = {
     ],
 }
 
-REFLECTION_MARKER = "Reflection Request:"
-
 CANNED_REFLECTION = (
     "The previous attempt failed. Navigate to a target before interacting "
     "with it, and do not repeat actions that produced no effect."
@@ -256,18 +256,28 @@ def _repeat_last(action: Optional[str]) -> str:
         "keep going", "look around" if action is None else action))
 
 
+def _answers_reflections(actor: Callable[[str, int], str]) -> Callable[[str, int], str]:
+    """`actor`, answering a reflection request with the canned reflection.
+    Only the reflection render starts with the marker; an actor prompt can
+    hold it elsewhere, in a world's action doc, say."""
+    @functools.wraps(actor)
+    def answer(prompt: str, seed: int) -> str:
+        if prompt.startswith(REFLECTION_MARKER):
+            return CANNED_REFLECTION
+        return actor(prompt, seed)
+    return answer
+
+
+@_answers_reflections
 def loop_actor(prompt: str, seed: int) -> str:
     """Repeats its last action; reads only the prompt's tail."""
-    if REFLECTION_MARKER in prompt:
-        return CANNED_REFLECTION
     return _repeat_last(last_action(prompt))
 
 
+@_answers_reflections
 def greedy_actor(prompt: str, seed: int) -> str:
     """Rule-ignorant subgoal chaser; follows the latest deep thought's plan
     lines when one is present."""
-    if REFLECTION_MARKER in prompt:
-        return CANNED_REFLECTION
     view = parse_prompt(prompt)
     planned = _latest_plan_step(view)
     if planned is not None:
@@ -284,11 +294,10 @@ def greedy_actor(prompt: str, seed: int) -> str:
     return format_actor_output(ActorOutput("trying again", candidates[-1]))
 
 
+@_answers_reflections
 def obedient_actor(prompt: str, seed: int) -> str:
     """Follows the latest thought's plan lines; with no plan it degenerates to
     repeating its last action."""
-    if REFLECTION_MARKER in prompt:
-        return CANNED_REFLECTION
     view = parse_prompt(prompt)
     planned = _latest_plan_step(view)
     if planned is not None:
@@ -296,10 +305,9 @@ def obedient_actor(prompt: str, seed: int) -> str:
     return _repeat_last(view.steps[-1][0] if view.steps else None)
 
 
+@_answers_reflections
 def oracle_actor(prompt: str, seed: int) -> str:
     """Strong policy: plays the known-good script by position."""
-    if REFLECTION_MARKER in prompt:
-        return CANNED_REFLECTION
     view = parse_prompt(prompt)
     script = SOLUTIONS.get(view.instruction, [])
     idx = len(view.steps)
@@ -309,11 +317,10 @@ def oracle_actor(prompt: str, seed: int) -> str:
     return format_actor_output(ActorOutput("done", "look around"))
 
 
+@_answers_reflections
 def wanderer_actor(prompt: str, seed: int) -> str:
     """Weak policy: cycles a fixed action list, position keyed to history
     length so behavior depends on the replayed prefix."""
-    if REFLECTION_MARKER in prompt:
-        return CANNED_REFLECTION
     view = parse_prompt(prompt)
     cycle = WANDER_CYCLES.get(view.instruction)
     if not cycle:
@@ -323,11 +330,10 @@ def wanderer_actor(prompt: str, seed: int) -> str:
     return format_actor_output(ActorOutput("wandering", action))
 
 
+@_answers_reflections
 def staged_actor(prompt: str, seed: int) -> str:
     """Executes two more solution steps per reflection received; used to
     exercise the retry harness."""
-    if REFLECTION_MARKER in prompt:
-        return CANNED_REFLECTION
     view = parse_prompt(prompt)
     script = SOLUTIONS.get(view.instruction, [])
     limit = 2 * (len(view.reflections) + 1)

@@ -168,6 +168,8 @@ ACTOR_FORMAT_BLOCK = (
 THINKER_FORMAT_BLOCK = "<deepthink> put your thought here </deepthink>"
 
 TRUNCATION_MARKER = "[... earlier steps truncated ...]"
+# the reflection request is the one render that starts with this
+REFLECTION_MARKER = "Reflection Request:"
 
 DEFAULT_CHAR_BUDGET = 100_000
 
@@ -276,7 +278,7 @@ def render_reflection_prompt(task: TaskSpec, view: HistoryView,
 
     def build(drop: int) -> str:
         return "\n".join([
-            "Reflection Request: the previous attempt at this task failed.",
+            f"{REFLECTION_MARKER} the previous attempt at this task failed.",
             "",
             f"The Task: {task.instruction}",
             "",

@@ -6,10 +6,16 @@ declaration order, the first guard that fires rejects the action, and the
 step yields the sentinel observation. The hidden rules come only from this
 table; the built-in checks after it cover validity alone. Seeds only shuffle
 entity enumeration order in observation text, never reachability or scoring.
+
+A step costs what its action touches: the new state shares every entity the
+action leaves unchanged with the state it came from, and a seed's listing
+order is computed once per container and list length. States are therefore
+values: callers never mutate one that `reset` or `step` returned.
 """
 
 from __future__ import annotations
 
+import functools
 import random
 from dataclasses import dataclass, field
 from pathlib import Path
@@ -50,7 +56,10 @@ class WorldState:
     rng_seed: int
 
     def copy(self) -> "WorldState":
-        """Copies entities, their attribute sets and the agent; shares `rooms`."""
+        """Copies entities, their attribute sets and the agent; shares `rooms`.
+        `reset` starts an episode from such a copy. `step` copies only the
+        agent, the entity dict and the entities its action changes, so states
+        share the rest and callers never mutate one in place."""
         return WorldState(
             rooms=self.rooms,
             entities={eid: Entity(e.id, e.kind, e.location, e.open, set(e.attributes))
@@ -220,6 +229,25 @@ def _cond_holds(state: WorldState, cond: dict) -> bool:
     raise WorldValidationError(f"unknown subgoal condition kind: {kind!r}")
 
 
+def _own(state: WorldState, eid: str) -> Entity:
+    """`state`'s entity `eid`, first swapped for a copy that no other state
+    shares, so that the caller may change it."""
+    ent = state.entities[eid]
+    ent = state.entities[eid] = Entity(ent.id, ent.kind, ent.location, ent.open,
+                                       set(ent.attributes))
+    return ent
+
+
+# `random.shuffle`'s swaps depend only on the seed and the list's length, so a
+# listing applies the permutation it gives `range(n)`; the cache is bounded so
+# that memory stays flat over many seeds
+@functools.lru_cache(maxsize=1024)
+def _shuffle_order(seed: str, n: int) -> tuple[int, ...]:
+    order = list(range(n))
+    random.Random(seed).shuffle(order)
+    return tuple(order)
+
+
 def _percent(part: int, whole: int) -> float:
     """100 * part / whole rounded half-up to two decimals, in integers: the
     one division by 100 rounds the exact hundredths to the nearest double."""
@@ -250,23 +278,31 @@ class TextWorld:
              task: TaskSpec) -> tuple[WorldState, Observation, float, bool]:
         """Decide one step: the new state (the same object when the action is
         rejected), its observation, the task's process score after the step,
-        and whether that score is 100."""
+        and whether that score is 100. An allowed step's state gets a fresh
+        agent and entity dict but shares the entities its action leaves
+        unchanged with `state`, so neither state may be mutated afterwards."""
         action = parse_action(action_text)
         if self._verdict(state, action) is not None:
             text = SENTINEL
         else:
-            state = state.copy()
+            agent = state.agent
+            state = WorldState(state.rooms, dict(state.entities),
+                               Agent(agent.room, agent.facing, agent.hand),
+                               state.rng_seed)
             text = self._apply(state, action)
         score = self.process_score(state, task).value
         return state, Observation(text), score, score == 100.0
 
     def process_score(self, state: WorldState, task: TaskSpec) -> ProcessScore:
-        satisfied = frozenset(
-            i for i, goal in enumerate(task.subgoals)
-            if all(_cond_holds(state, cond) for cond in goal.conditions)
-        )
-        value = _percent(len(satisfied), len(task.subgoals))
-        return ProcessScore(value=value, satisfied_subgoals=satisfied)
+        satisfied = []
+        for i, goal in enumerate(task.subgoals):
+            for cond in goal.conditions:
+                if not _cond_holds(state, cond):
+                    break
+            else:
+                satisfied.append(i)
+        return ProcessScore(value=_percent(len(satisfied), len(task.subgoals)),
+                            satisfied_subgoals=frozenset(satisfied))
 
     def replay(self, task: TaskSpec, seed: int, actions: list[str]) -> WorldState:
         state, _ = self.reset(task, seed)
@@ -317,6 +353,7 @@ class TextWorld:
         return "unknown-verb"
 
     def _apply(self, state: WorldState, action: Action) -> str:
+        """Apply an allowed action to `state`; entities change only via `_own`."""
         if action.verb == "look":
             return "You look around. " + self._room_description(state)
         if action.verb == "go":
@@ -329,20 +366,20 @@ class TextWorld:
             state.agent.facing = ent.id
             return f"You arrive at {ent.id}. " + self._receptacle_description(state, ent)
         if action.verb == "open":
-            ent = state.entities[action.item]
+            ent = _own(state, action.item)
             ent.open = True
             contents = self._contents(state, ent.id)
             if contents:
                 return f"You open {ent.id}. Inside you see: {', '.join(contents)}."
             return f"You open {ent.id}. It is empty."
         if action.verb == "take":
-            item = state.entities[action.item]
+            item = _own(state, action.item)
             item.location = HAND
             item.attributes.add("held")
             state.agent.hand = item.id
             return f"You take {item.id} from {action.target}."
         if action.verb == "put":
-            item = state.entities[action.item]
+            item = _own(state, action.item)
             dest = state.entities[action.target]
             item.location = dest.id
             state.agent.hand = None
@@ -358,10 +395,10 @@ class TextWorld:
 
     def _enumeration_order(self, state: WorldState, container: str,
                            ids: list[str]) -> list[str]:
+        """`sorted(ids)` shuffled by `random.Random(f"{seed}:{container}")`."""
         ordered = sorted(ids)
-        rng = random.Random(f"{state.rng_seed}:{container}")
-        rng.shuffle(ordered)
-        return ordered
+        return [ordered[i] for i in
+                _shuffle_order(f"{state.rng_seed}:{container}", len(ordered))]
 
     def _contents(self, state: WorldState, container: str) -> list[str]:
         ids = [e.id for e in state.entities.values() if e.location == container]

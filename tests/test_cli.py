@@ -369,6 +369,40 @@ def test_misshapen_manifest_names_the_file(runner, tmp_path, command, shape):
     assert f"error: {path}: " in result.output
 
 
+@pytest.mark.parametrize("command", ["metrics", "replay"])
+@pytest.mark.parametrize("where,key", [
+    *[("manifest", key) for key in ("task_id", "seed", "success", "process_score")],
+    *[("transcript", key) for key in ("step", "action", "observation", "score",
+                                      "done", None)],
+])
+def test_a_missing_store_key_names_the_file(runner, tmp_path, command, where,
+                                            key):
+    # key None: the transcript line is not a mapping at all
+    store = run_store(runner, tmp_path)
+    path = store / "manifest.json"
+    manifest = json.loads(path.read_text())
+    if where == "manifest":
+        del manifest["episodes"][0][key]
+        path.write_text(json.dumps(manifest))
+        named = f"{path}: episode 0 has no '{key}'"
+    else:
+        path = store / manifest["episodes"][0]["file"]
+        lines = path.read_text().splitlines()
+        record = json.loads(lines[1])
+        if key is None:
+            record = []
+        else:
+            del record[key]
+        lines[1] = json.dumps(record)
+        path.write_text("\n".join(lines) + "\n")
+        named = f"{path}: transcript record 2 " + \
+            ("is not a mapping" if key is None else f"has no '{key}'")
+    result = runner.invoke(main, [command, str(store)])
+    assert result.exit_code == 2
+    assert isinstance(result.exception, SystemExit)  # no traceback
+    assert f"error: {named}" in result.output
+
+
 def test_replay_fails_on_a_tampered_manifest_outcome(runner, tmp_path):
     store = run_store(runner, tmp_path)
     path = store / "manifest.json"

@@ -6,6 +6,7 @@ import subprocess
 import sys
 
 import pytest
+import yaml
 
 import ttexplore
 from ttexplore import policies
@@ -22,6 +23,7 @@ from ttexplore.policies import (
     scripted,
 )
 from ttexplore.prompts import HistoryView, parse_actor_output, render_actor_prompt
+from ttexplore.world import builtin_world_path, load_world
 
 
 def actor_prompt(world, task_id, steps=(), thoughts=()):
@@ -103,6 +105,24 @@ def test_actors_answer_reflection_requests_raw():
                    f"{REFLECTION_MARKER} the attempt failed")
     assert raw == CANNED_REFLECTION
     assert "<think>" not in raw
+
+
+def test_actors_act_on_a_prompt_that_holds_the_marker_elsewhere(tmp_path):
+    # only a prompt that starts with the marker is a reflection request
+    doc = yaml.safe_load(builtin_world_path("minihouse2").read_text(encoding="utf-8"))
+    doc["tasks"][0]["action_space"] += f"- {REFLECTION_MARKER} after a failed attempt\n"
+    path = tmp_path / "w.yaml"
+    path.write_text(yaml.safe_dump(doc), encoding="utf-8")
+    world = load_world(path)
+    task = world.tasks["minihouse-2"]
+    prompt = actor_prompt(world, task.id)
+    assert f"\n- {REFLECTION_MARKER}" in prompt
+    for name in SCRIPTED_POLICIES:
+        if name.endswith("-actor"):
+            parse_actor_output(complete(scripted("actor", name), prompt))
+    traj = run_mode(world, scripted("actor", "oracle-actor"), task,
+                    RunConfig(mode="react", max_steps=20))
+    assert traj.final.success
 
 
 def test_oracle_thinker_names_violated_rule(minihouse1):

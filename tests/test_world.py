@@ -3,6 +3,7 @@
 import collections
 import copy
 import dataclasses
+import random
 from decimal import ROUND_HALF_UP, Decimal
 
 import pytest
@@ -131,6 +132,7 @@ def test_locked_receptacle_needs_key_in_hand(keymaze1):
     for action in ["go to vault", "go to chest 1"]:
         state, _, _, _ = keymaze1.step(state, action, task)
     assert verdict(keymaze1, state, "open chest 1") == "locked-needs-key"
+    state = state.copy()  # a stepped state shares entities with earlier ones
     state.agent.hand = "key 1"
     state.entities["key 1"].location = "hand"
     assert verdict(keymaze1, state, "open chest 1") is None
@@ -456,7 +458,7 @@ def _unwitnessed_rules(world):
 
 
 def _state_key(state):
-    # `WorldState.copy` keeps the entities in their order
+    # `step` copies the entity dict, which keeps the entities in their order
     return (dataclasses.astuple(state.agent),
             tuple((e.location, e.open, frozenset(e.attributes))
                   for e in state.entities.values()))
@@ -502,18 +504,40 @@ def test_step_properties(episode):
     world, seed, actions = episode
     task = next(iter(world.tasks.values()))
     state, _ = world.reset(task, seed)
+    # states share the entities a step leaves unchanged, so every state
+    # returned so far is checked against its snapshot after each step
+    snapshots = [(state, copy.deepcopy(state))]
     for action in actions:
-        before = copy.deepcopy(state)
         new_state, obs, score, done = world.step(state, action, task)
-        # step never mutates the state passed in
-        assert state == before
         if obs.text == SENTINEL:
-            assert new_state == before
+            assert new_state is state
+        else:
+            # the same step applied to a full copy of the state
+            reference = state.copy()
+            assert world._apply(reference, parse_action(action)) == obs.text
+            assert new_state == reference
         assert score == world.process_score(new_state, task).value
         assert done == (score == 100.0)
+        snapshots.append((new_state, copy.deepcopy(new_state)))
+        assert all(returned == snapshot for returned, snapshot in snapshots)
         state = new_state
     # replay is the fold of step over the actions
     assert world.replay(task, seed, actions) == state
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.integers(0, 3) | st.integers(),
+       st.sampled_from(["kitchen", "fridge 1"]) | st.text(max_size=10),
+       st.lists(st.text(max_size=8), max_size=12, unique=True))
+def test_enumeration_order_is_a_fresh_seeded_shuffle(seed, container, ids):
+    # the order is memoised per seed, container and length: a second call
+    # reads the memo, and few seeds and containers make lengths share a key
+    expected = sorted(ids)
+    random.Random(f"{seed}:{container}").shuffle(expected)
+    state = WorldState(rooms=(), entities={}, agent=Agent("a"), rng_seed=seed)
+    world = WORLDS["minihouse1"]
+    for _ in range(2):
+        assert world._enumeration_order(state, container, list(ids)) == expected
 
 
 # --- state copy ----------------------------------------------------------------
