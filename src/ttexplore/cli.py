@@ -19,13 +19,14 @@ from . import __version__
 from .config import (
     ConfigValidationError,
     ExperimentConfig,
+    _check_types,
     load_config,
     resolve_world_path,
     select_tasks,
 )
 from .metrics import DEFAULT_K, aggregate, episode_metrics
 from .orchestrator import RunStoreError, read_transcript, run_batch, write_json_atomic
-from .pipeline import export_grpo, forge
+from .pipeline import BackendFailure, export_grpo, forge
 from .world import TextWorld, WorldValidationError, load_world
 
 
@@ -52,15 +53,29 @@ def _fresh_store(root: Path, label: str | None) -> Path:
 
 
 # the keys of a manifest episode and of a transcript record that `metrics`
-# and `replay` read
-_EPISODE_KEYS = ("file", "task_id", "seed", "success", "process_score")
-_RECORD_KEYS = ("step", "action", "observation", "score", "done")
+# and `replay` read, with the types `run_batch` writes
+_EPISODE_TYPES = {"file": str, "task_id": str, "seed": int, "success": bool,
+                  "process_score": float}
+_RECORD_TYPES = {"step": int, "action": str, "observation": str,
+                 "score": float, "done": bool}
+
+
+def _check_entry(entry: dict, types: dict, where: str) -> None:
+    """`entry` has every key of `types`, each value of its key's type."""
+    for key in types:
+        if key not in entry:
+            _fail(f"{where} has no {key!r}")
+    try:
+        _check_types(entry, types, where)
+    except ConfigValidationError as exc:
+        _fail(str(exc))
 
 
 def _read_store(store: Path) -> tuple[dict, list[list[dict]]]:
     """A run store's manifest and the records of each episode's transcript;
     a missing or corrupt store file, or one without a key that `metrics` or
-    `replay` reads, fails naming the file."""
+    `replay` reads or with a value of the wrong type, fails naming the
+    file."""
     manifest_path = store / "manifest.json"
     if not manifest_path.exists():
         _fail(f"{store}: not a run store (no manifest.json)")
@@ -75,11 +90,7 @@ def _read_store(store: Path) -> tuple[dict, list[list[dict]]]:
             and all(isinstance(e, dict) for e in episodes)):
         _fail(f"{manifest_path}: episodes is not a list of mappings")
     for i, entry in enumerate(episodes):
-        for key in _EPISODE_KEYS:
-            if key not in entry:
-                _fail(f"{manifest_path}: episode {i} has no {key!r}")
-    if not all(isinstance(e["file"], str) for e in episodes):
-        _fail(f"{manifest_path}: an episode names no transcript file")
+        _check_entry(entry, _EPISODE_TYPES, f"{manifest_path}: episode {i}")
     transcripts = []
     for entry in episodes:
         path = store / entry["file"]
@@ -92,9 +103,8 @@ def _read_store(store: Path) -> tuple[dict, list[list[dict]]]:
         for i, record in enumerate(records, 1):
             if not isinstance(record, dict):
                 _fail(f"{path}: transcript record {i} is not a mapping")
-            for key in _RECORD_KEYS:
-                if key not in record:
-                    _fail(f"{path}: transcript record {i} has no {key!r}")
+            _check_entry(record, _RECORD_TYPES,
+                         f"{path}: transcript record {i}")
         transcripts.append(records)
     return manifest, transcripts
 
@@ -324,9 +334,12 @@ def cmd_forge(config_path, out_dir, label) -> None:
     except (ConfigValidationError, WorldValidationError) as exc:
         _fail(str(exc))
 
+    try:
+        result = forge(world, tasks, exp.strong, exp.weak, exp.thinker,
+                       exp.actor, exp.pipeline, seeds=exp.seeds)
+    except BackendFailure as exc:
+        _fail(str(exc), code=1)
     out = _fresh_store(Path(out_dir) if out_dir else exp.store_dir, label)
-    result = forge(world, tasks, exp.strong, exp.weak, exp.thinker, exp.actor,
-                   exp.pipeline, seeds=exp.seeds)
     export_grpo(result.groups, out / "grpo.jsonl")
     write_json_atomic(out / "forge_manifest.json", result.manifest)
     click.echo(f"store: {out}")

@@ -64,8 +64,9 @@ def _of_type(value, want: type) -> bool:
 def _check_types(data: dict, types: dict, where: str) -> None:
     """Each value of `data` whose key `types` lists has that type: an int
     passes for a float, a bool never passes for an int, and `list[T]` means
-    a non-empty list of `T`."""
-    for name in types.keys() & data.keys():
+    a non-empty list of `T`. The first wrong value in `types` order is
+    reported, so the message does not vary with string hashing."""
+    for name in [k for k in types if k in data]:
         value, want = data[name], types[name]
         if get_origin(want) is list:
             (item,) = get_args(want)

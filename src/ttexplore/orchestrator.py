@@ -7,6 +7,12 @@ reflections and `bestofn` keeps the best of N episodes; for these two,
 `inner_mode` picks the episode kind. Thinker invocations never consume the
 step budget. Episodes are strictly sequential inside; the batch runner
 parallelizes across episodes only.
+
+`run_steps` is the one actor loop: every episode runs on it, and so do
+`forge`'s weak probes and frozen-actor continuations, which start from a
+given state and history and stop at a score floor. `_act` and `_think`
+share one parse-retry path: a parse failure is retried once, and each
+failed attempt logs one warning on this module's logger.
 """
 
 from __future__ import annotations
@@ -32,7 +38,7 @@ from .prompts import (
     render_reflection_prompt,
     render_thinker_prompt,
 )
-from .world import TaskSpec, TextWorld
+from .world import TaskSpec, TextWorld, WorldState
 
 log = logging.getLogger(__name__)
 
@@ -126,35 +132,58 @@ class EpisodeResult:
         return final.success, final.process_score, self.metrics, self.wall_s
 
 
+def _parsed_completion(policy: PolicyHandle, prompt: str, seed: int, parse,
+                       on_failure: str):
+    """`parse` of the policy's completion, retried once; each failed attempt
+    logs one warning (the second ends in `on_failure`), and two give None."""
+    for then in ("retrying once", on_failure):
+        try:
+            return parse(complete(policy, prompt, seed=seed))
+        except ParseError as exc:
+            log.warning("%s parse failure (%s); %s", policy.role,
+                        exc.kind.value, then)
+    return None
+
+
 def _act(actor: PolicyHandle, task: TaskSpec, view: HistoryView, seed: int,
          cfg: RunConfig) -> str:
-    """One actor decision; retries once on a parse failure, then substitutes
-    the no-op action and logs the incident."""
+    """One actor decision; a persistent parse failure gives the no-op."""
     prompt = render_actor_prompt(task, view, char_budget=cfg.char_budget)
-    for attempt in range(2):
-        raw = complete(actor, prompt, seed=seed)
-        try:
-            return parse_actor_output(raw).action
-        except ParseError as exc:
-            if attempt == 0:
-                log.warning("actor parse failure (%s); retrying once", exc.kind.value)
-    log.warning("actor parse failure persisted; substituting %r", FALLBACK_ACTION)
-    return FALLBACK_ACTION
+    output = _parsed_completion(actor, prompt, seed, parse_actor_output,
+                                f"substituting {FALLBACK_ACTION!r}")
+    return FALLBACK_ACTION if output is None else output.action
 
 
 def _think(thinker: PolicyHandle, task: TaskSpec, view: HistoryView, seed: int,
            cfg: RunConfig) -> Optional[str]:
     """One thinker invocation; a persistent parse failure skips the thought."""
     prompt = render_thinker_prompt(task, view, char_budget=cfg.char_budget)
-    for attempt in range(2):
-        raw = complete(thinker, prompt, seed=seed)
-        try:
-            return parse_thinker_output(raw)
-        except ParseError as exc:
-            if attempt == 0:
-                log.warning("thinker parse failure (%s); retrying once", exc.kind.value)
-    log.warning("thinker parse failure persisted; episode continues without a thought")
-    return None
+    return _parsed_completion(thinker, prompt, seed, parse_thinker_output,
+                              "episode continues without a thought")
+
+
+def run_steps(world: TextWorld, actor: PolicyHandle, task: TaskSpec,
+              state: WorldState, view: HistoryView, steps: list[StepRecord],
+              budget: int, seed: int, cfg: RunConfig,
+              thinker: Optional[PolicyHandle] = None,
+              floor: Optional[float] = None) -> WorldState:
+    """The actor loop: from (state, view), act at most `budget` steps,
+    appending each to `steps` and the view; stop after a step that completes
+    the task or lifts the score above `floor`. A given thinker thinks after
+    every `n_trigger`-th step but the last. Returns the last state."""
+    for t in range(1, budget + 1):
+        action = _act(actor, task, view, seed, cfg)
+        state, obs, score, done = world.step(state, action, task)
+        steps.append(StepRecord(action=action, observation=obs.text,
+                                score_after=score, done=done))
+        view.add_step(action, obs.text)
+        if done or (floor is not None and score > floor):
+            break
+        if thinker is not None and t % cfg.n_trigger == 0 and t < budget:
+            text = _think(thinker, task, view, seed, cfg)
+            if text is not None:
+                view.add_thought(text)
+    return state
 
 
 def _aborted(exc: Exception) -> str:
@@ -174,26 +203,18 @@ def _run_episode(world: TextWorld, actor: PolicyHandle, task: TaskSpec,
     traj = Trajectory(task_id=task.id, seed=seed,
                       mode="ttexplore" if thinker else "react",
                       initial_observation=obs0.text)
-    score = world.process_score(state, task).value
-    done = False
     try:
-        for t in range(1, cfg.max_steps + 1):
-            action = _act(actor, task, view, seed, cfg)
-            state, obs, score, done = world.step(state, action, task)
-            traj.steps.append(StepRecord(action=action, observation=obs.text,
-                                         score_after=score, done=done))
-            view.add_step(action, obs.text)
-            if done:
-                break
-            if thinker is not None and t % cfg.n_trigger == 0 and t < cfg.max_steps:
-                text = _think(thinker, task, view, seed, cfg)
-                if text is not None:
-                    traj.thoughts.append(DeepThought(text=text, anchor_step=t))
-                    view.add_thought(text)
+        run_steps(world, actor, task, state, view, traj.steps, cfg.max_steps,
+                  seed, cfg, thinker=thinker)
     except (RemoteError, ConfigError) as exc:  # a policy backend failed
         traj.error = _aborted(exc)
-    traj.final = Final(success=done, process_score=score,
-                       steps_used=len(traj.steps))
+    traj.thoughts = [DeepThought(text=text, anchor_step=anchor)
+                     for anchor, text in view.thoughts]
+    if traj.steps:
+        last = traj.steps[-1]
+        traj.final = Final(last.done, last.score_after, len(traj.steps))
+    else:
+        traj.final = Final(False, world.process_score(state, task).value, 0)
     return traj
 
 

@@ -3,14 +3,19 @@
 Stages: divide a strong trajectory into sub-tasks at process-score
 milestones, probe each sub-task's difficulty with a weak policy, drop the
 easy ones, keep the probe's state and history after its x-th weak step as
-each kept sub-task's shared rollout context (one fold from reset per
-sub-task), sample the trainable thinker m times per context, score each
-thought by letting a frozen actor continue from the context's state, and
-export the grouped records for policy-gradient training. `export_sft` turns
-ttexplore-mode trajectories into thinker SFT pairs. A sub-task is completed
-at the first step whose score rises above its start score. The multi-node
-ablation, `build_multinode_contexts`, runs whole capped episodes outside
-`forge`.
+each kept sub-task's shared rollout context, sample the trainable thinker m
+times per context, score each thought by letting a frozen actor continue
+from the context's state, and export the grouped records for
+policy-gradient training. `export_sft` turns ttexplore-mode trajectories
+into thinker SFT pairs. The multi-node ablation, `build_multinode_contexts`,
+runs whole capped episodes outside `forge`.
+
+Each sub-task's prefix is folded from reset once. The probe and every
+continuation then run on the episode loop, `orchestrator.run_steps`, with
+the sub-task's start score as the floor: a sub-task is completed at the
+first step whose score rises above it. A policy backend failure anywhere in
+`forge`, the strong run's included, raises `BackendFailure` naming the task
+and seed; `forge` returns nothing partial.
 """
 
 from __future__ import annotations
@@ -25,10 +30,10 @@ from .orchestrator import (
     RunConfig,
     StepRecord,
     Trajectory,
-    _act,
     run_mode,
+    run_steps,
 )
-from .policies import PolicyHandle, complete
+from .policies import ConfigError, PolicyHandle, RemoteError, complete
 from .prompts import (
     DeepThought,
     HistoryView,
@@ -51,6 +56,11 @@ STEP_PENALTY = "step_penalty"
 
 class PipelineError(RuntimeError):
     pass
+
+
+class BackendFailure(PipelineError):
+    """A policy backend failed during `forge`; the message names the task,
+    the seed and the failure."""
 
 
 class IntegrityError(PipelineError):
@@ -181,39 +191,19 @@ def classify_difficulty(world: TextWorld, task: TaskSpec, sub: SubTask,
         raise IntegrityError(
             f"prefix replay of {sub.parent_task_id} gave {score}, "
             f"recorded start is {sub.start_score}")
-    weak_steps, completion, state = _continue(world, task, weak, sub, state,
-                                              view, cfg.x, cfg.run)
-    sub.difficulty = EASY
-    if completion is None:
-        sub.context = (state, view.copy())
-        more, later, _ = _continue(world, task, weak, sub, state, view,
-                                   cfg.y - cfg.x, cfg.run)
-        weak_steps += more
-        completion = None if later is None else cfg.x + later
-        sub.difficulty = HARD if completion is None else MEDIUM
-    sub.weak_actions = [s.action for s in weak_steps]
-    sub.completion_step = completion
-    return sub
-
-
-def _continue(world: TextWorld, task: TaskSpec, policy: PolicyHandle,
-              sub: SubTask, state: WorldState, view: HistoryView, budget: int,
-              run_cfg: RunConfig
-              ) -> tuple[list[StepRecord], Optional[int], WorldState]:
-    """Let the policy act from (state, view) for up to `budget` steps,
-    appending each step to the view; stops at the first step whose score
-    rises above the sub-task's start score and returns the steps, that
-    1-based step (None if no step did) and the last state."""
     steps: list[StepRecord] = []
-    for t in range(1, budget + 1):
-        action = _act(policy, task, view, sub.seed, run_cfg)
-        state, obs, score, done = world.step(state, action, task)
-        steps.append(StepRecord(action=action, observation=obs.text,
-                                score_after=score, done=done))
-        view.add_step(action, obs.text)
-        if score > sub.start_score:
-            return steps, t, state
-    return steps, None, state
+    state = run_steps(world, weak, task, state, view, steps, cfg.x, sub.seed,
+                      cfg.run, floor=sub.start_score)
+    if steps[-1].score_after <= sub.start_score:
+        sub.context = (state, view.copy())
+        run_steps(world, weak, task, state, view, steps, cfg.y - cfg.x,
+                  sub.seed, cfg.run, floor=sub.start_score)
+    completed = steps[-1].score_after > sub.start_score
+    sub.weak_actions = [s.action for s in steps]
+    sub.completion_step = len(steps) if completed else None
+    sub.difficulty = (HARD if not completed
+                      else EASY if len(steps) <= cfg.x else MEDIUM)
+    return sub
 
 
 def filter_subtasks(subs: list[SubTask]) -> list[SubTask]:
@@ -293,9 +283,12 @@ def evaluate_thought(world: TextWorld, actor_frozen: PolicyHandle,
     cfg.validate()
     view = context.history.copy()
     view.add_thought(thought.text)
-    continuation, improved_at, _ = _continue(world, task, actor_frozen,
-                                             context.sub, context.state, view,
-                                             cfg.y - cfg.x, cfg.run)
+    start = context.sub.start_score
+    continuation: list[StepRecord] = []
+    run_steps(world, actor_frozen, task, context.state, view, continuation,
+              cfg.y - cfg.x, context.sub.seed, cfg.run, floor=start)
+    improved_at = (len(continuation) if continuation[-1].score_after > start
+                   else None)
     reward = continuation_reward(cfg.reward_mode, improved_at, cfg.penalty_rate)
     return RewardRecord(context_id=context.context_id, thought=thought,
                         continuation=continuation, reward=reward,
@@ -438,29 +431,36 @@ def forge(world: TextWorld, tasks: list[TaskSpec], strong: PolicyHandle,
     groups: list[RolloutGroup] = []
     skipped: list[str] = []
 
-    for task in tasks:
-        for seed in seeds:
-            run_cfg = RunConfig(mode="react", seed=seed,
-                                max_steps=task.max_steps_default,
-                                char_budget=cfg.run.char_budget)
-            strong_traj = run_mode(world, strong, task, run_cfg)
-            strong_trajs.append(strong_traj)
-            subs = divide_subtasks(world, task, strong_traj)
-            if not subs:
-                skipped.append(f"{task.id}-s{seed}: strong trajectory flat")
-                continue
-            for sub in subs:
-                classify_difficulty(world, task, sub, weak, cfg)
-            all_subs.extend(subs)
-            for sub in filter_subtasks(subs):
-                context = build_rollout_context(task, sub, cfg)
-                base_seed = seed * 10_000 + len(sub.prefix_actions) * 100
-                try:
-                    groups.append(rollout_group(world, task, context, thinker,
-                                                actor_frozen, cfg,
-                                                base_seed=base_seed))
-                except GroupDiscarded as exc:
-                    skipped.append(str(exc))
+    try:
+        for task in tasks:
+            for seed in seeds:
+                run_cfg = RunConfig(mode="react", seed=seed,
+                                    max_steps=task.max_steps_default,
+                                    char_budget=cfg.run.char_budget)
+                strong_traj = run_mode(world, strong, task, run_cfg)
+                if strong_traj.error is not None:
+                    raise BackendFailure(f"{task.id} seed {seed}: "
+                                         f"{strong_traj.error}")
+                strong_trajs.append(strong_traj)
+                subs = divide_subtasks(world, task, strong_traj)
+                if not subs:
+                    skipped.append(f"{task.id}-s{seed}: strong trajectory flat")
+                    continue
+                for sub in subs:
+                    classify_difficulty(world, task, sub, weak, cfg)
+                all_subs.extend(subs)
+                for sub in filter_subtasks(subs):
+                    context = build_rollout_context(task, sub, cfg)
+                    base_seed = seed * 10_000 + len(sub.prefix_actions) * 100
+                    try:
+                        groups.append(rollout_group(
+                            world, task, context, thinker, actor_frozen, cfg,
+                            base_seed=base_seed))
+                    except GroupDiscarded as exc:
+                        skipped.append(str(exc))
+    except (RemoteError, ConfigError) as exc:  # a policy backend failed
+        raise BackendFailure(f"{task.id} seed {seed}: "
+                             f"{type(exc).__name__}: {exc}") from exc
 
     difficulty_counts = {EASY: 0, MEDIUM: 0, HARD: 0}
     for sub in all_subs:

@@ -343,19 +343,26 @@ def staged_actor(prompt: str, seed: int) -> str:
     return format_actor_output(ActorOutput("out of ideas", "look around"))
 
 
+# keyed on exactly the guard ids of `world.GUARDS`
 _RULE_EXPLANATIONS = {
     "must-face-target": "the agent must go to an object before interacting with it",
-    "one-item-hand": "the agent cannot hold two objects at the same time",
     "closed-blocks-access": "a closed container blocks access to its contents",
     "locked-needs-key": "a locked container only opens while its key is in hand",
-    "unknown-verb-reject": "the environment only understands its documented verbs",
 }
 
 
+def _blocked(rule: str) -> str:
+    return (f"a hidden rule ({rule}) is blocking progress: "
+            f"{_RULE_EXPLANATIONS[rule]}")
+
+
 def _diagnose(view: PromptView, failed_action: str) -> str:
+    """Why `failed_action` had no effect: a declared rule, named by its id,
+    or an action the engine itself rejects, which names no rule."""
     action = parse_action(failed_action)
     if action.verb == "unknown":
-        return "unknown-verb-reject"
+        return ("the action is invalid: the environment only understands "
+                "its documented verbs")
     facing = None
     for a, o in view.steps:
         parsed = parse_action(a)
@@ -365,16 +372,17 @@ def _diagnose(view: PromptView, failed_action: str) -> str:
             facing = None
     target = action.item if action.verb == "open" else action.target
     if target is not None and facing != target:
-        return "must-face-target"
+        return _blocked("must-face-target")
     if action.verb == "take":
         takes = [a for a, o in view.steps if o != SENTINEL and a.startswith("take ")]
         puts = [a for a, o in view.steps if o != SENTINEL and a.startswith("put ")]
         if len(takes) > len(puts):
-            return "one-item-hand"
-        return "closed-blocks-access"
+            return ("the action is invalid: the agent cannot hold two objects "
+                    "at the same time")
+        return _blocked("closed-blocks-access")
     if action.verb == "open":
-        return "locked-needs-key"
-    return "closed-blocks-access"
+        return _blocked("locked-needs-key")
+    return _blocked("closed-blocks-access")
 
 
 def _corrective_plan(view: PromptView) -> list[str]:
@@ -393,11 +401,9 @@ def oracle_thinker(prompt: str, seed: int) -> str:
     plan = _corrective_plan(view)
     lines: list[str]
     if failed:
-        rule = _diagnose(view, failed[-1])
         lines = [
             f"Summary: {len(failed)} recent actions had no effect.",
-            f"Hypothesis: a hidden rule ({rule}) is blocking progress: "
-            f"{_RULE_EXPLANATIONS[rule]}.",
+            f"Hypothesis: {_diagnose(view, failed[-1])}.",
         ]
     else:
         lines = ["Summary: all feedback so far looks consistent."]

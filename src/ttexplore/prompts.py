@@ -40,7 +40,8 @@ class ParseError(ValueError):
 
 
 class ContractViolation(ValueError):
-    """A history view was rendered against the wrong task."""
+    """A history view was built with a thought outside its history, or
+    rendered against the wrong task."""
 
 
 @dataclass(frozen=True)
@@ -78,7 +79,7 @@ class HistoryView:
     its budget fit join list slices without a per-step loop. ``add_step`` and
     ``add_thought`` are the one append path; ``steps`` and ``thoughts`` are
     read-only. A thought given to the constructor with an anchor outside
-    ``[0, len(steps)]`` makes every render of the view raise.
+    ``[0, len(steps)]`` raises ``ContractViolation``.
     """
 
     def __init__(self, task_id: str, initial_observation: str,
@@ -96,14 +97,14 @@ class HistoryView:
         self._cost = [0]  # characters of the first i steps' lines
         self._chars = 0  # characters of all lines
         steps = list(steps)
-        self._error = next((
-            f"thought anchor {a} outside history of length {len(steps)}"
-            for a, _ in self._thoughts if not 0 <= a <= len(steps)), None)
-        if self._error is None:
-            for anchor, text in sorted(self._thoughts, key=lambda t: t[0]):
-                for step in steps[len(self._steps):anchor]:
-                    self.add_step(*step)
-                self._put_thought(anchor, text)
+        for anchor, _ in self._thoughts:
+            if not 0 <= anchor <= len(steps):
+                raise ContractViolation(f"thought anchor {anchor} outside "
+                                        f"history of length {len(steps)}")
+        for anchor, text in sorted(self._thoughts, key=lambda t: t[0]):
+            for step in steps[len(self._steps):anchor]:
+                self.add_step(*step)
+            self._put_thought(anchor, text)
         for step in steps[len(self._steps):]:
             self.add_step(*step)
 
@@ -178,8 +179,6 @@ def _check_history(task: TaskSpec, view: HistoryView) -> None:
     if view.task_id != task.id:
         raise ContractViolation(
             f"history belongs to task {view.task_id!r}, not {task.id!r}")
-    if view._error is not None:
-        raise ContractViolation(view._error)
 
 
 def render_actor_prompt(task: TaskSpec, view: HistoryView,

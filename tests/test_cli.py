@@ -2,6 +2,9 @@
 
 import datetime
 import json
+import os
+import subprocess
+import sys
 from decimal import ROUND_HALF_UP, Decimal
 from pathlib import Path
 from types import SimpleNamespace
@@ -403,6 +406,39 @@ def test_a_missing_store_key_names_the_file(runner, tmp_path, command, where,
     assert f"error: {named}" in result.output
 
 
+@pytest.mark.parametrize("command", ["metrics", "replay"])
+@pytest.mark.parametrize("where,key,value", [
+    ("manifest", "process_score", "high"),
+    ("manifest", "success", 1),
+    ("manifest", "seed", 0.5),
+    ("manifest", "file", 3),
+    ("transcript", "score", "33.33"),
+    ("transcript", "action", None),
+    ("transcript", "done", "false"),
+])
+def test_a_store_value_of_the_wrong_type_names_the_file_and_key(
+        runner, tmp_path, command, where, key, value):
+    store = run_store(runner, tmp_path)
+    path = store / "manifest.json"
+    manifest = json.loads(path.read_text())
+    if where == "manifest":
+        manifest["episodes"][0][key] = value
+        path.write_text(json.dumps(manifest))
+        named = f"{path}: episode 0: {key} must be"
+    else:
+        path = store / manifest["episodes"][0]["file"]
+        lines = path.read_text().splitlines()
+        record = json.loads(lines[1])
+        record[key] = value
+        lines[1] = json.dumps(record)
+        path.write_text("\n".join(lines) + "\n")
+        named = f"{path}: transcript record 2: {key} must be"
+    result = runner.invoke(main, [command, str(store)])
+    assert result.exit_code == 2
+    assert isinstance(result.exception, SystemExit)  # no traceback
+    assert f"error: {named}" in result.output
+
+
 def test_replay_fails_on_a_tampered_manifest_outcome(runner, tmp_path):
     store = run_store(runner, tmp_path)
     path = store / "manifest.json"
@@ -431,6 +467,25 @@ def test_forge_produces_exports(runner, tmp_path):
     manifest = json.loads((out / "forge_manifest.json").read_text())
     assert manifest["groups"] == 2
     assert manifest["difficulty_counts"] == {"easy": 1, "medium": 1, "hard": 1}
+
+
+@pytest.mark.parametrize("role", ["strong", "thinker"])
+def test_forge_exits_1_naming_a_failed_backend(runner, tmp_path, stub, role):
+    # the strong run records its failure, the thinker raises it
+    stub.statuses = [500]
+    doc = config_doc()
+    doc[role] = {**REMOTE, "endpoint": stub.handle().backend.endpoint,
+                 "max_retries": 0}
+    out = tmp_path / "out"
+    result = runner.invoke(main, ["forge", "--config",
+                                  str(write_config(tmp_path, doc)),
+                                  "--out", str(out)])
+    assert result.exit_code == 1, result.output
+    assert isinstance(result.exception, SystemExit)  # no traceback
+    [line] = [l for l in result.output.splitlines() if l.startswith("error: ")]
+    assert line.startswith("error: minihouse-2 seed 0: RemoteError: ")
+    assert "500" in line
+    assert not out.exists()  # nothing written for a failed forge
 
 
 def test_forge_requires_all_policies(runner, tmp_path):
@@ -474,6 +529,23 @@ def test_validate_broken_world_file(runner, tmp_path):
     result = runner.invoke(main, ["validate", "--world", str(bad)])
     assert result.exit_code != 0
     assert "rooms" in result.output
+
+
+def test_type_check_names_the_first_wrong_value_whatever_the_hash_seed():
+    # one process has one string-hash seed, so the check runs in several
+    code = ("from ttexplore.config import ConfigValidationError, _check_types\n"
+            "try:\n"
+            "    _check_types({'c': 1, 'b': 2, 'a': 3},"
+            " {'a': str, 'b': str, 'c': str}, 'where')\n"
+            "except ConfigValidationError as exc:\n"
+            "    print(exc)\n")
+    src = Path(cli.__file__).parents[1]
+    for hash_seed in range(6):
+        out = subprocess.run(
+            [sys.executable, "-c", code], capture_output=True, text=True,
+            check=True, env={**os.environ, "PYTHONPATH": str(src),
+                             "PYTHONHASHSEED": str(hash_seed)}).stdout
+        assert out == "where: a must be of type str, got 3\n"
 
 
 def test_scripted_policy_rejects_decode_settings(runner, tmp_path):

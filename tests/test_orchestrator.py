@@ -18,7 +18,7 @@ from ttexplore.orchestrator import (
     select_best,
     write_json_atomic,
 )
-from ttexplore.policies import SCRIPTED_POLICIES, RemoteError, scripted
+from ttexplore.policies import SCRIPTED_POLICIES, SOLUTIONS, RemoteError, scripted
 from ttexplore.world import Rule, TextWorld, builtin_world_path, load_world
 
 
@@ -144,7 +144,23 @@ def test_no_trigger_after_success(minihouse1, oracle, oracle_thinker):
 
 # --- malformed output handling ---------------------------------------------
 
-def test_actor_parse_failure_falls_back(minihouse1, monkeypatch):
+def tagless_first(policy):
+    """`policy` with a tagless answer on its first call only."""
+    calls = []
+
+    def answer(prompt, seed):
+        calls.append(prompt)
+        return "no tags" if len(calls) == 1 else policy(prompt, seed)
+    return answer
+
+
+def parse_warnings(caplog):
+    # the benchmark counts these records as parse fallbacks
+    return [r for r in caplog.records if r.name == "ttexplore.orchestrator"
+            and r.levelname == "WARNING"]
+
+
+def test_actor_parse_failure_falls_back(minihouse1, monkeypatch, caplog):
     monkeypatch.setitem(SCRIPTED_POLICIES, "broken-actor",
                         lambda prompt, seed: "no tags here")
     cfg = RunConfig(mode="react", max_steps=3, n_trigger=2, seed=0)
@@ -152,9 +168,18 @@ def test_actor_parse_failure_falls_back(minihouse1, monkeypatch):
                     minihouse1.tasks["minihouse-1"], cfg)
     assert traj.actions() == [FALLBACK_ACTION] * 3
     assert traj.error is None
+    assert len(parse_warnings(caplog)) == 2 * 3  # one per failed attempt
+    caplog.clear()
+    monkeypatch.setitem(SCRIPTED_POLICIES, "broken-actor",
+                        tagless_first(SCRIPTED_POLICIES["oracle-actor"]))
+    traj = run_mode(minihouse1, scripted("actor", "broken-actor"),
+                    minihouse1.tasks["minihouse-1"], cfg)
+    assert traj.actions() == SOLUTIONS[minihouse1.tasks["minihouse-1"]
+                                       .instruction][:3]
+    assert len(parse_warnings(caplog)) == 1  # the retry recovered
 
 
-def test_thinker_parse_failure_skips_thought(minihouse1, monkeypatch):
+def test_thinker_parse_failure_skips_thought(minihouse1, monkeypatch, caplog):
     monkeypatch.setitem(SCRIPTED_POLICIES, "broken-thinker",
                         lambda prompt, seed: "still no tags")
     cfg = RunConfig(mode="ttexplore", n_trigger=2, max_steps=5, seed=0)
@@ -164,6 +189,15 @@ def test_thinker_parse_failure_skips_thought(minihouse1, monkeypatch):
     assert traj.thoughts == []
     assert traj.final.steps_used == 5
     assert traj.error is None
+    assert len(parse_warnings(caplog)) == 2 * 2  # two triggers, two attempts
+    caplog.clear()
+    monkeypatch.setitem(SCRIPTED_POLICIES, "broken-thinker",
+                        tagless_first(SCRIPTED_POLICIES["null-thinker"]))
+    traj = run_mode(minihouse1, scripted("actor", "loop-actor"),
+                    minihouse1.tasks["minihouse-1"], cfg,
+                    scripted("thinker", "broken-thinker"))
+    assert [t.anchor_step for t in traj.thoughts] == [2, 4]
+    assert len(parse_warnings(caplog)) == 1  # the retry recovered
 
 
 def test_backend_crash_recorded_as_episode_error(minihouse1, monkeypatch):

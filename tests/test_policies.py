@@ -22,8 +22,13 @@ from ttexplore.policies import (
     noisy_thinker,
     scripted,
 )
-from ttexplore.prompts import HistoryView, parse_actor_output, render_actor_prompt
-from ttexplore.world import builtin_world_path, load_world
+from ttexplore.prompts import (
+    HistoryView,
+    parse_actor_output,
+    render_actor_prompt,
+    render_thinker_prompt,
+)
+from ttexplore.world import GUARDS, builtin_world_path, load_world
 
 
 def actor_prompt(world, task_id, steps=(), thoughts=()):
@@ -132,6 +137,31 @@ def test_oracle_thinker_names_violated_rule(minihouse1):
     raw = complete(handle, prompt)
     assert "must-face-target" in raw
     assert "Plan:" in raw
+
+
+def test_rule_explanations_cover_exactly_the_declared_guards():
+    assert set(policies._RULE_EXPLANATIONS) == set(GUARDS)
+
+
+@pytest.mark.parametrize("steps,why", [
+    ([("dance", "Nothing happened.")], "documented verbs"),
+    ([("go to fridge 1", "You arrive at fridge 1."),
+      ("take apple 1 from fridge 1", "You pick up apple 1."),
+      ("go to table 1", "You arrive at table 1."),
+      ("take mug 1 from table 1", "Nothing happened.")], "two objects"),
+])
+def test_oracle_thinker_names_no_rule_for_an_engine_rejection(minihouse1,
+                                                              steps, why):
+    # an unknown verb and a take with a full hand fail the engine's own
+    # checks, which no world declares as a rule
+    task = minihouse1.tasks["minihouse-1"]
+    _, obs0 = minihouse1.reset(task, 0)
+    view = HistoryView(task.id, obs0.text, steps=steps)
+    raw = complete(scripted("thinker", "oracle-thinker"),
+                   render_thinker_prompt(task, view))
+    assert "Hypothesis: the action is invalid: " in raw and why in raw
+    for rule_id in (*GUARDS, "one-item-hand", "unknown-verb"):
+        assert rule_id not in raw
 
 
 def test_oracle_thinker_plan_keeps_navigation_steps(minihouse1):

@@ -95,10 +95,11 @@ def test_wrong_task_id_raises(task, view):
 
 
 def test_thought_anchor_out_of_range_raises(task):
-    view = HistoryView(task_id=task.id, initial_observation="obs",
-                       thoughts=[(5, "text")])
-    with pytest.raises(ContractViolation):
-        render_thinker_prompt(task, view)
+    for anchor in (-1, 2):
+        with pytest.raises(ContractViolation, match=f"anchor {anchor} "):
+            HistoryView(task_id=task.id, initial_observation="obs",
+                        steps=[("look around", "obs")],
+                        thoughts=[(anchor, "text")])
 
 
 # --- truncation ------------------------------------------------------------
