@@ -22,7 +22,6 @@ from .config import (
     _check_types,
     load_config,
     resolve_world_path,
-    select_tasks,
 )
 from .metrics import DEFAULT_K, aggregate, episode_metrics
 from .orchestrator import RunStoreError, read_transcript, run_batch, write_json_atomic
@@ -109,9 +108,10 @@ def _read_store(store: Path) -> tuple[dict, list[list[dict]]]:
     return manifest, transcripts
 
 
-def _load_experiment(config_path: str) -> ExperimentConfig:
+def _load_experiment(config_path: str,
+                     run_flags: dict | None = None) -> ExperimentConfig:
     try:
-        return load_config(config_path)
+        return load_config(config_path, run_flags)
     except (ConfigValidationError, WorldValidationError, ValueError) as exc:
         _fail(str(exc))
     raise AssertionError("unreachable")
@@ -149,38 +149,15 @@ def main() -> None:
 def cmd_run(config_path, mode, n_trigger, max_steps, samples_n, retries_n,
             seeds, store_dir, label, parallelism) -> None:
     """Run a batch of episodes and persist transcripts plus a manifest."""
-    exp = _load_experiment(config_path)
-    cfg = exp.run
-    flags = []
-    for field, flag, value in (("mode", "--mode", mode),
-                               ("n_trigger", "--n-trigger", n_trigger),
-                               ("max_steps", "--max-steps", max_steps),
-                               ("samples_N", "--samples-n", samples_n),
-                               ("retries_N", "--retries-n", retries_n)):
-        if value is not None:
-            setattr(cfg, field, value)
-            flags.append(f"{flag} {value}")
-    try:
-        cfg.validate()  # the config file's values passed at load
-    except ValueError as exc:
-        _fail(f"{exc} (with the command-line values {' '.join(flags)})")
-    try:
-        cfg.episode_thinker(exp.thinker)
-    except ValueError as exc:
-        _fail(str(exc))
-
-    try:
-        world = exp.load_world()
-        tasks = select_tasks(world, exp.task_ids)
-    except (ConfigValidationError, WorldValidationError) as exc:
-        _fail(str(exc))
-
+    exp = _load_experiment(config_path, {
+        "mode": mode, "n_trigger": n_trigger, "max_steps": max_steps,
+        "samples_N": samples_n, "retries_N": retries_n})
     run_seeds = list(seeds) if seeds else exp.seeds
-    items = [(task, seed) for task in tasks for seed in run_seeds]
+    items = [(task, seed) for task in exp.tasks for seed in run_seeds]
     root = Path(store_dir) if store_dir else exp.store_dir
     store = _fresh_store(root, label)
     results = run_batch(
-        world, items, cfg, exp.actor, thinker=exp.thinker,
+        exp.world, items, exp.run, exp.actor, thinker=exp.thinker,
         store_dir=store,
         parallelism=parallelism if parallelism is not None else exp.parallelism,
         world_file=exp.world_file)
@@ -329,13 +306,7 @@ def cmd_forge(config_path, out_dir, label) -> None:
         if handle is None:
             _fail(f"forge needs a {name!r} policy in the config")
     try:
-        world = exp.load_world()
-        tasks = select_tasks(world, exp.task_ids)
-    except (ConfigValidationError, WorldValidationError) as exc:
-        _fail(str(exc))
-
-    try:
-        result = forge(world, tasks, exp.strong, exp.weak, exp.thinker,
+        result = forge(exp.world, exp.tasks, exp.strong, exp.weak, exp.thinker,
                        exp.actor, exp.pipeline, seeds=exp.seeds)
     except BackendFailure as exc:
         _fail(str(exc), code=1)
@@ -358,12 +329,7 @@ def cmd_validate(config_path, world_path) -> None:
     if config_path is None and world_path is None:
         _fail("pass --config and/or --world")
     if config_path is not None:
-        exp = _load_experiment(config_path)
-        try:
-            world = exp.load_world()
-            select_tasks(world, exp.task_ids)
-        except (ConfigValidationError, WorldValidationError) as exc:
-            _fail(str(exc))
+        _load_experiment(config_path)
         click.echo(f"config ok: {config_path}")
     if world_path is not None:
         try:

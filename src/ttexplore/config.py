@@ -1,10 +1,13 @@
 """Experiment configuration loading.
 
-One structured YAML file is the source of truth; CLI flags override it.
-Unknown keys are errors so typos never pass silently, and every value passes
-one type check, with the types of the `RunConfig`, `PipelineConfig`,
-`RemoteBackend` and `DecodeParams` fields. API keys come from environment
-variables only, never from config files.
+One structured YAML file is the source of truth; the `ttexplore run` flags
+override its `run:` values. `load_config` is the one path from a file to a
+runnable experiment: it applies the flags, validates every value once, and
+loads the world and selects the tasks. Unknown keys are errors so typos
+never pass silently, and every value passes one type check, with the types
+of the `RunConfig`, `PipelineConfig`, `RemoteBackend` and `DecodeParams`
+fields. API keys come from environment variables only, never from config
+files.
 """
 
 from __future__ import annotations
@@ -24,7 +27,7 @@ from .policies import (
     ScriptedBackend,
 )
 from .orchestrator import RunConfig
-from .world import TextWorld, builtin_world_path, load_world
+from .world import TaskSpec, TextWorld, builtin_world_path, load_world
 
 
 class ConfigValidationError(ValueError):
@@ -126,7 +129,8 @@ def parse_policy(data: dict, role: str, where: str) -> PolicyHandle:
 @dataclass
 class ExperimentConfig:
     world_file: str
-    task_ids: Optional[list[str]]
+    world: TextWorld
+    tasks: list[TaskSpec]
     actor: PolicyHandle
     thinker: Optional[PolicyHandle]
     weak: Optional[PolicyHandle]
@@ -136,9 +140,6 @@ class ExperimentConfig:
     store_dir: Path
     seeds: list[int]
     parallelism: int
-
-    def load_world(self) -> TextWorld:
-        return load_world(resolve_world_path(self.world_file))
 
 
 def resolve_world_path(name_or_path: str) -> Path:
@@ -152,7 +153,14 @@ def resolve_world_path(name_or_path: str) -> Path:
         f"world {name_or_path!r}: no such file and no builtin world by that name")
 
 
-def load_config(path: str | Path) -> ExperimentConfig:
+def load_config(path: str | Path,
+                run_flags: Optional[dict] = None) -> ExperimentConfig:
+    """The experiment of the config file at `path`, with its world loaded and
+    its tasks selected. `run_flags` maps `RunConfig` fields to the values of
+    the `ttexplore run` flags of the same names (`samples_N` is
+    `--samples-n`); a None value was not given. The given ones replace the
+    file's before the one validation pass, and a run rule they break fails
+    naming the file, the section and the flags."""
     path = Path(path)
     if not path.exists():
         raise ConfigValidationError(f"config file not found: {path}")
@@ -171,17 +179,32 @@ def load_config(path: str | Path) -> ExperimentConfig:
     if data.get("parallelism", 1) < 1:
         raise ConfigValidationError(
             f"{path}: parallelism must be >= 1, got {data['parallelism']}")
-    resolve_world_path(data["world"])  # existence check at load time
+    world = load_world(resolve_world_path(data["world"]))
+    task_ids = data.get("tasks", list(world.tasks))
+    for tid in task_ids:
+        if tid not in world.tasks:
+            raise ConfigValidationError(
+                f"{path}: task {tid!r} not found in world {world.id!r} "
+                f"(available: {', '.join(sorted(world.tasks))})")
 
-    run = RunConfig(**_section(data.get("run") or {}, _RUN_TYPES, f"{path}:run"))
+    flags = {k: v for k, v in (run_flags or {}).items() if v is not None}
+    given = " ".join(f"--{k.lower().replace('_', '-')} {v}"
+                     for k, v in flags.items())
+    with_flags = f" (with the command-line values {given})" if given else ""
+
+    def check(key: str, validate, suffix: str = "") -> None:
+        try:
+            validate()
+        except ValueError as exc:
+            raise ConfigValidationError(f"{path}:{key}: {exc}{suffix}") from None
+
+    run = RunConfig(**{**_section(data.get("run") or {}, _RUN_TYPES, f"{path}:run"),
+                       **flags})
     pipeline = PipelineConfig(**_section(data.get("pipeline") or {},
                                          _PIPELINE_TYPES, f"{path}:pipeline"))
     pipeline.run = run
-    for key, section in (("run", run), ("pipeline", pipeline)):
-        try:
-            section.validate()
-        except ValueError as exc:
-            raise ConfigValidationError(f"{path}:{key}: {exc}") from None
+    check("run", run.validate, with_flags)
+    check("pipeline", pipeline.validate)
 
     def policy(key: str, role: str) -> Optional[PolicyHandle]:
         if data.get(key) is None:
@@ -189,14 +212,12 @@ def load_config(path: str | Path) -> ExperimentConfig:
         return parse_policy(data[key], role, f"{path}:{key}")
 
     thinker = policy("thinker", "thinker")
-    try:
-        run.episode_thinker(thinker)
-    except ValueError as exc:
-        raise ConfigValidationError(f"{path}:run: {exc}") from None
+    check("run", lambda: run.episode_thinker(thinker), with_flags)
 
     return ExperimentConfig(
         world_file=data["world"],
-        task_ids=data.get("tasks"),
+        world=world,
+        tasks=[world.tasks[tid] for tid in task_ids],
         actor=parse_policy(data["actor"], "actor", f"{path}:actor"),
         thinker=thinker,
         weak=policy("weak", "actor"),
@@ -207,16 +228,3 @@ def load_config(path: str | Path) -> ExperimentConfig:
         seeds=data.get("seeds", [0]),
         parallelism=data.get("parallelism", 1),
     )
-
-
-def select_tasks(world: TextWorld, task_ids: Optional[list[str]]):
-    if task_ids is None:
-        return list(world.tasks.values())
-    tasks = []
-    for tid in task_ids:
-        if tid not in world.tasks:
-            raise ConfigValidationError(
-                f"task {tid!r} not found in world {world.id!r} "
-                f"(available: {', '.join(sorted(world.tasks))})")
-        tasks.append(world.tasks[tid])
-    return tasks

@@ -9,7 +9,7 @@ from __future__ import annotations
 
 import json
 from collections import Counter
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from decimal import ROUND_HALF_UP, Decimal
 from typing import Iterable, Sequence
 
@@ -29,13 +29,7 @@ class ExplorationMetrics:
     k: int = DEFAULT_K
 
     def as_dict(self) -> dict:
-        return {
-            "action_diversity": self.action_diversity,
-            "action_repetition": self.action_repetition,
-            "observation_diversity": self.observation_diversity,
-            "observation_repetition": self.observation_repetition,
-            "k": self.k,
-        }
+        return asdict(self)
 
 
 def _trimmed(values: Sequence[str]) -> list[str]:
@@ -99,16 +93,7 @@ class SummaryTable:
     mean_observation_repetition: float
 
     def as_dict(self) -> dict:
-        return {
-            "count": self.count,
-            "success_rate": self.success_rate,
-            "mean_process_score": self.mean_process_score,
-            "mean_wall_s": self.mean_wall_s,
-            "mean_action_diversity": self.mean_action_diversity,
-            "mean_action_repetition": self.mean_action_repetition,
-            "mean_observation_diversity": self.mean_observation_diversity,
-            "mean_observation_repetition": self.mean_observation_repetition,
-        }
+        return asdict(self)
 
     def to_jsonl(self) -> str:
         return json.dumps(self.as_dict(), ensure_ascii=False)

@@ -29,6 +29,7 @@ from typing import Optional
 from . import metrics as metrics_mod
 from .policies import ConfigError, PolicyHandle, RemoteError, complete
 from .prompts import (
+    DEFAULT_CHAR_BUDGET,
     DeepThought,
     HistoryView,
     ParseError,
@@ -54,7 +55,7 @@ class RunConfig:
     retries_N: int = 5
     samples_N: int = 5
     seed: int = 0  # set per episode by run_batch
-    char_budget: int = 100_000
+    char_budget: int = DEFAULT_CHAR_BUDGET
 
     def validate(self) -> None:
         if self.mode not in ("react", "ttexplore", "reflexion", "bestofn"):
@@ -200,8 +201,7 @@ def _run_episode(world: TextWorld, actor: PolicyHandle, task: TaskSpec,
     state, obs0 = world.reset(task, seed)
     view = HistoryView(task.id, obs0.text,
                        reflections=list(reflections or []))
-    traj = Trajectory(task_id=task.id, seed=seed,
-                      mode="ttexplore" if thinker else "react",
+    traj = Trajectory(task_id=task.id, seed=seed, mode=cfg.mode,
                       initial_observation=obs0.text)
     try:
         run_steps(world, actor, task, state, view, traj.steps, cfg.max_steps,
@@ -229,7 +229,6 @@ def _reflexion(world: TextWorld, actor: PolicyHandle, task: TaskSpec,
     for attempt in range(cfg.retries_N):
         traj = _run_episode(world, actor, task, cfg, thinker=thinker,
                             reflections=reflections)
-        traj.mode = "reflexion"
         if best is None or traj.final.process_score > best.final.process_score:
             best = traj
         if traj.final.success:
@@ -267,9 +266,7 @@ def select_best(samples: list[Trajectory]) -> Trajectory:
         best_key = (best.final.process_score, -best.final.steps_used)
         if key > best_key:
             best_idx = i
-    chosen = samples[best_idx]
-    chosen.mode = "bestofn"
-    return chosen
+    return samples[best_idx]
 
 
 def run_mode(world: TextWorld, actor: PolicyHandle, task: TaskSpec,
@@ -312,14 +309,18 @@ def _episode_filename(index: int, traj: Trajectory) -> str:
     return f"{index:03d}_{safe_task}_s{traj.seed}.jsonl"
 
 
-def write_transcript(path: Path, traj: Trajectory) -> None:
-    lines = []
-    for i, step in enumerate(traj.steps, start=1):
-        lines.append(json.dumps(
-            {"step": i, "action": step.action, "observation": step.observation,
-             "score": step.score_after, "done": step.done},
-            ensure_ascii=False))
+def write_jsonl(path: Path, records: list[dict]) -> None:
+    """One JSON line per record, in UTF-8; an empty list writes an empty
+    file."""
+    lines = [json.dumps(record, ensure_ascii=False) for record in records]
     path.write_text("\n".join(lines) + ("\n" if lines else ""), encoding="utf-8")
+
+
+def write_transcript(path: Path, traj: Trajectory) -> None:
+    write_jsonl(path, [
+        {"step": i, "action": step.action, "observation": step.observation,
+         "score": step.score_after, "done": step.done}
+        for i, step in enumerate(traj.steps, start=1)])
 
 
 def read_transcript(path: Path) -> list[dict]:

@@ -20,7 +20,6 @@ and seed; `forge` returns nothing partial.
 
 from __future__ import annotations
 
-import json
 import logging
 from dataclasses import dataclass, field, replace
 from pathlib import Path
@@ -32,9 +31,11 @@ from .orchestrator import (
     Trajectory,
     run_mode,
     run_steps,
+    write_jsonl,
 )
 from .policies import ConfigError, PolicyHandle, RemoteError, complete
 from .prompts import (
+    DEFAULT_CHAR_BUDGET,
     DeepThought,
     HistoryView,
     ParseError,
@@ -336,7 +337,8 @@ def build_multinode_contexts(world: TextWorld, task: TaskSpec,
                              base_seed: int = 0) -> MultiNodeGroup:
     """Rollouts whose task-level reward is shared by every thinking node:
     an episode that completes the task is rewarded at its completing step,
-    any other episode gets 0.
+    any other episode gets 0. A policy backend failure in a rollout raises
+    `BackendFailure` naming the task and seed, as in `forge`.
     Node counts of 2 and 4 map to trigger intervals of 9 and 6 under the
     rollout step cap; a node count of 1 is the standard single-node path."""
     if nodes == 1:
@@ -350,8 +352,11 @@ def build_multinode_contexts(world: TextWorld, task: TaskSpec,
                         char_budget=cfg.run.char_budget)
     rollouts = []
     for j in range(cfg.m):
-        traj = run_mode(world, actor_frozen, task,
-                        replace(run_cfg, seed=base_seed + j), thinker)
+        seed = base_seed + j
+        traj = run_mode(world, actor_frozen, task, replace(run_cfg, seed=seed),
+                        thinker)
+        if traj.error is not None:
+            raise BackendFailure(f"{task.id} seed {seed}: {traj.error}")
         # a successful episode ends at the step that completes the task
         reward = continuation_reward(cfg.reward_mode,
                                      traj.final.steps_used if traj.final.success
@@ -369,32 +374,27 @@ def build_multinode_contexts(world: TextWorld, task: TaskSpec,
 # ---------------------------------------------------------------------------
 
 def export_grpo(groups: list[RolloutGroup], path: str | Path) -> dict:
-    path = Path(path)
-    lines = []
-    for group in groups:
-        lines.append(json.dumps({
-            "context_id": group.context_id,
-            "prompt": group.prompt,
-            "completions": [r.thought.text for r in group.records],
-            "rewards": [r.reward for r in group.records],
-            "meta": {
-                "difficulty": group.difficulty,
-                "improved_at": [r.improved_at for r in group.records],
-            },
-        }, ensure_ascii=False))
-    path.write_text("\n".join(lines) + ("\n" if lines else ""), encoding="utf-8")
+    write_jsonl(Path(path), [{
+        "context_id": group.context_id,
+        "prompt": group.prompt,
+        "completions": [r.thought.text for r in group.records],
+        "rewards": [r.reward for r in group.records],
+        "meta": {
+            "difficulty": group.difficulty,
+            "improved_at": [r.improved_at for r in group.records],
+        },
+    } for group in groups])
     return {"groups": len(groups)}
 
 
 def export_sft(world: TextWorld, tasks: dict[str, TaskSpec],
                trajectories: list[Trajectory], path: str | Path,
-               char_budget: int = 100_000) -> dict:
+               char_budget: int = DEFAULT_CHAR_BUDGET) -> dict:
     """One record per deep thought: the thinker prompt at the anchor and the
     thought text as completion. Each trajectory grows one view; an episode
     anchors at most one thought per step, so each prompt sees the steps up
     to its anchor and the thoughts anchored before it."""
-    path = Path(path)
-    lines = []
+    records = []
     for traj in trajectories:
         task = tasks[traj.task_id]
         view = HistoryView(traj.task_id, traj.initial_observation)
@@ -403,11 +403,9 @@ def export_sft(world: TextWorld, tasks: dict[str, TaskSpec],
                 view.add_step(step.action, step.observation)
             prompt = render_thinker_prompt(task, view, char_budget=char_budget)
             view.add_thought(thought.text)
-            lines.append(json.dumps({"prompt": prompt,
-                                     "completion": thought.text},
-                                    ensure_ascii=False))
-    path.write_text("\n".join(lines) + ("\n" if lines else ""), encoding="utf-8")
-    return {"records": len(lines)}
+            records.append({"prompt": prompt, "completion": thought.text})
+    write_jsonl(Path(path), records)
+    return {"records": len(records)}
 
 
 @dataclass

@@ -108,7 +108,6 @@ class Action:
     verb: str  # go | open | take | put | look | unknown
     item: Optional[str] = None
     target: Optional[str] = None
-    preposition: Optional[str] = None
     raw: str = ""
 
 
@@ -132,13 +131,8 @@ def parse_action(text: str) -> Action:
         for prep in (" in ", " on "):
             if prep in rest:
                 item, target = rest.split(prep, 1)
-                return Action(
-                    "put",
-                    item=item.strip(),
-                    target=target.strip(),
-                    preposition=prep.strip(),
-                    raw=raw,
-                )
+                return Action("put", item=item.strip(), target=target.strip(),
+                              raw=raw)
         return Action("unknown", raw=raw)
     return Action("unknown", raw=raw)
 

@@ -168,6 +168,58 @@ def test_run_flag_that_fails_validation_names_the_command_line(runner, tmp_path)
     assert not (tmp_path / "runs").exists()
 
 
+@pytest.mark.parametrize("doc,flags,error", [
+    (config_doc(), ["--mode", "react", "--max-steps", "0"],
+     "n_trigger and max_steps must be positive"),
+    (config_doc(thinker=None, run={"mode": "react"}), ["--mode", "bestofn"],
+     "mode 'bestofn' with inner_mode 'ttexplore' needs a thinker policy"),
+], ids=["max-steps", "thinker"])
+def test_a_flag_that_breaks_a_run_rule_names_the_file_and_the_flags(
+        runner, tmp_path, doc, flags, error):
+    cfg = write_config(tmp_path, doc)
+    result = runner.invoke(main, ["run", "--config", str(cfg), *flags,
+                                  "--store-dir", str(tmp_path / "runs")])
+    assert result.exit_code == 2, result.output
+    assert (f"exp.yaml:run: {error} (with the command-line values "
+            f"{' '.join(flags)})") in result.output
+    assert not (tmp_path / "runs").exists()
+
+
+def test_run_flags_apply_before_the_file_is_validated(runner, tmp_path):
+    # the file alone breaks a run rule, and the flag mends it
+    cfg = write_config(tmp_path, config_doc(
+        run={"mode": "ttexplore", "n_trigger": 6, "max_steps": 5}))
+    with pytest.raises(ConfigValidationError, match=r"exp\.yaml:run: n_trigger"):
+        load_config(cfg)
+    assert load_config(cfg, {"max_steps": 8, "mode": None}).run.max_steps == 8
+    result = runner.invoke(main, ["run", "--config", str(cfg), "--max-steps", "8",
+                                  "--store-dir", str(tmp_path / "runs")])
+    assert result.exit_code == 0, result.output
+
+
+def test_load_config_loads_the_world_and_selects_the_tasks(tmp_path):
+    exp = load_config(write_config(tmp_path))
+    assert exp.world.id == "minihouse-2-world"
+    assert exp.tasks == [exp.world.tasks["minihouse-2"]]
+    doc = config_doc()
+    del doc["tasks"]
+    exp = load_config(write_config(tmp_path, doc))
+    assert exp.tasks == list(exp.world.tasks.values())
+
+
+@pytest.mark.parametrize("command,out", [("validate", None), ("run", "--store-dir"),
+                                         ("forge", "--out")])
+def test_an_unknown_task_fails_at_load(runner, tmp_path, command, out):
+    cfg = write_config(tmp_path, config_doc(tasks=["minihouse-2", "no-such-task"]))
+    args = [command, "--config", str(cfg)]
+    if out is not None:
+        args += [out, str(tmp_path / "runs")]
+    result = runner.invoke(main, args)
+    assert result.exit_code == 2, result.output
+    assert "exp.yaml: task 'no-such-task' not found in world" in result.output
+    assert not (tmp_path / "runs").exists()
+
+
 def test_run_rejects_a_parallelism_flag_below_one(runner, tmp_path):
     cfg = write_config(tmp_path)
     result = runner.invoke(main, ["run", "--config", str(cfg), "--parallelism", "-2",

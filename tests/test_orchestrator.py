@@ -308,6 +308,8 @@ def test_select_best_prefers_score_then_lowest_index():
     # fewer steps breaks a score tie
     samples = [traj(50.0, 9), traj(50.0, 4)]
     assert select_best(samples) is samples[1]
+    # the samples keep the label their episodes gave them
+    assert [t.mode for t in samples] == ["react", "react"]
 
 
 # --- run store --------------------------------------------------------------
@@ -391,3 +393,4 @@ def test_run_mode_dispatch(minihouse1, oracle, oracle_thinker):
         cfg = RunConfig(mode=mode, seed=0, samples_N=2, retries_N=2)
         traj = run_mode(minihouse1, oracle, task, cfg, thinker=oracle_thinker)
         assert traj.final.success
+        assert traj.mode == mode

@@ -21,6 +21,7 @@ from ttexplore.pipeline import (
     HARD,
     MEDIUM,
     STEP_PENALTY,
+    BackendFailure,
     GroupDiscarded,
     IntegrityError,
     PipelineConfig,
@@ -40,7 +41,7 @@ from ttexplore.pipeline import (
     rollout_group,
     sample_thoughts,
 )
-from ttexplore.policies import SCRIPTED_POLICIES, scripted
+from ttexplore.policies import SCRIPTED_POLICIES, RemoteError, scripted
 from ttexplore.prompts import TRUNCATION_MARKER, HistoryView, render_thinker_prompt
 from ttexplore.world import builtin_world_path, load_world
 
@@ -356,6 +357,20 @@ def test_multinode_rejects_unsupported_counts(minihouse2):
         with pytest.raises(ValueError):
             build_multinode_contexts(minihouse2, task, thinker, actor,
                                      PipelineConfig(), nodes)
+
+
+def test_multinode_raises_on_a_failed_backend(minihouse2, monkeypatch):
+    """An aborted rollout is never rewarded: the first one stops the group."""
+    def explode(prompt, seed):
+        raise RemoteError("backend gone", attempts=1)
+    monkeypatch.setitem(SCRIPTED_POLICIES, "crash-thinker", explode)
+    task = minihouse2.tasks["minihouse-2"]
+    with pytest.raises(BackendFailure,
+                       match=r"^minihouse-2 seed 7: RemoteError: backend gone$"):
+        build_multinode_contexts(minihouse2, task,
+                                 scripted("thinker", "crash-thinker"),
+                                 scripted("actor", "greedy-actor"),
+                                 PipelineConfig(m=2), 2, base_seed=7)
 
 
 def test_multinode_reward_counts_from_the_initial_score(open_fridge):
