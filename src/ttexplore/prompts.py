@@ -13,11 +13,17 @@ count comes from bisecting the prefix sums for the full prompt's excess, and
 a history longer than the budget is never joined whole. What still grows
 with the history is C-speed copying of what the prompt keeps: about the
 character budget, plus the deep thoughts, which are never dropped.
+
+Reading a prompt back, `parse_prompt` resumes at the latest deep thought
+that the prompt shares with the thread's last parse. Below the budget a
+call so parses only what follows that thought; over it, dropping a step
+shifts the prompt's head, and the parse reads nearly the whole prompt.
 """
 
 from __future__ import annotations
 
 import re
+import threading
 from bisect import bisect_left, bisect_right
 from dataclasses import dataclass, field
 from enum import Enum
@@ -353,11 +359,13 @@ def format_thinker_output(text: str) -> str:
 
 # --- prompt introspection, used by the scripted fixture policies -----------
 #
-# `parse_prompt` reads the whole prompt back at one Python step per tagged
-# line and per run of step pairs; the regex engine skips every other line.
-# `last_action` parses only the text after the last `Action: ` line;
-# `loop-actor` needs no more, while the other scripted policies still parse
-# the whole prompt, a cost that grows with the history the prompt keeps.
+# `parse_prompt` reads a prompt back at one Python step per tagged line and
+# per run of step pairs; every token starts with a literal newline, so the
+# regex engine tries a match only at line starts. Each thread keeps its last
+# parse, and a prompt that shares its text through a `Deep Thought: ` tag
+# with that parse resumes there: below the character budget a scripted call
+# reads only what follows the latest thought it shares. `last_action` parses
+# only the text after the last `Action: ` line and leaves that state alone.
 
 @dataclass
 class PromptView:
@@ -368,17 +376,77 @@ class PromptView:
     reflections: list[str] = field(default_factory=list)
 
 
+# Matched over "\n" + prompt; `(?![^\n])` is a line end.
 _PROMPT_TOKEN_RE = re.compile(
-    r"^(?:(?P<pairs>Action: [^\n]*\nObservation: [^\n]*"
+    r"\n(?:(?P<pairs>Action: [^\n]*\nObservation: [^\n]*"
     r"(?:\nAction: [^\n]*\nObservation: [^\n]*)*)"
     r"|Deep Thought: (?P<thought>[^\n]*(?:\n(?!Action: |Deep Thought: "
-    r"|\n(?:Attention:|Previous Reflections:)$)[^\n]*)*)"
+    r"|\n(?:Attention:|Previous Reflections:)(?![^\n]))[^\n]*)*)"
     r"|The Task: (?P<instruction>[^\n]*)"
     r"|Initial Observation: (?P<initial>[^\n]*)|- (?P<item>[^\n]*)"
     r"|Action: (?P<action>[^\n]*)|Observation: (?P<observation>[^\n]*)"
-    r"|(?P<section>Previous Reflections:|Attention:)$)",
-    re.MULTILINE)
-_PAIR_RE = re.compile(r"^Action: (.*)\nObservation: (.*)$", re.MULTILINE)
+    r"|(?P<section>Previous Reflections:|Attention:)(?![^\n]))")
+_PAIR_RE = re.compile(r"\nAction: ([^\n]*)\nObservation: ([^\n]*)")
+_THOUGHT_TAG = "Deep Thought: "
+
+# per thread: (prompt, its view, its marks) of the last `parse_prompt`
+_last_parse = threading.local()
+
+
+def _scan(text: str, pos: int, view: PromptView,
+          pending_action: Optional[str], in_reflections: bool,
+          marks: list[tuple]) -> PromptView:
+    """Parse `text`, a newline and a prompt, from `pos` into `view`, given
+    the parser state at `pos`. Each thought token appends a mark to `marks`:
+    its position and the state just before it."""
+    for token in _PROMPT_TOKEN_RE.finditer(text, pos):
+        kind = token.lastgroup
+        if kind == "pairs":
+            view.steps += _PAIR_RE.findall(text, token.start(), token.end())
+            pending_action = None
+            continue
+        value = token.group(kind)
+        if kind == "thought":
+            marks.append((token.start(), len(view.steps), len(view.thoughts),
+                          len(view.reflections), view.instruction,
+                          view.initial_observation, pending_action,
+                          in_reflections))
+            view.thoughts.append((len(view.steps), value.rstrip()))
+        elif kind == "action":
+            pending_action = value
+        elif kind == "observation" and pending_action is not None:
+            view.steps.append((pending_action, value))
+            pending_action = None
+        elif kind == "item" and in_reflections:
+            view.reflections.append(value)
+        elif kind == "instruction":
+            view.instruction = value
+            in_reflections = False
+        elif kind == "initial":
+            view.initial_observation = value
+        elif kind == "section":
+            in_reflections = value == "Previous Reflections:"
+    return view
+
+
+def _shares(prompt: str, old: str, start: int, end: int) -> bool:
+    """Whether `prompt` holds `old`'s text from `start` to `end`."""
+    return prompt.startswith(old[start:end], start)
+
+
+def _shared_marks(prompt: str, old: str, marks: list[tuple]) -> int:
+    """How many of `old`'s marks `prompt` shares, with their line start and
+    tag, found by bisection. A probe copies and compares only the text after
+    the prefix already known to be shared."""
+    lo, hi, known = 0, len(marks), 0
+    while lo < hi:
+        mid = (lo + hi) // 2
+        end = marks[mid][0] + len(_THOUGHT_TAG)
+        if _shares(prompt, old, known, end):
+            lo, known = mid + 1, end
+        else:
+            hi = mid
+    return lo
 
 
 def parse_prompt(prompt: str) -> PromptView:
@@ -398,33 +466,32 @@ def parse_prompt(prompt: str) -> PromptView:
       item, a lone ``Action: ``, and an ``Observation: `` line.
 
     The engine skips every other line, which cannot change the view.
+
+    The pass resumes at the latest thought token of this thread's last
+    parse whose text, through its tag, the prompt shares. That is exact:
+    no token before a ``Deep Thought: `` line start reads past its tag (a
+    thought stops there, and a run of step pairs cannot cross it), so the
+    parser state there depends only on the shared text.
     """
-    view = PromptView()
-    pending_action: Optional[str] = None
-    in_reflections = False
-    for token in _PROMPT_TOKEN_RE.finditer(prompt):
-        kind = token.lastgroup
-        text = token.group(kind)
-        if kind == "pairs":
-            view.steps += _PAIR_RE.findall(text)
-            pending_action = None
-        elif kind == "thought":
-            view.thoughts.append((len(view.steps), text.rstrip()))
-        elif kind == "action":
-            pending_action = text
-        elif kind == "observation" and pending_action is not None:
-            view.steps.append((pending_action, text))
-            pending_action = None
-        elif kind == "item" and in_reflections:
-            view.reflections.append(text)
-        elif kind == "instruction":
-            view.instruction = text
-            in_reflections = False
-        elif kind == "initial":
-            view.initial_observation = text
-        elif kind == "section":
-            in_reflections = text == "Previous Reflections:"
-    return view
+    view, pos, pending_action, in_reflections = PromptView(), 0, None, False
+    marks: list[tuple] = []
+    last = getattr(_last_parse, "state", None)
+    if last is not None:
+        old, old_view, old_marks = last
+        shared = _shared_marks(prompt, old, old_marks)
+        if shared:
+            (pos, steps, thoughts, reflections, view.instruction,
+             view.initial_observation, pending_action,
+             in_reflections) = old_marks[shared - 1]
+            view.steps = old_view.steps[:steps]
+            view.thoughts = old_view.thoughts[:thoughts]
+            view.reflections = old_view.reflections[:reflections]
+            marks = old_marks[:shared - 1]
+    _scan("\n" + prompt, pos, view, pending_action, in_reflections, marks)
+    _last_parse.state = (prompt, view, marks)
+    # the caller gets its own lists, so that changing them cannot reach a resume
+    return PromptView(view.instruction, view.initial_observation,
+                      view.steps[:], view.thoughts[:], view.reflections[:])
 
 
 def last_action(prompt: str) -> Optional[str]:
@@ -435,14 +502,16 @@ def last_action(prompt: str) -> Optional[str]:
     the same last step, or begins a token, since no thought or other line
     swallows it; the steps after such a token do not depend on the text
     before it. A suffix with no step (a lone action) leaves the last step to
-    the text before that line.
+    the text before that line. The suffix parse leaves the thread's last
+    parse untouched.
     """
     end = len(prompt)
     while end > 0:
         start = prompt.rfind("\nAction: ", 0, end) + 1
         if start == 0 and not prompt.startswith("Action: ", 0, end):
             return None
-        steps = parse_prompt(prompt[start:end]).steps
+        steps = _scan("\n" + prompt[start:end], 0, PromptView(), None, False,
+                      []).steps
         if steps:
             return steps[-1][0]
         end = start

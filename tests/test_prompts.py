@@ -1,13 +1,15 @@
 """Prompt rendering, tagged-output parsing, truncation, and introspection."""
 
 import copy
+import sys
+import threading
 from unittest import mock
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from ttexplore import load_builtin_world, prompts
+from ttexplore import load_builtin_world, pipeline, policies, prompts
 from ttexplore.orchestrator import RunConfig, run_mode
 from ttexplore.policies import SCRIPTED_POLICIES, loop_actor, scripted
 from ttexplore.prompts import (
@@ -479,7 +481,7 @@ def test_parse_prompt_tokenizes_only_tagged_lines(world_id, render):
     task = next(iter(world.tasks.values()))
     prompt = render(task, HistoryView(task.id, world.reset(task, 0)[1].text))
     assert prompt.count("\n") + 1 >= 26
-    assert len(prompts._PROMPT_TOKEN_RE.findall(prompt)) == 8
+    assert len(prompts._PROMPT_TOKEN_RE.findall("\n" + prompt)) == 8
 
 
 # --- the tail parse against the full parse -----------------------------------
@@ -516,6 +518,237 @@ def test_last_action_matches_the_full_parse_on_renders(mh1_task, view, data):
 ])
 def test_last_action_skips_lone_actions(text, expected):
     assert last_action(text) == _full_parse_last_action(text) == expected
+
+
+# --- the resumed parse against the reference ---------------------------------
+
+_RESUME_TEXT = st.lists(st.one_of(_FRAGMENTS, st.sampled_from([
+    "\nDeep Thought: t", "\nDeep Thought: t\nu", "\nDeep Thought: ",
+    "\nAction: x\nObservation: y", "Deep Thought: t\n"])), max_size=24).map("".join)
+
+
+@settings(max_examples=1000, deadline=None)
+@given(first=_RESUME_TEXT, suffix=_RESUME_TEXT, data=st.data())
+def test_parse_prompt_resumes_exactly_after_a_shared_prefix(first, suffix, data):
+    second = first[:data.draw(st.integers(0, len(first)))] + suffix
+    assert parse_prompt(first) == _reference_parse_prompt(first)
+    assert parse_prompt(second) == _reference_parse_prompt(second)
+
+
+@pytest.mark.parametrize("first,second", [
+    # an action pending before the thought pairs with a later observation
+    ("Action: a\nDeep Thought: t\n\nAttention:\nObservation: b",
+     "Action: a\nDeep Thought: u\n\nAttention:\nObservation: c"),
+    # a reflections section open before the thought takes a later item
+    ("The Task: i\nPrevious Reflections:\n- r\nDeep Thought: t\nAction: x\n- s",
+     "The Task: i\nPrevious Reflections:\n- r\nDeep Thought: u\nAction: y\n- v"),
+    # steps and thoughts before the latest shared thought, then new ones
+    ("Initial Observation: o\nAction: a\nObservation: b\nDeep Thought: t\n"
+     "Action: c\nObservation: d\nDeep Thought: u",
+     "Initial Observation: o\nAction: a\nObservation: b\nDeep Thought: t\n"
+     "Action: c\nObservation: d\nDeep Thought: w\nAction: e\nObservation: f"),
+])
+def test_parse_prompt_resumes_with_the_state_before_the_thought(first, second):
+    parse_prompt(first)
+    assert parse_prompt(second) == _reference_parse_prompt(second)
+
+
+def _checked_parses(monkeypatch):
+    """Make the policies' `parse_prompt` check each parse against the
+    reference; returns the prompts and the scan start of each parse."""
+    seen = []
+    scan = prompts._scan
+
+    def recording_scan(text, pos, *args):
+        seen[-1][1] = pos
+        return scan(text, pos, *args)
+
+    def checked(prompt):
+        seen.append([prompt, None])
+        parsed = parse_prompt(prompt)
+        assert parsed == _reference_parse_prompt(prompt)
+        return parsed
+
+    monkeypatch.setattr(prompts, "_scan", recording_scan)
+    monkeypatch.setattr(policies, "parse_prompt", checked)
+    return seen
+
+
+def test_parse_prompt_resumes_exactly_in_an_episode(keymaze1, monkeypatch):
+    """Every actor and thinker prompt of an episode, in call order. A prompt
+    that follows a prompt of its own role with a thought resumes."""
+    seen = _checked_parses(monkeypatch)
+    task = keymaze1.tasks["keymaze-1"]
+    traj = run_mode(keymaze1, scripted("actor", "greedy-actor"), task,
+                    RunConfig(mode="ttexplore", max_steps=60, n_trigger=3),
+                    scripted("thinker", "oracle-thinker"))
+    assert traj.error is None and len(traj.thoughts) >= 5
+    assert len(seen) == len(traj.steps) + len(traj.thoughts)
+    resumable = [pos for (before, _), (prompt, pos) in zip(seen, seen[1:])
+                 if before[:40] == prompt[:40] and "\nDeep Thought: " in before]
+    assert len(resumable) > len(seen) // 3 and all(resumable)
+
+
+def test_parse_prompt_resumes_exactly_in_a_forge_run(minihouse2, monkeypatch):
+    seen = _checked_parses(monkeypatch)
+    result = pipeline.forge(minihouse2, [minihouse2.tasks["minihouse-2"]],
+                            strong=scripted("actor", "oracle-actor"),
+                            weak=scripted("actor", "wanderer-actor"),
+                            thinker=scripted("thinker", "noisy-thinker"),
+                            actor_frozen=scripted("actor", "obedient-actor"),
+                            cfg=pipeline.PipelineConfig(), seeds=[0])
+    assert result.manifest["groups"] == 2
+    assert any(pos > 0 for _, pos in seen)
+
+
+def _episode_prompts(world_id):
+    world = load_builtin_world(world_id)
+    task = next(iter(world.tasks.values()))
+    with pytest.MonkeyPatch.context() as monkeypatch:
+        seen = _checked_parses(monkeypatch)
+        run_mode(world, scripted("actor", "greedy-actor"), task,
+                 RunConfig(mode="ttexplore", max_steps=30, n_trigger=3),
+                 scripted("thinker", "oracle-thinker"))
+    return [prompt for prompt, _ in seen]
+
+
+def _join_all(threads):
+    for thread in threads:
+        thread.start()
+    for thread in threads:
+        thread.join(timeout=60)
+    assert not any(thread.is_alive() for thread in threads)
+
+
+@pytest.fixture(scope="module")
+def episode_prompts():
+    """Every policy prompt of two episodes, with their reference views."""
+    sequences = [_episode_prompts(w) for w in ("keymaze1", "minihouse2")]
+    return sequences, [[_reference_parse_prompt(p) for p in s] for s in sequences]
+
+
+def test_threads_keep_their_own_parse(episode_prompts):
+    """Two threads take turns parsing two episodes' prompts; each gets the
+    reference views and keeps its own last prompt."""
+    sequences, expected = episode_prompts
+    turns = [threading.Semaphore(1), threading.Semaphore(0)]
+    results, last = [[], []], [None, None]
+
+    def parse_in_turn(me):
+        for i in range(max(map(len, sequences))):
+            assert turns[me].acquire(timeout=30)
+            if i < len(sequences[me]):
+                results[me].append(parse_prompt(sequences[me][i]))
+            turns[1 - me].release()
+        last[me] = prompts._last_parse.state[0]
+
+    _join_all([threading.Thread(target=parse_in_turn, args=(me,))
+               for me in (0, 1)])
+    assert results == expected
+    assert last[0] is sequences[0][-1] and last[1] is sequences[1][-1]
+
+
+def test_parse_prompt_under_thread_switching(episode_prompts):
+    """More threads than cores, switching as often as the interpreter
+    allows, each parsing one episode's prompts three times over."""
+    sequences, expected = episode_prompts
+    results = {}
+
+    def parse_all(me):
+        prompts_, views = sequences[me % 2], expected[me % 2]
+        results[me] = all(parse_prompt(p) == v
+                          for _ in range(3) for p, v in zip(prompts_, views))
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        _join_all([threading.Thread(target=parse_all, args=(me,))
+                   for me in range(8)])
+    finally:
+        sys.setswitchinterval(interval)
+    assert results == {me: True for me in range(8)}
+
+
+def test_last_action_leaves_the_parse_state_alone(task, view):
+    prompt = render_actor_prompt(task, view)
+    parse_prompt(prompt)
+    state = prompts._last_parse.state
+    assert last_action(prompt + "\nAction: a\nObservation: b") == "a"
+    assert last_action("Deep Thought: t\nAction: a\nObservation: b") == "a"
+    assert prompts._last_parse.state is state
+
+
+def _reachable(root):
+    """Every object reachable from `root` through tuples, lists, dicts and
+    prompt views."""
+    found, stack = {}, [root]
+    while stack:
+        obj = stack.pop()
+        if id(obj) in found:
+            continue
+        found[id(obj)] = obj
+        if isinstance(obj, (tuple, list)):
+            stack += obj
+        elif isinstance(obj, dict):
+            stack += [*obj.keys(), *obj.values()]
+        elif isinstance(obj, prompts.PromptView):
+            stack.append(vars(obj))
+    return list(found.values())
+
+
+def test_parse_state_holds_only_the_last_prompt_and_its_view(task, view):
+    """Marks hold counts, not views, so a resume keeps no old view alive;
+    the returned view shares no list with the state."""
+    first = render_thinker_prompt(task, view)
+    parse_prompt(first)
+    view.add_step("go to fridge 1", "You arrive at fridge 1.")
+    view.add_thought("Plan:\n- open fridge 1")
+    second = render_thinker_prompt(task, view)
+    parsed = parse_prompt(second)
+    prompt, own, marks = state = prompts._last_parse.state
+    assert prompt is second and own == parsed and len(marks) == 2
+    reached = _reachable(state)
+    assert [o for o in reached if isinstance(o, prompts.PromptView)] == [own]
+    assert own is not parsed
+    assert not any(o is lst for o in reached
+                   for lst in (parsed.steps, parsed.thoughts, parsed.reflections))
+    for mark in marks:
+        assert all(isinstance(x, (int, str, type(None))) for x in mark)
+    assert not any(isinstance(o, str) and len(o) >= len(first) and o is not second
+                   for o in reached)
+
+
+def _many_thoughts_prompt(task, thoughts):
+    view = HistoryView(task.id, "You are in the hallway.")
+    for i in range(thoughts):
+        view.add_step(f"go to room {i}", "Nothing happened.")
+        view.add_thought(f"thought {i}")
+    return render_thinker_prompt(task, view)
+
+
+def test_a_resume_costs_log_marks_prefix_comparisons(task, monkeypatch):
+    """A miss, a partial hit and a full hit each cost at most
+    floor(log2(marks)) + 1 prefix comparisons; with evenly spaced thoughts
+    they copy at most twice the prompt's length between them."""
+    marks = 256
+    prompt = _many_thoughts_prompt(task, marks)
+    middle = prompt.index("Deep Thought: thought 100\n")
+    probes = []
+    shares = prompts._shares
+
+    def counting(new, old, start, end):
+        probes.append(end - start)
+        return shares(new, old, start, end)
+
+    monkeypatch.setattr(prompts, "_shares", counting)
+    for changed in ("X" + prompt[1:],  # the head shifted: a miss
+                    prompt[:middle - 2] + "X" + prompt[middle - 1:],
+                    prompt + "\nAction: a\nObservation: b"):
+        parse_prompt(prompt)
+        probes.clear()
+        assert parse_prompt(changed) == _reference_parse_prompt(changed)
+        assert 0 < len(probes) <= marks.bit_length()
+        assert sum(probes) <= 2 * len(prompt)
 
 
 # --- reflection request ------------------------------------------------------
