@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import datetime as _dt
 import json
+import math
 import sys
 from pathlib import Path
 
@@ -60,7 +61,8 @@ _RECORD_TYPES = {"step": int, "action": str, "observation": str,
 
 
 def _check_entry(entry: dict, types: dict, where: str) -> None:
-    """`entry` has every key of `types`, each value of its key's type."""
+    """`entry` has every key of `types`, each value of its key's type; a
+    float is finite, since the summary means cannot round anything else."""
     for key in types:
         if key not in entry:
             _fail(f"{where} has no {key!r}")
@@ -68,13 +70,16 @@ def _check_entry(entry: dict, types: dict, where: str) -> None:
         _check_types(entry, types, where)
     except ConfigValidationError as exc:
         _fail(str(exc))
+    for key, want in types.items():
+        if want is float and not math.isfinite(entry[key]):
+            _fail(f"{where}: {key} must be finite, got {entry[key]!r}")
 
 
 def _read_store(store: Path) -> tuple[dict, list[list[dict]]]:
     """A run store's manifest and the records of each episode's transcript;
-    a missing or corrupt store file, or one without a key that `metrics` or
-    `replay` reads or with a value of the wrong type, fails naming the
-    file."""
+    a missing or corrupt store file, one without a key that `metrics` or
+    `replay` reads or with a value of the wrong type, or a manifest that
+    lists no episodes, fails naming the file."""
     manifest_path = store / "manifest.json"
     if not manifest_path.exists():
         _fail(f"{store}: not a run store (no manifest.json)")
@@ -88,6 +93,8 @@ def _read_store(store: Path) -> tuple[dict, list[list[dict]]]:
     if not (isinstance(episodes, list)
             and all(isinstance(e, dict) for e in episodes)):
         _fail(f"{manifest_path}: episodes is not a list of mappings")
+    if not episodes:
+        _fail(f"{manifest_path}: the manifest lists no episodes")
     for i, entry in enumerate(episodes):
         _check_entry(entry, _EPISODE_TYPES, f"{manifest_path}: episode {i}")
     transcripts = []
@@ -185,9 +192,7 @@ def cmd_metrics(store, k, as_jsonl) -> None:
     """Recompute exploration metrics from stored transcripts."""
     store = Path(store)
     manifest, transcripts = _read_store(store)
-    episodes = manifest.get("episodes", [])
-    if not episodes:
-        _fail(f"{store}: manifest lists no episodes")
+    episodes = manifest["episodes"]
     timings_path = store / "timings.json"
     if not timings_path.exists():
         _fail(f"{store}: timings.json is missing")
@@ -199,6 +204,9 @@ def cmd_metrics(store, k, as_jsonl) -> None:
     if count != len(episodes):
         _fail(f"{timings_path}: {count} episode timings, the manifest lists "
               f"{len(episodes)} episodes")
+    for i, wall_s in enumerate(walls):
+        _check_entry({"wall_s": wall_s}, {"wall_s": float},
+                     f"{timings_path}: episode {i}")
 
     metrics = [episode_metrics([r["action"] for r in records],
                                [r["observation"] for r in records], k=k)
@@ -240,7 +248,7 @@ def cmd_replay(store, world_override) -> None:
         _fail(str(exc))
 
     failures = 0
-    for entry, records in zip(manifest.get("episodes", []), transcripts):
+    for entry, records in zip(manifest["episodes"], transcripts):
         task = world.tasks.get(entry["task_id"])
         if task is None:
             click.echo(f"FAIL {entry['file']}: task {entry['task_id']!r} "

@@ -385,11 +385,11 @@ def _diagnose(view: PromptView, failed_action: str) -> str:
     return _blocked("closed-blocks-access")
 
 
-def _corrective_plan(view: PromptView) -> list[str]:
+def _corrective_plan(instruction: str, succeeded: set[str]) -> list[str]:
     # navigation is never skipped: facing is transient, so a past "go to"
     # success does not mean the agent is still there
-    script = SOLUTIONS.get(view.instruction, [])
-    done = {a for a in _successful_actions(view)
+    script = SOLUTIONS.get(instruction, [])
+    done = {a for a in succeeded
             if parse_action(a).verb in ("open", "take", "put")}
     return [a for a in script if a not in done]
 
@@ -397,13 +397,19 @@ def _corrective_plan(view: PromptView) -> list[str]:
 def oracle_thinker(prompt: str, seed: int) -> str:
     """Names the violated fixture rule and emits a corrective plan."""
     view = parse_prompt(prompt)
-    failed = [a for a, o in view.steps if o == SENTINEL]
-    plan = _corrective_plan(view)
+    failed, last_failed, succeeded = 0, "", set()
+    for action, observation in view.steps:
+        if observation == SENTINEL:
+            failed += 1
+            last_failed = action
+        else:
+            succeeded.add(action)
+    plan = _corrective_plan(view.instruction, succeeded)
     lines: list[str]
     if failed:
         lines = [
-            f"Summary: {len(failed)} recent actions had no effect.",
-            f"Hypothesis: {_diagnose(view, failed[-1])}.",
+            f"Summary: {failed} recent actions had no effect.",
+            f"Hypothesis: {_diagnose(view, last_failed)}.",
         ]
     else:
         lines = ["Summary: all feedback so far looks consistent."]

@@ -16,8 +16,11 @@ character budget, plus the deep thoughts, which are never dropped.
 
 Reading a prompt back, `parse_prompt` resumes at the latest deep thought
 that the prompt shares with the thread's last parse. Below the budget a
-call so parses only what follows that thought; over it, dropping a step
-shifts the prompt's head, and the parse reads nearly the whole prompt.
+call so parses only what follows that thought. Over it, dropping a step
+shifts the prompt's head, but the history from some thought on is text the
+last parse read at another position: the parse takes that stretch from the
+last parse after one C-speed comparison, and reads in Python only the head
+up to that thought and what follows the last parse's final thought.
 """
 
 from __future__ import annotations
@@ -364,8 +367,10 @@ def format_thinker_output(text: str) -> str:
 # regex engine tries a match only at line starts. Each thread keeps its last
 # parse, and a prompt that shares its text through a `Deep Thought: ` tag
 # with that parse resumes there: below the character budget a scripted call
-# reads only what follows the latest thought it shares. `last_action` parses
-# only the text after the last `Action: ` line and leaves that state alone.
+# reads only what follows the latest thought it shares. Over the budget, the
+# stretch that the last parse read up to its final thought is taken from it
+# where the prompt still holds that text, moved. `last_action` parses only
+# the text after the last `Action: ` line and leaves that state alone.
 
 @dataclass
 class PromptView:
@@ -395,10 +400,18 @@ _last_parse = threading.local()
 
 def _scan(text: str, pos: int, view: PromptView,
           pending_action: Optional[str], in_reflections: bool,
-          marks: list[tuple]) -> PromptView:
+          marks: list[tuple], last: Optional[tuple] = None) -> PromptView:
     """Parse `text`, a newline and a prompt, from `pos` into `view`, given
     the parser state at `pos`. Each thought token appends a mark to `marks`:
-    its position and the state just before it."""
+    its position and the state just before it.
+
+    Given `last`, the thread's last parse, a thought token whose ordinal `i`
+    is below that parse's last mark `L` takes the stretch from old mark `i`
+    to mark `L` from it, wherever the stretch now lies, when the parser
+    state equals mark `i`'s and the text from the token's line start equals
+    the old text through mark `L`'s tag (`_relocate`). A cheap check of the
+    text through mark `i + 1`'s tag comes first, and after one full
+    comparison fails the scan goes on plainly."""
     for token in _PROMPT_TOKEN_RE.finditer(text, pos):
         kind = token.lastgroup
         if kind == "pairs":
@@ -407,10 +420,20 @@ def _scan(text: str, pos: int, view: PromptView,
             continue
         value = token.group(kind)
         if kind == "thought":
-            marks.append((token.start(), len(view.steps), len(view.thoughts),
-                          len(view.reflections), view.instruction,
-                          view.initial_observation, pending_action,
-                          in_reflections))
+            i = len(view.thoughts)
+            mark = (token.start(), len(view.steps), i, len(view.reflections),
+                    view.instruction, view.initial_observation,
+                    pending_action, in_reflections)
+            if last is not None and i < len(last[2]) - 1:
+                old, _, old_marks = last
+                start, shift = old_marks[i][0], token.start() - old_marks[i][0]
+                if (old_marks[i][4:] == mark[4:] and _moved(
+                        text, old, start, old_marks[i + 1][0] + len(_THOUGHT_TAG),
+                        shift)):
+                    if _relocate(text, mark, view, marks, last):
+                        return view
+                    last = None  # one failed full comparison per parse
+            marks.append(mark)
             view.thoughts.append((len(view.steps), value.rstrip()))
         elif kind == "action":
             pending_action = value
@@ -427,6 +450,44 @@ def _scan(text: str, pos: int, view: PromptView,
         elif kind == "section":
             in_reflections = value == "Previous Reflections:"
     return view
+
+
+def _moved(text: str, old: str, start: int, end: int, shift: int) -> bool:
+    """Whether `text`, a newline and a prompt, holds `old`'s text from
+    `start` to `end` moved by `shift` characters."""
+    return text.startswith(old[start:end], start + shift + 1)
+
+
+def _relocate(text: str, mark: tuple, view: PromptView, marks: list[tuple],
+              last: tuple) -> bool:
+    """At the thought token whose mark is `mark`, take the stretch of the
+    last parse from its mark of the same thought ordinal `i` to its last
+    mark `L`, and scan on from mark `L`'s moved position with its state, if
+    `text` holds the old text through mark `L`'s tag there; otherwise change
+    nothing and return False. The caller has compared the text through mark
+    `i + 1`'s tag, and this compares the rest.
+
+    The stretch parses as it did, because no token before a
+    ``Deep Thought: `` line start reads past its tag: the old parse's tokens
+    from mark `i` to mark `L` are this text's tokens, moved."""
+    old, old_view, old_marks = last
+    at, steps, i, reflections = mark[:4]
+    start, old_steps, _, old_reflections = old_marks[i][:4]
+    stop = old_marks[-1]
+    shift = at - start
+    if not _moved(text, old, old_marks[i + 1][0] + len(_THOUGHT_TAG),
+                  stop[0] + len(_THOUGHT_TAG), shift):
+        return False
+    step_shift, reflection_shift = steps - old_steps, reflections - old_reflections
+    marks += [(p + shift, s + step_shift, t, r + reflection_shift, *state)
+              for p, s, t, r, *state in old_marks[i:-1]]
+    view.steps += old_view.steps[old_steps:stop[1]]
+    view.thoughts += [(anchor + step_shift, thought)
+                      for anchor, thought in old_view.thoughts[i:-1]]
+    view.reflections += old_view.reflections[old_reflections:stop[3]]
+    view.instruction, view.initial_observation = stop[4:6]
+    _scan(text, stop[0] + shift, view, stop[6], stop[7], marks)
+    return True
 
 
 def _shares(prompt: str, old: str, start: int, end: int) -> bool:
@@ -472,6 +533,15 @@ def parse_prompt(prompt: str) -> PromptView:
     no token before a ``Deep Thought: `` line start reads past its tag (a
     thought stops there, and a run of step pairs cannot cross it), so the
     parser state there depends only on the shared text.
+
+    For the same reason the tokens between two thought line starts depend
+    only on the text between them and the state at the first. So when a
+    truncated prompt drops steps, and with them moves the history that the
+    last parse read, the pass takes the stretch from a thought through the
+    last parse's final thought from that parse, shifted, once the text and
+    the state at the thought are seen to match (see `_scan`). A call then
+    reads in Python only the prompt's head and what follows that final
+    thought, and compares the moved text in C.
     """
     view, pos, pending_action, in_reflections = PromptView(), 0, None, False
     marks: list[tuple] = []
@@ -487,7 +557,7 @@ def parse_prompt(prompt: str) -> PromptView:
             view.thoughts = old_view.thoughts[:thoughts]
             view.reflections = old_view.reflections[:reflections]
             marks = old_marks[:shared - 1]
-    _scan("\n" + prompt, pos, view, pending_action, in_reflections, marks)
+    _scan("\n" + prompt, pos, view, pending_action, in_reflections, marks, last)
     _last_parse.state = (prompt, view, marks)
     # the caller gets its own lists, so that changing them cannot reach a resume
     return PromptView(view.instruction, view.initial_observation,

@@ -329,6 +329,18 @@ def test_metrics_rejects_timings_that_do_not_match_the_manifest(runner, tmp_path
     assert "timings.json" in result.output
 
 
+@pytest.mark.parametrize("wall_s", ['"fast"', "true", "null", "Infinity", "NaN"])
+def test_metrics_rejects_a_wall_time_that_is_not_a_finite_number(runner, tmp_path,
+                                                                 wall_s):
+    store = run_store(runner, tmp_path)
+    path = store / "timings.json"
+    path.write_text(f'{{"episodes": [{wall_s}], "total_s": 1.0}}', encoding="utf-8")
+    result = runner.invoke(main, ["metrics", str(store)])
+    assert result.exit_code == 2
+    assert isinstance(result.exception, SystemExit)  # no traceback
+    assert f"error: {path}: episode 0: wall_s must be" in result.output
+
+
 def test_metrics_corrupt_transcript_names_file_and_line(runner, tmp_path):
     store = run_store(runner, tmp_path)
     transcript = next(store.glob("*.jsonl"))
@@ -425,6 +437,26 @@ def test_misshapen_manifest_names_the_file(runner, tmp_path, command, shape):
 
 
 @pytest.mark.parametrize("command", ["metrics", "replay"])
+@pytest.mark.parametrize("episodes", [[], None], ids=["empty", "missing"])
+def test_a_manifest_with_no_episodes_names_the_file(runner, tmp_path, command,
+                                                    episodes):
+    # episodes None: the manifest has no episodes key
+    store = run_store(runner, tmp_path)
+    path = store / "manifest.json"
+    manifest = json.loads(path.read_text())
+    if episodes is None:
+        del manifest["episodes"]
+    else:
+        manifest["episodes"] = episodes
+    path.write_text(json.dumps(manifest))
+    result = runner.invoke(main, [command, str(store)])
+    assert result.exit_code == 2
+    assert isinstance(result.exception, SystemExit)  # no traceback
+    assert f"error: {path}: the manifest lists no episodes" in result.output
+    assert "replay PASS" not in result.output
+
+
+@pytest.mark.parametrize("command", ["metrics", "replay"])
 @pytest.mark.parametrize("where,key", [
     *[("manifest", key) for key in ("task_id", "seed", "success", "process_score")],
     *[("transcript", key) for key in ("step", "action", "observation", "score",
@@ -461,10 +493,12 @@ def test_a_missing_store_key_names_the_file(runner, tmp_path, command, where,
 @pytest.mark.parametrize("command", ["metrics", "replay"])
 @pytest.mark.parametrize("where,key,value", [
     ("manifest", "process_score", "high"),
+    ("manifest", "process_score", float("inf")),
     ("manifest", "success", 1),
     ("manifest", "seed", 0.5),
     ("manifest", "file", 3),
     ("transcript", "score", "33.33"),
+    ("transcript", "score", float("nan")),
     ("transcript", "action", None),
     ("transcript", "done", "false"),
 ])

@@ -705,8 +705,13 @@ def test_parse_state_holds_only_the_last_prompt_and_its_view(task, view):
     view.add_thought("Plan:\n- open fridge 1")
     second = render_thinker_prompt(task, view)
     parsed = parse_prompt(second)
+    assert len(prompts._last_parse.state[2]) == 2
+    _assert_state_holds_only(first, second, parsed)
+
+
+def _assert_state_holds_only(first, second, parsed):
     prompt, own, marks = state = prompts._last_parse.state
-    assert prompt is second and own == parsed and len(marks) == 2
+    assert prompt is second and own == parsed
     reached = _reachable(state)
     assert [o for o in reached if isinstance(o, prompts.PromptView)] == [own]
     assert own is not parsed
@@ -749,6 +754,170 @@ def test_a_resume_costs_log_marks_prefix_comparisons(task, monkeypatch):
         assert parse_prompt(changed) == _reference_parse_prompt(changed)
         assert 0 < len(probes) <= marks.bit_length()
         assert sum(probes) <= 2 * len(prompt)
+
+
+# --- the relocated parse against the reference -------------------------------
+
+def _recorded_relocations(monkeypatch):
+    """Record the outcome of each full comparison and the characters each
+    relocation comparison copies."""
+    outcomes, copied = [], []
+    relocate, moved = prompts._relocate, prompts._moved
+
+    def recording_relocate(*args):
+        outcomes.append(relocate(*args))
+        return outcomes[-1]
+
+    def recording_moved(text, old, start, end, shift):
+        copied.append(end - start)
+        return moved(text, old, start, end, shift)
+
+    monkeypatch.setattr(prompts, "_relocate", recording_relocate)
+    monkeypatch.setattr(prompts, "_moved", recording_moved)
+    return outcomes, copied
+
+
+@pytest.mark.parametrize("char_budget", [5_000, 30_000])
+def test_parse_prompt_relocates_exactly_past_the_budget(keymaze1, monkeypatch,
+                                                        char_budget):
+    """Every thinker prompt of a loop-actor episode past its budget parses
+    as the reference does, and some parses relocate. No parse makes more
+    than one failed full comparison, and the relocation comparisons of a
+    parse copy less than the prompt's length."""
+    outcomes, copied = _recorded_relocations(monkeypatch)
+    parses = []
+
+    def checked(prompt):
+        outcomes.clear()
+        copied.clear()
+        parsed = parse_prompt(prompt)
+        assert parsed == _reference_parse_prompt(prompt)
+        if TRUNCATION_MARKER in prompt:
+            parses.append((outcomes.count(True), outcomes.count(False),
+                           sum(copied) / len(prompt)))
+        return parsed
+
+    monkeypatch.setattr(policies, "parse_prompt", checked)
+    task = keymaze1.tasks["keymaze-1"]
+    traj = run_mode(keymaze1, scripted("actor", "loop-actor"), task,
+                    RunConfig(mode="ttexplore", max_steps=400, n_trigger=3,
+                              char_budget=char_budget),
+                    scripted("thinker", "oracle-thinker"))
+    assert traj.error is None
+    relocated, failed, copied_share = zip(*parses)
+    assert len(parses) > 80 and sum(relocated) > 5
+    assert max(failed) <= 1 and max(copied_share) < 1
+
+
+@settings(max_examples=300, deadline=None)
+@given(view=histories(_LINE, _THOUGHT), added=st.lists(st.tuples(_LINE, _LINE),
+                                                      min_size=1, max_size=4),
+       thought=_THOUGHT, data=st.data())
+def test_parse_prompt_relocates_exactly_after_truncation(mh1_task, view, added,
+                                                         thought, data):
+    """A render at budget B, parsed, then the render at B of the same
+    history with steps and a thought appended: both parse as the reference
+    does, whether the second parse resumes, relocates or scans plainly."""
+    for render in (render_actor_prompt, render_thinker_prompt):
+        budget = data.draw(budgets(_build_lengths(render, mh1_task, view)))
+        grown = view.copy()
+        for step in added:
+            grown.add_step(*step)
+        grown.add_thought(thought)
+        for prompt in (render(mh1_task, view, budget),
+                       render(mh1_task, grown, budget)):
+            assert parse_prompt(prompt) == _reference_parse_prompt(prompt)
+
+
+def _truncated_thinker_prompts(task, thoughts, char_budget):
+    """Thinker prompts over budget before and after one more step and
+    thought; each step is followed by a thought."""
+    view = HistoryView(task.id, "You are in the hallway.")
+    renders = []
+    for i in range(thoughts + 1):
+        view.add_step(f"go to room {i}", "Nothing happened.")
+        view.add_thought(f"thought {i}")
+        renders.append(render_thinker_prompt(task, view, char_budget))
+    assert TRUNCATION_MARKER in renders[-2]
+    return renders[-2], renders[-1]
+
+
+def test_parse_state_after_a_relocation_holds_only_the_last_prompt_and_its_view(
+        task, monkeypatch):
+    """A relocation copies the old parse's marks and view items, and keeps
+    neither the old prompt nor the old view."""
+    outcomes, _ = _recorded_relocations(monkeypatch)
+    first, second = _truncated_thinker_prompts(task, 60, 3_000)
+    parse_prompt(first)
+    outcomes.clear()
+    parsed = parse_prompt(second)
+    assert outcomes == [True] and len(prompts._last_parse.state[2]) == 61
+    _assert_state_holds_only(first, second, parsed)
+
+
+def test_a_relocated_stretch_keeps_its_state_and_its_marks(monkeypatch):
+    """A stretch that takes a reflection, changes the instruction and the
+    initial observation, and ends with an action pending, moved behind a
+    reflection and a step; then a prompt that resumes at a mark the
+    relocation moved, with an action pending there."""
+    outcomes, _ = _recorded_relocations(monkeypatch)
+    stretch = ("Deep Thought: a\nAction: x\n- s\nThe Task: k\n"
+               "Initial Observation: n\nDeep Thought: b\nAction: y\n"
+               "Observation: z\nAction: p\nDeep Thought: c")
+    parse_prompt("Previous Reflections:\n" + stretch)
+    outcomes.clear()
+    moved = ("Previous Reflections:\n- r\nAction: w\nObservation: v\n"
+             + stretch + "\n\nAttention:\nObservation: o\nDeep Thought: d")
+    resumed = (moved[:moved.index("Deep Thought: b") + len("Deep Thought: ")]
+               + "e\n\nAttention:\nObservation: u")
+    for prompt in (moved, resumed):
+        assert parse_prompt(prompt) == _reference_parse_prompt(prompt)
+    assert outcomes == [True]
+
+
+def test_a_changed_character_in_the_moved_part_falls_back_to_a_plain_scan(
+        task, monkeypatch):
+    """The one full comparison fails, and the parse scans on plainly."""
+    outcomes, _ = _recorded_relocations(monkeypatch)
+    first, second = _truncated_thinker_prompts(task, 60, 3_000)
+    changed = second.index("Deep Thought: thought 50") + len("Deep Thought: ")
+    second = second[:changed] + "T" + second[changed + 1:]
+    parse_prompt(first)
+    outcomes.clear()
+    assert parse_prompt(second) == _reference_parse_prompt(second)
+    assert outcomes == [False]
+
+
+def test_a_changed_reflections_flag_falls_back_to_a_plain_scan(monkeypatch):
+    """The same text after a thought, with the reflections section open in
+    the old prompt and closed in the new: the item `- s` is a reflection in
+    one and not in the other."""
+    outcomes, _ = _recorded_relocations(monkeypatch)
+    stretch = ("Deep Thought: a\nAction: x\n- s\nDeep Thought: b\n"
+               "Action: y\nObservation: z\nDeep Thought: c")
+    parse_prompt("Previous Reflections:\n" + stretch)
+    outcomes.clear()
+    new = "Attention:\n" + stretch + "\nDeep Thought: d"
+    assert parse_prompt(new) == _reference_parse_prompt(new)
+    assert outcomes == []
+
+
+def test_a_parse_makes_at_most_one_failed_full_comparison(task, monkeypatch):
+    """Adjacent thoughts pass every quick check; the changed action after
+    them fails the full comparison, once, and the parse scans on plainly."""
+    outcomes, copied = _recorded_relocations(monkeypatch)
+    view = HistoryView(task.id, "You are in the hallway.")
+    for _ in range(200):
+        view.add_thought("the same thought")
+    view.add_step("go to room 1", "Nothing happened.")
+    view.add_thought("the last thought")
+    old = render_thinker_prompt(task, view)
+    new = "X" + old[1:].replace("go to room 1", "go to room 2")
+    parse_prompt(old)
+    outcomes.clear()
+    copied.clear()
+    assert parse_prompt(new) == _reference_parse_prompt(new)
+    assert outcomes == [False] and sum(copied) <= len(new)
 
 
 # --- reflection request ------------------------------------------------------
