@@ -7,11 +7,12 @@ When a rendered prompt would exceed the character budget, the oldest
 observation, and every deep thought are always retained.
 
 A `HistoryView` renders each history line once, when it is appended, and
-keeps a running prefix sum of the steps' character costs. A render joins
-list slices with no per-step Python. Fitting costs one extra build: the drop
-count comes from bisecting the prefix sums for the full prompt's excess, and
-a history longer than the budget is never joined whole. What still grows
-with the history is C-speed copying of what the prompt keeps: about the
+keeps a running prefix sum of the steps' character costs. A render states
+its fixed text before and after the history and joins the prompt once, with
+no per-step Python: the full prompt's length is the sum of its parts'
+lengths, so the drop count comes from bisecting the prefix sums for its
+excess, and no prompt is built only to be measured. What still grows with
+the history is C-speed copying of what the prompt keeps: about the
 character budget, plus the deep thoughts, which are never dropped.
 
 Reading a prompt back, `parse_prompt` resumes at the latest deep thought
@@ -193,88 +194,79 @@ def _check_history(task: TaskSpec, view: HistoryView) -> None:
 def render_actor_prompt(task: TaskSpec, view: HistoryView,
                         char_budget: int = DEFAULT_CHAR_BUDGET) -> str:
     _check_history(task, view)
-
-    def build(drop: int) -> str:
-        parts = [
-            "You are an Action Agent responsible for achieving a text-based task.",
-            "",
-            "Now you need to finish a text-based task in an environment with "
-            "multi-turn interaction.",
-            "",
-            "Task Examples:",
-            "\n".join(e.rstrip() for e in task.examples),
-            "",
-            "Task Actions:",
-            task.action_space_doc.rstrip(),
-            "",
-            f"The Task: {task.instruction}",
-            "",
-            f"Initial Observation: {view.initial_observation}",
-        ]
-        history = view._history_lines(drop)
-        if history:
-            parts += ["", "History:"] + history
-        if view.reflections:
-            parts += ["", "Previous Reflections:"]
-            parts += [f"- {r}" for r in view.reflections]
-        parts += [
-            "",
-            "Attention:",
-            "1. You MUST provide your thought (one or two lines) before taking action.",
-            "2. You MUST issue only ONE action in each interaction stage.",
-            "",
-            "Please provide your response to the task following the format "
-            "strictly. Use the following format:",
-            ACTOR_FORMAT_BLOCK,
-        ]
-        return "\n".join(parts)
-
-    return _fit_budget(build, view, char_budget)
+    head = [
+        "You are an Action Agent responsible for achieving a text-based task.",
+        "",
+        "Now you need to finish a text-based task in an environment with "
+        "multi-turn interaction.",
+        "",
+        "Task Examples:",
+        "\n".join(e.rstrip() for e in task.examples),
+        "",
+        "Task Actions:",
+        task.action_space_doc.rstrip(),
+        "",
+        f"The Task: {task.instruction}",
+        "",
+        f"Initial Observation: {view.initial_observation}",
+    ]
+    if view._lines:
+        head += ["", "History:"]
+    tail = []
+    if view.reflections:
+        tail += ["", "Previous Reflections:", *(f"- {r}" for r in view.reflections)]
+    tail += [
+        "",
+        "Attention:",
+        "1. You MUST provide your thought (one or two lines) before taking action.",
+        "2. You MUST issue only ONE action in each interaction stage.",
+        "",
+        "Please provide your response to the task following the format "
+        "strictly. Use the following format:",
+        ACTOR_FORMAT_BLOCK,
+    ]
+    return _fit_budget("\n".join(head), "\n".join(tail), view, char_budget)
 
 
 def render_thinker_prompt(task: TaskSpec, view: HistoryView,
                           char_budget: int = DEFAULT_CHAR_BUDGET) -> str:
     _check_history(task, view)
-
-    def build(drop: int) -> str:
-        history = view._history_lines(drop)
-        parts = [
-            "You are a Thinker Agent responsible for uncovering the implicit "
-            "rules of the environment. You must analyze the history trajectory "
-            "carefully and reason about any confusing feedback from the "
-            "environment.",
-            "",
-            "Here is the information about the task environment.",
-            "",
-            "Task Actions:",
-            task.action_space_doc.rstrip(),
-            "",
-            f"The Task: {task.instruction}",
-            "",
-            f"Initial Observation: {view.initial_observation}",
-            "",
-            "History Trajectory:",
-        ]
-        parts += history if history else ["(no interaction yet)"]
-        parts += [
-            "",
-            "Attention:",
-            "1. If you think all the feedback in the history trajectory is "
-            "reasonable, summarize the subgoals you have completed and provide "
-            "your next plan.",
-            "2. If you find the environment's feedback in the latest steps "
-            "confusing, think carefully about possible reasons. Do not assume "
-            "the environment is erroneous; instead, consider what hidden rules "
-            "could explain the observations.",
-            "3. For any uncertainties, try to formulate hypotheses and design "
-            "plans to verify them.",
-            "",
-            "Use the following format for your response:",
-            THINKER_FORMAT_BLOCK,
-        ]
-        return "\n".join(parts)
-
-    return _fit_budget(build, view, char_budget)
+    head = [
+        "You are a Thinker Agent responsible for uncovering the implicit "
+        "rules of the environment. You must analyze the history trajectory "
+        "carefully and reason about any confusing feedback from the "
+        "environment.",
+        "",
+        "Here is the information about the task environment.",
+        "",
+        "Task Actions:",
+        task.action_space_doc.rstrip(),
+        "",
+        f"The Task: {task.instruction}",
+        "",
+        f"Initial Observation: {view.initial_observation}",
+        "",
+        "History Trajectory:",
+    ]
+    if not view._lines:
+        head.append("(no interaction yet)")
+    tail = [
+        "",
+        "Attention:",
+        "1. If you think all the feedback in the history trajectory is "
+        "reasonable, summarize the subgoals you have completed and provide "
+        "your next plan.",
+        "2. If you find the environment's feedback in the latest steps "
+        "confusing, think carefully about possible reasons. Do not assume "
+        "the environment is erroneous; instead, consider what hidden rules "
+        "could explain the observations.",
+        "3. For any uncertainties, try to formulate hypotheses and design "
+        "plans to verify them.",
+        "",
+        "Use the following format for your response:",
+        THINKER_FORMAT_BLOCK,
+    ]
+    return _fit_budget("\n".join(head), "\n".join(tail), view, char_budget)
 
 
 def render_reflection_prompt(task: TaskSpec, view: HistoryView,
@@ -283,43 +275,36 @@ def render_reflection_prompt(task: TaskSpec, view: HistoryView,
     """The request for a reflection on a failed attempt whose steps `view`
     holds; the view carries no thoughts."""
     _check_history(task, view)
-
-    def build(drop: int) -> str:
-        return "\n".join([
-            f"{REFLECTION_MARKER} the previous attempt at this task failed.",
-            "",
-            f"The Task: {task.instruction}",
-            "",
-            "Transcript:",
-            *view._history_lines(drop),
-            "",
-            f"Final score: {process_score}",
-            "",
-            "Write a short reflection on what went wrong and what to do "
-            "differently in the next attempt.",
-        ])
-
-    return _fit_budget(build, view, char_budget)
+    head = [
+        f"{REFLECTION_MARKER} the previous attempt at this task failed.",
+        "",
+        f"The Task: {task.instruction}",
+        "",
+        "Transcript:",
+    ]
+    tail = [
+        "",
+        f"Final score: {process_score}",
+        "",
+        "Write a short reflection on what went wrong and what to do "
+        "differently in the next attempt.",
+    ]
+    return _fit_budget("\n".join(head), "\n".join(tail), view, char_budget)
 
 
-def _fit_budget(build, view: HistoryView, char_budget: int) -> str:
-    """Build with the fewest oldest steps dropped that fits, or all of them.
-    Only the dropped steps' lines and the truncation marker change the
-    length, so the drop count is the first prefix of step costs that covers
-    the full prompt's excess plus the marker's line. A history that alone
-    exceeds the budget is never joined whole: the full prompt's length then
-    comes from the prompt with every step dropped."""
-    steps = len(view.steps)
-    marker = len(TRUNCATION_MARKER) + 1
-    if steps and view._chars > char_budget:
-        full = len(build(steps)) - marker + view._cost[-1]
-    else:
-        prompt = build(0)
-        full = len(prompt)
-        if full <= char_budget or not steps:
-            return prompt
-    drop = bisect_left(view._cost, full - char_budget + marker, 1)
-    return build(min(drop, steps))
+def _fit_budget(head: str, tail: str, view: HistoryView, char_budget: int) -> str:
+    """`head`, the history and `tail` on their own lines, with the fewest
+    oldest steps dropped that fits, or all of them. The full prompt's length
+    follows from the lengths of its parts, and only the dropped steps' lines
+    and the truncation marker change it, so the drop count is the first
+    prefix of step costs that covers the excess plus the marker's line. The
+    history is joined once, with that drop count."""
+    drop = 0
+    excess = len(head) + len(tail) + 1 + view._chars - char_budget
+    if excess > 0 and view.steps:
+        drop = min(bisect_left(view._cost, excess + len(TRUNCATION_MARKER) + 1, 1),
+                   len(view.steps))
+    return "\n".join([head, *view._history_lines(drop), tail])
 
 
 _THINK_RE = re.compile(r"<think>(.*?)</think>", re.DOTALL)

@@ -463,14 +463,29 @@ def _validate_world(state: WorldState) -> None:
         raise WorldValidationError(f"agent room {state.agent.room!r} does not exist")
 
 
-def _field(spec, key: str, where: str):
-    """`spec[key]`; a `spec` that is not a mapping or lacks the key fails
-    naming `where` and the key."""
+_REQUIRED = object()
+
+# what a value must be, and the test for it
+_STRING = ("a string", lambda v: isinstance(v, str))
+_STRINGS = ("a list of strings",
+            lambda v: isinstance(v, list) and all(isinstance(x, str) for x in v))
+_KIND = ("'object' or 'receptacle'", lambda v: v in ("object", "receptacle"))
+_POSITIVE_INT = ("a positive int", lambda v: type(v) is int and v > 0)
+_OPEN = ("true or false", lambda v: v is None or type(v) is bool)
+
+
+def _field(spec, key: str, where: str, must=None, default=_REQUIRED):
+    """`spec[key]`, or `default` when given and the key is absent. A `spec`
+    that is not a mapping, a missing required key and a value that fails
+    `must` fail naming `where` and the key."""
     if not isinstance(spec, dict):
         raise WorldValidationError(f"{where}: expected a mapping, got {spec!r}")
-    if key not in spec:
+    if key not in spec and default is _REQUIRED:
         raise WorldValidationError(f"{where}: missing key {key!r}")
-    return spec[key]
+    value = spec.get(key, default)
+    if must is not None and not must[1](value):
+        raise WorldValidationError(f"{where}: {key} must be {must[0]}, got {value!r}")
+    return value
 
 
 _TOP_LEVEL = {"id": str, "rooms": list, "entities": dict, "agent": dict,
@@ -506,10 +521,10 @@ def _build_world(data) -> TextWorld:
         where = f"entity {eid!r}"
         entities[eid] = Entity(
             id=eid,
-            kind=_field(spec, "kind", where),
+            kind=_field(spec, "kind", where, _KIND),
             location=_field(spec, "location", where),
-            open=spec.get("open"),
-            attributes=set(spec.get("attributes", [])),
+            open=_field(spec, "open", where, _OPEN, None),
+            attributes=set(_field(spec, "attributes", where, _STRINGS, [])),
         )
     agent = Agent(room=_field(data["agent"], "room", "agent"),
                   facing=data["agent"].get("facing"),
@@ -543,19 +558,15 @@ def _build_world(data) -> TextWorld:
             conditions = _field(g, "all", f"task {tid!r}: subgoal {j}")
             subgoals.append(Subgoal(description=g.get("description", ""),
                                     conditions=conditions))
-        try:
-            max_steps = int(tdata.get("max_steps", 50))
-        except (TypeError, ValueError):
-            raise WorldValidationError(f"task {tid!r}: max_steps must be an "
-                                       f"int, got {tdata['max_steps']!r}") from None
+        where = f"task {tid!r}"
         task = TaskSpec(
             id=tid,
-            instruction=_field(tdata, "instruction", f"task {tid!r}"),
+            instruction=_field(tdata, "instruction", where, _STRING),
             initial_world=base_state.copy(),
             subgoals=subgoals,
-            action_space_doc=tdata.get("action_space", ""),
-            examples=list(tdata.get("examples", [])),
-            max_steps_default=max_steps,
+            action_space_doc=_field(tdata, "action_space", where, _STRING, ""),
+            examples=_field(tdata, "examples", where, _STRINGS, []),
+            max_steps_default=_field(tdata, "max_steps", where, _POSITIVE_INT, 50),
         )
         validate_task(task)
         initial_score = world.process_score(task.initial_world, task)

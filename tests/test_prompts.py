@@ -128,13 +128,18 @@ def test_no_truncation_under_budget(task, view):
     assert TRUNCATION_MARKER not in prompt
 
 
-def _reference_fit_budget(build, view, char_budget):
+def _joined(head, tail, view, drop):
+    """The prompt with the `drop` oldest steps dropped."""
+    return "\n".join([head, *view._history_lines(drop), tail])
+
+
+def _reference_fit_budget(head, tail, view, char_budget):
     """Drop one oldest step at a time and rebuild until the prompt fits."""
-    prompt = build(0)
+    prompt = _joined(head, tail, view, 0)
     drop = 0
     while len(prompt) > char_budget and drop < len(view.steps):
         drop += 1
-        prompt = build(drop)
+        prompt = _joined(head, tail, view, drop)
     return prompt
 
 
@@ -148,8 +153,9 @@ def mh1_task():
 
 def _build_lengths(render, task, view):
     """Length of the prompt built with each drop count from 0 to every step."""
-    def lengths(build, view, _budget):
-        return [len(build(drop)) for drop in range(len(view.steps) + 1)]
+    def lengths(head, tail, view, _budget):
+        return [len(_joined(head, tail, view, drop))
+                for drop in range(len(view.steps) + 1)]
     with mock.patch.object(prompts, "_fit_budget", lengths):
         return render(task, view)
 
@@ -189,6 +195,36 @@ def test_fit_budget_matches_drop_one_at_a_time(mh1_task, view, data):
         assert render(mh1_task, view, budget) == expected
 
 
+def _render_reflection(task, view, char_budget):
+    return render_reflection_prompt(task, view, 33.33, char_budget)
+
+
+@pytest.mark.parametrize("render", [render_actor_prompt, render_thinker_prompt,
+                                    _render_reflection])
+@pytest.mark.parametrize("fit", ["within", "over", "history-over"])
+def test_each_render_joins_its_history_once(task, monkeypatch, render, fit):
+    """Within the budget, over it, and with the history alone over it, a
+    render joins its history once, with the drop count that fits."""
+    view = HistoryView(task.id, "You are in the hallway.",
+                       steps=[(f"go to room {i}", "Nothing happened.")
+                              for i in range(40)])
+    full = len(render(task, view, 10 ** 6))
+    budget = {"within": full, "over": full - 100,
+              "history-over": view._chars - 1}[fit]
+    assert (budget < view._chars) == (fit == "history-over")
+    calls = []
+    history_lines = HistoryView._history_lines
+
+    def counting(self, drop_oldest=0):
+        calls.append(drop_oldest)
+        return history_lines(self, drop_oldest)
+
+    monkeypatch.setattr(HistoryView, "_history_lines", counting)
+    prompt = render(task, view, budget)
+    assert len(calls) == 1 and len(prompt) <= budget
+    assert (calls[0] > 0) == (TRUNCATION_MARKER in prompt) == (fit != "within")
+
+
 # Text that cannot be mistaken for a tag line: single-line steps and
 # reflections, thoughts whose lines are non-empty and lower case.
 _LINE = st.text(alphabet="ab :.", max_size=20)
@@ -199,6 +235,7 @@ _THOUGHT = st.lists(st.text(alphabet="ab .", min_size=1).map(str.strip).filter(b
 @settings(max_examples=200, deadline=None)
 @given(view=histories(_LINE, _THOUGHT), data=st.data())
 def test_parse_prompt_recovers_what_the_render_kept(mh1_task, view, data):
+    _no_last_parse()
     thoughts = sorted(view.thoughts, key=lambda t: t[0])
     for render in (render_actor_prompt, render_thinker_prompt):
         lengths = _build_lengths(render, mh1_task, view)
@@ -381,6 +418,12 @@ def test_parse_prompt_recovers_reflections(task):
 
 # --- the one-pass parser against the line-by-line reference ----------------
 
+def _no_last_parse():
+    """Clear this thread's last parse, so that a hypothesis example parses
+    as it would alone and a failing example fails again when replayed."""
+    prompts._last_parse.state = None
+
+
 def _reference_parse_prompt(prompt):
     """The line-by-line state machine the regex tokenizer replaced."""
     view = prompts.PromptView()
@@ -438,12 +481,14 @@ _TAGGED_TEXT = st.lists(_FRAGMENTS, max_size=24).map("".join)
 @settings(max_examples=1000, deadline=None)
 @given(_TAGGED_TEXT)
 def test_parse_prompt_matches_reference_on_any_string(text):
+    _no_last_parse()
     assert parse_prompt(text) == _reference_parse_prompt(text)
 
 
 @settings(max_examples=200, deadline=None)
 @given(view=histories(_TAGGED_TEXT, _TAGGED_TEXT), data=st.data())
 def test_parse_prompt_matches_reference_on_renders(mh1_task, view, data):
+    _no_last_parse()
     for render in (render_actor_prompt, render_thinker_prompt):
         budget = data.draw(budgets(_build_lengths(render, mh1_task, view)))
         prompt = render(mh1_task, view, budget)
@@ -494,12 +539,14 @@ def _full_parse_last_action(text):
 @settings(max_examples=1000, deadline=None)
 @given(_TAGGED_TEXT)
 def test_last_action_matches_the_full_parse_on_any_string(text):
+    _no_last_parse()
     assert last_action(text) == _full_parse_last_action(text)
 
 
 @settings(max_examples=200, deadline=None)
 @given(view=histories(_TAGGED_TEXT, _TAGGED_TEXT), data=st.data())
 def test_last_action_matches_the_full_parse_on_renders(mh1_task, view, data):
+    _no_last_parse()
     for render in (render_actor_prompt, render_thinker_prompt):
         budget = data.draw(budgets(_build_lengths(render, mh1_task, view)))
         prompt = render(mh1_task, view, budget)
@@ -530,6 +577,7 @@ _RESUME_TEXT = st.lists(st.one_of(_FRAGMENTS, st.sampled_from([
 @settings(max_examples=1000, deadline=None)
 @given(first=_RESUME_TEXT, suffix=_RESUME_TEXT, data=st.data())
 def test_parse_prompt_resumes_exactly_after_a_shared_prefix(first, suffix, data):
+    _no_last_parse()
     second = first[:data.draw(st.integers(0, len(first)))] + suffix
     assert parse_prompt(first) == _reference_parse_prompt(first)
     assert parse_prompt(second) == _reference_parse_prompt(second)
@@ -818,6 +866,7 @@ def test_parse_prompt_relocates_exactly_after_truncation(mh1_task, view, added,
     """A render at budget B, parsed, then the render at B of the same
     history with steps and a thought appended: both parse as the reference
     does, whether the second parse resumes, relocates or scans plainly."""
+    _no_last_parse()
     for render in (render_actor_prompt, render_thinker_prompt):
         budget = data.draw(budgets(_build_lengths(render, mh1_task, view)))
         grown = view.copy()

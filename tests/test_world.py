@@ -397,6 +397,32 @@ def test_rule_effect_reject_accepted(tmp_path):
     assert [(r.id, r.guard) for r in world.rules] == [("r1", "closed-blocks-access")]
 
 
+@pytest.mark.parametrize("edit,where,key", [
+    (lambda d: d["tasks"][0].update(examples="text"), "task 'minihouse-1'", "examples"),
+    (lambda d: d["entities"]["table 1"].update(attributes="surface"),
+     "entity 'table 1'", "attributes"),
+    (lambda d: d["entities"]["fridge 1"].update(kind="recepticle"),
+     "entity 'fridge 1'", "kind"),
+    (lambda d: d["entities"]["fridge 1"].update(open="false"), "entity 'fridge 1'", "open"),
+    (lambda d: d["tasks"][0].update(action_space=["go to <room>"]),
+     "task 'minihouse-1'", "action_space"),
+    (lambda d: d["tasks"][0].update(instruction=5), "task 'minihouse-1'", "instruction"),
+    (lambda d: d["tasks"][0].update(max_steps=3.7), "task 'minihouse-1'", "max_steps"),
+    (lambda d: d["tasks"][0].update(max_steps=0), "task 'minihouse-1'", "max_steps"),
+    (lambda d: d["tasks"][0].update(max_steps=True), "task 'minihouse-1'", "max_steps"),
+], ids=["examples-text", "attributes-text", "kind-misspelled", "open-text",
+         "action-space-list",
+        "instruction-int", "max-steps-float", "max-steps-zero", "max-steps-bool"])
+def test_a_value_of_the_wrong_type_names_the_file_the_owner_and_the_key(
+        tmp_path, edit, where, key):
+    doc = builtin_doc("minihouse1")
+    edit(doc)
+    path = write_world(tmp_path, doc)
+    with pytest.raises(WorldValidationError) as exc:
+        load_world(path)
+    assert str(exc.value).startswith(f"{path}: {where}: {key} must be ")
+
+
 def test_builtin_worlds_load():
     for name, wid in [("minihouse1", "minihouse-1-world"),
                       ("minihouse2", "minihouse-2-world"),
