@@ -30,7 +30,6 @@ from .prompts import (
     render_thinker_prompt,
 )
 from .policies import (
-    DecodeParams,
     PolicyHandle,
     RemoteBackend,
     ScriptedBackend,
@@ -77,7 +76,7 @@ __all__ = [
     "ActorOutput", "ContractViolation", "DeepThought", "HistoryView",
     "ParseError", "parse_actor_output", "parse_prompt", "parse_thinker_output",
     "render_actor_prompt", "render_thinker_prompt",
-    "DecodeParams", "PolicyHandle", "RemoteBackend", "ScriptedBackend",
+    "PolicyHandle", "RemoteBackend", "ScriptedBackend",
     "complete", "scripted",
     "ExplorationMetrics", "SummaryTable", "aggregate", "compute_metrics",
     "diversity", "top_k_repetition",

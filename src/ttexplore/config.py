@@ -5,9 +5,11 @@ override its `run:` values. `load_config` is the one path from a file to a
 runnable experiment: it applies the flags, validates every value once, and
 loads the world and selects the tasks. Unknown keys are errors so typos
 never pass silently, and every value passes one type check, with the types
-of the `RunConfig`, `PipelineConfig`, `RemoteBackend` and `DecodeParams`
-fields. API keys come from environment variables only, never from config
-files.
+of the `RunConfig`, `PipelineConfig` and backend fields: a policy's keys are
+its backend's fields, a remote policy's decode settings included. A backend
+checks its own values when it is made (a known scripted name, an http(s)
+endpoint), and its `ConfigError` fails naming the file and the policy's key.
+API keys come from environment variables only, never from config files.
 """
 
 from __future__ import annotations
@@ -19,13 +21,7 @@ from typing import Optional, get_args, get_origin, get_type_hints
 import yaml
 
 from .pipeline import PipelineConfig
-from .policies import (
-    SCRIPTED_POLICIES,
-    DecodeParams,
-    PolicyHandle,
-    RemoteBackend,
-    ScriptedBackend,
-)
+from .policies import ConfigError, PolicyHandle, RemoteBackend, ScriptedBackend
 from .orchestrator import RunConfig
 from .world import TaskSpec, TextWorld, builtin_world_path, load_world
 
@@ -38,11 +34,6 @@ def _fields(cls, *omit: str) -> dict[str, type]:
     """The settable fields of a config dataclass and their types."""
     return {k: t for k, t in get_type_hints(cls).items() if k not in omit}
 
-
-# a scripted policy is a pure function of (prompt, seed): decode settings
-# would never reach it
-_SCRIPTED_TYPES = {"backend": str, "name": str}
-_REMOTE_TYPES = {"backend": str, **_fields(RemoteBackend), **_fields(DecodeParams)}
 
 # RunConfig.seed is set per episode from `seeds`
 _RUN_TYPES = _fields(RunConfig, "seed")
@@ -96,34 +87,30 @@ def _section(section, types: dict, where: str) -> dict:
 def parse_policy(data: dict, role: str, where: str) -> PolicyHandle:
     if not isinstance(data, dict) or "backend" not in data:
         raise ConfigValidationError(f"{where}: policy needs a 'backend' key")
-    if data["backend"] == "scripted":
-        _section(data, _SCRIPTED_TYPES, where)
-        if "name" not in data:
-            raise ConfigValidationError(f"{where}: scripted policy needs 'name'")
-        name = data["name"]
-        if name not in SCRIPTED_POLICIES:
-            raise ConfigValidationError(
-                f"{where}: unknown scripted policy {name!r} "
-                f"(known: {', '.join(SCRIPTED_POLICIES)})")
-        named_role = name.rsplit("-", 1)[1]  # every name ends in its role
+    kind = data["backend"]
+    if kind not in ("scripted", "remote"):
+        raise ConfigValidationError(
+            f"{where}: backend must be 'scripted' or 'remote', got {kind!r}")
+    # a policy's keys are its backend's fields: a scripted policy is a pure
+    # function of (prompt, seed), so decode settings would never reach it
+    cls = ScriptedBackend if kind == "scripted" else RemoteBackend
+    _section(data, {"backend": str, **_fields(cls)}, where)
+    for key in ("name",) if kind == "scripted" else ("endpoint", "model"):
+        if key not in data:
+            raise ConfigValidationError(f"{where}: {kind} policy needs {key!r}")
+    try:
+        backend = cls(**{k: v for k, v in data.items() if k != "backend"})
+    except ConfigError as exc:  # the backend rejects a value it cannot run
+        raise ConfigValidationError(f"{where}: {exc}") from None
+    if kind == "scripted":
+        # a config's name ends in its role; `scripted()` also takes
+        # registered variants, such as `loop-actor+reference`
+        named_role = backend.name.rsplit("-", 1)[1]
         if named_role != role:
             raise ConfigValidationError(
-                f"{where}: scripted policy {name!r} has role {named_role!r}, "
-                f"but this key needs role {role!r}")
-        return PolicyHandle(role=role, backend=ScriptedBackend(name))
-    if data["backend"] == "remote":
-        _section(data, _REMOTE_TYPES, where)
-        for key in ("endpoint", "model"):
-            if key not in data:
-                raise ConfigValidationError(f"{where}: remote policy needs {key!r}")
-
-        def given(cls) -> dict:
-            return {k: data[k] for k in _fields(cls) if k in data}
-
-        return PolicyHandle(role=role, backend=RemoteBackend(**given(RemoteBackend)),
-                            decode=DecodeParams(**given(DecodeParams)))
-    raise ConfigValidationError(
-        f"{where}: backend must be 'scripted' or 'remote', got {data['backend']!r}")
+                f"{where}: scripted policy {backend.name!r} has role "
+                f"{named_role!r}, but this key needs role {role!r}")
+    return PolicyHandle(role=role, backend=backend)
 
 
 @dataclass

@@ -27,7 +27,7 @@ from pathlib import Path
 from typing import Optional
 
 from . import metrics as metrics_mod
-from .policies import ConfigError, PolicyHandle, RemoteError, complete
+from .policies import PolicyHandle, RemoteError, complete
 from .prompts import (
     DEFAULT_CHAR_BUDGET,
     DeepThought,
@@ -206,7 +206,7 @@ def _run_episode(world: TextWorld, actor: PolicyHandle, task: TaskSpec,
     try:
         run_steps(world, actor, task, state, view, traj.steps, cfg.max_steps,
                   seed, cfg, thinker=thinker)
-    except (RemoteError, ConfigError) as exc:  # a policy backend failed
+    except RemoteError as exc:  # a policy backend failed
         traj.error = _aborted(exc)
     traj.thoughts = [DeepThought(text=text, anchor_step=anchor)
                      for anchor, text in view.thoughts]
@@ -240,7 +240,7 @@ def _reflexion(world: TextWorld, actor: PolicyHandle, task: TaskSpec,
                                               cfg.char_budget)
             try:
                 reflection = complete(actor, prompt, seed=cfg.seed).strip()
-            except (RemoteError, ConfigError) as exc:  # a policy backend failed
+            except RemoteError as exc:  # a policy backend failed
                 best.error = _aborted(exc)
                 break
             reflections.append(reflection)

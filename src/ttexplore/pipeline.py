@@ -33,7 +33,7 @@ from .orchestrator import (
     run_steps,
     write_jsonl,
 )
-from .policies import ConfigError, PolicyHandle, RemoteError, complete
+from .policies import PolicyHandle, RemoteError, complete
 from .prompts import (
     DEFAULT_CHAR_BUDGET,
     DeepThought,
@@ -456,7 +456,7 @@ def forge(world: TextWorld, tasks: list[TaskSpec], strong: PolicyHandle,
                             base_seed=base_seed))
                     except GroupDiscarded as exc:
                         skipped.append(str(exc))
-    except (RemoteError, ConfigError) as exc:  # a policy backend failed
+    except RemoteError as exc:  # a policy backend failed
         raise BackendFailure(f"{task.id} seed {seed}: "
                              f"{type(exc).__name__}: {exc}") from exc
 

@@ -6,11 +6,19 @@ Two backend families:
   episode state back out of the rendered prompt text, so the whole test suite
   runs offline. The behavior table lives in this module.
 * remote — a chat-completions style HTTP endpoint; one single-turn request per
-  call, API key taken from an environment variable. A 3xx or 4xx response
-  other than 429 fails at once; 5xx, 429, timeouts and malformed bodies are
-  retried up to `max_retries` times. A retry waits 0.5 s times the attempt
-  number, or, after a 429 with an integer `Retry-After`, that many seconds,
-  at most `timeout_s`.
+  call, API key taken from an environment variable. The decode settings
+  (`temperature`, `max_output_tokens`) are fields of `RemoteBackend`, the one
+  backend that sends them. A 3xx or 4xx response other than 429 fails at
+  once; 5xx, 429, timeouts and malformed bodies are retried up to
+  `max_retries` times. A retry waits 0.5 s times the attempt number, or,
+  after a 429 with an integer `Retry-After`, that many seconds, at most
+  `timeout_s`.
+
+A backend checks itself when it is made: a scripted name that
+`SCRIPTED_POLICIES` lacks, or an endpoint that is not an http(s) URL with a
+host, raises `ConfigError` before any episode runs. A `RemoteError` is then
+the one failure that aborts an episode; any other exception a policy raises
+is a bug and propagates.
 """
 
 from __future__ import annotations
@@ -22,9 +30,10 @@ import os
 import random
 import time
 import urllib.error
+import urllib.parse
 import urllib.request
 import zlib
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Callable, Optional
 
 from .prompts import (
@@ -55,14 +64,13 @@ class RemoteError(RuntimeError):
 
 
 @dataclass(frozen=True)
-class DecodeParams:
-    temperature: float = 0.0
-    max_output_tokens: int = 1024
-
-
-@dataclass(frozen=True)
 class ScriptedBackend:
     name: str
+
+    def __post_init__(self):
+        if self.name not in SCRIPTED_POLICIES:
+            raise ConfigError(f"unknown scripted policy {self.name!r} "
+                              f"(known: {', '.join(SCRIPTED_POLICIES)})")
 
 
 @dataclass(frozen=True)
@@ -72,13 +80,23 @@ class RemoteBackend:
     api_key_env: str = "TTEXPLORE_API_KEY"
     max_retries: int = 2
     timeout_s: float = 60.0
+    temperature: float = 0.0
+    max_output_tokens: int = 1024
+
+    def __post_init__(self):
+        try:  # urlsplit itself raises ValueError on a malformed IPv6 host
+            url = urllib.parse.urlsplit(self.endpoint)
+            if url.scheme not in ("http", "https") or not url.hostname:
+                raise ValueError
+        except ValueError:
+            raise ConfigError(f"endpoint must be an http or https URL with a "
+                              f"host, got {self.endpoint!r}") from None
 
 
 @dataclass
 class PolicyHandle:
     role: str  # "actor" | "thinker"
     backend: ScriptedBackend | RemoteBackend
-    decode: DecodeParams = field(default_factory=DecodeParams)
 
 
 def scripted(role: str, name: str) -> PolicyHandle:
@@ -89,16 +107,13 @@ def complete(policy: PolicyHandle, prompt: str, seed: int = 0) -> str:
     """Run one completion. Scripted backends are pure in (prompt, seed);
     remote backends issue a single chat-completion call. Identical outputs for
     identical remote prompts are NOT guaranteed, even at temperature 0."""
-    if isinstance(policy.backend, ScriptedBackend):
-        fn = SCRIPTED_POLICIES.get(policy.backend.name)
-        if fn is None:
-            raise ConfigError(f"unknown scripted policy {policy.backend.name!r}")
-        return fn(prompt, seed)
-    return _complete_remote(policy, prompt)
-
-
-def _complete_remote(policy: PolicyHandle, prompt: str) -> str:
     backend = policy.backend
+    if isinstance(backend, ScriptedBackend):
+        return SCRIPTED_POLICIES[backend.name](prompt, seed)
+    return _complete_remote(backend, prompt)
+
+
+def _complete_remote(backend: RemoteBackend, prompt: str) -> str:
     headers = {"Content-Type": "application/json"}
     api_key = os.environ.get(backend.api_key_env)
     if api_key:
@@ -106,8 +121,8 @@ def _complete_remote(policy: PolicyHandle, prompt: str) -> str:
     payload = json.dumps({
         "model": backend.model,
         "messages": [{"role": "user", "content": prompt}],
-        "temperature": policy.decode.temperature,
-        "max_tokens": policy.decode.max_output_tokens,
+        "temperature": backend.temperature,
+        "max_tokens": backend.max_output_tokens,
     }).encode("utf-8")
     last_error: Optional[Exception] = None
     attempts = 0

@@ -444,12 +444,12 @@ def validate_task(task: TaskSpec) -> None:
                 raise WorldValidationError(
                     f"{where}: unknown condition kind {kind!r}")
             for key in keys:
-                if key not in cond:
-                    raise WorldValidationError(
-                        f"{where}: {kind} condition missing {key!r}")
+                _field(cond, key, f"{where}: {kind} condition", _STRING)
 
 
 def _validate_world(state: WorldState) -> None:
+    """Every entity's location chain ends in a room or the hand, and the
+    agent's `hand` and `facing` agree with the entities."""
     in_hand = [e.id for e in state.entities.values() if e.location == HAND]
     if len(in_hand) > 1:
         raise WorldValidationError(f"more than one entity in hand: {in_hand}")
@@ -459,16 +459,41 @@ def _validate_world(state: WorldState) -> None:
             raise WorldValidationError(f"entity {ent.id!r} has unknown location {loc!r}")
         if ent.open is not None and ent.kind != "receptacle":
             raise WorldValidationError(f"entity {ent.id!r}: 'open' only valid on receptacles")
-    if state.agent.room not in state.rooms:
-        raise WorldValidationError(f"agent room {state.agent.room!r} does not exist")
+    room_of = {}
+    for ent in state.entities.values():
+        chain = [ent.id, ent.location]
+        while chain[-1] != HAND and chain[-1] not in state.rooms:
+            if chain[-1] in chain[:-1]:
+                cycle = chain[chain.index(chain[-1]):]
+                raise WorldValidationError(
+                    f"entity {cycle[0]!r}: location never reaches a room "
+                    f"({' -> '.join(cycle)})")
+            chain.append(state.entities[chain[-1]].location)
+        room_of[ent.id] = chain[-1]
+    agent = state.agent
+    if agent.room not in state.rooms:
+        raise WorldValidationError(f"agent room {agent.room!r} does not exist")
+    held = in_hand[0] if in_hand else None
+    if agent.hand != held:
+        raise WorldValidationError(
+            f"agent: hand must name the entity located in {HAND!r} "
+            f"({held or 'none'}), got {agent.hand!r}")
+    if agent.facing is not None and (_receptacle(state, agent.facing) is None
+                                     or room_of[agent.facing] != agent.room):
+        raise WorldValidationError(
+            f"agent: facing must be a receptacle in room {agent.room!r}, "
+            f"got {agent.facing!r}")
 
 
 _REQUIRED = object()
 
 # what a value must be, and the test for it
 _STRING = ("a string", lambda v: isinstance(v, str))
+_STRING_OR_NONE = ("a string", lambda v: v is None or isinstance(v, str))
 _STRINGS = ("a list of strings",
             lambda v: isinstance(v, list) and all(isinstance(x, str) for x in v))
+_ROOMS = ("a list of distinct strings",
+          lambda v: _STRINGS[1](v) and len(set(v)) == len(v))
 _KIND = ("'object' or 'receptacle'", lambda v: v in ("object", "receptacle"))
 _POSITIVE_INT = ("a positive int", lambda v: type(v) is int and v > 0)
 _OPEN = ("true or false", lambda v: v is None or type(v) is bool)
@@ -516,23 +541,26 @@ def _build_world(data) -> TextWorld:
             raise WorldValidationError(
                 f"top-level key {key!r} must be of type {shape.__name__}")
 
+    rooms = _field(data, "rooms", f"world {data['id']!r}", _ROOMS)
     entities: dict[str, Entity] = {}
     for eid, spec in data["entities"].items():
         where = f"entity {eid!r}"
+        if not isinstance(eid, str):
+            raise WorldValidationError(f"{where}: id must be a string")
         entities[eid] = Entity(
             id=eid,
             kind=_field(spec, "kind", where, _KIND),
-            location=_field(spec, "location", where),
+            location=_field(spec, "location", where, _STRING),
             open=_field(spec, "open", where, _OPEN, None),
             attributes=set(_field(spec, "attributes", where, _STRINGS, [])),
         )
-    agent = Agent(room=_field(data["agent"], "room", "agent"),
-                  facing=data["agent"].get("facing"),
-                  hand=data["agent"].get("hand"))
+    agent = Agent(room=_field(data["agent"], "room", "agent", _STRING),
+                  facing=_field(data["agent"], "facing", "agent", _STRING_OR_NONE, None),
+                  hand=_field(data["agent"], "hand", "agent", _STRING_OR_NONE, None))
     rules = []
     for i, r in enumerate(data["rules"], start=1):
-        rid = _field(r, "id", f"rule {i}")
-        guard = _field(r, "guard", f"rule {rid!r}")
+        rid = _field(r, "id", f"rule {i}", _STRING)
+        guard = _field(r, "guard", f"rule {rid!r}", _STRING)
         if guard not in GUARDS:
             raise WorldValidationError(
                 f"rule {rid!r}: unknown rule guard: {guard!r}")
@@ -541,10 +569,10 @@ def _build_world(data) -> TextWorld:
                 f"rule {rid!r}: unknown effect {r['effect']!r}; "
                 f"rules can only reject")
         rules.append(Rule(id=rid, guard=guard))
-    world = TextWorld(data["id"], data["rooms"], entities, agent, rules)
+    world = TextWorld(data["id"], rooms, entities, agent, rules)
 
     base_state = WorldState(
-        rooms=tuple(sorted(data["rooms"])),
+        rooms=tuple(sorted(rooms)),
         entities=entities,
         agent=agent,
         rng_seed=0,
@@ -552,7 +580,9 @@ def _build_world(data) -> TextWorld:
     _validate_world(base_state)
 
     for i, tdata in enumerate(data["tasks"], start=1):
-        tid = _field(tdata, "id", f"task {i}")
+        tid = _field(tdata, "id", f"task {i}", _STRING)
+        if tid in world.tasks:
+            raise WorldValidationError(f"task {i}: id {tid!r} is already in use")
         subgoals = []
         for j, g in enumerate(tdata.get("subgoals", [])):
             conditions = _field(g, "all", f"task {tid!r}: subgoal {j}")

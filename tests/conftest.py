@@ -6,7 +6,7 @@ import pytest
 import yaml
 
 from ttexplore import load_builtin_world
-from ttexplore.policies import DecodeParams, PolicyHandle, RemoteBackend, scripted
+from ttexplore.policies import PolicyHandle, RemoteBackend, scripted
 from ttexplore.world import builtin_world_path, load_world
 
 
@@ -104,8 +104,7 @@ class StatusStub:
             backend=RemoteBackend(
                 endpoint=f"http://{host}:{port}/v1/chat/completions",
                 model="test-model", max_retries=max_retries,
-                timeout_s=timeout_s),
-            decode=DecodeParams(temperature=0.5, max_output_tokens=64))
+                timeout_s=timeout_s, temperature=0.5, max_output_tokens=64))
 
 
 @pytest.fixture

@@ -19,7 +19,6 @@ from ttexplore.config import ConfigValidationError, load_config
 from ttexplore.orchestrator import RunConfig, run_batch
 from ttexplore.policies import (
     SCRIPTED_POLICIES,
-    DecodeParams,
     PolicyHandle,
     RemoteBackend,
     RemoteError,
@@ -704,6 +703,8 @@ REMOTE = {"backend": "remote", "model": "m",
      ["pipeline", "sample_retry_budget"]),
     ("--config", _config_yaml(actor={"backend": "scripted", "name": "grredy-actor"}),
      ["bad.yaml:actor", "grredy-actor", *SCRIPTED_POLICIES]),
+    ("--config", _config_yaml(actor={**REMOTE, "endpoint": "localhost:8000/v1"}),
+     ["bad.yaml:actor", "endpoint", "localhost:8000"]),
     ("--config", _config_yaml(run={"mode": "warp"}), ["bad.yaml:run", "warp"]),
     ("--config", _config_yaml(pipeline={"x": 15}), ["bad.yaml:pipeline", "0 < x < y"]),
     ("--config", _config_yaml(parallelism=-2), ["parallelism", ">= 1", "-2"]),
@@ -725,7 +726,8 @@ REMOTE = {"backend": "remote", "model": "m",
         "parallelism-str", "remote-max-retries-str", "tasks-str",
         "store-dir-int", "seeds-empty", "tasks-empty", "seeds-scalar",
         "remote-timeout-str", "run-seed", "pipeline-sample-retry-budget",
-        "scripted-name-misspelled", "run-unknown-mode", "pipeline-x-not-below-y",
+        "scripted-name-misspelled", "remote-endpoint-without-scheme",
+        "run-unknown-mode", "pipeline-x-not-below-y",
         "parallelism-negative", "parallelism-zero", "ttexplore-without-thinker",
         "thinker-in-actor-slot", "actor-in-thinker-slot", "thinker-in-strong-slot"])
 def test_validate_malformed_input_fails_naming_the_file_and_key(
@@ -747,13 +749,10 @@ def test_remote_policy_loads_from_a_config_file(tmp_path):
     exp = load_config(write_config(tmp_path, doc))
     # only endpoint and model given: every other value is the dataclass default
     assert exp.actor == PolicyHandle(
-        role="actor", backend=RemoteBackend(REMOTE["endpoint"], "m"),
-        decode=DecodeParams())
+        role="actor", backend=RemoteBackend(REMOTE["endpoint"], "m"))
     assert exp.thinker.backend == RemoteBackend(
         REMOTE["endpoint"], "t", api_key_env="OTHER_KEY", max_retries=0,
-        timeout_s=5.0)
-    assert exp.thinker.decode == DecodeParams(temperature=0.7,
-                                              max_output_tokens=64)
+        timeout_s=5.0, temperature=0.7, max_output_tokens=64)
 
 
 def test_run_exits_1_naming_the_aborted_episodes(runner, tmp_path, stub):

@@ -18,7 +18,13 @@ from ttexplore.orchestrator import (
     select_best,
     write_json_atomic,
 )
-from ttexplore.policies import SCRIPTED_POLICIES, SOLUTIONS, RemoteError, scripted
+from ttexplore.policies import (
+    SCRIPTED_POLICIES,
+    SOLUTIONS,
+    ConfigError,
+    RemoteError,
+    scripted,
+)
 from ttexplore.world import Rule, TextWorld, builtin_world_path, load_world
 
 
@@ -233,6 +239,33 @@ def test_own_bug_crashes_instead_of_aborting(minihouse1, greedy):
     with pytest.raises(KeyError, match="no-such-guard"):
         run_mode(world, greedy, world.tasks["minihouse-1"],
                  RunConfig(mode="react", seed=0))
+
+
+@pytest.mark.parametrize("mode,fails", [
+    ("react", lambda calls, prompt: calls == 3),
+    ("reflexion", lambda calls, prompt: prompt.startswith("Reflection Request:")),
+])
+def test_a_config_error_inside_a_policy_crashes_instead_of_aborting(
+        minihouse1, monkeypatch, tmp_path, mode, fails):
+    # only a RemoteError is a backend failure; here the react actor raises at
+    # its third step, and the reflexion actor when asked to reflect
+    greedy_actor = SCRIPTED_POLICIES["greedy-actor"]
+    calls = []
+
+    def misconfigured(prompt, seed):
+        calls.append(prompt)
+        if fails(len(calls), prompt):
+            raise ConfigError("a bad setting")
+        return greedy_actor(prompt, seed)
+
+    monkeypatch.setitem(SCRIPTED_POLICIES, "misconfigured-actor", misconfigured)
+    cfg = RunConfig(mode=mode, inner_mode="react", retries_N=2, max_steps=5,
+                    seed=0)
+    with pytest.raises(ConfigError, match="a bad setting"):
+        run_batch(minihouse1, [(minihouse1.tasks["minihouse-1"], 0)], cfg,
+                  scripted("actor", "misconfigured-actor"), store_dir=tmp_path)
+    assert len(calls) == (3 if mode == "react" else 6)  # mid-episode
+    assert not (tmp_path / "manifest.json").exists()
 
 
 # --- reflect-and-retry ------------------------------------------------------

@@ -41,7 +41,7 @@ from ttexplore.pipeline import (
     rollout_group,
     sample_thoughts,
 )
-from ttexplore.policies import SCRIPTED_POLICIES, RemoteError, scripted
+from ttexplore.policies import SCRIPTED_POLICIES, ConfigError, RemoteError, scripted
 from ttexplore.prompts import TRUNCATION_MARKER, HistoryView, render_thinker_prompt
 from ttexplore.world import builtin_world_path, load_world
 
@@ -371,6 +371,24 @@ def test_multinode_raises_on_a_failed_backend(minihouse2, monkeypatch):
                                  scripted("thinker", "crash-thinker"),
                                  scripted("actor", "greedy-actor"),
                                  PipelineConfig(m=2), 2, base_seed=7)
+
+
+@pytest.mark.parametrize("error,raised", [
+    (RemoteError("backend gone", attempts=1), BackendFailure),
+    (ConfigError("a bad setting"), ConfigError),
+])
+def test_forge_reports_only_a_remote_error_as_a_backend_failure(
+        minihouse2, monkeypatch, error, raised):
+    def explode(prompt, seed):
+        raise error
+    monkeypatch.setitem(SCRIPTED_POLICIES, "crash-thinker", explode)
+    with pytest.raises(raised):
+        forge(minihouse2, list(minihouse2.tasks.values()),
+              strong=scripted("actor", "oracle-actor"),
+              weak=scripted("actor", "wanderer-actor"),
+              thinker=scripted("thinker", "crash-thinker"),
+              actor_frozen=scripted("actor", "obedient-actor"),
+              cfg=PipelineConfig(m=2))
 
 
 def test_multinode_reward_counts_from_the_initial_score(open_fridge):

@@ -17,6 +17,7 @@ from ttexplore.policies import (
     CANNED_REFLECTION,
     REFLECTION_MARKER,
     ConfigError,
+    RemoteBackend,
     RemoteError,
     complete,
     noisy_thinker,
@@ -48,10 +49,12 @@ def test_scripted_policies_are_pure(minihouse1):
         assert complete(handle, prompt, seed=3) == complete(handle, prompt, seed=3)
 
 
-def test_unknown_scripted_name_raises(minihouse1):
-    prompt = actor_prompt(minihouse1, "minihouse-1")
-    with pytest.raises(ConfigError, match="no-such-policy"):
-        complete(scripted("actor", "no-such-policy"), prompt)
+def test_unknown_scripted_name_raises():
+    # the handle fails when it is made, before any call or episode
+    with pytest.raises(ConfigError) as exc:
+        scripted("actor", "greedy-actr")
+    assert str(exc.value) == ("unknown scripted policy 'greedy-actr' "
+                              f"(known: {', '.join(SCRIPTED_POLICIES)})")
 
 
 def test_oracle_actor_plays_script_by_position(minihouse1):
@@ -226,6 +229,16 @@ def test_remote_success_and_payload(stub, monkeypatch):
     assert payload["temperature"] == 0.5
     assert payload["max_tokens"] == 64
     assert headers["Authorization"] == "Bearer sk-test"
+
+
+@pytest.mark.parametrize("endpoint", [
+    "localhost:8000/v1", "ftp://example.com/v1", "http:///v1", "http://[::1/v1"])
+def test_remote_endpoint_must_be_an_http_url_with_a_host(endpoint):
+    # each would fail every call, retried as if transient, aborting each episode
+    with pytest.raises(ConfigError, match="endpoint must be an http or https URL"):
+        RemoteBackend(endpoint, "m")
+    for good in ("http://127.0.0.1:9/v1", "https://example.com/v1/chat/completions"):
+        assert RemoteBackend(good, "m").endpoint == good
 
 
 def test_remote_key_never_in_payload(stub, monkeypatch):

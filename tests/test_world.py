@@ -410,9 +410,36 @@ def test_rule_effect_reject_accepted(tmp_path):
     (lambda d: d["tasks"][0].update(max_steps=3.7), "task 'minihouse-1'", "max_steps"),
     (lambda d: d["tasks"][0].update(max_steps=0), "task 'minihouse-1'", "max_steps"),
     (lambda d: d["tasks"][0].update(max_steps=True), "task 'minihouse-1'", "max_steps"),
+    # every value used as a name is a string
+    (lambda d: d["rooms"].append(7), "world 'minihouse-1-world'", "rooms"),
+    (lambda d: d["entities"].update({7: d["entities"].pop("plate 1")}),
+     "entity 7", "id"),
+    (lambda d: d["entities"]["apple 1"].update(location=["fridge 1"]),
+     "entity 'apple 1'", "location"),
+    (lambda d: d["entities"]["apple 1"].update(location=5), "entity 'apple 1'",
+     "location"),
+    (lambda d: d["agent"].update(room=["hallway"]), "agent", "room"),
+    (lambda d: d["agent"].update(facing=5), "agent", "facing"),
+    (lambda d: d["agent"].update(hand=["apple 1"]), "agent", "hand"),
+    (lambda d: d["rules"][0].update(id=[1]), "rule 1", "id"),
+    (lambda d: d["rules"][0].update(guard=["must-face-target"]),
+     "rule 'must-face-target'", "guard"),
+    (lambda d: d["tasks"][0].update(id=5), "task 1", "id"),
+    (lambda d: d["tasks"][0].update(id=["minihouse-1"]), "task 1", "id"),
+    (lambda d: d["tasks"][0]["subgoals"][0]["all"][0].update(entity=["fridge 1"]),
+     "task 'minihouse-1': subgoal 0: receptacle_open condition", "entity"),
+    (lambda d: d["tasks"][0]["subgoals"][2]["all"][0].update(container=["table 1"]),
+     "task 'minihouse-1': subgoal 2: located condition", "container"),
+    (lambda d: d["tasks"][0]["subgoals"][2]["all"].append(
+        {"kind": "agent_in", "room": ["kitchen"]}),
+     "task 'minihouse-1': subgoal 2: agent_in condition", "room"),
 ], ids=["examples-text", "attributes-text", "kind-misspelled", "open-text",
          "action-space-list",
-        "instruction-int", "max-steps-float", "max-steps-zero", "max-steps-bool"])
+        "instruction-int", "max-steps-float", "max-steps-zero", "max-steps-bool",
+        "room-int", "entity-id-int", "location-list", "location-int",
+        "agent-room-list", "facing-int", "hand-list", "rule-id-list",
+        "guard-list", "task-id-int", "task-id-list", "condition-entity-list",
+        "condition-container-list", "condition-room-list"])
 def test_a_value_of_the_wrong_type_names_the_file_the_owner_and_the_key(
         tmp_path, edit, where, key):
     doc = builtin_doc("minihouse1")
@@ -421,6 +448,53 @@ def test_a_value_of_the_wrong_type_names_the_file_the_owner_and_the_key(
     with pytest.raises(WorldValidationError) as exc:
         load_world(path)
     assert str(exc.value).startswith(f"{path}: {where}: {key} must be ")
+
+
+@pytest.mark.parametrize("locations", [
+    {"fridge 1": "fridge 1"},
+    {"fridge 1": "cabinet 1", "cabinet 1": "fridge 1"},
+], ids=["self", "two-entities"])
+def test_a_containment_cycle_fails_at_load(tmp_path, locations):
+    # at step time, `go to fridge 1` would follow the chain forever
+    doc = builtin_doc("minihouse1")
+    for eid, location in locations.items():
+        doc["entities"][eid]["location"] = location
+    path = write_world(tmp_path, doc)
+    with pytest.raises(WorldValidationError) as exc:
+        load_world(path)
+    cycle = " -> ".join([*locations, "fridge 1"])
+    assert str(exc.value) == (f"{path}: entity 'fridge 1': location never "
+                              f"reaches a room ({cycle})")
+
+
+@pytest.mark.parametrize("edit,where,key", [
+    (lambda d: d["tasks"].append({**d["tasks"][0],
+                                  "subgoals": d["tasks"][0]["subgoals"][:1]}),
+     "task 2", "id"),
+    (lambda d: d["rooms"].append("kitchen"), "world 'minihouse-1-world'", "rooms"),
+    (lambda d: d["agent"].update(hand="nothing 9"), "agent", "hand"),
+    (lambda d: d["agent"].update(hand="apple 1"), "agent", "hand"),
+    (lambda d: d["entities"]["apple 1"].update(location="hand"), "agent", "hand"),
+    (lambda d: d["agent"].update(facing="fridge 1"), "agent", "facing"),
+    (lambda d: d["agent"].update(room="kitchen", facing="apple 1"), "agent", "facing"),
+], ids=["task-id-twice", "room-twice", "hand-unknown", "hand-not-in-hand",
+        "hand-missing", "facing-in-another-room", "facing-an-object"])
+def test_a_duplicate_name_or_a_wrong_hand_or_facing_fails_at_load(
+        tmp_path, edit, where, key):
+    doc = builtin_doc("minihouse1")
+    edit(doc)
+    path = write_world(tmp_path, doc)
+    with pytest.raises(WorldValidationError) as exc:
+        load_world(path)
+    assert str(exc.value).startswith(f"{path}: {where}: {key} ")
+
+
+def test_a_held_entity_and_a_facing_in_the_agents_room_load(tmp_path):
+    doc = builtin_doc("minihouse1")
+    doc["entities"]["apple 1"]["location"] = "hand"
+    doc["agent"] = {"room": "kitchen", "facing": "table 1", "hand": "apple 1"}
+    world = load_world(write_world(tmp_path, doc))
+    assert world.agent == Agent("kitchen", facing="table 1", hand="apple 1")
 
 
 def test_builtin_worlds_load():
