@@ -1,9 +1,10 @@
 """Command-line interface.
 
 Subcommands: run (batch episodes into a fresh run store), metrics
-(recompute summary statistics from stored transcripts), replay (verify a
-stored run against the world), forge (build thinker training data), and
-validate (check configs and world files without running anything).
+(recompute summary statistics from a store's `transcripts.jsonl`), replay
+(verify a stored run against the world), forge (build thinker training
+data), and validate (check configs and world files without running
+anything).
 """
 
 from __future__ import annotations
@@ -50,11 +51,13 @@ def _fresh_store(root: Path, label: str | None) -> Path:
         except FileExistsError:
             suffix += 1
             candidate = root / f"{base}-{suffix}"
+        except OSError as exc:
+            _fail(f"{candidate}: cannot create the directory: {exc}")
 
 
 # the keys of a manifest episode and of a transcript record that `metrics`
 # and `replay` read, with the types `run_batch` writes
-_EPISODE_TYPES = {"file": str, "task_id": str, "seed": int, "success": bool,
+_EPISODE_TYPES = {"task_id": str, "seed": int, "success": bool,
                   "process_score": float}
 _RECORD_TYPES = {"step": int, "action": str, "observation": str,
                  "score": float, "done": bool}
@@ -76,10 +79,11 @@ def _check_entry(entry: dict, types: dict, where: str) -> None:
 
 
 def _read_store(store: Path) -> tuple[dict, list[list[dict]]]:
-    """A run store's manifest and the records of each episode's transcript;
-    a missing or corrupt store file, one without a key that `metrics` or
-    `replay` reads or with a value of the wrong type, or a manifest that
-    lists no episodes, fails naming the file."""
+    """A run store's manifest and the step records of each episode; a
+    missing or corrupt store file, one without a key that `metrics` or
+    `replay` reads or with a value of the wrong type, a manifest that lists
+    no episodes, or a `transcripts.jsonl` without one list of records per
+    manifest episode, fails naming the file."""
     manifest_path = store / "manifest.json"
     if not manifest_path.exists():
         _fail(f"{store}: not a run store (no manifest.json)")
@@ -97,22 +101,29 @@ def _read_store(store: Path) -> tuple[dict, list[list[dict]]]:
         _fail(f"{manifest_path}: the manifest lists no episodes")
     for i, entry in enumerate(episodes):
         _check_entry(entry, _EPISODE_TYPES, f"{manifest_path}: episode {i}")
-    transcripts = []
-    for entry in episodes:
-        path = store / entry["file"]
-        if not path.exists():
-            _fail(f"{store}: transcript {entry['file']} is missing")
-        try:
-            records = read_transcript(path)
-        except RunStoreError as exc:
-            _fail(str(exc))
-        for i, record in enumerate(records, 1):
+    path = store / "transcripts.jsonl"
+    if not path.exists():
+        _fail(f"{store}: transcripts.jsonl is missing")
+    try:
+        transcripts = read_transcript(path)
+    except RunStoreError as exc:
+        _fail(str(exc))
+    if len(transcripts) != len(episodes):
+        _fail(f"{path}: {len(transcripts)} episode transcripts, the manifest "
+              f"lists {len(episodes)} episodes")
+    for i, records in enumerate(transcripts):
+        where = f"{path}:{i + 1}: episode {i}"
+        if not isinstance(records, list):
+            _fail(f"{where} is not a list of records")
+        for j, record in enumerate(records, 1):
             if not isinstance(record, dict):
-                _fail(f"{path}: transcript record {i} is not a mapping")
-            _check_entry(record, _RECORD_TYPES,
-                         f"{path}: transcript record {i}")
-        transcripts.append(records)
+                _fail(f"{where} record {j} is not a mapping")
+            _check_entry(record, _RECORD_TYPES, f"{where} record {j}")
     return manifest, transcripts
+
+
+def _label(index: int, entry: dict) -> str:
+    return f"episode {index} ({entry['task_id']} s{entry['seed']})"
 
 
 def _load_experiment(config_path: str,
@@ -163,11 +174,14 @@ def cmd_run(config_path, mode, n_trigger, max_steps, samples_n, retries_n,
     items = [(task, seed) for task in exp.tasks for seed in run_seeds]
     root = Path(store_dir) if store_dir else exp.store_dir
     store = _fresh_store(root, label)
-    results = run_batch(
-        exp.world, items, exp.run, exp.actor, thinker=exp.thinker,
-        store_dir=store,
-        parallelism=parallelism if parallelism is not None else exp.parallelism,
-        world_file=exp.world_file)
+    try:
+        results = run_batch(
+            exp.world, items, exp.run, exp.actor, thinker=exp.thinker,
+            store_dir=store,
+            parallelism=parallelism if parallelism is not None else exp.parallelism,
+            world_file=exp.world_file)
+    except RunStoreError as exc:
+        _fail(str(exc))
 
     table = aggregate([r.summary() for r in results])
     click.echo(f"store: {store}")
@@ -219,8 +233,9 @@ def cmd_metrics(store, k, as_jsonl) -> None:
     if as_jsonl:
         click.echo(table.to_jsonl())
     else:
-        for entry, records, m in zip(episodes, transcripts, metrics):
-            click.echo(f"{entry['file']}: steps={len(records)} "
+        for i, (entry, records, m) in enumerate(zip(episodes, transcripts,
+                                                    metrics)):
+            click.echo(f"{_label(i, entry)}: steps={len(records)} "
                        f"score={entry['process_score']} "
                        f"adiv={m.action_diversity:.4f} "
                        f"arep={m.action_repetition:.4f} "
@@ -248,18 +263,18 @@ def cmd_replay(store, world_override) -> None:
         _fail(str(exc))
 
     failures = 0
-    for entry, records in zip(manifest["episodes"], transcripts):
+    for i, (entry, records) in enumerate(zip(manifest["episodes"], transcripts)):
         task = world.tasks.get(entry["task_id"])
         if task is None:
-            click.echo(f"FAIL {entry['file']}: task {entry['task_id']!r} "
+            click.echo(f"FAIL {_label(i, entry)}: task {entry['task_id']!r} "
                        f"not in world {world.id!r}")
             failures += 1
             continue
         mismatch = _verify_episode(world, task, entry, records)
         if mismatch is None:
-            click.echo(f"PASS {entry['file']}")
+            click.echo(f"PASS {_label(i, entry)}")
         else:
-            click.echo(f"FAIL {entry['file']}: {mismatch}")
+            click.echo(f"FAIL {_label(i, entry)}: {mismatch}")
             failures += 1
     if failures:
         click.echo(f"{failures} episode(s) failed verification", err=True)

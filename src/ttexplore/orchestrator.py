@@ -13,6 +13,11 @@ parallelizes across episodes only.
 given state and history and stop at a score floor. `_act` and `_think`
 share one parse-retry path: a parse failure is retried once, and each
 failed attempt logs one warning on this module's logger.
+
+`run_batch` runs a batch of episodes. Given a store directory, it writes the
+run store after the last episode: `transcripts.jsonl`, whose line i+1 holds
+episode i's step records, then `timings.json`, and `manifest.json` last. A
+batch that fails leaves no manifest.
 """
 
 from __future__ import annotations
@@ -290,6 +295,10 @@ class RunStoreError(RuntimeError):
     pass
 
 
+# one encoder for every JSONL line: `json.dumps` builds a new one per call
+_JSON_LINE = json.JSONEncoder(ensure_ascii=False)
+
+
 def write_json_atomic(path: Path, data: dict) -> None:
     """Write indented, key-sorted JSON to a temp file beside `path`, then
     rename it over `path`: readers see the old file or the new one, never a
@@ -304,41 +313,32 @@ def write_json_atomic(path: Path, data: dict) -> None:
         raise
 
 
-def _episode_filename(index: int, traj: Trajectory) -> str:
-    safe_task = traj.task_id.replace(" ", "_").replace("/", "_")
-    return f"{index:03d}_{safe_task}_s{traj.seed}.jsonl"
-
-
-def write_jsonl(path: Path, records: list[dict]) -> None:
+def write_jsonl(path: Path, records: list) -> None:
     """One JSON line per record, in UTF-8; an empty list writes an empty
     file."""
-    lines = [json.dumps(record, ensure_ascii=False) for record in records]
+    lines = [_JSON_LINE.encode(record) for record in records]
     path.write_text("\n".join(lines) + ("\n" if lines else ""), encoding="utf-8")
 
 
-def write_transcript(path: Path, traj: Trajectory) -> None:
-    write_jsonl(path, [
-        {"step": i, "action": step.action, "observation": step.observation,
-         "score": step.score_after, "done": step.done}
-        for i, step in enumerate(traj.steps, start=1)])
-
-
-def read_transcript(path: Path) -> list[dict]:
-    records = []
-    for lineno, line in enumerate(path.read_text(encoding="utf-8").splitlines(), 1):
-        if not line.strip():
-            continue
+def read_transcript(path: Path) -> list:
+    """The JSON value of each line of `path`; a line that is not JSON fails
+    naming the file and the line. Only a newline ends a line: JSON leaves
+    U+2028 and other line separators unescaped inside strings."""
+    lines = path.read_text(encoding="utf-8").split("\n")
+    if lines[-1] == "":
+        lines.pop()
+    values = []
+    for lineno, line in enumerate(lines, 1):
         try:
-            records.append(json.loads(line))
+            values.append(json.loads(line))
         except json.JSONDecodeError as exc:
             raise RunStoreError(f"{path}:{lineno}: corrupt transcript line: {exc}")
-    return records
+    return values
 
 
-def _episode_manifest_entry(filename: str, traj: Trajectory,
+def _episode_manifest_entry(traj: Trajectory,
                             m: metrics_mod.ExplorationMetrics) -> dict:
     return {
-        "file": filename,
         "task_id": traj.task_id,
         "seed": traj.seed,
         "mode": traj.mode,
@@ -353,57 +353,63 @@ def _episode_manifest_entry(filename: str, traj: Trajectory,
     }
 
 
+def _persist(path: Path, write, *args) -> None:
+    """`write(path, *args)`; an OSError becomes a RunStoreError naming
+    `path`."""
+    try:
+        write(path, *args)
+    except OSError as exc:
+        raise RunStoreError(f"{path}: cannot write the run store: {exc}") from exc
+
+
 def run_batch(world: TextWorld, items: list[tuple[TaskSpec, int]], cfg: RunConfig,
               actor: PolicyHandle, thinker: Optional[PolicyHandle] = None,
               store_dir: Optional[Path] = None,
               parallelism: int = 1,
               world_file: Optional[str] = None) -> list[EpisodeResult]:
-    """Run one episode per (task, seed) item. Results keep input order; each
-    transcript is persisted before its result is reported."""
+    """Run one episode per (task, seed) item; results keep input order. A
+    `store_dir` loses any manifest before the first episode and gets the run
+    store after the last; a failed store write raises `RunStoreError`."""
     cfg.validate()
     if store_dir is not None:
         store_dir = Path(store_dir)
-        store_dir.mkdir(parents=True, exist_ok=True)
+        _persist(store_dir, lambda p: p.mkdir(parents=True, exist_ok=True))
+        # a batch that fails leaves no manifest beside what it overwrote
+        _persist(store_dir / "manifest.json", lambda p: p.unlink(missing_ok=True))
 
-    def one(index_item: tuple[int, tuple[TaskSpec, int]]) -> EpisodeResult:
-        index, (task, seed) = index_item
+    def one(item: tuple[TaskSpec, int]) -> EpisodeResult:
+        task, seed = item
         t0 = time.perf_counter()
-        episode_cfg = replace(cfg, seed=seed)
-        traj = run_mode(world, actor, task, episode_cfg, thinker=thinker)
+        traj = run_mode(world, actor, task, replace(cfg, seed=seed),
+                        thinker=thinker)
         wall_s = time.perf_counter() - t0
         m = metrics_mod.episode_metrics(traj.actions(), traj.observations())
-        if store_dir is not None:
-            try:
-                write_transcript(store_dir / _episode_filename(index, traj), traj)
-            except OSError as exc:
-                raise RunStoreError(f"failed to persist episode {index}: {exc}")
         return EpisodeResult(trajectory=traj, metrics=m, wall_s=wall_s)
 
-    indexed = list(enumerate(items))
     if parallelism > 1:
         with ThreadPoolExecutor(max_workers=parallelism) as pool:
-            results = list(pool.map(one, indexed))
+            results = list(pool.map(one, items))
     else:
-        results = [one(pair) for pair in indexed]
+        results = [one(item) for item in items]
 
     if store_dir is not None:
         # the manifest goes last, so a store with one has all of its files
-        write_json_atomic(store_dir / "timings.json", {
+        _persist(store_dir / "transcripts.jsonl", write_jsonl, [
+            [{"step": i, "action": step.action, "observation": step.observation,
+              "score": step.score_after, "done": step.done}
+             for i, step in enumerate(r.trajectory.steps, start=1)]
+            for r in results])
+        _persist(store_dir / "timings.json", write_json_atomic, {
             "episodes": [round(r.wall_s, 6) for r in results],
             "total_s": round(sum(r.wall_s for r in results), 6),
         })
-        entries = [
-            _episode_manifest_entry(_episode_filename(i, r.trajectory),
-                                    r.trajectory, r.metrics)
-            for i, r in enumerate(results)
-        ]
-        manifest = {
+        _persist(store_dir / "manifest.json", write_json_atomic, {
             "config": cfg.as_dict(),
             "world_file": world_file,
             "world_id": world.id,
-            "episodes": entries,
+            "episodes": [_episode_manifest_entry(r.trajectory, r.metrics)
+                         for r in results],
             "aggregate": metrics_mod.aggregate_deterministic(
                 [r.summary() for r in results]),
-        }
-        write_json_atomic(store_dir / "manifest.json", manifest)
+        })
     return results

@@ -228,11 +228,11 @@ def test_criterion_6_determinism_and_replay(tmp_path):
     assert result.exit_code == 0, result.output
     assert "replay PASS" in result.output
 
-    transcript = next(store_b.glob("*.jsonl"))
+    transcript = store_b / "transcripts.jsonl"
     lines = transcript.read_text().splitlines()
-    record = json.loads(lines[-1])
-    record["score"] = 12.34
-    lines[-1] = json.dumps(record)
+    records = json.loads(lines[-1])
+    records[-1]["score"] = 12.34
+    lines[-1] = json.dumps(records)
     transcript.write_text("\n".join(lines) + "\n", encoding="utf-8")
     result = runner.invoke(cli_main, ["replay", str(store_b)])
     assert result.exit_code != 0

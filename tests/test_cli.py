@@ -13,7 +13,7 @@ import pytest
 import yaml
 from click.testing import CliRunner
 
-from ttexplore import cli, load_builtin_world
+from ttexplore import cli, load_builtin_world, orchestrator
 from ttexplore.cli import main
 from ttexplore.config import ConfigValidationError, load_config
 from ttexplore.orchestrator import RunConfig, run_batch
@@ -24,6 +24,7 @@ from ttexplore.policies import (
     RemoteError,
     scripted,
 )
+from ttexplore.prompts import ActorOutput, format_actor_output
 from ttexplore.world import builtin_world_path
 
 
@@ -54,12 +55,23 @@ def write_config(tmp_path, doc=None, name="exp.yaml"):
     return path
 
 
-def run_store(runner, tmp_path):
-    cfg = write_config(tmp_path)
+def run_store(runner, tmp_path, doc=None):
+    cfg = write_config(tmp_path, doc)
     result = runner.invoke(main, ["run", "--config", str(cfg),
                                   "--store-dir", str(tmp_path / "runs")])
     assert result.exit_code == 0, result.output
     return next((tmp_path / "runs").iterdir())
+
+
+def tamper_record(store, episode, index, edit):
+    """Apply `edit` to step record `index` of `episode` in the store's
+    transcripts.jsonl; `edit` returns the value that replaces the record."""
+    path = store / "transcripts.jsonl"
+    lines = path.read_text().splitlines()
+    records = json.loads(lines[episode])
+    records[index] = edit(records[index])
+    lines[episode] = json.dumps(records)
+    path.write_text("\n".join(lines) + "\n", encoding="utf-8")
 
 
 def stored_summary(store):
@@ -136,6 +148,19 @@ def test_removed_run_keys_are_rejected(tmp_path, key):
     path = write_config(tmp_path, config_doc(run={"mode": "react", key: 1}))
     with pytest.raises(ConfigValidationError, match=key):
         load_config(path)
+
+
+@pytest.mark.parametrize("command,out", [("run", "--store-dir"),
+                                         ("forge", "--out")])
+def test_an_output_root_that_cannot_hold_a_directory_names_it(runner, tmp_path,
+                                                              command, out):
+    (tmp_path / "file").write_text("")
+    result = runner.invoke(main, [command, "--config", str(write_config(tmp_path)),
+                                  out, str(tmp_path / "file" / "runs")])
+    assert result.exit_code == 2
+    assert isinstance(result.exception, SystemExit)  # no traceback
+    assert f"error: {tmp_path / 'file' / 'runs'}" in result.output
+    assert "cannot create the directory" in result.output
 
 
 def test_run_missing_world_no_partial_store(runner, tmp_path):
@@ -302,7 +327,7 @@ def test_metrics_on_a_store_aborted_before_the_first_step(runner, tmp_path,
     run_batch(world, [(world.tasks["minihouse-1"], 0)], RunConfig(mode="react"),
               scripted("actor", "crash-actor"), store_dir=store,
               world_file="minihouse1")
-    assert (store / "000_minihouse-1_s0.jsonl").read_text() == ""
+    assert (store / "transcripts.jsonl").read_text() == "[]\n"
     assert runner.invoke(main, ["replay", str(store)]).exit_code == 0
     result = runner.invoke(main, ["metrics", str(store), "--jsonl"])
     assert result.exit_code == 0, result.output
@@ -341,8 +366,8 @@ def test_metrics_rejects_a_wall_time_that_is_not_a_finite_number(runner, tmp_pat
 
 
 def test_metrics_corrupt_transcript_names_file_and_line(runner, tmp_path):
-    store = run_store(runner, tmp_path)
-    transcript = next(store.glob("*.jsonl"))
+    store = run_store(runner, tmp_path, config_doc(seeds=[0, 1, 2]))
+    transcript = store / "transcripts.jsonl"
     lines = transcript.read_text().splitlines()
     lines[2] = "{broken"
     transcript.write_text("\n".join(lines) + "\n", encoding="utf-8")
@@ -362,12 +387,7 @@ def test_replay_pass_on_untouched_store(runner, tmp_path):
 
 def test_replay_fails_on_tampered_score(runner, tmp_path):
     store = run_store(runner, tmp_path)
-    transcript = next(store.glob("*.jsonl"))
-    lines = transcript.read_text().splitlines()
-    record = json.loads(lines[4])
-    record["score"] = 99.99
-    lines[4] = json.dumps(record)
-    transcript.write_text("\n".join(lines) + "\n", encoding="utf-8")
+    tamper_record(store, 0, 4, lambda record: {**record, "score": 99.99})
     result = runner.invoke(main, ["replay", str(store)])
     assert result.exit_code != 0
     assert "FAIL" in result.output
@@ -377,14 +397,9 @@ def test_replay_fails_on_tampered_score(runner, tmp_path):
 
 def test_replay_fails_on_tampered_action(runner, tmp_path):
     store = run_store(runner, tmp_path)
-    transcript = next(store.glob("*.jsonl"))
-    lines = transcript.read_text().splitlines()
     # step 7 is the first accepted action; replacing it with a rejected verb
     # changes the replayed observation
-    record = json.loads(lines[6])
-    record["action"] = "dance"
-    lines[6] = json.dumps(record)
-    transcript.write_text("\n".join(lines) + "\n", encoding="utf-8")
+    tamper_record(store, 0, 6, lambda record: {**record, "action": "dance"})
     result = runner.invoke(main, ["replay", str(store)])
     assert result.exit_code != 0
     assert "step 7" in result.output
@@ -392,12 +407,102 @@ def test_replay_fails_on_tampered_action(runner, tmp_path):
 
 def test_replay_missing_transcript_names_the_file(runner, tmp_path):
     store = run_store(runner, tmp_path)
-    transcript = next(store.glob("*.jsonl"))
+    transcript = store / "transcripts.jsonl"
     transcript.unlink()
     result = runner.invoke(main, ["replay", str(store)])
     assert result.exit_code != 0
     assert isinstance(result.exception, SystemExit)  # no traceback
     assert transcript.name in result.output
+
+
+@pytest.mark.parametrize("command", ["metrics", "replay"])
+@pytest.mark.parametrize("damage", ["missing", "short", "not-a-list"])
+def test_a_transcripts_file_without_a_list_per_episode_names_the_file(
+        runner, tmp_path, command, damage):
+    store = run_store(runner, tmp_path, config_doc(seeds=[0, 1]))
+    path = store / "transcripts.jsonl"
+    lines = path.read_text().splitlines()
+    if damage == "missing":
+        path.unlink()
+        named = f"{store}: transcripts.jsonl is missing"
+    elif damage == "short":
+        path.write_text(lines[0] + "\n")
+        named = f"{path}: 1 episode transcripts, the manifest lists 2 episodes"
+    else:
+        path.write_text(lines[0] + "\n" + json.dumps(json.loads(lines[1])[0]) + "\n")
+        named = f"{path}:2: episode 1 is not a list of records"
+    result = runner.invoke(main, [command, str(store)])
+    assert result.exit_code == 2
+    assert isinstance(result.exception, SystemExit)  # no traceback
+    assert f"error: {named}" in result.output
+
+
+def test_replay_and_metrics_name_each_episode_by_index_task_and_seed(runner,
+                                                                    tmp_path):
+    store = run_store(runner, tmp_path, config_doc(seeds=[0, 3]))
+    result = runner.invoke(main, ["replay", str(store)])
+    assert result.output.splitlines() == [
+        "PASS episode 0 (minihouse-2 s0)", "PASS episode 1 (minihouse-2 s3)",
+        "replay PASS"]
+    result = runner.invoke(main, ["metrics", str(store)])
+    assert result.exit_code == 0, result.output
+    labels = [line.split(": ")[0] for line in result.output.splitlines()[:2]]
+    assert labels == ["episode 0 (minihouse-2 s0)", "episode 1 (minihouse-2 s3)"]
+
+
+@pytest.mark.parametrize("mode", ["react", "ttexplore", "reflexion", "bestofn"])
+def test_a_run_store_holds_three_files(runner, tmp_path, mode):
+    store = run_store(runner, tmp_path, config_doc(
+        seeds=[0, 1], run={"mode": mode, "max_steps": 20, "samples_N": 2,
+                           "retries_N": 2}))
+    assert sorted(p.name for p in store.iterdir()) == [
+        "manifest.json", "timings.json", "transcripts.jsonl"]
+    manifest = json.loads((store / "manifest.json").read_text())
+    transcripts = (store / "transcripts.jsonl").read_text().splitlines()
+    assert len(transcripts) == len(manifest["episodes"]) == 2
+    for entry, line in zip(manifest["episodes"], transcripts):
+        assert len(json.loads(line)) == entry["steps_used"]
+
+
+def test_a_failed_rerun_into_a_used_store_leaves_no_manifest(runner, tmp_path,
+                                                             monkeypatch):
+    # a rerun whose episode 0 differs from the first run's, then fails
+    def fails_on_seed_1(prompt, seed):
+        if seed == 1:
+            raise KeyError("seed 1")
+        return format_actor_output(ActorOutput("wait", "look around"))
+    monkeypatch.setitem(SCRIPTED_POLICIES, "seed-1-bug-actor", fails_on_seed_1)
+    world = load_builtin_world("minihouse1")
+    items = [(world.tasks["minihouse-1"], seed) for seed in (0, 1)]
+    store = tmp_path / "store"
+    run_batch(world, items, RunConfig(mode="react"),
+              scripted("actor", "oracle-actor"), store_dir=store,
+              world_file="minihouse1")
+    assert "replay PASS" in runner.invoke(main, ["replay", str(store)]).output
+    with pytest.raises(KeyError):
+        run_batch(world, items, RunConfig(mode="react"),
+                  scripted("actor", "seed-1-bug-actor"), store_dir=store,
+                  world_file="minihouse1")
+    for command in ("replay", "metrics"):
+        result = runner.invoke(main, [command, str(store)])
+        assert result.exit_code == 2
+        assert f"error: {store}: not a run store (no manifest.json)" in result.output
+
+
+def test_run_exits_2_naming_a_store_file_it_cannot_write(runner, tmp_path,
+                                                         monkeypatch):
+    def full_disk(path, records):
+        raise OSError(28, "No space left on device")
+    monkeypatch.setattr(orchestrator, "write_jsonl", full_disk)
+    result = runner.invoke(main, ["run", "--config", str(write_config(tmp_path)),
+                                  "--store-dir", str(tmp_path / "runs")])
+    assert result.exit_code == 2
+    assert isinstance(result.exception, SystemExit)  # no traceback
+    store = next((tmp_path / "runs").iterdir())
+    assert result.output.startswith(
+        f"error: {store / 'transcripts.jsonl'}: cannot write the run store: ")
+    assert "No space left on device" in result.output
+    assert list(store.iterdir()) == []
 
 
 @pytest.mark.parametrize("command", ["metrics", "replay"])
@@ -412,7 +517,7 @@ def test_corrupt_manifest_names_the_file(runner, tmp_path, command):
 
 @pytest.mark.parametrize("command", ["metrics", "replay"])
 @pytest.mark.parametrize("shape", ["list", "episodes-mapping",
-                                   "episode-number", "no-file", "file-number"])
+                                   "episode-number"])
 def test_misshapen_manifest_names_the_file(runner, tmp_path, command, shape):
     store = run_store(runner, tmp_path)
     path = store / "manifest.json"
@@ -422,12 +527,8 @@ def test_misshapen_manifest_names_the_file(runner, tmp_path, command, shape):
         manifest = []
     elif shape == "episodes-mapping":
         manifest["episodes"] = {"0": entry}
-    elif shape == "episode-number":
-        manifest["episodes"].append(1)
-    elif shape == "no-file":
-        del entry["file"]
     else:
-        entry["file"] = 3
+        manifest["episodes"].append(1)
     path.write_text(json.dumps(manifest))
     result = runner.invoke(main, [command, str(store)])
     assert result.exit_code == 2
@@ -472,16 +573,9 @@ def test_a_missing_store_key_names_the_file(runner, tmp_path, command, where,
         path.write_text(json.dumps(manifest))
         named = f"{path}: episode 0 has no '{key}'"
     else:
-        path = store / manifest["episodes"][0]["file"]
-        lines = path.read_text().splitlines()
-        record = json.loads(lines[1])
-        if key is None:
-            record = []
-        else:
-            del record[key]
-        lines[1] = json.dumps(record)
-        path.write_text("\n".join(lines) + "\n")
-        named = f"{path}: transcript record 2 " + \
+        tamper_record(store, 0, 1, lambda record: [] if key is None else
+                      {k: v for k, v in record.items() if k != key})
+        named = f"{store / 'transcripts.jsonl'}:1: episode 0 record 2 " + \
             ("is not a mapping" if key is None else f"has no '{key}'")
     result = runner.invoke(main, [command, str(store)])
     assert result.exit_code == 2
@@ -495,7 +589,6 @@ def test_a_missing_store_key_names_the_file(runner, tmp_path, command, where,
     ("manifest", "process_score", float("inf")),
     ("manifest", "success", 1),
     ("manifest", "seed", 0.5),
-    ("manifest", "file", 3),
     ("transcript", "score", "33.33"),
     ("transcript", "score", float("nan")),
     ("transcript", "action", None),
@@ -511,13 +604,8 @@ def test_a_store_value_of_the_wrong_type_names_the_file_and_key(
         path.write_text(json.dumps(manifest))
         named = f"{path}: episode 0: {key} must be"
     else:
-        path = store / manifest["episodes"][0]["file"]
-        lines = path.read_text().splitlines()
-        record = json.loads(lines[1])
-        record[key] = value
-        lines[1] = json.dumps(record)
-        path.write_text("\n".join(lines) + "\n")
-        named = f"{path}: transcript record 2: {key} must be"
+        tamper_record(store, 0, 1, lambda record: {**record, key: value})
+        named = f"{store / 'transcripts.jsonl'}:1: episode 0 record 2: {key} must be"
     result = runner.invoke(main, [command, str(store)])
     assert result.exit_code == 2
     assert isinstance(result.exception, SystemExit)  # no traceback

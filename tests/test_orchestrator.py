@@ -17,6 +17,7 @@ from ttexplore.orchestrator import (
     run_mode,
     select_best,
     write_json_atomic,
+    write_jsonl,
 )
 from ttexplore.policies import (
     SCRIPTED_POLICIES,
@@ -355,14 +356,15 @@ def test_run_batch_store_layout(minihouse1, greedy, oracle_thinker, tmp_path):
                         world_file="minihouse1")
     assert len(results) == 2
     files = sorted(p.name for p in tmp_path.iterdir())
-    assert files == ["000_minihouse-1_s0.jsonl", "001_minihouse-1_s1.jsonl",
-                     "manifest.json", "timings.json"]
+    assert files == ["manifest.json", "timings.json", "transcripts.jsonl"]
     manifest = json.loads((tmp_path / "manifest.json").read_text())
     assert manifest["world_file"] == "minihouse1"
     assert len(manifest["episodes"]) == 2
     assert manifest["episodes"][0]["success"] is True
     assert "mean_wall_s" not in manifest["aggregate"]
-    records = read_transcript(tmp_path / files[0])
+    transcripts = read_transcript(tmp_path / "transcripts.jsonl")
+    assert len(transcripts) == 2
+    records = transcripts[0]
     assert records[0]["step"] == 1
     assert records[-1]["done"] is True
 
@@ -375,6 +377,52 @@ def test_run_batch_parallel_preserves_order(minihouse1, oracle, tmp_path):
     parallel = run_batch(minihouse1, items, cfg, oracle, parallelism=4)
     assert [r.trajectory.seed for r in parallel] == \
         [r.trajectory.seed for r in serial] == [0, 1, 2, 3]
+
+
+def test_a_parallel_store_is_byte_identical_to_a_serial_one(
+        minihouse1, greedy, oracle_thinker, tmp_path):
+    items = [(task, s) for task in minihouse1.tasks.values() for s in range(5)]
+    cfg = RunConfig(mode="ttexplore", seed=0)
+    for parallelism in (1, 3):
+        run_batch(minihouse1, items, cfg, greedy, thinker=oracle_thinker,
+                  store_dir=tmp_path / str(parallelism),
+                  parallelism=parallelism, world_file="minihouse1")
+    for name in ("manifest.json", "transcripts.jsonl"):
+        assert (tmp_path / "1" / name).read_bytes() == \
+            (tmp_path / "3" / name).read_bytes(), name
+
+
+@pytest.mark.parametrize("name", ["transcripts.jsonl", "timings.json",
+                                  "manifest.json"])
+def test_a_failed_store_write_raises_a_run_store_error_naming_the_file(
+        minihouse1, oracle, tmp_path, monkeypatch, name):
+    writers = {"write_jsonl": orchestrator.write_jsonl,
+               "write_json_atomic": orchestrator.write_json_atomic}
+
+    def failing(writer):
+        def write(path, data):
+            if path.name == name:
+                raise OSError("disk full")
+            writers[writer](path, data)
+        return write
+    for writer in writers:
+        monkeypatch.setattr(orchestrator, writer, failing(writer))
+    with pytest.raises(RunStoreError, match=rf"{name}: cannot write the run "
+                                            r"store: disk full"):
+        run_batch(minihouse1, [(minihouse1.tasks["minihouse-1"], 0)],
+                  RunConfig(mode="react", seed=0), oracle, store_dir=tmp_path)
+    assert not (tmp_path / "manifest.json").exists()
+
+
+def test_write_jsonl_writes_json_dumps_lines_that_read_back(tmp_path):
+    # U+2028 is a line separator to str.splitlines, and JSON leaves it raw
+    records = [[{"action": "take crème 1", "observation": "a\u2028b"}], [],
+               {"score": 33.33}]
+    path = tmp_path / "t.jsonl"
+    write_jsonl(path, records)
+    assert path.read_text(encoding="utf-8") == "".join(
+        json.dumps(r, ensure_ascii=False) + "\n" for r in records)
+    assert read_transcript(path) == records
 
 
 def test_failed_json_write_keeps_the_old_file(minihouse1, oracle, tmp_path,
@@ -407,7 +455,7 @@ def test_manifest_is_written_after_the_timings(minihouse1, oracle, tmp_path,
         write(path, data)
     monkeypatch.setattr(orchestrator, "write_json_atomic", failing_timings)
     task = minihouse1.tasks["minihouse-1"]
-    with pytest.raises(OSError, match="disk full"):
+    with pytest.raises(RunStoreError, match="timings.json.*disk full"):
         run_batch(minihouse1, [(task, 0)], RunConfig(mode="react", seed=0),
                   oracle, store_dir=tmp_path)
     assert not (tmp_path / "manifest.json").exists()
