@@ -16,6 +16,7 @@ from .world import (
     load_builtin_world,
     load_world,
     parse_action,
+    world_from_dict,
 )
 from .prompts import (
     ActorOutput,
@@ -72,7 +73,7 @@ __version__ = "0.1.0"
 __all__ = [
     "SENTINEL", "Observation", "ProcessScore", "TaskSpec", "TextWorld",
     "WorldState", "WorldValidationError", "load_builtin_world", "load_world",
-    "parse_action",
+    "parse_action", "world_from_dict",
     "ActorOutput", "ContractViolation", "DeepThought", "HistoryView",
     "ParseError", "parse_actor_output", "parse_prompt", "parse_thinker_output",
     "render_actor_prompt", "render_thinker_prompt",

@@ -26,7 +26,13 @@ from .config import (
     resolve_world_path,
 )
 from .metrics import DEFAULT_K, aggregate, episode_metrics
-from .orchestrator import RunStoreError, read_transcript, run_batch, write_json_atomic
+from .orchestrator import (
+    RunStoreError,
+    _persist,
+    read_transcript,
+    run_batch,
+    write_json_atomic,
+)
 from .pipeline import BackendFailure, export_grpo, forge
 from .world import TextWorld, WorldValidationError, load_world
 
@@ -334,8 +340,12 @@ def cmd_forge(config_path, out_dir, label) -> None:
     except BackendFailure as exc:
         _fail(str(exc), code=1)
     out = _fresh_store(Path(out_dir) if out_dir else exp.store_dir, label)
-    export_grpo(result.groups, out / "grpo.jsonl")
-    write_json_atomic(out / "forge_manifest.json", result.manifest)
+    try:
+        _persist(out / "grpo.jsonl", lambda path: export_grpo(result.groups, path))
+        # the manifest comes last, so a failed export leaves none
+        _persist(out / "forge_manifest.json", write_json_atomic, result.manifest)
+    except RunStoreError as exc:
+        _fail(str(exc))
     click.echo(f"store: {out}")
     click.echo(json.dumps(result.manifest, indent=2, sort_keys=True))
     if result.manifest["groups"] == 0:

@@ -7,6 +7,12 @@ step yields the sentinel observation. The hidden rules come only from this
 table; the built-in checks after it cover validity alone. Seeds only shuffle
 entity enumeration order in observation text, never reachability or scoring.
 
+`world_from_dict` checks a world file's mapping in one pass, and `load_world`
+adds the file's name to its errors. Rooms, entity ids and `hand` are one
+namespace; a receptacle stands in a room, so no action moves one and `go to`
+it reads its room off it; every name a subgoal condition reads is declared.
+A world that loads so gives a defined step for every action.
+
 A step costs what its action touches: the new state shares every entity the
 action leaves unchanged with the state it came from, and a seed's listing
 order is computed once per container and list length. States are therefore
@@ -192,35 +198,19 @@ GUARDS = {
 
 # --- subgoal conditions ----------------------------------------------------
 
-# each condition kind and the keys it reads besides `kind`
-CONDITION_KEYS = {
-    "receptacle_open": ("entity",),
-    "in_hand": ("entity",),
-    "was_held": ("entity",),
-    "located": ("entity", "container"),
-    "facing": ("entity",),
-    "agent_in": ("room",),
+# each condition kind: the names it reads besides `kind`, and when it holds;
+# `validate_task` checks that each name is declared, so a predicate may index
+# `state.entities` with it
+CONDITIONS = {
+    "receptacle_open": (("entity",), lambda s, c: s.entities[c["entity"]].open is True),
+    "in_hand": (("entity",), lambda s, c: s.agent.hand == c["entity"]),
+    "was_held": (("entity",),
+                 lambda s, c: "held" in s.entities[c["entity"]].attributes),
+    "located": (("entity", "container"),
+                lambda s, c: s.entities[c["entity"]].location == c["container"]),
+    "facing": (("entity",), lambda s, c: s.agent.facing == c["entity"]),
+    "agent_in": (("room",), lambda s, c: s.agent.room == c["room"]),
 }
-
-
-def _cond_holds(state: WorldState, cond: dict) -> bool:
-    kind = cond["kind"]
-    if kind == "receptacle_open":
-        ent = state.entities.get(cond["entity"])
-        return ent is not None and ent.open is True
-    if kind == "in_hand":
-        return state.agent.hand == cond["entity"]
-    if kind == "was_held":
-        ent = state.entities.get(cond["entity"])
-        return ent is not None and "held" in ent.attributes
-    if kind == "located":
-        ent = state.entities.get(cond["entity"])
-        return ent is not None and ent.location == cond["container"]
-    if kind == "facing":
-        return state.agent.facing == cond["entity"]
-    if kind == "agent_in":
-        return state.agent.room == cond["room"]
-    raise WorldValidationError(f"unknown subgoal condition kind: {kind!r}")
 
 
 def _own(state: WorldState, eid: str) -> Entity:
@@ -291,7 +281,7 @@ class TextWorld:
         satisfied = []
         for i, goal in enumerate(task.subgoals):
             for cond in goal.conditions:
-                if not _cond_holds(state, cond):
+                if not CONDITIONS[cond["kind"]][1](state, cond):
                     break
             else:
                 satisfied.append(i)
@@ -355,8 +345,9 @@ class TextWorld:
                 state.agent.room = action.target
                 state.agent.facing = None
                 return self._room_description(state)
+            # a receptacle stands in a room and never moves
             ent = state.entities[action.target]
-            state.agent.room = self._room_of(state, ent)
+            state.agent.room = ent.location
             state.agent.facing = ent.id
             return f"You arrive at {ent.id}. " + self._receptacle_description(state, ent)
         if action.verb == "open":
@@ -380,12 +371,6 @@ class TextWorld:
             prep = "on" if "surface" in dest.attributes else "in"
             return f"You put {item.id} {prep} {dest.id}."
         raise AssertionError(f"unreachable verb {action.verb!r}")
-
-    def _room_of(self, state: WorldState, ent: Entity) -> str:
-        loc = ent.location
-        while loc not in state.rooms:
-            loc = state.entities[loc].location
-        return loc
 
     def _enumeration_order(self, state: WorldState, container: str,
                            ids: list[str]) -> list[str]:
@@ -429,8 +414,16 @@ class TextWorld:
 # --- loading and validation -------------------------------------------------
 
 def validate_task(task: TaskSpec) -> None:
+    """Every subgoal has conditions, each of a kind of `CONDITIONS` whose
+    names are declared in the task's world."""
     if not task.subgoals:
         raise WorldValidationError(f"task {task.id!r}: subgoals must be non-empty")
+    state = task.initial_world
+    # what each name a condition reads must name, and the names it may take
+    declared = {"entity": ("an entity", state.entities),
+                "room": ("a room", state.rooms),
+                "container": (f"a room, an entity or {HAND!r}",
+                              {*state.rooms, *state.entities, HAND})}
     for i, goal in enumerate(task.subgoals):
         where = f"task {task.id!r}: subgoal {i}"
         if not goal.conditions:
@@ -439,61 +432,28 @@ def validate_task(task: TaskSpec) -> None:
             if not isinstance(cond, dict) or "kind" not in cond:
                 raise WorldValidationError(f"{where}: condition missing 'kind'")
             kind = cond["kind"]
-            keys = CONDITION_KEYS.get(kind) if isinstance(kind, str) else None
-            if keys is None:
+            spec = CONDITIONS.get(kind) if isinstance(kind, str) else None
+            if spec is None:
                 raise WorldValidationError(
                     f"{where}: unknown condition kind {kind!r}")
-            for key in keys:
-                _field(cond, key, f"{where}: {kind} condition", _STRING)
-
-
-def _validate_world(state: WorldState) -> None:
-    """Every entity's location chain ends in a room or the hand, and the
-    agent's `hand` and `facing` agree with the entities."""
-    in_hand = [e.id for e in state.entities.values() if e.location == HAND]
-    if len(in_hand) > 1:
-        raise WorldValidationError(f"more than one entity in hand: {in_hand}")
-    for ent in state.entities.values():
-        loc = ent.location
-        if loc != HAND and loc not in state.rooms and loc not in state.entities:
-            raise WorldValidationError(f"entity {ent.id!r} has unknown location {loc!r}")
-        if ent.open is not None and ent.kind != "receptacle":
-            raise WorldValidationError(f"entity {ent.id!r}: 'open' only valid on receptacles")
-    room_of = {}
-    for ent in state.entities.values():
-        chain = [ent.id, ent.location]
-        while chain[-1] != HAND and chain[-1] not in state.rooms:
-            if chain[-1] in chain[:-1]:
-                cycle = chain[chain.index(chain[-1]):]
-                raise WorldValidationError(
-                    f"entity {cycle[0]!r}: location never reaches a room "
-                    f"({' -> '.join(cycle)})")
-            chain.append(state.entities[chain[-1]].location)
-        room_of[ent.id] = chain[-1]
-    agent = state.agent
-    if agent.room not in state.rooms:
-        raise WorldValidationError(f"agent room {agent.room!r} does not exist")
-    held = in_hand[0] if in_hand else None
-    if agent.hand != held:
-        raise WorldValidationError(
-            f"agent: hand must name the entity located in {HAND!r} "
-            f"({held or 'none'}), got {agent.hand!r}")
-    if agent.facing is not None and (_receptacle(state, agent.facing) is None
-                                     or room_of[agent.facing] != agent.room):
-        raise WorldValidationError(
-            f"agent: facing must be a receptacle in room {agent.room!r}, "
-            f"got {agent.facing!r}")
+            for key in spec[0]:
+                name = _field(cond, key, f"{where}: {kind} condition", _STRING)
+                what, names = declared[key]
+                if name not in names:
+                    raise WorldValidationError(
+                        f"{where}: {kind} condition: {key} must name {what}, "
+                        f"got {name!r}")
 
 
 _REQUIRED = object()
 
 # what a value must be, and the test for it
+_MAPPING = ("a mapping", lambda v: isinstance(v, dict))
+_LIST = ("a list", lambda v: isinstance(v, list))
 _STRING = ("a string", lambda v: isinstance(v, str))
 _STRING_OR_NONE = ("a string", lambda v: v is None or isinstance(v, str))
 _STRINGS = ("a list of strings",
             lambda v: isinstance(v, list) and all(isinstance(x, str) for x in v))
-_ROOMS = ("a list of distinct strings",
-          lambda v: _STRINGS[1](v) and len(set(v)) == len(v))
 _KIND = ("'object' or 'receptacle'", lambda v: v in ("object", "receptacle"))
 _POSITIVE_INT = ("a positive int", lambda v: type(v) is int and v > 0)
 _OPEN = ("true or false", lambda v: v is None or type(v) is bool)
@@ -513,52 +473,94 @@ def _field(spec, key: str, where: str, must=None, default=_REQUIRED):
     return value
 
 
-_TOP_LEVEL = {"id": str, "rooms": list, "entities": dict, "agent": dict,
-              "rules": list, "tasks": list}
-
-
 def load_world(path: str | Path) -> TextWorld:
-    """Load a world definition file and its tasks; every schema violation is a
-    WorldValidationError naming the file."""
+    """`world_from_dict` of a world file's YAML; every error names the file."""
     path = Path(path)
     try:
         data = yaml.safe_load(path.read_text(encoding="utf-8"))
     except (OSError, UnicodeError, yaml.YAMLError) as exc:
         raise WorldValidationError(f"{path}: cannot load world file: {exc}") from None
     try:
-        return _build_world(data)
+        return world_from_dict(data)
     except WorldValidationError as exc:
         raise WorldValidationError(f"{path}: {exc}") from None
 
 
-def _build_world(data) -> TextWorld:
-    if not isinstance(data, dict):
-        raise WorldValidationError(f"a world file must be a mapping, got {data!r}")
-    for key, shape in _TOP_LEVEL.items():
-        if key not in data:
-            raise WorldValidationError(f"missing top-level key {key!r}")
-        if not isinstance(data[key], shape):
+def world_from_dict(data) -> TextWorld:
+    """The world and tasks that a world file's mapping declares, checked in
+    one pass; a violation is a WorldValidationError naming the world,
+    entity, agent, rule or task and the key."""
+    world_id = _field(data, "id", "world", _STRING)
+    top = f"world {world_id!r}"
+    rooms = _field(data, "rooms", top, _STRINGS)
+    specs = _field(data, "entities", top, _MAPPING)
+    agent_spec = _field(data, "agent", top, _MAPPING)
+    rule_specs = _field(data, "rules", top, _LIST)
+    task_specs = _field(data, "tasks", top, _LIST)
+    # rooms, entity ids and the hand are one namespace: `go to` and a
+    # location each name a room or an entity without saying which
+    names = {HAND}
+    for name in [*rooms, *specs]:
+        if name in names:
             raise WorldValidationError(
-                f"top-level key {key!r} must be of type {shape.__name__}")
+                f"{top}: rooms and entity ids share one namespace with "
+                f"{HAND!r}, and {name!r} is in it twice")
+        names.add(name)
 
-    rooms = _field(data, "rooms", f"world {data['id']!r}", _ROOMS)
     entities: dict[str, Entity] = {}
-    for eid, spec in data["entities"].items():
+    for eid, spec in specs.items():
         where = f"entity {eid!r}"
         if not isinstance(eid, str):
             raise WorldValidationError(f"{where}: id must be a string")
-        entities[eid] = Entity(
+        ent = entities[eid] = Entity(
             id=eid,
             kind=_field(spec, "kind", where, _KIND),
             location=_field(spec, "location", where, _STRING),
             open=_field(spec, "open", where, _OPEN, None),
             attributes=set(_field(spec, "attributes", where, _STRINGS, [])),
         )
-    agent = Agent(room=_field(data["agent"], "room", "agent", _STRING),
-                  facing=_field(data["agent"], "facing", "agent", _STRING_OR_NONE, None),
-                  hand=_field(data["agent"], "hand", "agent", _STRING_OR_NONE, None))
+        if ent.location not in names:
+            raise WorldValidationError(
+                f"{where} has unknown location {ent.location!r}")
+        if ent.open is not None and ent.kind != "receptacle":
+            raise WorldValidationError(f"{where}: 'open' only valid on receptacles")
+    for ent in entities.values():
+        chain = [ent.id, ent.location]
+        while chain[-1] != HAND and chain[-1] not in rooms:
+            if chain[-1] in chain[:-1]:
+                cycle = chain[chain.index(chain[-1]):]
+                raise WorldValidationError(
+                    f"entity {cycle[0]!r}: location never reaches a room "
+                    f"({' -> '.join(cycle)})")
+            chain.append(entities[chain[-1]].location)
+        # no action moves a receptacle, so `go to` one reads its room here
+        if ent.kind == "receptacle" and ent.location not in rooms:
+            raise WorldValidationError(
+                f"entity {ent.id!r}: location must be a room for a receptacle, "
+                f"got {ent.location!r}")
+
+    agent = Agent(room=_field(agent_spec, "room", "agent", _STRING),
+                  facing=_field(agent_spec, "facing", "agent", _STRING_OR_NONE, None),
+                  hand=_field(agent_spec, "hand", "agent", _STRING_OR_NONE, None))
+    state = WorldState(rooms=tuple(sorted(rooms)), entities=entities, agent=agent,
+                       rng_seed=0)
+    if agent.room not in rooms:
+        raise WorldValidationError(f"agent room {agent.room!r} does not exist")
+    held = [e.id for e in entities.values() if e.location == HAND]
+    if len(held) > 1:
+        raise WorldValidationError(f"more than one entity in hand: {held}")
+    if agent.hand != (held[0] if held else None):
+        raise WorldValidationError(
+            f"agent: hand must name the entity located in {HAND!r} "
+            f"({held[0] if held else 'none'}), got {agent.hand!r}")
+    facing = _receptacle(state, agent.facing)
+    if agent.facing is not None and (facing is None or facing.location != agent.room):
+        raise WorldValidationError(
+            f"agent: facing must be a receptacle in room {agent.room!r}, "
+            f"got {agent.facing!r}")
+
     rules = []
-    for i, r in enumerate(data["rules"], start=1):
+    for i, r in enumerate(rule_specs, start=1):
         rid = _field(r, "id", f"rule {i}", _STRING)
         guard = _field(r, "guard", f"rule {rid!r}", _STRING)
         if guard not in GUARDS:
@@ -569,17 +571,9 @@ def _build_world(data) -> TextWorld:
                 f"rule {rid!r}: unknown effect {r['effect']!r}; "
                 f"rules can only reject")
         rules.append(Rule(id=rid, guard=guard))
-    world = TextWorld(data["id"], rooms, entities, agent, rules)
+    world = TextWorld(world_id, rooms, entities, agent, rules)
 
-    base_state = WorldState(
-        rooms=tuple(sorted(rooms)),
-        entities=entities,
-        agent=agent,
-        rng_seed=0,
-    )
-    _validate_world(base_state)
-
-    for i, tdata in enumerate(data["tasks"], start=1):
+    for i, tdata in enumerate(task_specs, start=1):
         tid = _field(tdata, "id", f"task {i}", _STRING)
         if tid in world.tasks:
             raise WorldValidationError(f"task {i}: id {tid!r} is already in use")
@@ -592,7 +586,7 @@ def _build_world(data) -> TextWorld:
         task = TaskSpec(
             id=tid,
             instruction=_field(tdata, "instruction", where, _STRING),
-            initial_world=base_state.copy(),
+            initial_world=state.copy(),
             subgoals=subgoals,
             action_space_doc=_field(tdata, "action_space", where, _STRING, ""),
             examples=_field(tdata, "examples", where, _STRINGS, []),

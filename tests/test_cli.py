@@ -13,7 +13,7 @@ import pytest
 import yaml
 from click.testing import CliRunner
 
-from ttexplore import cli, load_builtin_world, orchestrator
+from ttexplore import cli, load_builtin_world, orchestrator, pipeline
 from ttexplore.cli import main
 from ttexplore.config import ConfigValidationError, load_config
 from ttexplore.orchestrator import RunConfig, run_batch
@@ -659,6 +659,27 @@ def test_forge_exits_1_naming_a_failed_backend(runner, tmp_path, stub, role):
     assert line.startswith("error: minihouse-2 seed 0: RemoteError: ")
     assert "500" in line
     assert not out.exists()  # nothing written for a failed forge
+
+
+@pytest.mark.parametrize("module,writer,failing,kept", [
+    (pipeline, "write_jsonl", "grpo.jsonl", []),
+    (cli, "write_json_atomic", "forge_manifest.json", ["grpo.jsonl"]),
+], ids=["grpo", "manifest"])
+def test_forge_exits_2_naming_an_export_file_it_cannot_write(
+        runner, tmp_path, monkeypatch, module, writer, failing, kept):
+    def full_disk(path, records):
+        raise OSError(28, "No space left on device")
+    monkeypatch.setattr(module, writer, full_disk)
+    result = runner.invoke(main, ["forge", "--config", str(write_config(tmp_path)),
+                                  "--out", str(tmp_path / "out")])
+    assert result.exit_code == 2
+    assert isinstance(result.exception, SystemExit)  # no traceback
+    out = next((tmp_path / "out").iterdir())
+    assert result.output.startswith(
+        f"error: {out / failing}: cannot write the run store: ")
+    assert "No space left on device" in result.output
+    # the manifest is written last, so a failed export leaves none
+    assert sorted(p.name for p in out.iterdir()) == kept
 
 
 def test_forge_requires_all_policies(runner, tmp_path):

@@ -12,6 +12,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from ttexplore.world import (
+    HAND,
     SENTINEL,
     Agent,
     Entity,
@@ -22,6 +23,7 @@ from ttexplore.world import (
     load_builtin_world,
     load_world,
     parse_action,
+    world_from_dict,
 )
 
 
@@ -477,8 +479,16 @@ def test_a_containment_cycle_fails_at_load(tmp_path, locations):
     (lambda d: d["entities"]["apple 1"].update(location="hand"), "agent", "hand"),
     (lambda d: d["agent"].update(facing="fridge 1"), "agent", "facing"),
     (lambda d: d["agent"].update(room="kitchen", facing="apple 1"), "agent", "facing"),
+    # rooms, entity ids and the hand are one namespace
+    (lambda d: d["entities"].update(
+        kitchen={"kind": "receptacle", "location": "hallway"}),
+     "world 'minihouse-1-world'", "rooms"),
+    (lambda d: d["rooms"].append("hand"), "world 'minihouse-1-world'", "rooms"),
+    (lambda d: d["entities"].update(hand={"kind": "object", "location": "table 1"}),
+     "world 'minihouse-1-world'", "rooms"),
 ], ids=["task-id-twice", "room-twice", "hand-unknown", "hand-not-in-hand",
-        "hand-missing", "facing-in-another-room", "facing-an-object"])
+        "hand-missing", "facing-in-another-room", "facing-an-object",
+        "entity-named-like-a-room", "room-named-hand", "entity-named-hand"])
 def test_a_duplicate_name_or_a_wrong_hand_or_facing_fails_at_load(
         tmp_path, edit, where, key):
     doc = builtin_doc("minihouse1")
@@ -487,6 +497,57 @@ def test_a_duplicate_name_or_a_wrong_hand_or_facing_fails_at_load(
     with pytest.raises(WorldValidationError) as exc:
         load_world(path)
     assert str(exc.value).startswith(f"{path}: {where}: {key} ")
+
+
+@pytest.mark.parametrize("edit,where,key", [
+    (lambda d: (d["entities"]["cabinet 1"].update(location="hand"),
+                d["agent"].update(hand="cabinet 1")),
+     "entity 'cabinet 1'", "location"),
+    (lambda d: d["entities"]["garbagecan 1"].update(location="cabinet 1"),
+     "entity 'garbagecan 1'", "location"),
+    (lambda d: d["entities"]["garbagecan 1"].update(location="plate 1"),
+     "entity 'garbagecan 1'", "location"),
+    (lambda d: d["tasks"][0]["subgoals"][0]["all"][0].update(entity="fridge 9"),
+     "task 'minihouse-1': subgoal 0: receptacle_open condition", "entity"),
+    (lambda d: d["tasks"][0]["subgoals"][2]["all"][0].update(container="tabel 1"),
+     "task 'minihouse-1': subgoal 2: located condition", "container"),
+    (lambda d: d["tasks"][0]["subgoals"][2]["all"].append(
+        {"kind": "agent_in", "room": "attic"}),
+     "task 'minihouse-1': subgoal 2: agent_in condition", "room"),
+], ids=["receptacle-in-the-hand", "receptacle-in-a-receptacle",
+        "receptacle-in-an-object", "undeclared-entity", "undeclared-container",
+        "undeclared-room"])
+def test_a_receptacle_outside_a_room_or_an_undeclared_name_fails_at_load(
+        tmp_path, edit, where, key):
+    # no action moves a receptacle, so `go to` one reads its room off its
+    # location; a condition on an undeclared name could never hold
+    doc = builtin_doc("minihouse1")
+    edit(doc)
+    path = write_world(tmp_path, doc)
+    with pytest.raises(WorldValidationError) as exc:
+        load_world(path)
+    assert str(exc.value).startswith(f"{path}: {where}: {key} ")
+
+
+def test_world_from_dict_builds_a_world_without_a_file():
+    for name, solution in SOLUTIONS.items():
+        world = world_from_dict(builtin_doc(name))
+        task = next(iter(world.tasks.values()))
+        _, scores, dones = run_actions(world, task, solution)
+        assert (scores[-1], dones[-1]) == (100.0, True)
+
+
+def test_only_load_world_names_the_file(tmp_path):
+    doc = builtin_doc("minihouse1")
+    doc["tasks"][0]["examples"] = "text"
+    message = "task 'minihouse-1': examples must be a list of strings, got 'text'"
+    with pytest.raises(WorldValidationError) as exc:
+        world_from_dict(doc)
+    assert str(exc.value) == message
+    path = write_world(tmp_path, doc)
+    with pytest.raises(WorldValidationError) as exc:
+        load_world(path)
+    assert str(exc.value) == f"{path}: {message}"
 
 
 def test_a_held_entity_and_a_facing_in_the_agents_room_load(tmp_path):
@@ -676,3 +737,94 @@ def test_copy_equals_deepcopy_and_shares_nothing_mutable(episode):
             changed = changed or dup != prior
     assert changed
     assert state == before
+
+
+# --- mutated worlds ------------------------------------------------------------
+
+BUILTIN_DOCS = {name: builtin_doc(name) for name in WORLDS}
+
+
+def _renamed(value, old, new):
+    """`value` with the name `old` replaced by `new` wherever it stands:
+    as a key, a value, or in an `unlocks-with:` attribute."""
+    if isinstance(value, dict):
+        return {_renamed(k, old, new): _renamed(v, old, new)
+                for k, v in value.items()}
+    if isinstance(value, list):
+        return [_renamed(v, old, new) for v in value]
+    if value == f"unlocks-with:{old}":
+        return f"unlocks-with:{new}"
+    return new if value == old else value
+
+
+@st.composite
+def mutated_world_docs(draw):
+    """A built-in world's mapping after one to three edits: an entity moved
+    to any name (a room, an entity or the hand, which then holds it), an
+    entity renamed onto a room or onto the hand, a receptacle's `open` or
+    `locked` flipped, its `unlocks-with` keys dropped, or a condition's name
+    replaced by any name, a misspelt one included."""
+    doc = copy.deepcopy(BUILTIN_DOCS[draw(st.sampled_from(sorted(BUILTIN_DOCS)))])
+    edits = ["move", "rename", "open", "locked", "keys", "condition"]
+    for edit in draw(st.lists(st.sampled_from(edits), min_size=1, max_size=3)):
+        entities, agent = doc["entities"], doc["agent"]
+        names = [*doc["rooms"], *entities, HAND]
+        receptacles = [e for e, spec in entities.items()
+                       if spec["kind"] == "receptacle"]
+        eid = draw(st.sampled_from(list(entities) if edit in ("move", "rename")
+                                   else receptacles))
+        ent = entities[eid]
+        if edit == "move":
+            ent["location"] = draw(st.sampled_from(names))
+            if ent["location"] == HAND or agent.get("hand") == eid:
+                agent["hand"] = eid if ent["location"] == HAND else None
+        elif edit == "rename":
+            doc = _renamed(doc, eid, draw(st.sampled_from([*doc["rooms"], HAND])))
+        elif edit == "open":
+            ent["open"] = not ent.get("open")
+        elif edit == "locked":
+            attributes = ent.setdefault("attributes", [])
+            if "locked" in attributes:
+                attributes.remove("locked")
+            else:
+                attributes.append("locked")
+        elif edit == "keys":
+            ent["attributes"] = [a for a in ent.get("attributes", [])
+                                 if not a.startswith("unlocks-with:")]
+        else:
+            cond = draw(st.sampled_from([c for t in doc["tasks"]
+                                         for g in t["subgoals"] for c in g["all"]]))
+            key = draw(st.sampled_from([k for k in ("entity", "container", "room")
+                                        if k in cond]))
+            cond[key] = draw(st.sampled_from([*names, "tabel 1"]))
+    return doc
+
+
+def _walk(world, depth):
+    """Step every action of `_vocabulary` from every state that reset and
+    fewer than `depth` steps reach, for each task; states are deduped on
+    `_state_key`."""
+    actions = _vocabulary(world)
+    for task in world.tasks.values():
+        start, _ = world.reset(task, seed=0)
+        seen = {_state_key(start)}
+        frontier = [start]
+        for _ in range(depth):
+            reached = []
+            for state in frontier:
+                for action in actions:
+                    new_state = world.step(state, action, task)[0]
+                    if _state_key(new_state) not in seen:
+                        seen.add(_state_key(new_state))
+                        reached.append(new_state)
+            frontier = reached
+
+
+@settings(max_examples=200, deadline=None)
+@given(mutated_world_docs())
+def test_a_world_that_loads_steps_without_error(doc):
+    try:
+        world = world_from_dict(doc)
+    except WorldValidationError:
+        return
+    _walk(world, depth=3)
