@@ -15,13 +15,16 @@ excess, and no prompt is built only to be measured. What still grows with
 the history is C-speed copying of what the prompt keeps: about the
 character budget, plus the deep thoughts, which are never dropped.
 
-Reading a prompt back, `parse_prompt` resumes at the latest deep thought
-that the prompt shares with the thread's last parse. Below the budget a
-call so parses only what follows that thought. Over it, dropping a step
-shifts the prompt's head, but the history from some thought on is text the
-last parse read at another position: the parse takes that stretch from the
-last parse after one C-speed comparison, and reads in Python only the head
-up to that thought and what follows the last parse's final thought.
+Reading a prompt back, `parse_prompt` resumes where the thread's last
+parse left a mark that the prompt shares: the end of that parse's final run
+of step pairs, when a newline follows it and no thought does, or else the
+latest deep thought. Below the budget a call so parses only the new steps,
+thoughts and fixed tail, with or without thoughts in the history. Over it,
+dropping a step shifts the prompt's head, but the history from some
+thought on is text the last parse read at another position: the parse
+takes that stretch from the last parse after one C-speed comparison, and
+reads in Python only the head up to that thought and what follows the last
+parse's final thought.
 """
 
 from __future__ import annotations
@@ -350,9 +353,12 @@ def format_thinker_output(text: str) -> str:
 # `parse_prompt` reads a prompt back at one Python step per tagged line and
 # per run of step pairs; every token starts with a literal newline, so the
 # regex engine tries a match only at line starts. Each thread keeps its last
-# parse, and a prompt that shares its text through a `Deep Thought: ` tag
-# with that parse resumes there: below the character budget a scripted call
-# reads only what follows the latest thought it shares. Over the budget, the
+# parse, and a prompt that shares its text with that parse through the
+# newline after its final run of step pairs, or through a `Deep Thought: `
+# tag, resumes there: below the character budget a scripted call reads only
+# what follows the last step or the latest thought it shares. A run of pairs
+# split at a pair boundary gives the same steps, and the newline must be
+# shared, or the run's last observation could go on. Over the budget, the
 # stretch that the last parse read up to its final thought is taken from it
 # where the prompt still holds that text, moved. `last_action` parses only
 # the text after the last `Action: ` line and leaves that state alone.
@@ -379,16 +385,20 @@ _PROMPT_TOKEN_RE = re.compile(
 _PAIR_RE = re.compile(r"\nAction: ([^\n]*)\nObservation: ([^\n]*)")
 _THOUGHT_TAG = "Deep Thought: "
 
-# per thread: (prompt, its view, its marks) of the last `parse_prompt`
+# per thread: (prompt, its view, its thought marks, its end mark) of the
+# last `parse_prompt`
 _last_parse = threading.local()
 
 
 def _scan(text: str, pos: int, view: PromptView,
           pending_action: Optional[str], in_reflections: bool,
-          marks: list[tuple], last: Optional[tuple] = None) -> PromptView:
+          marks: list[tuple], ends: list[tuple],
+          last: Optional[tuple] = None) -> PromptView:
     """Parse `text`, a newline and a prompt, from `pos` into `view`, given
     the parser state at `pos`. Each thought token appends a mark to `marks`:
-    its position and the state just before it.
+    its position and the state just before it. Each run of step pairs that
+    a newline follows appends an end mark to `ends`: the position of that
+    newline and the state there, in the same layout.
 
     Given `last`, the thread's last parse, a thought token whose ordinal `i`
     is below that parse's last mark `L` takes the stretch from old mark `i`
@@ -402,6 +412,10 @@ def _scan(text: str, pos: int, view: PromptView,
         if kind == "pairs":
             view.steps += _PAIR_RE.findall(text, token.start(), token.end())
             pending_action = None
+            if text.startswith("\n", token.end()):
+                ends.append((token.end(), len(view.steps), len(view.thoughts),
+                             len(view.reflections), view.instruction,
+                             view.initial_observation, None, in_reflections))
             continue
         value = token.group(kind)
         if kind == "thought":
@@ -410,12 +424,12 @@ def _scan(text: str, pos: int, view: PromptView,
                     view.instruction, view.initial_observation,
                     pending_action, in_reflections)
             if last is not None and i < len(last[2]) - 1:
-                old, _, old_marks = last
+                old, _, old_marks, _ = last
                 start, shift = old_marks[i][0], token.start() - old_marks[i][0]
                 if (old_marks[i][4:] == mark[4:] and _moved(
                         text, old, start, old_marks[i + 1][0] + len(_THOUGHT_TAG),
                         shift)):
-                    if _relocate(text, mark, view, marks, last):
+                    if _relocate(text, mark, view, marks, ends, last):
                         return view
                     last = None  # one failed full comparison per parse
             marks.append(mark)
@@ -444,7 +458,7 @@ def _moved(text: str, old: str, start: int, end: int, shift: int) -> bool:
 
 
 def _relocate(text: str, mark: tuple, view: PromptView, marks: list[tuple],
-              last: tuple) -> bool:
+              ends: list[tuple], last: tuple) -> bool:
     """At the thought token whose mark is `mark`, take the stretch of the
     last parse from its mark of the same thought ordinal `i` to its last
     mark `L`, and scan on from mark `L`'s moved position with its state, if
@@ -455,7 +469,7 @@ def _relocate(text: str, mark: tuple, view: PromptView, marks: list[tuple],
     The stretch parses as it did, because no token before a
     ``Deep Thought: `` line start reads past its tag: the old parse's tokens
     from mark `i` to mark `L` are this text's tokens, moved."""
-    old, old_view, old_marks = last
+    old, old_view, old_marks, _ = last
     at, steps, i, reflections = mark[:4]
     start, old_steps, _, old_reflections = old_marks[i][:4]
     stop = old_marks[-1]
@@ -471,7 +485,7 @@ def _relocate(text: str, mark: tuple, view: PromptView, marks: list[tuple],
                       for anchor, thought in old_view.thoughts[i:-1]]
     view.reflections += old_view.reflections[old_reflections:stop[3]]
     view.instruction, view.initial_observation = stop[4:6]
-    _scan(text, stop[0] + shift, view, stop[6], stop[7], marks)
+    _scan(text, stop[0] + shift, view, stop[6], stop[7], marks, ends)
     return True
 
 
@@ -513,7 +527,16 @@ def parse_prompt(prompt: str) -> PromptView:
 
     The engine skips every other line, which cannot change the view.
 
-    The pass resumes at the latest thought token of this thread's last
+    The pass resumes at the end of this thread's last parse's final run of
+    step pairs when the prompt shares that parse's text through the newline
+    after the run, and no thought of that parse follows the run; one
+    ``startswith`` checks the text. That is exact: no token before the run
+    reads past its start, the run split at a pair boundary gives the same
+    steps, and the shared newline ends its last observation, so the run in
+    this prompt is the old run and zero or more further pairs. A run that
+    ends the last prompt leaves no such mark.
+
+    Otherwise the pass resumes at the latest thought token of the last
     parse whose text, through its tag, the prompt shares. That is exact:
     no token before a ``Deep Thought: `` line start reads past its tag (a
     thought stops there, and a run of step pairs cannot cross it), so the
@@ -530,20 +553,28 @@ def parse_prompt(prompt: str) -> PromptView:
     """
     view, pos, pending_action, in_reflections = PromptView(), 0, None, False
     marks: list[tuple] = []
+    ends: list[tuple] = []
     last = getattr(_last_parse, "state", None)
     if last is not None:
-        old, old_view, old_marks = last
-        shared = _shared_marks(prompt, old, old_marks)
-        if shared:
+        old, old_view, old_marks, end = last
+        resume = None
+        if end is not None and prompt.startswith(old[:end[0]]):
+            resume, marks, ends = end, old_marks[:], [end]
+        else:
+            shared = _shared_marks(prompt, old, old_marks)
+            if shared:
+                resume, marks = old_marks[shared - 1], old_marks[:shared - 1]
+        if resume is not None:
             (pos, steps, thoughts, reflections, view.instruction,
-             view.initial_observation, pending_action,
-             in_reflections) = old_marks[shared - 1]
+             view.initial_observation, pending_action, in_reflections) = resume
             view.steps = old_view.steps[:steps]
             view.thoughts = old_view.thoughts[:thoughts]
             view.reflections = old_view.reflections[:reflections]
-            marks = old_marks[:shared - 1]
-    _scan("\n" + prompt, pos, view, pending_action, in_reflections, marks, last)
-    _last_parse.state = (prompt, view, marks)
+    _scan("\n" + prompt, pos, view, pending_action, in_reflections, marks, ends,
+          last)
+    # an end mark with a thought mark after it is never the latest resume
+    end = ends[-1] if ends and (not marks or marks[-1][0] < ends[-1][0]) else None
+    _last_parse.state = (prompt, view, marks, end)
     # the caller gets its own lists, so that changing them cannot reach a resume
     return PromptView(view.instruction, view.initial_observation,
                       view.steps[:], view.thoughts[:], view.reflections[:])
@@ -566,7 +597,7 @@ def last_action(prompt: str) -> Optional[str]:
         if start == 0 and not prompt.startswith("Action: ", 0, end):
             return None
         steps = _scan("\n" + prompt[start:end], 0, PromptView(), None, False,
-                      []).steps
+                      [], []).steps
         if steps:
             return steps[-1][0]
         end = start

@@ -10,7 +10,8 @@ entity enumeration order in observation text, never reachability or scoring.
 `world_from_dict` checks a world file's mapping in one pass, and `load_world`
 adds the file's name to its errors. Rooms, entity ids and `hand` are one
 namespace; a receptacle stands in a room, so no action moves one and `go to`
-it reads its room off it; every name a subgoal condition reads is declared.
+it reads its room off it; an object lies in a receptacle or the hand, where
+`take` and `put` reach it; every name a subgoal condition reads is declared.
 A world that loads so gives a defined step for every action.
 
 A step costs what its action touches: the new state shares every entity the
@@ -253,7 +254,8 @@ class TextWorld:
     # -- episode operations --------------------------------------------
 
     def reset(self, task: TaskSpec, seed: int) -> tuple[WorldState, Observation]:
-        validate_task(task)
+        """The task's initial state under `seed`; `world_from_dict` has
+        checked the task (`validate_task`)."""
         state = task.initial_world.copy()
         state.rng_seed = seed
         return state, Observation(self._room_description(state))
@@ -533,11 +535,17 @@ def world_from_dict(data) -> TextWorld:
                     f"entity {cycle[0]!r}: location never reaches a room "
                     f"({' -> '.join(cycle)})")
             chain.append(entities[chain[-1]].location)
-        # no action moves a receptacle, so `go to` one reads its room here
+        # no action moves a receptacle, so `go to` one reads its room here;
+        # `take` takes an object only from a receptacle
         if ent.kind == "receptacle" and ent.location not in rooms:
             raise WorldValidationError(
                 f"entity {ent.id!r}: location must be a room for a receptacle, "
                 f"got {ent.location!r}")
+        if ent.kind == "object" and ent.location != HAND and (
+                ent.location in rooms or entities[ent.location].kind != "receptacle"):
+            raise WorldValidationError(
+                f"entity {ent.id!r}: location must be a receptacle or {HAND!r} "
+                f"for an object, got {ent.location!r}")
 
     agent = Agent(room=_field(agent_spec, "room", "agent", _STRING),
                   facing=_field(agent_spec, "facing", "agent", _STRING_OR_NONE, None),

@@ -419,8 +419,9 @@ def test_parse_prompt_recovers_reflections(task):
 # --- the one-pass parser against the line-by-line reference ----------------
 
 def _no_last_parse():
-    """Clear this thread's last parse, so that a hypothesis example parses
-    as it would alone and a failing example fails again when replayed."""
+    """Clear this thread's last parse, its prompt, view, thought marks and
+    end mark, so that a hypothesis example parses as it would alone and a
+    failing example fails again when replayed."""
     prompts._last_parse.state = None
 
 
@@ -569,9 +570,11 @@ def test_last_action_skips_lone_actions(text, expected):
 
 # --- the resumed parse against the reference ---------------------------------
 
+# `\nAction: x\nObservation: y\n` ends a run with a line break, an end mark
 _RESUME_TEXT = st.lists(st.one_of(_FRAGMENTS, st.sampled_from([
     "\nDeep Thought: t", "\nDeep Thought: t\nu", "\nDeep Thought: ",
-    "\nAction: x\nObservation: y", "Deep Thought: t\n"])), max_size=24).map("".join)
+    "\nAction: x\nObservation: y", "Deep Thought: t\n",
+    "\nAction: x\nObservation: y\n"])), max_size=24).map("".join)
 
 
 @settings(max_examples=1000, deadline=None)
@@ -599,6 +602,34 @@ def test_parse_prompt_resumes_exactly_after_a_shared_prefix(first, suffix, data)
 def test_parse_prompt_resumes_with_the_state_before_the_thought(first, second):
     parse_prompt(first)
     assert parse_prompt(second) == _reference_parse_prompt(second)
+
+
+@pytest.mark.parametrize("first,second,resumes", [
+    # a run that ends the text leaves no end mark: the observation goes on
+    ("Action: a\nObservation: b", "Action: a\nObservation: bc", False),
+    # a lone observation after the run pairs with no action
+    ("Action: a\nObservation: b\n\nAttention:",
+     "Action: a\nObservation: b\nObservation: c\n\nAttention:", True),
+    # a thought after the run, then a run it anchors before
+    ("Action: a\nObservation: b\n\nAttention:",
+     "Action: a\nObservation: b\nDeep Thought: t\nAction: c\nObservation: d"
+     "\n\nAttention:", True),
+], ids=["run-ends-the-text", "lone-observation", "thought"])
+def test_parse_prompt_resumes_at_the_end_of_a_run(monkeypatch, first, second,
+                                                  resumes):
+    starts = []
+    scan = prompts._scan
+
+    def recording_scan(text, pos, *args):
+        starts.append(pos)
+        return scan(text, pos, *args)
+
+    monkeypatch.setattr(prompts, "_scan", recording_scan)
+    _no_last_parse()
+    # the same prompt again keeps the end mark it resumed at
+    for prompt in (first, second, second):
+        assert parse_prompt(prompt) == _reference_parse_prompt(prompt)
+    assert starts[0] == 0 and [pos > 0 for pos in starts[1:]] == [resumes] * 2
 
 
 def _checked_parses(monkeypatch):
@@ -635,6 +666,19 @@ def test_parse_prompt_resumes_exactly_in_an_episode(keymaze1, monkeypatch):
     resumable = [pos for (before, _), (prompt, pos) in zip(seen, seen[1:])
                  if before[:40] == prompt[:40] and "\nDeep Thought: " in before]
     assert len(resumable) > len(seen) // 3 and all(resumable)
+
+
+def test_every_react_parse_resumes_at_the_end_of_the_last_run(minihouse1,
+                                                               monkeypatch):
+    """A ReAct prompt has no thought: each actor parse after the second
+    resumes at the end of the previous prompt's run of step pairs. The
+    first prompt holds no step, so the second has nothing to resume at."""
+    seen = _checked_parses(monkeypatch)
+    task = minihouse1.tasks["minihouse-1"]
+    traj = run_mode(minihouse1, scripted("actor", "greedy-actor"), task,
+                    RunConfig(mode="react", max_steps=40))
+    assert traj.error is None and len(seen) == len(traj.steps) > 20
+    assert all(pos > 0 for _, pos in seen[2:])
 
 
 def test_parse_prompt_resumes_exactly_in_a_forge_run(minihouse2, monkeypatch):
@@ -746,26 +790,29 @@ def _reachable(root):
 
 def test_parse_state_holds_only_the_last_prompt_and_its_view(task, view):
     """Marks hold counts, not views, so a resume keeps no old view alive;
-    the returned view shares no list with the state."""
+    the returned view shares no list with the state. The step after the
+    last thought leaves an end mark."""
     first = render_thinker_prompt(task, view)
     parse_prompt(first)
     view.add_step("go to fridge 1", "You arrive at fridge 1.")
     view.add_thought("Plan:\n- open fridge 1")
+    view.add_step("open fridge 1", "Nothing happened.")
     second = render_thinker_prompt(task, view)
     parsed = parse_prompt(second)
-    assert len(prompts._last_parse.state[2]) == 2
+    marks, end = prompts._last_parse.state[2:]
+    assert len(marks) == 2 and end[0] > marks[-1][0]
     _assert_state_holds_only(first, second, parsed)
 
 
 def _assert_state_holds_only(first, second, parsed):
-    prompt, own, marks = state = prompts._last_parse.state
+    prompt, own, marks, end = state = prompts._last_parse.state
     assert prompt is second and own == parsed
     reached = _reachable(state)
     assert [o for o in reached if isinstance(o, prompts.PromptView)] == [own]
     assert own is not parsed
     assert not any(o is lst for o in reached
                    for lst in (parsed.steps, parsed.thoughts, parsed.reflections))
-    for mark in marks:
+    for mark in [*marks, *([end] if end else [])]:
         assert all(isinstance(x, (int, str, type(None))) for x in mark)
     assert not any(isinstance(o, str) and len(o) >= len(first) and o is not second
                    for o in reached)

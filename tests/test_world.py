@@ -529,6 +529,22 @@ def test_a_receptacle_outside_a_room_or_an_undeclared_name_fails_at_load(
     assert str(exc.value).startswith(f"{path}: {where}: {key} ")
 
 
+@pytest.mark.parametrize("location", ["kitchen", "apple 1"],
+                         ids=["object-in-a-room", "object-in-an-object"])
+def test_an_object_outside_a_receptacle_or_the_hand_fails_at_load(tmp_path,
+                                                                   location):
+    # `take` takes an object only from a receptacle, so one anywhere else
+    # could never be taken
+    doc = builtin_doc("minihouse1")
+    doc["entities"]["soap 1"]["location"] = location
+    path = write_world(tmp_path, doc)
+    with pytest.raises(WorldValidationError) as exc:
+        load_world(path)
+    assert str(exc.value) == (
+        f"{path}: entity 'soap 1': location must be a receptacle or 'hand' "
+        f"for an object, got {location!r}")
+
+
 def test_world_from_dict_builds_a_world_without_a_file():
     for name, solution in SOLUTIONS.items():
         world = world_from_dict(builtin_doc(name))
