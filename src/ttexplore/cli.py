@@ -27,6 +27,7 @@ from .config import (
 )
 from .metrics import DEFAULT_K, aggregate, episode_metrics
 from .orchestrator import (
+    MODES,
     RunStoreError,
     _persist,
     read_transcript,
@@ -151,9 +152,8 @@ def main() -> None:
 @main.command("run")
 @click.option("--config", "config_path", required=True,
               type=click.Path(), help="Experiment config YAML.")
-@click.option("--mode", type=click.Choice(["react", "ttexplore", "reflexion",
-                                           "bestofn"]),
-              default=None, help="Override the run mode from the config.")
+@click.option("--mode", type=click.Choice(MODES), default=None,
+              help="Override the run mode from the config.")
 @click.option("--n-trigger", type=int, default=None,
               help="Thinker trigger interval (config default: 6).")
 @click.option("--max-steps", type=int, default=None,
@@ -204,8 +204,8 @@ def cmd_run(config_path, mode, n_trigger, max_steps, samples_n, retries_n,
 
 @main.command("metrics")
 @click.argument("store", type=click.Path(exists=True, file_okay=False))
-@click.option("--k", type=int, default=DEFAULT_K, show_default=True,
-              help="Top-k window for the repetition metric.")
+@click.option("--k", type=click.IntRange(min=1), default=DEFAULT_K,
+              show_default=True, help="Top-k window for the repetition metric.")
 @click.option("--jsonl", "as_jsonl", is_flag=True,
               help="Emit the summary as a single JSON line.")
 def cmd_metrics(store, k, as_jsonl) -> None:

@@ -2,13 +2,14 @@
 
 One structured YAML file is the source of truth; the `ttexplore run` flags
 override its `run:` values. `load_config` is the one path from a file to a
-runnable experiment: it applies the flags, validates every value once, and
+runnable experiment: it applies the flags, type-checks every value once, and
 loads the world and selects the tasks. Unknown keys are errors so typos
 never pass silently, and every value passes one type check, with the types
 of the `RunConfig`, `PipelineConfig` and backend fields: a policy's keys are
-its backend's fields, a remote policy's decode settings included. A backend
-checks its own values when it is made (a known scripted name, an http(s)
-endpoint), and its `ConfigError` fails naming the file and the policy's key.
+its backend's fields, a remote policy's decode settings included. Configs
+and backends check their own rules when they are made (positive run values,
+a known scripted name, an http(s) endpoint), and their errors fail naming
+the file and the section or policy key.
 API keys come from environment variables only, never from config files.
 """
 
@@ -146,7 +147,7 @@ def load_config(path: str | Path,
     its tasks selected. `run_flags` maps `RunConfig` fields to the values of
     the `ttexplore run` flags of the same names (`samples_N` is
     `--samples-n`); a None value was not given. The given ones replace the
-    file's before the one validation pass, and a run rule they break fails
+    file's before the configs are made, and a run rule they break fails
     naming the file, the section and the flags."""
     path = Path(path)
     if not path.exists():
@@ -179,19 +180,20 @@ def load_config(path: str | Path,
                      for k, v in flags.items())
     with_flags = f" (with the command-line values {given})" if given else ""
 
-    def check(key: str, validate, suffix: str = "") -> None:
+    def check(key: str, make, suffix: str = ""):
         try:
-            validate()
+            return make()
         except ValueError as exc:
             raise ConfigValidationError(f"{path}:{key}: {exc}{suffix}") from None
 
-    run = RunConfig(**{**_section(data.get("run") or {}, _RUN_TYPES, f"{path}:run"),
-                       **flags})
-    pipeline = PipelineConfig(**_section(data.get("pipeline") or {},
-                                         _PIPELINE_TYPES, f"{path}:pipeline"))
-    pipeline.run = run
-    check("run", run.validate, with_flags)
-    check("pipeline", pipeline.validate)
+    # outside `check`: a section's own errors already name the file
+    run_values = {**_section(data.get("run") or {}, _RUN_TYPES, f"{path}:run"),
+                  **flags}
+    pipeline_values = _section(data.get("pipeline") or {}, _PIPELINE_TYPES,
+                               f"{path}:pipeline")
+    run = check("run", lambda: RunConfig(**run_values), with_flags)
+    pipeline = check("pipeline",
+                     lambda: PipelineConfig(**pipeline_values, run=run))
 
     def policy(key: str, role: str) -> Optional[PolicyHandle]:
         if data.get(key) is None:

@@ -51,9 +51,15 @@ log = logging.getLogger(__name__)
 FALLBACK_ACTION = "look around"
 
 
-@dataclass
+EPISODE_KINDS = ("react", "ttexplore")
+MODES = (*EPISODE_KINDS, "reflexion", "bestofn")
+
+
+@dataclass(frozen=True)
 class RunConfig:
-    mode: str = "react"  # react | ttexplore | reflexion | bestofn
+    """The run values of an episode. A config checks every rule when it is
+    made, `dataclasses.replace` included, so one that exists can run."""
+    mode: str = "react"  # one of MODES
     inner_mode: str = "ttexplore"  # episode kind for reflexion and bestofn
     n_trigger: int = 6
     max_steps: int = 50
@@ -62,15 +68,18 @@ class RunConfig:
     seed: int = 0  # set per episode by run_batch
     char_budget: int = DEFAULT_CHAR_BUDGET
 
-    def validate(self) -> None:
-        if self.mode not in ("react", "ttexplore", "reflexion", "bestofn"):
+    def __post_init__(self) -> None:
+        if self.mode not in MODES:
             raise ValueError(f"unknown mode {self.mode!r}")
-        if self.inner_mode not in ("react", "ttexplore"):
+        if self.inner_mode not in EPISODE_KINDS:
             raise ValueError(f"unknown inner mode {self.inner_mode!r}")
         if self.n_trigger <= 0 or self.max_steps <= 0:
             raise ValueError("n_trigger and max_steps must be positive")
         if self.n_trigger >= self.max_steps and self.episode_kind == "ttexplore":
             raise ValueError("n_trigger must be smaller than max_steps")
+        for name in ("retries_N", "samples_N", "char_budget"):
+            if getattr(self, name) <= 0:
+                raise ValueError(f"{name} must be positive, got {getattr(self, name)}")
 
     @property
     def episode_kind(self) -> str:
@@ -88,9 +97,6 @@ class RunConfig:
                    if self.mode != self.episode_kind else "")
             raise ValueError(f"mode {self.mode!r}{how} needs a thinker policy")
         return thinker
-
-    def as_dict(self) -> dict:
-        return asdict(self)
 
 
 @dataclass
@@ -249,8 +255,7 @@ def _reflexion(world: TextWorld, actor: PolicyHandle, task: TaskSpec,
                 best.error = _aborted(exc)
                 break
             reflections.append(reflection)
-    assert best is not None
-    return best
+    return best  # set by the first of at least one attempt
 
 
 def _best_of_n(world: TextWorld, actor: PolicyHandle, task: TaskSpec,
@@ -263,22 +268,14 @@ def _best_of_n(world: TextWorld, actor: PolicyHandle, task: TaskSpec,
 
 def select_best(samples: list[Trajectory]) -> Trajectory:
     """The sample with the highest process score; a tie goes to the fewest
-    steps, then to the lowest sample index."""
-    best_idx = 0
-    for i, traj in enumerate(samples[1:], start=1):
-        best = samples[best_idx]
-        key = (traj.final.process_score, -traj.final.steps_used)
-        best_key = (best.final.process_score, -best.final.steps_used)
-        if key > best_key:
-            best_idx = i
-    return samples[best_idx]
+    steps, then to the lowest sample index (`max` keeps the first)."""
+    return max(samples, key=lambda t: (t.final.process_score, -t.final.steps_used))
 
 
 def run_mode(world: TextWorld, actor: PolicyHandle, task: TaskSpec,
              cfg: RunConfig, thinker: Optional[PolicyHandle] = None) -> Trajectory:
     """One episode of `cfg.mode`; `RunConfig.episode_thinker` decides whether
     the thinker runs."""
-    cfg.validate()
     thinker = cfg.episode_thinker(thinker)
     if cfg.mode == "reflexion":
         return _reflexion(world, actor, task, cfg, thinker)
@@ -370,7 +367,6 @@ def run_batch(world: TextWorld, items: list[tuple[TaskSpec, int]], cfg: RunConfi
     """Run one episode per (task, seed) item; results keep input order. A
     `store_dir` loses any manifest before the first episode and gets the run
     store after the last; a failed store write raises `RunStoreError`."""
-    cfg.validate()
     if store_dir is not None:
         store_dir = Path(store_dir)
         _persist(store_dir, lambda p: p.mkdir(parents=True, exist_ok=True))
@@ -404,7 +400,7 @@ def run_batch(world: TextWorld, items: list[tuple[TaskSpec, int]], cfg: RunConfi
             "total_s": round(sum(r.wall_s for r in results), 6),
         })
         _persist(store_dir / "manifest.json", write_json_atomic, {
-            "config": cfg.as_dict(),
+            "config": asdict(cfg),
             "world_file": world_file,
             "world_id": world.id,
             "episodes": [_episode_manifest_entry(r.trajectory, r.metrics)

@@ -68,8 +68,9 @@ class IntegrityError(PipelineError):
     """Replaying a recorded prefix did not reproduce its recorded score."""
 
 
-@dataclass
+@dataclass(frozen=True)
 class PipelineConfig:
+    """The `forge` values; like `RunConfig`, checked when made."""
     x: int = 5
     y: int = 15
     m: int = 4
@@ -77,7 +78,7 @@ class PipelineConfig:
     penalty_rate: float = 0.05
     run: RunConfig = field(default_factory=RunConfig)
 
-    def validate(self) -> None:
+    def __post_init__(self) -> None:
         if not (0 < self.x < self.y):
             raise ValueError("thresholds must satisfy 0 < x < y")
         if self.m < 1:
@@ -126,11 +127,6 @@ class RolloutGroup:
     prompt: str
     records: list[RewardRecord]
     difficulty: str = UNSET
-
-    def validate(self, m: int) -> None:
-        if len(self.records) != m:
-            raise PipelineError(
-                f"group {self.context_id}: {len(self.records)} records, expected {m}")
 
 
 # ---------------------------------------------------------------------------
@@ -185,7 +181,6 @@ def classify_difficulty(world: TextWorld, task: TaskSpec, sub: SubTask,
     """Run the weak policy from the replayed prefix for up to y steps;
     completion within x steps is easy, within (x, y] medium, never is hard;
     a sub-task still open after x steps keeps that step as its context."""
-    cfg.validate()
     state, view, score = replay_with_history(world, task, sub.seed,
                                              sub.prefix_actions)
     if score != sub.start_score:
@@ -281,7 +276,6 @@ def evaluate_thought(world: TextWorld, actor_frozen: PolicyHandle,
                      thought: DeepThought, cfg: PipelineConfig) -> RewardRecord:
     """Let the frozen actor continue from the context's state for up to
     (y - x) steps with the thought injected at the context boundary."""
-    cfg.validate()
     view = context.history.copy()
     view.add_thought(thought.text)
     start = context.sub.start_score
@@ -302,10 +296,8 @@ def rollout_group(world: TextWorld, task: TaskSpec, context: RolloutContext,
     thoughts = sample_thoughts(thinker, context, cfg.m, base_seed=base_seed)
     records = [evaluate_thought(world, actor_frozen, task, context, thought, cfg)
                for thought in thoughts]
-    group = RolloutGroup(context_id=context.context_id, prompt=context.prompt,
-                         records=records, difficulty=context.sub.difficulty)
-    group.validate(cfg.m)
-    return group
+    return RolloutGroup(context_id=context.context_id, prompt=context.prompt,
+                        records=records, difficulty=context.sub.difficulty)
 
 
 # ---------------------------------------------------------------------------
@@ -422,7 +414,6 @@ def forge(world: TextWorld, tasks: list[TaskSpec], strong: PolicyHandle,
           actor_frozen: PolicyHandle, cfg: PipelineConfig,
           seeds: Optional[list[int]] = None) -> ForgeResult:
     """Run the full data factory over the given tasks."""
-    cfg.validate()
     seeds = seeds if seeds is not None else [0]
     strong_trajs: list[Trajectory] = []
     all_subs: list[SubTask] = []

@@ -15,10 +15,12 @@ Two backend families:
   `timeout_s`.
 
 A backend checks itself when it is made: a scripted name that
-`SCRIPTED_POLICIES` lacks, or an endpoint that is not an http(s) URL with a
-host, raises `ConfigError` before any episode runs. A `RemoteError` is then
-the one failure that aborts an episode; any other exception a policy raises
-is a bug and propagates.
+`SCRIPTED_POLICIES` lacks, an endpoint that is not an http(s) URL with a
+host, a negative `max_retries`, a `timeout_s` that is not positive and
+finite, or a `max_output_tokens` below 1 raises `ConfigError` naming the
+field before any episode runs. A `RemoteError` is then the one failure that
+aborts an episode; any other exception a policy raises is a bug and
+propagates.
 """
 
 from __future__ import annotations
@@ -26,6 +28,7 @@ from __future__ import annotations
 import functools
 import http.client
 import json
+import math
 import os
 import random
 import time
@@ -91,6 +94,12 @@ class RemoteBackend:
         except ValueError:
             raise ConfigError(f"endpoint must be an http or https URL with a "
                               f"host, got {self.endpoint!r}") from None
+        for name, ok, rule in (  # a socket takes no nan or inf timeout
+                ("max_retries", self.max_retries >= 0, ">= 0"),
+                ("timeout_s", 0 < self.timeout_s < math.inf, "positive and finite"),
+                ("max_output_tokens", self.max_output_tokens >= 1, ">= 1")):
+            if not ok:
+                raise ConfigError(f"{name} must be {rule}, got {getattr(self, name)}")
 
 
 @dataclass

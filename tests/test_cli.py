@@ -197,7 +197,11 @@ def test_run_flag_that_fails_validation_names_the_command_line(runner, tmp_path)
      "n_trigger and max_steps must be positive"),
     (config_doc(thinker=None, run={"mode": "react"}), ["--mode", "bestofn"],
      "mode 'bestofn' with inner_mode 'ttexplore' needs a thinker policy"),
-], ids=["max-steps", "thinker"])
+    (config_doc(), ["--mode", "reflexion", "--retries-n", "0"],
+     "retries_N must be positive, got 0"),
+    (config_doc(), ["--mode", "bestofn", "--samples-n", "0"],
+     "samples_N must be positive, got 0"),
+], ids=["max-steps", "thinker", "retries-n", "samples-n"])
 def test_a_flag_that_breaks_a_run_rule_names_the_file_and_the_flags(
         runner, tmp_path, doc, flags, error):
     cfg = write_config(tmp_path, doc)
@@ -332,6 +336,14 @@ def test_metrics_on_a_store_aborted_before_the_first_step(runner, tmp_path,
     result = runner.invoke(main, ["metrics", str(store), "--jsonl"])
     assert result.exit_code == 0, result.output
     assert json.loads(result.output) == stored_summary(store)
+
+
+def test_metrics_rejects_a_k_below_one(runner, tmp_path):
+    store = run_store(runner, tmp_path)
+    result = runner.invoke(main, ["metrics", str(store), "--k", "0"])
+    assert result.exit_code == 2, result.output
+    assert "Invalid value for '--k'" in result.output
+    assert "Traceback" not in result.output
 
 
 def test_metrics_on_non_store_fails(runner, tmp_path):
@@ -826,6 +838,20 @@ REMOTE = {"backend": "remote", "model": "m",
      ["bad.yaml:thinker", "greedy-actor", "'actor'", "'thinker'"]),
     ("--config", _config_yaml(strong={"backend": "scripted", "name": "null-thinker"}),
      ["bad.yaml:strong", "null-thinker", "'thinker'", "'actor'"]),
+    ("--config", _config_yaml(run={"mode": "reflexion", "retries_N": 0}),
+     ["bad.yaml:run", "retries_N must be positive, got 0"]),
+    ("--config", _config_yaml(run={"mode": "bestofn", "samples_N": 0}),
+     ["bad.yaml:run", "samples_N must be positive, got 0"]),
+    ("--config", _config_yaml(run={"char_budget": 0}),
+     ["bad.yaml:run", "char_budget must be positive, got 0"]),
+    ("--config", _config_yaml(actor={**REMOTE, "max_retries": -1}),
+     ["bad.yaml:actor", "max_retries must be >= 0, got -1"]),
+    ("--config", _config_yaml(actor={**REMOTE, "timeout_s": 0}),
+     ["bad.yaml:actor", "timeout_s must be positive and finite, got 0"]),
+    ("--config", _config_yaml(actor={**REMOTE, "timeout_s": float("inf")}),
+     ["bad.yaml:actor", "timeout_s", "inf"]),
+    ("--config", _config_yaml(actor={**REMOTE, "max_output_tokens": 0}),
+     ["bad.yaml:actor", "max_output_tokens must be >= 1, got 0"]),
 ], ids=["missing-world", "empty-world", "entity-without-kind",
         "rule-without-guard", "task-without-instruction", "subgoal-not-a-mapping",
         "task-max-steps-not-an-int", "world-yaml-syntax", "config-yaml-syntax",
@@ -838,7 +864,10 @@ REMOTE = {"backend": "remote", "model": "m",
         "scripted-name-misspelled", "remote-endpoint-without-scheme",
         "run-unknown-mode", "pipeline-x-not-below-y",
         "parallelism-negative", "parallelism-zero", "ttexplore-without-thinker",
-        "thinker-in-actor-slot", "actor-in-thinker-slot", "thinker-in-strong-slot"])
+        "thinker-in-actor-slot", "actor-in-thinker-slot", "thinker-in-strong-slot",
+        "run-retries-zero", "run-samples-zero", "run-char-budget-zero",
+        "remote-max-retries-negative", "remote-timeout-zero",
+        "remote-timeout-infinite", "remote-max-output-tokens-zero"])
 def test_validate_malformed_input_fails_naming_the_file_and_key(
         runner, tmp_path, option, text, named):
     path = tmp_path / "bad.yaml"
@@ -849,6 +878,23 @@ def test_validate_malformed_input_fails_naming_the_file_and_key(
     assert result.output.startswith("error: ")
     for word in ["bad.yaml", *named]:
         assert word in result.output
+
+
+@pytest.mark.parametrize("edit,named", [
+    ({"run": {"mode": "reflexion", "retries_N": 0}}, "exp.yaml:run: retries_N"),
+    ({"run": {"mode": "bestofn", "samples_N": 0}}, "exp.yaml:run: samples_N"),
+    ({"run": {"char_budget": 0}}, "exp.yaml:run: char_budget"),
+    ({"actor": {**REMOTE, "max_retries": -1}}, "exp.yaml:actor: max_retries"),
+], ids=["retries-zero", "samples-zero", "char-budget-zero",
+        "remote-max-retries-negative"])
+def test_run_rejects_a_value_that_cannot_run_before_creating_a_store(
+        runner, tmp_path, edit, named):
+    cfg = write_config(tmp_path, config_doc(**edit))
+    result = runner.invoke(main, ["run", "--config", str(cfg),
+                                  "--store-dir", str(tmp_path / "runs")])
+    assert result.exit_code == 2, result.output
+    assert named in result.output
+    assert not (tmp_path / "runs").exists()
 
 
 def test_remote_policy_loads_from_a_config_file(tmp_path):

@@ -6,6 +6,8 @@ import os
 
 import pytest
 import yaml
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from ttexplore import orchestrator
 from ttexplore.orchestrator import (
@@ -39,18 +41,46 @@ from ttexplore.world import Rule, TextWorld, builtin_world_path, load_world
     {"n_trigger": 50, "max_steps": 50, "mode": "ttexplore"},
     {"max_steps": 6, "mode": "reflexion"},
     {"max_steps": 6, "mode": "bestofn"},
+    {"retries_N": 0},
+    {"samples_N": 0},
+    {"char_budget": 0},
 ])
 def test_invalid_config_rejected(kwargs):
     with pytest.raises(ValueError):
-        RunConfig(**kwargs).validate()
+        RunConfig(**kwargs)
+    # a frozen config is checked again on every copy
+    with pytest.raises(ValueError):
+        dataclasses.replace(RunConfig(), **kwargs)
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        RunConfig().max_steps = 0
 
 
 def test_react_episodes_ignore_the_trigger_bound(minihouse1, oracle):
     # a ReAct episode never triggers the thinker, so n_trigger does not bound it
-    RunConfig(mode="reflexion", inner_mode="react", max_steps=6).validate()
+    RunConfig(mode="reflexion", inner_mode="react", max_steps=6)
     traj = run_mode(minihouse1, oracle, minihouse1.tasks["minihouse-1"],
                     RunConfig(mode="react", max_steps=6, seed=0))
     assert traj.final.success and traj.final.steps_used == 6
+
+
+@settings(max_examples=60, deadline=None)
+@given(mode=st.sampled_from(orchestrator.MODES),
+       inner_mode=st.sampled_from(orchestrator.EPISODE_KINDS),
+       n_trigger=st.integers(1, 4), max_steps=st.integers(1, 5),
+       retries_N=st.integers(0, 3), samples_N=st.integers(0, 3),
+       char_budget=st.sampled_from([-1, 0, 1, 500, 100_000]))
+def test_a_config_that_exists_can_run(**values):
+    # a config either fails when it is made or runs an episode to its end
+    try:
+        cfg = RunConfig(**values)
+    except ValueError:
+        return
+    world = load_world(builtin_world_path("minihouse1"))
+    traj = run_mode(world, scripted("actor", "greedy-actor"),
+                    world.tasks["minihouse-1"], cfg,
+                    thinker=scripted("thinker", "oracle-thinker"))
+    assert traj.error is None
+    assert 1 <= traj.final.steps_used <= cfg.max_steps
 
 
 # --- plain episodes ---------------------------------------------------------

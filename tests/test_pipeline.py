@@ -562,8 +562,10 @@ def test_forge_reports_a_flat_run_that_starts_above_zero(open_fridge):
 
 def test_pipeline_config_validation():
     with pytest.raises(ValueError):
-        PipelineConfig(x=5, y=5).validate()
+        PipelineConfig(x=5, y=5)
     with pytest.raises(ValueError):
-        PipelineConfig(m=0).validate()
+        PipelineConfig(m=0)
     with pytest.raises(ValueError):
-        PipelineConfig(reward_mode="bonus").validate()
+        PipelineConfig(reward_mode="bonus")
+    with pytest.raises(AttributeError):  # frozen, so it stays checked
+        PipelineConfig().m = 0

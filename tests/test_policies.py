@@ -241,6 +241,19 @@ def test_remote_endpoint_must_be_an_http_url_with_a_host(endpoint):
         assert RemoteBackend(good, "m").endpoint == good
 
 
+@pytest.mark.parametrize("field,value", [
+    ("max_retries", -1), ("timeout_s", 0), ("timeout_s", -1.5),
+    ("timeout_s", float("nan")), ("timeout_s", float("inf")),
+    ("max_output_tokens", 0)])
+def test_remote_numbers_are_checked_when_made(field, value):
+    # each would fail every call without a request, aborting each episode
+    with pytest.raises(ConfigError, match=f"^{field} must be "):
+        RemoteBackend("http://127.0.0.1:9/v1", "m", **{field: value})
+    # the least valid values make a backend; max_retries=0 sends one request
+    assert RemoteBackend("http://127.0.0.1:9/v1", "m", max_retries=0,
+                         max_output_tokens=1).max_retries == 0
+
+
 def test_remote_key_never_in_payload(stub, monkeypatch):
     monkeypatch.setenv("TTEXPLORE_API_KEY", "sk-secret")
     complete(stub.handle(), "p")
