@@ -36,8 +36,7 @@ def _fields(cls, *omit: str) -> dict[str, type]:
     return {k: t for k, t in get_type_hints(cls).items() if k not in omit}
 
 
-# RunConfig.seed is set per episode from `seeds`
-_RUN_TYPES = _fields(RunConfig, "seed")
+_RUN_TYPES = _fields(RunConfig)
 _PIPELINE_TYPES = _fields(PipelineConfig, "run")
 
 _TOP_TYPES = {"world": str, "tasks": list[str], "seeds": list[int],

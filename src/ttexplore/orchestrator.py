@@ -1,12 +1,13 @@
 """Episode execution and the run store.
 
-`run_mode` runs one episode of any mode. An episode is of one of two kinds:
-plain ReAct (actor only) or ttexplore (the actor plus a thinker triggered
-every `n_trigger` steps). Mode `reflexion` retries failed episodes with
-reflections and `bestofn` keeps the best of N episodes; for these two,
-`inner_mode` picks the episode kind. Thinker invocations never consume the
-step budget. Episodes are strictly sequential inside; the batch runner
-parallelizes across episodes only.
+`run_mode` runs one episode of any mode on its `seed` argument. An episode
+is of one of two kinds: plain ReAct (actor only) or ttexplore (the actor
+plus a thinker triggered every `n_trigger` steps). Mode `reflexion` retries
+failed episodes on `seed` with reflections and `bestofn` keeps the best of
+N episodes, sample i on `seed + i`; for these two, `inner_mode` picks the
+episode kind. Thinker invocations never consume the step budget. Episodes
+are strictly sequential inside; the batch runner parallelizes across
+episodes only.
 
 `run_steps` is the one actor loop: every episode runs on it, and so do
 `forge`'s weak probes and frozen-actor continuations, which start from a
@@ -27,7 +28,7 @@ import logging
 import os
 import time
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import asdict, dataclass, field, replace
+from dataclasses import asdict, dataclass, field
 from pathlib import Path
 from typing import Optional
 
@@ -65,7 +66,6 @@ class RunConfig:
     max_steps: int = 50
     retries_N: int = 5
     samples_N: int = 5
-    seed: int = 0  # set per episode by run_batch
     char_budget: int = DEFAULT_CHAR_BUDGET
 
     def __post_init__(self) -> None:
@@ -205,10 +205,8 @@ def _aborted(exc: Exception) -> str:
 
 
 def _run_episode(world: TextWorld, actor: PolicyHandle, task: TaskSpec,
-                 cfg: RunConfig, thinker: Optional[PolicyHandle] = None,
-                 reflections: Optional[list[str]] = None,
-                 seed: Optional[int] = None) -> Trajectory:
-    seed = cfg.seed if seed is None else seed
+                 cfg: RunConfig, thinker: Optional[PolicyHandle], seed: int,
+                 reflections: Optional[list[str]] = None) -> Trajectory:
     state, obs0 = world.reset(task, seed)
     view = HistoryView(task.id, obs0.text,
                        reflections=list(reflections or []))
@@ -230,7 +228,7 @@ def _run_episode(world: TextWorld, actor: PolicyHandle, task: TaskSpec,
 
 
 def _reflexion(world: TextWorld, actor: PolicyHandle, task: TaskSpec,
-               cfg: RunConfig, thinker: Optional[PolicyHandle]) -> Trajectory:
+               cfg: RunConfig, thinker: Optional[PolicyHandle], seed: int) -> Trajectory:
     """Up to retries_N independent attempts; after each failure a reflection
     generated by the actor backend is prepended to the next attempt. A backend
     failure while reflecting ends the retries: the best attempt so far is
@@ -238,7 +236,7 @@ def _reflexion(world: TextWorld, actor: PolicyHandle, task: TaskSpec,
     reflections: list[str] = []
     best: Optional[Trajectory] = None
     for attempt in range(cfg.retries_N):
-        traj = _run_episode(world, actor, task, cfg, thinker=thinker,
+        traj = _run_episode(world, actor, task, cfg, thinker, seed,
                             reflections=reflections)
         if best is None or traj.final.process_score > best.final.process_score:
             best = traj
@@ -250,7 +248,7 @@ def _reflexion(world: TextWorld, actor: PolicyHandle, task: TaskSpec,
             prompt = render_reflection_prompt(task, view, traj.final.process_score,
                                               cfg.char_budget)
             try:
-                reflection = complete(actor, prompt, seed=cfg.seed).strip()
+                reflection = complete(actor, prompt, seed=seed).strip()
             except RemoteError as exc:  # a policy backend failed
                 best.error = _aborted(exc)
                 break
@@ -259,11 +257,10 @@ def _reflexion(world: TextWorld, actor: PolicyHandle, task: TaskSpec,
 
 
 def _best_of_n(world: TextWorld, actor: PolicyHandle, task: TaskSpec,
-               cfg: RunConfig, thinker: Optional[PolicyHandle]) -> Trajectory:
-    """samples_N independent episodes, sample i with seed `cfg.seed + i`."""
-    return select_best([
-        _run_episode(world, actor, task, cfg, thinker=thinker, seed=cfg.seed + i)
-        for i in range(cfg.samples_N)])
+               cfg: RunConfig, thinker: Optional[PolicyHandle], seed: int) -> Trajectory:
+    """samples_N independent episodes, sample i with seed `seed + i`."""
+    return select_best([_run_episode(world, actor, task, cfg, thinker, seed + i)
+                        for i in range(cfg.samples_N)])
 
 
 def select_best(samples: list[Trajectory]) -> Trajectory:
@@ -273,15 +270,17 @@ def select_best(samples: list[Trajectory]) -> Trajectory:
 
 
 def run_mode(world: TextWorld, actor: PolicyHandle, task: TaskSpec,
-             cfg: RunConfig, thinker: Optional[PolicyHandle] = None) -> Trajectory:
-    """One episode of `cfg.mode`; `RunConfig.episode_thinker` decides whether
-    the thinker runs."""
+             cfg: RunConfig, thinker: Optional[PolicyHandle] = None,
+             seed: int = 0) -> Trajectory:
+    """One episode of `cfg.mode` on `seed`; `RunConfig.episode_thinker`
+    decides whether the thinker runs. The trajectory records the seed its
+    steps ran on: a `bestofn` episode's is its chosen sample's, `seed + i`."""
     thinker = cfg.episode_thinker(thinker)
     if cfg.mode == "reflexion":
-        return _reflexion(world, actor, task, cfg, thinker)
+        return _reflexion(world, actor, task, cfg, thinker, seed)
     if cfg.mode == "bestofn":
-        return _best_of_n(world, actor, task, cfg, thinker)
-    return _run_episode(world, actor, task, cfg, thinker=thinker)
+        return _best_of_n(world, actor, task, cfg, thinker, seed)
+    return _run_episode(world, actor, task, cfg, thinker, seed)
 
 
 # ---------------------------------------------------------------------------
@@ -376,8 +375,7 @@ def run_batch(world: TextWorld, items: list[tuple[TaskSpec, int]], cfg: RunConfi
     def one(item: tuple[TaskSpec, int]) -> EpisodeResult:
         task, seed = item
         t0 = time.perf_counter()
-        traj = run_mode(world, actor, task, replace(cfg, seed=seed),
-                        thinker=thinker)
+        traj = run_mode(world, actor, task, cfg, thinker, seed)
         wall_s = time.perf_counter() - t0
         m = metrics_mod.episode_metrics(traj.actions(), traj.observations())
         return EpisodeResult(trajectory=traj, metrics=m, wall_s=wall_s)

@@ -21,7 +21,7 @@ and seed; `forge` returns nothing partial.
 from __future__ import annotations
 
 import logging
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Optional
 
@@ -345,8 +345,7 @@ def build_multinode_contexts(world: TextWorld, task: TaskSpec,
     rollouts = []
     for j in range(cfg.m):
         seed = base_seed + j
-        traj = run_mode(world, actor_frozen, task, replace(run_cfg, seed=seed),
-                        thinker)
+        traj = run_mode(world, actor_frozen, task, run_cfg, thinker, seed)
         if traj.error is not None:
             raise BackendFailure(f"{task.id} seed {seed}: {traj.error}")
         # a successful episode ends at the step that completes the task
@@ -423,10 +422,9 @@ def forge(world: TextWorld, tasks: list[TaskSpec], strong: PolicyHandle,
     try:
         for task in tasks:
             for seed in seeds:
-                run_cfg = RunConfig(mode="react", seed=seed,
-                                    max_steps=task.max_steps_default,
+                run_cfg = RunConfig(mode="react", max_steps=task.max_steps_default,
                                     char_budget=cfg.run.char_budget)
-                strong_traj = run_mode(world, strong, task, run_cfg)
+                strong_traj = run_mode(world, strong, task, run_cfg, seed=seed)
                 if strong_traj.error is not None:
                     raise BackendFailure(f"{task.id} seed {seed}: "
                                          f"{strong_traj.error}")

@@ -17,10 +17,10 @@ Two backend families:
 A backend checks itself when it is made: a scripted name that
 `SCRIPTED_POLICIES` lacks, an endpoint that is not an http(s) URL with a
 host, a negative `max_retries`, a `timeout_s` that is not positive and
-finite, or a `max_output_tokens` below 1 raises `ConfigError` naming the
-field before any episode runs. A `RemoteError` is then the one failure that
-aborts an episode; any other exception a policy raises is a bug and
-propagates.
+finite, a `temperature` that is negative or not finite, or a
+`max_output_tokens` below 1 raises `ConfigError` naming the field before
+any episode runs. A `RemoteError` is then the one failure that aborts an
+episode; any other exception a policy raises is a bug and propagates.
 """
 
 from __future__ import annotations
@@ -94,9 +94,10 @@ class RemoteBackend:
         except ValueError:
             raise ConfigError(f"endpoint must be an http or https URL with a "
                               f"host, got {self.endpoint!r}") from None
-        for name, ok, rule in (  # a socket takes no nan or inf timeout
+        for name, ok, rule in (  # neither a socket nor JSON takes nan or inf
                 ("max_retries", self.max_retries >= 0, ">= 0"),
                 ("timeout_s", 0 < self.timeout_s < math.inf, "positive and finite"),
+                ("temperature", 0 <= self.temperature < math.inf, ">= 0 and finite"),
                 ("max_output_tokens", self.max_output_tokens >= 1, ">= 1")):
             if not ok:
                 raise ConfigError(f"{name} must be {rule}, got {getattr(self, name)}")
@@ -146,7 +147,10 @@ def _complete_remote(backend: RemoteBackend, prompt: str) -> str:
             with urllib.request.urlopen(request, timeout=backend.timeout_s) as resp:
                 status = resp.status
                 body = json.loads(resp.read())
-            return body["choices"][0]["message"]["content"]
+            content = body["choices"][0]["message"]["content"]
+            if not isinstance(content, str):
+                raise TypeError(f"message content is not a string: {content!r}")
+            return content
         except urllib.error.HTTPError as exc:  # an answer with a 3xx-5xx status
             status, last_error = exc.code, exc
             retry_after = exc.headers.get("Retry-After", "")

@@ -34,7 +34,7 @@ def build_sft(path: Path) -> None:
         world = load_builtin_world(name)
         task = world.tasks[task_id]
         traj = run_mode(world, scripted("actor", "greedy-actor"), task,
-                        RunConfig(mode="ttexplore", seed=0),
+                        RunConfig(mode="ttexplore"),
                         scripted("thinker", "oracle-thinker"))
         assert traj.final.success
         part = path.with_suffix(".part")

@@ -62,9 +62,9 @@ def test_criterion_1_dominance():
         for seed in SEEDS:
             actor = scripted("actor", "greedy-actor")
             thinker = scripted("thinker", "oracle-thinker")
-            base = run_mode(world, actor, task, RunConfig(mode="react", seed=seed))
+            base = run_mode(world, actor, task, RunConfig(mode="react"), seed=seed)
             strong = run_mode(world, actor, task,
-                              RunConfig(mode="ttexplore", seed=seed), thinker)
+                              RunConfig(mode="ttexplore"), thinker, seed=seed)
             react_scores.setdefault(world_name, []).append(base.final.process_score)
             explore_scores.setdefault(world_name, []).append(strong.final.process_score)
             react_succ.append(base.final.success)
@@ -137,8 +137,7 @@ def test_criterion_3_trigger_arithmetic():
     checked = 0
     for n in (3, 6, 9, 12):
         for max_steps in (25, 50):
-            cfg = RunConfig(mode="ttexplore", n_trigger=n, max_steps=max_steps,
-                            seed=0)
+            cfg = RunConfig(mode="ttexplore", n_trigger=n, max_steps=max_steps)
             traj = run_mode(world, looper, task, cfg, thinker)
             assert traj.final.steps_used == max_steps
             expected = (max_steps - 1) // n
@@ -156,7 +155,7 @@ def test_criterion_4_pipeline_soundness():
     world = load_builtin_world("minihouse2")
     task = world.tasks["minihouse-2"]
     strong = run_mode(world, scripted("actor", "oracle-actor"), task,
-                      RunConfig(mode="react", seed=0))
+                      RunConfig(mode="react"))
     assert [s.score_after for s in strong.steps] == \
         [0.0, 0.0, 33.33, 33.33, 66.67, 100.0]
 
@@ -204,7 +203,7 @@ def test_criterion_5_step_penalty_law():
 
 def _batch_into(world, store):
     task = world.tasks["minihouse-2"]
-    cfg = RunConfig(mode="ttexplore", seed=0)
+    cfg = RunConfig(mode="ttexplore")
     run_batch(world, [(task, 0), (task, 1)], cfg,
               scripted("actor", "greedy-actor"),
               thinker=scripted("thinker", "oracle-thinker"),

@@ -852,6 +852,10 @@ REMOTE = {"backend": "remote", "model": "m",
      ["bad.yaml:actor", "timeout_s", "inf"]),
     ("--config", _config_yaml(actor={**REMOTE, "max_output_tokens": 0}),
      ["bad.yaml:actor", "max_output_tokens must be >= 1, got 0"]),
+    ("--config", _config_yaml(actor={**REMOTE, "temperature": float("nan")}),
+     ["bad.yaml:actor", "temperature must be >= 0 and finite, got nan"]),
+    ("--config", _config_yaml(actor={**REMOTE, "temperature": -0.5}),
+     ["bad.yaml:actor", "temperature must be >= 0 and finite, got -0.5"]),
 ], ids=["missing-world", "empty-world", "entity-without-kind",
         "rule-without-guard", "task-without-instruction", "subgoal-not-a-mapping",
         "task-max-steps-not-an-int", "world-yaml-syntax", "config-yaml-syntax",
@@ -867,7 +871,8 @@ REMOTE = {"backend": "remote", "model": "m",
         "thinker-in-actor-slot", "actor-in-thinker-slot", "thinker-in-strong-slot",
         "run-retries-zero", "run-samples-zero", "run-char-budget-zero",
         "remote-max-retries-negative", "remote-timeout-zero",
-        "remote-timeout-infinite", "remote-max-output-tokens-zero"])
+        "remote-timeout-infinite", "remote-max-output-tokens-zero",
+        "remote-temperature-nan", "remote-temperature-negative"])
 def test_validate_malformed_input_fails_naming_the_file_and_key(
         runner, tmp_path, option, text, named):
     path = tmp_path / "bad.yaml"

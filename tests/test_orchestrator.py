@@ -10,6 +10,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from ttexplore import orchestrator
+from ttexplore.config import _RUN_TYPES
 from ttexplore.orchestrator import (
     FALLBACK_ACTION,
     RunConfig,
@@ -59,7 +60,7 @@ def test_react_episodes_ignore_the_trigger_bound(minihouse1, oracle):
     # a ReAct episode never triggers the thinker, so n_trigger does not bound it
     RunConfig(mode="reflexion", inner_mode="react", max_steps=6)
     traj = run_mode(minihouse1, oracle, minihouse1.tasks["minihouse-1"],
-                    RunConfig(mode="react", max_steps=6, seed=0))
+                    RunConfig(mode="react", max_steps=6))
     assert traj.final.success and traj.final.steps_used == 6
 
 
@@ -87,7 +88,7 @@ def test_a_config_that_exists_can_run(**values):
 
 def test_react_oracle_succeeds_in_six_steps(minihouse1, oracle):
     traj = run_mode(minihouse1, oracle, minihouse1.tasks["minihouse-1"],
-                    RunConfig(mode="react", seed=0))
+                    RunConfig(mode="react"))
     assert traj.final.success
     assert traj.final.steps_used == 6
     assert [s.score_after for s in traj.steps] == \
@@ -104,7 +105,7 @@ def test_multi_task_world_episode_ends_at_full_score(tmp_path, oracle):
     path.write_text(yaml.safe_dump(doc), encoding="utf-8")
     world = load_world(path)
     assert len(world.tasks) == 2
-    cfg = RunConfig(mode="react", max_steps=20, seed=0)
+    cfg = RunConfig(mode="react", max_steps=20)
     traj = run_mode(world, oracle, world.tasks["minihouse-1"], cfg)
     assert traj.final.success
     assert traj.final.steps_used == 6
@@ -112,7 +113,7 @@ def test_multi_task_world_episode_ends_at_full_score(tmp_path, oracle):
 
 
 def test_react_exhausts_budget_without_success(minihouse1, greedy):
-    cfg = RunConfig(mode="react", max_steps=20, n_trigger=6, seed=0)
+    cfg = RunConfig(mode="react", max_steps=20, n_trigger=6)
     traj = run_mode(minihouse1, greedy, minihouse1.tasks["minihouse-1"], cfg)
     assert not traj.final.success
     assert traj.final.steps_used == 20
@@ -120,7 +121,7 @@ def test_react_exhausts_budget_without_success(minihouse1, greedy):
 
 
 def test_ttexplore_recovers_where_react_fails(minihouse1, greedy, oracle_thinker):
-    cfg = RunConfig(mode="ttexplore", seed=0)
+    cfg = RunConfig(mode="ttexplore")
     traj = run_mode(minihouse1, greedy, minihouse1.tasks["minihouse-1"], cfg,
                     oracle_thinker)
     assert traj.final.success
@@ -138,7 +139,7 @@ def test_inner_mode_picks_the_episode_kind(minihouse1, greedy, oracle_thinker,
                                            mode):
     task = minihouse1.tasks["minihouse-1"]
     cfg = RunConfig(mode=mode, inner_mode="ttexplore", retries_N=2,
-                    samples_N=2, seed=0)
+                    samples_N=2)
     with pytest.raises(ValueError, match="thinker"):
         run_mode(minihouse1, greedy, task, cfg)
     traj = run_mode(minihouse1, greedy, task, cfg, oracle_thinker)
@@ -151,7 +152,7 @@ def test_inner_mode_picks_the_episode_kind(minihouse1, greedy, oracle_thinker,
 
 def test_react_mode_ignores_the_thinker(minihouse1, greedy, oracle_thinker):
     traj = run_mode(minihouse1, greedy, minihouse1.tasks["minihouse-1"],
-                    RunConfig(mode="react", inner_mode="ttexplore", seed=0),
+                    RunConfig(mode="react", inner_mode="ttexplore"),
                     oracle_thinker)
     assert traj.mode == "react" and traj.thoughts == []
 
@@ -161,7 +162,7 @@ def test_react_mode_ignores_the_thinker(minihouse1, greedy, oracle_thinker):
 @pytest.mark.parametrize("n", [3, 6, 9, 12])
 @pytest.mark.parametrize("max_steps", [25, 50])
 def test_full_length_episode_trigger_count(minihouse1, oracle_thinker, n, max_steps):
-    cfg = RunConfig(mode="ttexplore", n_trigger=n, max_steps=max_steps, seed=0)
+    cfg = RunConfig(mode="ttexplore", n_trigger=n, max_steps=max_steps)
     looper = scripted("actor", "loop-actor")
     traj = run_mode(minihouse1, looper, minihouse1.tasks["minihouse-1"], cfg,
                     oracle_thinker)
@@ -172,7 +173,7 @@ def test_full_length_episode_trigger_count(minihouse1, oracle_thinker, n, max_st
 
 
 def test_no_trigger_after_success(minihouse1, oracle, oracle_thinker):
-    cfg = RunConfig(mode="ttexplore", n_trigger=6, seed=0)
+    cfg = RunConfig(mode="ttexplore", n_trigger=6)
     traj = run_mode(minihouse1, oracle, minihouse1.tasks["minihouse-1"], cfg,
                     oracle_thinker)
     assert traj.final.steps_used == 6
@@ -200,7 +201,7 @@ def parse_warnings(caplog):
 def test_actor_parse_failure_falls_back(minihouse1, monkeypatch, caplog):
     monkeypatch.setitem(SCRIPTED_POLICIES, "broken-actor",
                         lambda prompt, seed: "no tags here")
-    cfg = RunConfig(mode="react", max_steps=3, n_trigger=2, seed=0)
+    cfg = RunConfig(mode="react", max_steps=3, n_trigger=2)
     traj = run_mode(minihouse1, scripted("actor", "broken-actor"),
                     minihouse1.tasks["minihouse-1"], cfg)
     assert traj.actions() == [FALLBACK_ACTION] * 3
@@ -219,7 +220,7 @@ def test_actor_parse_failure_falls_back(minihouse1, monkeypatch, caplog):
 def test_thinker_parse_failure_skips_thought(minihouse1, monkeypatch, caplog):
     monkeypatch.setitem(SCRIPTED_POLICIES, "broken-thinker",
                         lambda prompt, seed: "still no tags")
-    cfg = RunConfig(mode="ttexplore", n_trigger=2, max_steps=5, seed=0)
+    cfg = RunConfig(mode="ttexplore", n_trigger=2, max_steps=5)
     traj = run_mode(minihouse1, scripted("actor", "loop-actor"),
                     minihouse1.tasks["minihouse-1"], cfg,
                     scripted("thinker", "broken-thinker"))
@@ -243,7 +244,7 @@ def test_backend_crash_recorded_as_episode_error(minihouse1, monkeypatch):
     monkeypatch.setitem(SCRIPTED_POLICIES, "crash-actor", explode)
     traj = run_mode(minihouse1, scripted("actor", "crash-actor"),
                     minihouse1.tasks["minihouse-1"],
-                    RunConfig(mode="react", seed=0))
+                    RunConfig(mode="react"))
     assert traj.error is not None
     assert "backend gone" in traj.error
     assert not traj.final.success
@@ -256,7 +257,7 @@ def test_abort_before_the_first_step_keeps_the_initial_score(open_fridge,
     monkeypatch.setitem(SCRIPTED_POLICIES, "crash-actor", explode)
     traj = run_mode(open_fridge, scripted("actor", "crash-actor"),
                     open_fridge.tasks["minihouse-1"],
-                    RunConfig(mode="react", seed=0))
+                    RunConfig(mode="react"))
     assert traj.error is not None
     assert traj.final.steps_used == 0
     assert traj.final.process_score == 33.33
@@ -269,7 +270,7 @@ def test_own_bug_crashes_instead_of_aborting(minihouse1, greedy):
     world.tasks = minihouse1.tasks
     with pytest.raises(KeyError, match="no-such-guard"):
         run_mode(world, greedy, world.tasks["minihouse-1"],
-                 RunConfig(mode="react", seed=0))
+                 RunConfig(mode="react"))
 
 
 @pytest.mark.parametrize("mode,fails", [
@@ -290,8 +291,7 @@ def test_a_config_error_inside_a_policy_crashes_instead_of_aborting(
         return greedy_actor(prompt, seed)
 
     monkeypatch.setitem(SCRIPTED_POLICIES, "misconfigured-actor", misconfigured)
-    cfg = RunConfig(mode=mode, inner_mode="react", retries_N=2, max_steps=5,
-                    seed=0)
+    cfg = RunConfig(mode=mode, inner_mode="react", retries_N=2, max_steps=5)
     with pytest.raises(ConfigError, match="a bad setting"):
         run_batch(minihouse1, [(minihouse1.tasks["minihouse-1"], 0)], cfg,
                   scripted("actor", "misconfigured-actor"), store_dir=tmp_path)
@@ -303,7 +303,7 @@ def test_a_config_error_inside_a_policy_crashes_instead_of_aborting(
 
 def test_reflexion_improves_staged_actor(minihouse1):
     cfg = RunConfig(mode="reflexion", inner_mode="react", retries_N=5,
-                    max_steps=10, n_trigger=6, seed=0)
+                    max_steps=10, n_trigger=6)
     traj = run_mode(minihouse1, scripted("actor", "staged-actor"),
                     minihouse1.tasks["minihouse-1"], cfg)
     assert traj.mode == "reflexion"
@@ -312,7 +312,7 @@ def test_reflexion_improves_staged_actor(minihouse1):
 
 def test_reflexion_returns_best_attempt_when_all_fail(minihouse1, greedy):
     cfg = RunConfig(mode="reflexion", inner_mode="react", retries_N=2,
-                    max_steps=5, n_trigger=3, seed=0)
+                    max_steps=5, n_trigger=3)
     traj = run_mode(minihouse1, greedy, minihouse1.tasks["minihouse-1"], cfg)
     assert not traj.final.success
     assert traj.final.process_score == 0.0
@@ -329,7 +329,7 @@ def test_reflection_backend_failure_aborts_the_episode_not_the_batch(
 
     monkeypatch.setitem(SCRIPTED_POLICIES, "reflect-crash-actor", fails_to_reflect)
     cfg = RunConfig(mode="reflexion", inner_mode="react", retries_N=2,
-                    max_steps=5, seed=0)
+                    max_steps=5)
     results = run_batch(minihouse1, [(minihouse1.tasks["minihouse-1"], 0)], cfg,
                         scripted("actor", "reflect-crash-actor"),
                         store_dir=tmp_path)
@@ -345,12 +345,11 @@ def test_reflection_backend_failure_aborts_the_episode_not_the_batch(
 # --- best-of-N --------------------------------------------------------------
 
 def test_best_of_n_single_sample_is_identity(minihouse1, greedy, oracle_thinker):
-    cfg_one = RunConfig(mode="bestofn", inner_mode="ttexplore", samples_N=1,
-                        seed=4)
+    cfg_one = RunConfig(mode="bestofn", inner_mode="ttexplore", samples_N=1)
     best = run_mode(minihouse1, greedy, minihouse1.tasks["minihouse-1"],
-                    cfg_one, oracle_thinker)
+                    cfg_one, oracle_thinker, seed=4)
     direct = run_mode(minihouse1, greedy, minihouse1.tasks["minihouse-1"],
-                      RunConfig(mode="ttexplore", seed=4), oracle_thinker)
+                      RunConfig(mode="ttexplore"), oracle_thinker, seed=4)
     assert best.actions() == direct.actions()
     assert best.final.process_score == direct.final.process_score
 
@@ -380,7 +379,7 @@ def test_select_best_prefers_score_then_lowest_index():
 
 def test_run_batch_store_layout(minihouse1, greedy, oracle_thinker, tmp_path):
     task = minihouse1.tasks["minihouse-1"]
-    cfg = RunConfig(mode="ttexplore", seed=0)
+    cfg = RunConfig(mode="ttexplore")
     results = run_batch(minihouse1, [(task, 0), (task, 1)], cfg, greedy,
                         thinker=oracle_thinker, store_dir=tmp_path,
                         world_file="minihouse1")
@@ -401,7 +400,7 @@ def test_run_batch_store_layout(minihouse1, greedy, oracle_thinker, tmp_path):
 
 def test_run_batch_parallel_preserves_order(minihouse1, oracle, tmp_path):
     task = minihouse1.tasks["minihouse-1"]
-    cfg = RunConfig(mode="react", seed=0)
+    cfg = RunConfig(mode="react")
     items = [(task, s) for s in range(4)]
     serial = run_batch(minihouse1, items, cfg, oracle)
     parallel = run_batch(minihouse1, items, cfg, oracle, parallelism=4)
@@ -412,7 +411,7 @@ def test_run_batch_parallel_preserves_order(minihouse1, oracle, tmp_path):
 def test_a_parallel_store_is_byte_identical_to_a_serial_one(
         minihouse1, greedy, oracle_thinker, tmp_path):
     items = [(task, s) for task in minihouse1.tasks.values() for s in range(5)]
-    cfg = RunConfig(mode="ttexplore", seed=0)
+    cfg = RunConfig(mode="ttexplore")
     for parallelism in (1, 3):
         run_batch(minihouse1, items, cfg, greedy, thinker=oracle_thinker,
                   store_dir=tmp_path / str(parallelism),
@@ -440,7 +439,7 @@ def test_a_failed_store_write_raises_a_run_store_error_naming_the_file(
     with pytest.raises(RunStoreError, match=rf"{name}: cannot write the run "
                                             r"store: disk full"):
         run_batch(minihouse1, [(minihouse1.tasks["minihouse-1"], 0)],
-                  RunConfig(mode="react", seed=0), oracle, store_dir=tmp_path)
+                  RunConfig(mode="react"), oracle, store_dir=tmp_path)
     assert not (tmp_path / "manifest.json").exists()
 
 
@@ -458,7 +457,7 @@ def test_write_jsonl_writes_json_dumps_lines_that_read_back(tmp_path):
 def test_failed_json_write_keeps_the_old_file(minihouse1, oracle, tmp_path,
                                               monkeypatch):
     task = minihouse1.tasks["minihouse-1"]
-    run_batch(minihouse1, [(task, 0)], RunConfig(mode="react", seed=0), oracle,
+    run_batch(minihouse1, [(task, 0)], RunConfig(mode="react"), oracle,
               store_dir=tmp_path)
     path = tmp_path / "manifest.json"
     old = path.read_bytes()
@@ -486,7 +485,7 @@ def test_manifest_is_written_after_the_timings(minihouse1, oracle, tmp_path,
     monkeypatch.setattr(orchestrator, "write_json_atomic", failing_timings)
     task = minihouse1.tasks["minihouse-1"]
     with pytest.raises(RunStoreError, match="timings.json.*disk full"):
-        run_batch(minihouse1, [(task, 0)], RunConfig(mode="react", seed=0),
+        run_batch(minihouse1, [(task, 0)], RunConfig(mode="react"),
                   oracle, store_dir=tmp_path)
     assert not (tmp_path / "manifest.json").exists()
 
@@ -501,7 +500,33 @@ def test_read_transcript_corruption_names_file_and_line(tmp_path):
 def test_run_mode_dispatch(minihouse1, oracle, oracle_thinker):
     task = minihouse1.tasks["minihouse-1"]
     for mode in ("react", "ttexplore", "reflexion", "bestofn"):
-        cfg = RunConfig(mode=mode, seed=0, samples_N=2, retries_N=2)
+        cfg = RunConfig(mode=mode, samples_N=2, retries_N=2)
         traj = run_mode(minihouse1, oracle, task, cfg, thinker=oracle_thinker)
         assert traj.final.success
         assert traj.mode == mode
+
+
+def test_the_manifest_config_holds_exactly_the_run_values(minihouse1, oracle,
+                                                         tmp_path):
+    # the seeds are the episodes', not the config's
+    run_batch(minihouse1, [(minihouse1.tasks["minihouse-1"], 3)],
+              RunConfig(mode="react"), oracle, store_dir=tmp_path)
+    manifest = json.loads((tmp_path / "manifest.json").read_text(encoding="utf-8"))
+    assert manifest["config"].keys() == _RUN_TYPES.keys()
+    assert manifest["episodes"][0]["seed"] == 3
+
+
+@pytest.mark.parametrize("mode", orchestrator.MODES)
+def test_a_batch_episode_is_run_mode_on_its_seed(minihouse2, greedy, mode):
+    task = minihouse2.tasks["minihouse-2"]
+    thinker = scripted("thinker", "noisy-thinker")
+    cfg = RunConfig(mode=mode, samples_N=3, retries_N=2)
+    results = run_batch(minihouse2, [(task, 3), (task, 4)], cfg, greedy,
+                        thinker=thinker)
+    direct = [run_mode(minihouse2, greedy, task, cfg, thinker, seed=seed)
+              for seed in (3, 4)]
+    assert [r.trajectory for r in results] == direct
+    for traj, seed in zip(direct, (3, 4)):
+        # a best-of-N episode records its chosen sample's seed
+        offsets = range(cfg.samples_N) if mode == "bestofn" else [0]
+        assert traj.seed - seed in offsets

@@ -88,7 +88,7 @@ def test_divide_first_step_increase(minihouse2):
 def test_divide_starts_at_the_initial_score(open_fridge, oracle):
     world = open_fridge
     task = world.tasks["minihouse-1"]
-    strong = run_mode(world, oracle, task, RunConfig(mode="react", seed=0))
+    strong = run_mode(world, oracle, task, RunConfig(mode="react"))
     subs = divide_subtasks(world, task, strong)
     assert [(s.start_score, s.target_score) for s in subs] == \
         [(33.33, 66.67), (66.67, 100.0)]
@@ -103,7 +103,7 @@ def test_divide_starts_at_the_initial_score(open_fridge, oracle):
 @pytest.fixture
 def classified_subs(minihouse2, oracle):
     task = minihouse2.tasks["minihouse-2"]
-    strong = run_mode(minihouse2, oracle, task, RunConfig(mode="react", seed=0))
+    strong = run_mode(minihouse2, oracle, task, RunConfig(mode="react"))
     subs = divide_subtasks(minihouse2, task, strong)
     cfg = PipelineConfig()
     weak = scripted("actor", "wanderer-actor")
@@ -447,7 +447,7 @@ def test_export_grpo_schema(minihouse2, classified_subs, tmp_path):
 def test_export_sft_one_record_per_thought(minihouse2, greedy, oracle_thinker,
                                            tmp_path):
     task = minihouse2.tasks["minihouse-2"]
-    traj = run_mode(minihouse2, greedy, task, RunConfig(mode="ttexplore", seed=0),
+    traj = run_mode(minihouse2, greedy, task, RunConfig(mode="ttexplore"),
                     oracle_thinker)
     out = tmp_path / "sft.jsonl"
     stats = export_sft(minihouse2, minihouse2.tasks, [traj], out)
@@ -485,7 +485,7 @@ def test_export_sft_matches_a_per_thought_rebuild(keymaze1, char_budget,
     task = keymaze1.tasks["keymaze-1"]
     thinker = scripted("thinker", "oracle-thinker")
     trajs = [run_mode(keymaze1, scripted("actor", actor), task,
-                      RunConfig(mode="ttexplore", seed=seed), thinker)
+                      RunConfig(mode="ttexplore"), thinker, seed=seed)
              for actor in ("loop-actor", "greedy-actor") for seed in (0, 1)]
     assert all(len(t.thoughts) > 1 for t in trajs)
     out, ref = tmp_path / "sft.jsonl", tmp_path / "reference.jsonl"

@@ -202,7 +202,7 @@ def test_wanderer_cycle_position_tracks_history_length(minihouse2):
 
 
 def test_staged_actor_progresses_with_reflections(minihouse1, oracle):
-    cfg = RunConfig(mode="react", max_steps=50, seed=0)
+    cfg = RunConfig(mode="react", max_steps=50)
     traj = run_mode(minihouse1, scripted("actor", "staged-actor"),
                     minihouse1.tasks["minihouse-1"], cfg)
     assert not traj.final.success  # two steps only, then idles
@@ -244,7 +244,8 @@ def test_remote_endpoint_must_be_an_http_url_with_a_host(endpoint):
 @pytest.mark.parametrize("field,value", [
     ("max_retries", -1), ("timeout_s", 0), ("timeout_s", -1.5),
     ("timeout_s", float("nan")), ("timeout_s", float("inf")),
-    ("max_output_tokens", 0)])
+    ("max_output_tokens", 0), ("temperature", float("nan")),
+    ("temperature", float("inf")), ("temperature", -0.5)])
 def test_remote_numbers_are_checked_when_made(field, value):
     # each would fail every call without a request, aborting each episode
     with pytest.raises(ConfigError, match=f"^{field} must be "):
@@ -278,13 +279,29 @@ def test_remote_malformed_body_is_an_error(stub, sleeps):
 
 
 @pytest.mark.parametrize("body", [{"choices": []}, {"choices": None},
-                                  {"choices": [{"message": None}]}])
+                                  {"choices": [{"message": None}]},
+                                  {"choices": [{"message": {"content": None}}]},
+                                  {"choices": [{"message": {"content": 5}}]}])
 def test_remote_body_of_wrong_shape_is_an_error(stub, sleeps, body):
     stub.body = json.dumps(body).encode()
     with pytest.raises(RemoteError) as exc:
         complete(stub.handle(), "p")
     assert exc.value.status == 200
     assert exc.value.attempts == stub.requests == 3
+
+
+@pytest.mark.parametrize("content", [None, 5, ["go to kitchen"]],
+                         ids=["null", "number", "list"])
+@pytest.mark.parametrize("mode", ["react", "reflexion"])
+def test_a_remote_content_that_is_not_a_string_aborts_the_episode(
+        stub, sleeps, minihouse1, mode, content):
+    # a content no parser can read is a backend failure, not a crash of the batch
+    stub.body = json.dumps({"choices": [{"message": {"content": content}}]}).encode()
+    traj = run_mode(minihouse1, stub.handle(max_retries=0),
+                    minihouse1.tasks["minihouse-1"],
+                    RunConfig(mode=mode, inner_mode="react", retries_N=2))
+    assert traj.error.startswith("RemoteError: ")
+    assert traj.steps == []
 
 
 def test_remote_non_json_body_is_an_error(stub, sleeps):
