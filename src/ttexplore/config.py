@@ -9,7 +9,9 @@ of the `RunConfig`, `PipelineConfig` and backend fields: a policy's keys are
 its backend's fields, a remote policy's decode settings included. Configs
 and backends check their own rules when they are made (positive run values,
 a known scripted name, an http(s) endpoint), and their errors fail naming
-the file and the section or policy key.
+the file and the section or policy key. A `run.char_budget` below the
+largest prompt with no history of the selected tasks fails too: no prompt
+of such a run could fit it.
 API keys come from environment variables only, never from config files.
 """
 
@@ -24,6 +26,7 @@ import yaml
 from .pipeline import PipelineConfig
 from .policies import ConfigError, PolicyHandle, RemoteBackend, ScriptedBackend
 from .orchestrator import RunConfig
+from .prompts import HistoryView, render_actor_prompt, render_thinker_prompt
 from .world import TaskSpec, TextWorld, builtin_world_path, load_world
 
 
@@ -129,6 +132,23 @@ class ExperimentConfig:
     parallelism: int
 
 
+def _least_budget(world: TextWorld, tasks: list[TaskSpec],
+                  thinker: Optional[PolicyHandle]) -> tuple[int, str]:
+    """The length of the largest prompt with no history among the tasks'
+    actor prompts, and their thinker prompts when a thinker is set, and
+    which prompt it is: no smaller `char_budget` can be met."""
+    sizes = []
+    for task in tasks:
+        # a seed only reorders the initial observation, not its length
+        view = HistoryView(task.id, world.reset(task, 0)[1].text)
+        sizes.append((len(render_actor_prompt(task, view)),
+                      f"the actor prompt of task {task.id!r}"))
+        if thinker is not None:
+            sizes.append((len(render_thinker_prompt(task, view)),
+                          f"the thinker prompt of task {task.id!r}"))
+    return max(sizes)
+
+
 def resolve_world_path(name_or_path: str) -> Path:
     path = Path(name_or_path)
     if path.exists():
@@ -201,11 +221,17 @@ def load_config(path: str | Path,
 
     thinker = policy("thinker", "thinker")
     check("run", lambda: run.episode_thinker(thinker), with_flags)
+    tasks = [world.tasks[tid] for tid in task_ids]
+    need, prompt = _least_budget(world, tasks, thinker)
+    if run.char_budget < need:
+        raise ConfigValidationError(
+            f"{path}:run: char_budget must be at least {need}, the length of "
+            f"{prompt} with no history, got {run.char_budget}{with_flags}")
 
     return ExperimentConfig(
         world_file=data["world"],
         world=world,
-        tasks=[world.tasks[tid] for tid in task_ids],
+        tasks=tasks,
         actor=parse_policy(data["actor"], "actor", f"{path}:actor"),
         thinker=thinker,
         weak=policy("weak", "actor"),

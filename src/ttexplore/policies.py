@@ -2,9 +2,10 @@
 
 Two backend families:
 
-* scripted — named, deterministic functions of (prompt, seed). They read the
-  episode state back out of the rendered prompt text, so the whole test suite
-  runs offline. The behavior table lives in this module.
+* scripted — named, deterministic functions of (prompt, seed), so the whole
+  test suite runs offline. Each reads the episode state that the prompt
+  shows: the view a render carries, or a parse of a plain-string prompt.
+  The behavior table lives in this module.
 * remote — a chat-completions style HTTP endpoint; one single-turn request per
   call, API key taken from an environment variable. The decode settings
   (`temperature`, `max_output_tokens`) are fields of `RemoteBackend`, the one
@@ -42,10 +43,10 @@ from typing import Callable, Optional
 from .prompts import (
     REFLECTION_MARKER,
     ActorOutput,
+    Prompt,
     PromptView,
     format_actor_output,
     format_thinker_output,
-    last_action,
     parse_prompt,
 )
 from .world import SENTINEL, parse_action
@@ -246,6 +247,12 @@ CANNED_REFLECTION = (
 )
 
 
+def prompt_view(prompt: str) -> PromptView:
+    """What `prompt` shows of the episode: the view a render carries, or the
+    parse of a plain string, such as a prompt that came over the wire."""
+    return prompt.view if isinstance(prompt, Prompt) else parse_prompt(prompt)
+
+
 def _successful_actions(view: PromptView) -> set[str]:
     return {a for a, o in view.steps if o != SENTINEL}
 
@@ -278,10 +285,10 @@ def _latest_plan_step(view: PromptView) -> Optional[str]:
     return None
 
 
-def _repeat_last(action: Optional[str]) -> str:
+def _repeat_last(view: PromptView) -> str:
     """Repeat the last step's action, or look around before the first."""
     return format_actor_output(ActorOutput(
-        "keep going", "look around" if action is None else action))
+        "keep going", view.steps[-1][0] if view.steps else "look around"))
 
 
 def _answers_reflections(actor: Callable[[str, int], str]) -> Callable[[str, int], str]:
@@ -298,15 +305,15 @@ def _answers_reflections(actor: Callable[[str, int], str]) -> Callable[[str, int
 
 @_answers_reflections
 def loop_actor(prompt: str, seed: int) -> str:
-    """Repeats its last action; reads only the prompt's tail."""
-    return _repeat_last(last_action(prompt))
+    """Repeats its last action."""
+    return _repeat_last(prompt_view(prompt))
 
 
 @_answers_reflections
 def greedy_actor(prompt: str, seed: int) -> str:
     """Rule-ignorant subgoal chaser; follows the latest deep thought's plan
     lines when one is present."""
-    view = parse_prompt(prompt)
+    view = prompt_view(prompt)
     planned = _latest_plan_step(view)
     if planned is not None:
         return format_actor_output(ActorOutput("following the plan", planned))
@@ -326,17 +333,17 @@ def greedy_actor(prompt: str, seed: int) -> str:
 def obedient_actor(prompt: str, seed: int) -> str:
     """Follows the latest thought's plan lines; with no plan it degenerates to
     repeating its last action."""
-    view = parse_prompt(prompt)
+    view = prompt_view(prompt)
     planned = _latest_plan_step(view)
     if planned is not None:
         return format_actor_output(ActorOutput("following the plan", planned))
-    return _repeat_last(view.steps[-1][0] if view.steps else None)
+    return _repeat_last(view)
 
 
 @_answers_reflections
 def oracle_actor(prompt: str, seed: int) -> str:
     """Strong policy: plays the known-good script by position."""
-    view = parse_prompt(prompt)
+    view = prompt_view(prompt)
     script = SOLUTIONS.get(view.instruction, [])
     idx = len(view.steps)
     if idx < len(script):
@@ -349,7 +356,7 @@ def oracle_actor(prompt: str, seed: int) -> str:
 def wanderer_actor(prompt: str, seed: int) -> str:
     """Weak policy: cycles a fixed action list, position keyed to history
     length so behavior depends on the replayed prefix."""
-    view = parse_prompt(prompt)
+    view = prompt_view(prompt)
     cycle = WANDER_CYCLES.get(view.instruction)
     if not cycle:
         naive = NAIVE_PLANS.get(view.instruction, [])
@@ -362,7 +369,7 @@ def wanderer_actor(prompt: str, seed: int) -> str:
 def staged_actor(prompt: str, seed: int) -> str:
     """Executes two more solution steps per reflection received; used to
     exercise the retry harness."""
-    view = parse_prompt(prompt)
+    view = prompt_view(prompt)
     script = SOLUTIONS.get(view.instruction, [])
     limit = 2 * (len(view.reflections) + 1)
     idx = len(view.steps)
@@ -424,7 +431,7 @@ def _corrective_plan(instruction: str, succeeded: set[str]) -> list[str]:
 
 def oracle_thinker(prompt: str, seed: int) -> str:
     """Names the violated fixture rule and emits a corrective plan."""
-    view = parse_prompt(prompt)
+    view = prompt_view(prompt)
     failed, last_failed, succeeded = 0, "", set()
     for action, observation in view.steps:
         if observation == SENTINEL:

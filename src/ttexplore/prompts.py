@@ -15,26 +15,23 @@ excess, and no prompt is built only to be measured. What still grows with
 the history is C-speed copying of what the prompt keeps: about the
 character budget, plus the deep thoughts, which are never dropped.
 
-Reading a prompt back, `parse_prompt` resumes where the thread's last
-parse left a mark that the prompt shares: the end of that parse's final run
-of step pairs, when a newline follows it and no thought does, or else the
-latest deep thought. Below the budget a call so parses only the new steps,
-thoughts and fixed tail, with or without thoughts in the history. Over it,
-dropping a step shifts the prompt's head, but the history from some
-thought on is text the last parse read at another position: the parse
-takes that stretch from the last parse after one C-speed comparison, and
-reads in Python only the head up to that thought and what follows the last
-parse's final thought.
+A render returns a `Prompt`: the text, which is what a model reads, and
+the `PromptView` of exactly what that text shows, which is what the
+scripted fixtures read. The view is a snapshot of counts into the
+append-only `HistoryView`, built field by field on first read.
+`parse_prompt` reads a view from a plain string in one regex pass; the
+fixtures fall back to it for a prompt that is not a render, such as one a
+stub server received.
 """
 
 from __future__ import annotations
 
 import re
-import threading
 from bisect import bisect_left, bisect_right
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 from enum import Enum
-from typing import Iterable, Optional
+from functools import cached_property
+from typing import Iterable
 
 from .world import TaskSpec
 
@@ -54,7 +51,8 @@ class ParseError(ValueError):
 
 class ContractViolation(ValueError):
     """A history view was built with a thought outside its history, or
-    rendered against the wrong task."""
+    rendered against the wrong task, or with thoughts into a reflection
+    request."""
 
 
 @dataclass(frozen=True)
@@ -87,12 +85,12 @@ class HistoryView:
 
     Each history line is rendered once, when it is appended: a step becomes
     ``Action: …\nObservation: …`` and a thought ``Deep Thought: …``. The view
-    keeps the lines in render order, the thought lines again in anchor order,
-    and a running prefix sum of each step's character cost, so a render and
-    its budget fit join list slices without a per-step loop. ``add_step`` and
-    ``add_thought`` are the one append path; ``steps`` and ``thoughts`` are
-    read-only. A thought given to the constructor with an anchor outside
-    ``[0, len(steps)]`` raises ``ContractViolation``.
+    keeps the lines in render order, the thoughts and their lines again in
+    anchor order, and a running prefix sum of each step's character cost, so
+    a render and its budget fit join list slices without a per-step loop.
+    ``add_step`` and ``add_thought`` are the one append path; ``steps`` and
+    ``thoughts`` are read-only. A thought given to the constructor with an
+    anchor outside ``[0, len(steps)]`` raises ``ContractViolation``.
     """
 
     def __init__(self, task_id: str, initial_observation: str,
@@ -103,18 +101,18 @@ class HistoryView:
         self.initial_observation = initial_observation
         self.reflections = list(reflections)
         self._steps = _ReadOnlyList()  # (action, observation)
-        self._thoughts = _ReadOnlyList(thoughts)  # (anchor_step, text)
+        self._thoughts = _ReadOnlyList()  # (anchor_step, text) in anchor order
         self._lines: list[str] = []  # render order with nothing dropped
         self._thought_lines: list[str] = []  # in anchor order
-        self._anchors: list[int] = []
         self._cost = [0]  # characters of the first i steps' lines
         self._chars = 0  # characters of all lines
         steps = list(steps)
-        for anchor, _ in self._thoughts:
+        thoughts = sorted(thoughts, key=lambda t: t[0])
+        for anchor, _ in thoughts:
             if not 0 <= anchor <= len(steps):
                 raise ContractViolation(f"thought anchor {anchor} outside "
                                         f"history of length {len(steps)}")
-        for anchor, text in sorted(self._thoughts, key=lambda t: t[0]):
+        for anchor, text in thoughts:
             for step in steps[len(self._steps):anchor]:
                 self.add_step(*step)
             self._put_thought(anchor, text)
@@ -138,15 +136,14 @@ class HistoryView:
 
     def add_thought(self, text: str) -> None:
         """A deep thought anchored after the latest step."""
-        list.append(self._thoughts, (len(self._steps), text))
         self._put_thought(len(self._steps), text)
 
     def _put_thought(self, anchor: int, text: str) -> None:
+        list.append(self._thoughts, (anchor, text))
         line = f"Deep Thought: {text}"
         self._lines.append(line)
         self._chars += len(line) + 1
         self._thought_lines.append(line)
-        self._anchors.append(anchor)
 
     def copy(self) -> "HistoryView":
         """An independent view: appends to the copy leave this one untouched."""
@@ -161,7 +158,7 @@ class HistoryView:
         steps and those thoughts are the first lines in render order."""
         if drop_oldest == 0:
             return self._lines
-        thoughts = bisect_right(self._anchors, drop_oldest)
+        thoughts = bisect_right(self._thoughts, drop_oldest, key=lambda t: t[0])
         return [TRUNCATION_MARKER, *self._thought_lines[:thoughts],
                 *self._lines[drop_oldest + thoughts:]]
 
@@ -172,6 +169,62 @@ class HistoryView:
     def __repr__(self) -> str:
         return (f"HistoryView({self.task_id!r}, steps={self._steps!r}, "
                 f"thoughts={self._thoughts!r})")
+
+
+@dataclass(eq=False)
+class PromptView:
+    """What a prompt shows of an episode: the instruction, the initial
+    observation, the (action, observation) steps, the deep thoughts at their
+    step positions, and the reflections."""
+    instruction: str = ""
+    initial_observation: str = ""
+    steps: list[tuple[str, str]] = field(default_factory=list)
+    thoughts: list[tuple[int, str]] = field(default_factory=list)
+    reflections: list[str] = field(default_factory=list)
+
+    def __eq__(self, other: object) -> bool:
+        # a render's view equals a parse's view that shows the same
+        return isinstance(other, PromptView) and all(
+            getattr(self, f.name) == getattr(other, f.name)
+            for f in fields(PromptView))
+
+
+class _ShownView(PromptView):
+    """The view of one render: the counts of steps and thoughts that the
+    append-only `HistoryView` held when it was rendered, and the steps the
+    budget dropped. The steps and thoughts are built on first read, from
+    those counts, so a render pays nothing for a view no one reads, and
+    later appends to the history do not reach it."""
+
+    def __init__(self, history: HistoryView, drop: int, instruction: str,
+                 initial_observation: str, reflections: Iterable[str]):
+        self.instruction = instruction
+        self.initial_observation = initial_observation
+        self.reflections = list(reflections)
+        self._history = history
+        self._drop = drop
+        self._steps = len(history.steps)
+        self._thoughts = len(history.thoughts)
+
+    @cached_property
+    def steps(self) -> list[tuple[str, str]]:
+        return self._history.steps[self._drop:self._steps]
+
+    @cached_property
+    def thoughts(self) -> list[tuple[int, str]]:
+        # a thought anchored at a dropped step follows the truncation marker
+        drop = self._drop
+        return [(max(0, anchor - drop), text)
+                for anchor, text in self._history.thoughts[:self._thoughts]]
+
+
+class Prompt(str):
+    """A rendered prompt: its text, and as `view` the `PromptView` of what
+    the text shows, which the scripted fixtures read instead of parsing the
+    text back. It is `parse_prompt` of the text wherever no history line
+    holds a tag line of its own."""
+
+    view: PromptView
 
 
 ACTOR_FORMAT_BLOCK = (
@@ -195,7 +248,7 @@ def _check_history(task: TaskSpec, view: HistoryView) -> None:
 
 
 def render_actor_prompt(task: TaskSpec, view: HistoryView,
-                        char_budget: int = DEFAULT_CHAR_BUDGET) -> str:
+                        char_budget: int = DEFAULT_CHAR_BUDGET) -> Prompt:
     _check_history(task, view)
     head = [
         "You are an Action Agent responsible for achieving a text-based task.",
@@ -228,11 +281,13 @@ def render_actor_prompt(task: TaskSpec, view: HistoryView,
         "strictly. Use the following format:",
         ACTOR_FORMAT_BLOCK,
     ]
-    return _fit_budget("\n".join(head), "\n".join(tail), view, char_budget)
+    return _fit_budget("\n".join(head), "\n".join(tail), view, char_budget,
+                       task.instruction, view.initial_observation,
+                       view.reflections)
 
 
 def render_thinker_prompt(task: TaskSpec, view: HistoryView,
-                          char_budget: int = DEFAULT_CHAR_BUDGET) -> str:
+                          char_budget: int = DEFAULT_CHAR_BUDGET) -> Prompt:
     _check_history(task, view)
     head = [
         "You are a Thinker Agent responsible for uncovering the implicit "
@@ -269,15 +324,19 @@ def render_thinker_prompt(task: TaskSpec, view: HistoryView,
         "Use the following format for your response:",
         THINKER_FORMAT_BLOCK,
     ]
-    return _fit_budget("\n".join(head), "\n".join(tail), view, char_budget)
+    return _fit_budget("\n".join(head), "\n".join(tail), view, char_budget,
+                       task.instruction, view.initial_observation)
 
 
 def render_reflection_prompt(task: TaskSpec, view: HistoryView,
                              process_score: float,
-                             char_budget: int = DEFAULT_CHAR_BUDGET) -> str:
+                             char_budget: int = DEFAULT_CHAR_BUDGET) -> Prompt:
     """The request for a reflection on a failed attempt whose steps `view`
-    holds; the view carries no thoughts."""
+    holds; a view with thoughts raises `ContractViolation`."""
     _check_history(task, view)
+    if view.thoughts:
+        raise ContractViolation("a reflection request shows steps only, "
+                                "but the history holds thoughts")
     head = [
         f"{REFLECTION_MARKER} the previous attempt at this task failed.",
         "",
@@ -292,22 +351,30 @@ def render_reflection_prompt(task: TaskSpec, view: HistoryView,
         "Write a short reflection on what went wrong and what to do "
         "differently in the next attempt.",
     ]
-    return _fit_budget("\n".join(head), "\n".join(tail), view, char_budget)
+    return _fit_budget("\n".join(head), "\n".join(tail), view, char_budget,
+                       task.instruction)
 
 
-def _fit_budget(head: str, tail: str, view: HistoryView, char_budget: int) -> str:
+def _fit_budget(head: str, tail: str, view: HistoryView, char_budget: int,
+                instruction: str, initial_observation: str = "",
+                reflections: Iterable[str] = ()) -> Prompt:
     """`head`, the history and `tail` on their own lines, with the fewest
     oldest steps dropped that fits, or all of them. The full prompt's length
     follows from the lengths of its parts, and only the dropped steps' lines
     and the truncation marker change it, so the drop count is the first
     prefix of step costs that covers the excess plus the marker's line. The
-    history is joined once, with that drop count."""
+    history is joined once, with that drop count. The prompt's view holds
+    the kept history and the given instruction, initial observation and
+    reflections, which are what the head and tail show of the episode."""
     drop = 0
     excess = len(head) + len(tail) + 1 + view._chars - char_budget
     if excess > 0 and view.steps:
         drop = min(bisect_left(view._cost, excess + len(TRUNCATION_MARKER) + 1, 1),
                    len(view.steps))
-    return "\n".join([head, *view._history_lines(drop), tail])
+    prompt = Prompt("\n".join([head, *view._history_lines(drop), tail]))
+    prompt.view = _ShownView(view, drop, instruction, initial_observation,
+                             reflections)
+    return prompt
 
 
 _THINK_RE = re.compile(r"<think>(.*?)</think>", re.DOTALL)
@@ -348,29 +415,7 @@ def format_thinker_output(text: str) -> str:
     return f"<deepthink>{text}</deepthink>"
 
 
-# --- prompt introspection, used by the scripted fixture policies -----------
-#
-# `parse_prompt` reads a prompt back at one Python step per tagged line and
-# per run of step pairs; every token starts with a literal newline, so the
-# regex engine tries a match only at line starts. Each thread keeps its last
-# parse, and a prompt that shares its text with that parse through the
-# newline after its final run of step pairs, or through a `Deep Thought: `
-# tag, resumes there: below the character budget a scripted call reads only
-# what follows the last step or the latest thought it shares. A run of pairs
-# split at a pair boundary gives the same steps, and the newline must be
-# shared, or the run's last observation could go on. Over the budget, the
-# stretch that the last parse read up to its final thought is taken from it
-# where the prompt still holds that text, moved. `last_action` parses only
-# the text after the last `Action: ` line and leaves that state alone.
-
-@dataclass
-class PromptView:
-    instruction: str = ""
-    initial_observation: str = ""
-    steps: list[tuple[str, str]] = field(default_factory=list)
-    thoughts: list[tuple[int, str]] = field(default_factory=list)  # (step position, text)
-    reflections: list[str] = field(default_factory=list)
-
+# --- reading a plain string back --------------------------------------------
 
 # Matched over "\n" + prompt; `(?![^\n])` is a line end.
 _PROMPT_TOKEN_RE = re.compile(
@@ -383,56 +428,37 @@ _PROMPT_TOKEN_RE = re.compile(
     r"|Action: (?P<action>[^\n]*)|Observation: (?P<observation>[^\n]*)"
     r"|(?P<section>Previous Reflections:|Attention:)(?![^\n]))")
 _PAIR_RE = re.compile(r"\nAction: ([^\n]*)\nObservation: ([^\n]*)")
-_THOUGHT_TAG = "Deep Thought: "
-
-# per thread: (prompt, its view, its thought marks, its end mark) of the
-# last `parse_prompt`
-_last_parse = threading.local()
 
 
-def _scan(text: str, pos: int, view: PromptView,
-          pending_action: Optional[str], in_reflections: bool,
-          marks: list[tuple], ends: list[tuple],
-          last: Optional[tuple] = None) -> PromptView:
-    """Parse `text`, a newline and a prompt, from `pos` into `view`, given
-    the parser state at `pos`. Each thought token appends a mark to `marks`:
-    its position and the state just before it. Each run of step pairs that
-    a newline follows appends an end mark to `ends`: the position of that
-    newline and the state there, in the same layout.
+def parse_prompt(prompt: str) -> PromptView:
+    """Recover the structured history from a prompt's text: a plain string,
+    such as one that a stub server received, or a hand-written prompt. A
+    render's own view is `Prompt.view`.
 
-    Given `last`, the thread's last parse, a thought token whose ordinal `i`
-    is below that parse's last mark `L` takes the stretch from old mark `i`
-    to mark `L` from it, wherever the stretch now lies, when the parser
-    state equals mark `i`'s and the text from the token's line start equals
-    the old text through mark `L`'s tag (`_relocate`). A cheap check of the
-    text through mark `i + 1`'s tag comes first, and after one full
-    comparison fails the scan goes on plainly."""
-    for token in _PROMPT_TOKEN_RE.finditer(text, pos):
+    One regex pass yields a token, named by its group, at each line that
+    starts with a tag:
+
+    - a run of adjacent ``Action: `` / ``Observation: `` line pairs, whose
+      steps come from one ``findall``;
+    - a ``Deep Thought: `` line with its continuation lines, which end before
+      an ``Action: `` or ``Deep Thought: `` line, or before an empty line
+      followed by ``Attention:`` or ``Previous Reflections:``;
+    - a single tagged line: the instruction, the initial observation, the
+      ``Previous Reflections:`` and ``Attention:`` section lines, a ``- ``
+      item, a lone ``Action: ``, and an ``Observation: `` line.
+
+    The engine skips every other line, which cannot change the view.
+    """
+    view, pending_action, in_reflections = PromptView(), None, False
+    text = "\n" + prompt
+    for token in _PROMPT_TOKEN_RE.finditer(text):
         kind = token.lastgroup
         if kind == "pairs":
             view.steps += _PAIR_RE.findall(text, token.start(), token.end())
             pending_action = None
-            if text.startswith("\n", token.end()):
-                ends.append((token.end(), len(view.steps), len(view.thoughts),
-                             len(view.reflections), view.instruction,
-                             view.initial_observation, None, in_reflections))
             continue
         value = token.group(kind)
         if kind == "thought":
-            i = len(view.thoughts)
-            mark = (token.start(), len(view.steps), i, len(view.reflections),
-                    view.instruction, view.initial_observation,
-                    pending_action, in_reflections)
-            if last is not None and i < len(last[2]) - 1:
-                old, _, old_marks, _ = last
-                start, shift = old_marks[i][0], token.start() - old_marks[i][0]
-                if (old_marks[i][4:] == mark[4:] and _moved(
-                        text, old, start, old_marks[i + 1][0] + len(_THOUGHT_TAG),
-                        shift)):
-                    if _relocate(text, mark, view, marks, ends, last):
-                        return view
-                    last = None  # one failed full comparison per parse
-            marks.append(mark)
             view.thoughts.append((len(view.steps), value.rstrip()))
         elif kind == "action":
             pending_action = value
@@ -449,156 +475,3 @@ def _scan(text: str, pos: int, view: PromptView,
         elif kind == "section":
             in_reflections = value == "Previous Reflections:"
     return view
-
-
-def _moved(text: str, old: str, start: int, end: int, shift: int) -> bool:
-    """Whether `text`, a newline and a prompt, holds `old`'s text from
-    `start` to `end` moved by `shift` characters."""
-    return text.startswith(old[start:end], start + shift + 1)
-
-
-def _relocate(text: str, mark: tuple, view: PromptView, marks: list[tuple],
-              ends: list[tuple], last: tuple) -> bool:
-    """At the thought token whose mark is `mark`, take the stretch of the
-    last parse from its mark of the same thought ordinal `i` to its last
-    mark `L`, and scan on from mark `L`'s moved position with its state, if
-    `text` holds the old text through mark `L`'s tag there; otherwise change
-    nothing and return False. The caller has compared the text through mark
-    `i + 1`'s tag, and this compares the rest.
-
-    The stretch parses as it did, because no token before a
-    ``Deep Thought: `` line start reads past its tag: the old parse's tokens
-    from mark `i` to mark `L` are this text's tokens, moved."""
-    old, old_view, old_marks, _ = last
-    at, steps, i, reflections = mark[:4]
-    start, old_steps, _, old_reflections = old_marks[i][:4]
-    stop = old_marks[-1]
-    shift = at - start
-    if not _moved(text, old, old_marks[i + 1][0] + len(_THOUGHT_TAG),
-                  stop[0] + len(_THOUGHT_TAG), shift):
-        return False
-    step_shift, reflection_shift = steps - old_steps, reflections - old_reflections
-    marks += [(p + shift, s + step_shift, t, r + reflection_shift, *state)
-              for p, s, t, r, *state in old_marks[i:-1]]
-    view.steps += old_view.steps[old_steps:stop[1]]
-    view.thoughts += [(anchor + step_shift, thought)
-                      for anchor, thought in old_view.thoughts[i:-1]]
-    view.reflections += old_view.reflections[old_reflections:stop[3]]
-    view.instruction, view.initial_observation = stop[4:6]
-    _scan(text, stop[0] + shift, view, stop[6], stop[7], marks, ends)
-    return True
-
-
-def _shares(prompt: str, old: str, start: int, end: int) -> bool:
-    """Whether `prompt` holds `old`'s text from `start` to `end`."""
-    return prompt.startswith(old[start:end], start)
-
-
-def _shared_marks(prompt: str, old: str, marks: list[tuple]) -> int:
-    """How many of `old`'s marks `prompt` shares, with their line start and
-    tag, found by bisection. A probe copies and compares only the text after
-    the prefix already known to be shared."""
-    lo, hi, known = 0, len(marks), 0
-    while lo < hi:
-        mid = (lo + hi) // 2
-        end = marks[mid][0] + len(_THOUGHT_TAG)
-        if _shares(prompt, old, known, end):
-            lo, known = mid + 1, end
-        else:
-            hi = mid
-    return lo
-
-
-def parse_prompt(prompt: str) -> PromptView:
-    """Recover the structured history from a rendered prompt.
-
-    Scripted policies are pure functions of (prompt, seed); this is how they
-    read the episode state back out of the text. One regex pass yields a
-    token, named by its group, at each line that starts with a tag:
-
-    - a run of adjacent ``Action: `` / ``Observation: `` line pairs, whose
-      steps come from one ``findall``;
-    - a ``Deep Thought: `` line with its continuation lines, which end before
-      an ``Action: `` or ``Deep Thought: `` line, or before an empty line
-      followed by ``Attention:`` or ``Previous Reflections:``;
-    - a single tagged line: the instruction, the initial observation, the
-      ``Previous Reflections:`` and ``Attention:`` section lines, a ``- ``
-      item, a lone ``Action: ``, and an ``Observation: `` line.
-
-    The engine skips every other line, which cannot change the view.
-
-    The pass resumes at the end of this thread's last parse's final run of
-    step pairs when the prompt shares that parse's text through the newline
-    after the run, and no thought of that parse follows the run; one
-    ``startswith`` checks the text. That is exact: no token before the run
-    reads past its start, the run split at a pair boundary gives the same
-    steps, and the shared newline ends its last observation, so the run in
-    this prompt is the old run and zero or more further pairs. A run that
-    ends the last prompt leaves no such mark.
-
-    Otherwise the pass resumes at the latest thought token of the last
-    parse whose text, through its tag, the prompt shares. That is exact:
-    no token before a ``Deep Thought: `` line start reads past its tag (a
-    thought stops there, and a run of step pairs cannot cross it), so the
-    parser state there depends only on the shared text.
-
-    For the same reason the tokens between two thought line starts depend
-    only on the text between them and the state at the first. So when a
-    truncated prompt drops steps, and with them moves the history that the
-    last parse read, the pass takes the stretch from a thought through the
-    last parse's final thought from that parse, shifted, once the text and
-    the state at the thought are seen to match (see `_scan`). A call then
-    reads in Python only the prompt's head and what follows that final
-    thought, and compares the moved text in C.
-    """
-    view, pos, pending_action, in_reflections = PromptView(), 0, None, False
-    marks: list[tuple] = []
-    ends: list[tuple] = []
-    last = getattr(_last_parse, "state", None)
-    if last is not None:
-        old, old_view, old_marks, end = last
-        resume = None
-        if end is not None and prompt.startswith(old[:end[0]]):
-            resume, marks, ends = end, old_marks[:], [end]
-        else:
-            shared = _shared_marks(prompt, old, old_marks)
-            if shared:
-                resume, marks = old_marks[shared - 1], old_marks[:shared - 1]
-        if resume is not None:
-            (pos, steps, thoughts, reflections, view.instruction,
-             view.initial_observation, pending_action, in_reflections) = resume
-            view.steps = old_view.steps[:steps]
-            view.thoughts = old_view.thoughts[:thoughts]
-            view.reflections = old_view.reflections[:reflections]
-    _scan("\n" + prompt, pos, view, pending_action, in_reflections, marks, ends,
-          last)
-    # an end mark with a thought mark after it is never the latest resume
-    end = ends[-1] if ends and (not marks or marks[-1][0] < ends[-1][0]) else None
-    _last_parse.state = (prompt, view, marks, end)
-    # the caller gets its own lists, so that changing them cannot reach a resume
-    return PromptView(view.instruction, view.initial_observation,
-                      view.steps[:], view.thoughts[:], view.reflections[:])
-
-
-def last_action(prompt: str) -> Optional[str]:
-    """The action of `parse_prompt(prompt)`'s last step, or None when it has
-    no step, from a parse of the text after the last ``Action: `` line.
-
-    That line either lies in a run of step pairs, which the suffix parses to
-    the same last step, or begins a token, since no thought or other line
-    swallows it; the steps after such a token do not depend on the text
-    before it. A suffix with no step (a lone action) leaves the last step to
-    the text before that line. The suffix parse leaves the thread's last
-    parse untouched.
-    """
-    end = len(prompt)
-    while end > 0:
-        start = prompt.rfind("\nAction: ", 0, end) + 1
-        if start == 0 and not prompt.startswith("Action: ", 0, end):
-            return None
-        steps = _scan("\n" + prompt[start:end], 0, PromptView(), None, False,
-                      [], []).steps
-        if steps:
-            return steps[-1][0]
-        end = start
-    return None

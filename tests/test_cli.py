@@ -902,6 +902,25 @@ def test_run_rejects_a_value_that_cannot_run_before_creating_a_store(
     assert not (tmp_path / "runs").exists()
 
 
+@pytest.mark.parametrize("role,need", [("thinker", 1146), ("actor", 877)])
+def test_validate_rejects_a_budget_that_no_prompt_can_meet(runner, tmp_path,
+                                                          role, need):
+    """minihouse-2's prompts with no history are 877 characters for the
+    actor and 1,146 for the thinker; the largest that the config's policies
+    render is the least budget it accepts."""
+    doc = config_doc()
+    if role == "actor":  # a ReAct config with no thinker
+        doc.update(thinker=None, run={"mode": "react", "max_steps": 50})
+    for budget, code in ((need, 0), (need - 1, 2)):
+        doc["run"] = {**doc["run"], "char_budget": budget}
+        result = runner.invoke(main, ["validate", "--config",
+                                      str(write_config(tmp_path, doc))])
+        assert result.exit_code == code, result.output
+    assert (f"exp.yaml:run: char_budget must be at least {need}, the length "
+            f"of the {role} prompt of task 'minihouse-2' with no history, "
+            f"got {need - 1}") in result.output
+
+
 def test_remote_policy_loads_from_a_config_file(tmp_path):
     doc = config_doc(actor=REMOTE, thinker={
         **REMOTE, "model": "t", "api_key_env": "OTHER_KEY", "max_retries": 0,

@@ -75,12 +75,16 @@ def test_loop_actor_repeats_last_action(minihouse1):
     prompt = actor_prompt(minihouse1, "minihouse-1",
                           steps=[("go to kitchen", "fine")])
     assert parse_actor_output(complete(handle, prompt)).action == "go to kitchen"
+    # with no plan to follow, the obedient actor loops too
+    assert complete(scripted("actor", "obedient-actor"), prompt) == \
+        complete(handle, prompt)
 
 
-def test_obedient_actor_without_a_plan_loops_on_one_parse(minihouse1,
-                                                          monkeypatch):
-    prompt = actor_prompt(minihouse1, "minihouse-1",
-                          steps=[("go to kitchen", "fine")])
+@pytest.mark.parametrize("mode", ["react", "ttexplore", "reflexion", "bestofn"])
+def test_an_episode_parses_no_prompt(minihouse1, monkeypatch, mode):
+    """Every scripted actor, with `noisy-thinker`, reads the view that each
+    render carries: a full episode in each mode parses no prompt text, and
+    only a plain string is parsed."""
     calls = []
     real = policies.parse_prompt
 
@@ -89,10 +93,18 @@ def test_obedient_actor_without_a_plan_loops_on_one_parse(minihouse1,
         return real(text)
 
     monkeypatch.setattr(policies, "parse_prompt", counting)
-    answer = complete(scripted("actor", "obedient-actor"), prompt)
-    assert len(calls) == 1
-    assert answer == complete(scripted("actor", "loop-actor"), prompt)
-    assert parse_actor_output(answer).action == "go to kitchen"
+    task = minihouse1.tasks["minihouse-1"]
+    cfg = RunConfig(mode=mode, max_steps=20, n_trigger=3, retries_N=2,
+                    samples_N=2)
+    for name in SCRIPTED_POLICIES:
+        if name.endswith("-actor"):
+            traj = run_mode(minihouse1, scripted("actor", name), task, cfg,
+                            scripted("thinker", "noisy-thinker"))
+            assert traj.error is None and traj.steps
+    assert calls == []
+    prompt = str(actor_prompt(minihouse1, "minihouse-1"))
+    complete(scripted("actor", "greedy-actor"), prompt)
+    assert calls == [prompt]
 
 
 def test_greedy_actor_follows_plan_lines(minihouse1):

@@ -9,9 +9,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from ttexplore import load_builtin_world, pipeline, policies, prompts
+from ttexplore import load_builtin_world, prompts
 from ttexplore.orchestrator import RunConfig, run_mode
-from ttexplore.policies import SCRIPTED_POLICIES, loop_actor, scripted
+from ttexplore.policies import SCRIPTED_POLICIES, SOLUTIONS, loop_actor, scripted
 from ttexplore.prompts import (
     ACTOR_FORMAT_BLOCK,
     THINKER_FORMAT_BLOCK,
@@ -23,7 +23,6 @@ from ttexplore.prompts import (
     ParseErrorKind,
     format_actor_output,
     format_thinker_output,
-    last_action,
     parse_actor_output,
     parse_prompt,
     parse_thinker_output,
@@ -96,6 +95,11 @@ def test_wrong_task_id_raises(task, view):
     assert view.task_id == task.id  # sanity on the fixture
 
 
+def test_a_reflection_request_takes_no_thoughts(task, view):
+    with pytest.raises(ContractViolation, match="steps only"):
+        render_reflection_prompt(task, view, 0.0)
+
+
 def test_thought_anchor_out_of_range_raises(task):
     for anchor in (-1, 2):
         with pytest.raises(ContractViolation, match=f"anchor {anchor} "):
@@ -133,7 +137,7 @@ def _joined(head, tail, view, drop):
     return "\n".join([head, *view._history_lines(drop), tail])
 
 
-def _reference_fit_budget(head, tail, view, char_budget):
+def _reference_fit_budget(head, tail, view, char_budget, *shown):
     """Drop one oldest step at a time and rebuild until the prompt fits."""
     prompt = _joined(head, tail, view, 0)
     drop = 0
@@ -153,7 +157,7 @@ def mh1_task():
 
 def _build_lengths(render, task, view):
     """Length of the prompt built with each drop count from 0 to every step."""
-    def lengths(head, tail, view, _budget):
+    def lengths(head, tail, view, *_):
         return [len(_joined(head, tail, view, drop))
                 for drop in range(len(view.steps) + 1)]
     with mock.patch.object(prompts, "_fit_budget", lengths):
@@ -195,7 +199,7 @@ def test_fit_budget_matches_drop_one_at_a_time(mh1_task, view, data):
         assert render(mh1_task, view, budget) == expected
 
 
-def _render_reflection(task, view, char_budget):
+def _render_reflection(task, view, char_budget=prompts.DEFAULT_CHAR_BUDGET):
     return render_reflection_prompt(task, view, 33.33, char_budget)
 
 
@@ -235,7 +239,6 @@ _THOUGHT = st.lists(st.text(alphabet="ab .", min_size=1).map(str.strip).filter(b
 @settings(max_examples=200, deadline=None)
 @given(view=histories(_LINE, _THOUGHT), data=st.data())
 def test_parse_prompt_recovers_what_the_render_kept(mh1_task, view, data):
-    _no_last_parse()
     thoughts = sorted(view.thoughts, key=lambda t: t[0])
     for render in (render_actor_prompt, render_thinker_prompt):
         lengths = _build_lengths(render, mh1_task, view)
@@ -418,13 +421,6 @@ def test_parse_prompt_recovers_reflections(task):
 
 # --- the one-pass parser against the line-by-line reference ----------------
 
-def _no_last_parse():
-    """Clear this thread's last parse, its prompt, view, thought marks and
-    end mark, so that a hypothesis example parses as it would alone and a
-    failing example fails again when replayed."""
-    prompts._last_parse.state = None
-
-
 def _reference_parse_prompt(prompt):
     """The line-by-line state machine the regex tokenizer replaced."""
     view = prompts.PromptView()
@@ -482,14 +478,12 @@ _TAGGED_TEXT = st.lists(_FRAGMENTS, max_size=24).map("".join)
 @settings(max_examples=1000, deadline=None)
 @given(_TAGGED_TEXT)
 def test_parse_prompt_matches_reference_on_any_string(text):
-    _no_last_parse()
     assert parse_prompt(text) == _reference_parse_prompt(text)
 
 
 @settings(max_examples=200, deadline=None)
 @given(view=histories(_TAGGED_TEXT, _TAGGED_TEXT), data=st.data())
 def test_parse_prompt_matches_reference_on_renders(mh1_task, view, data):
-    _no_last_parse()
     for render in (render_actor_prompt, render_thinker_prompt):
         budget = data.draw(budgets(_build_lengths(render, mh1_task, view)))
         prompt = render(mh1_task, view, budget)
@@ -514,7 +508,8 @@ def test_parse_prompt_matches_reference_on_a_long_episode():
         parsed = parse_prompt(prompt)
         assert parsed == _reference_parse_prompt(prompt)
         assert len(parsed.thoughts) == len(view.thoughts)
-        assert last_action(prompt) == parsed.steps[-1][0] == view.steps[-1][0]
+        assert prompt.view == parsed
+        assert parsed.steps[-1] == view.steps[-1]
 
 
 @pytest.mark.parametrize("world_id", ["minihouse1", "minihouse2", "keymaze1"])
@@ -530,28 +525,36 @@ def test_parse_prompt_tokenizes_only_tagged_lines(world_id, render):
     assert len(prompts._PROMPT_TOKEN_RE.findall("\n" + prompt)) == 8
 
 
-# --- the tail parse against the full parse -----------------------------------
+# --- the loop actor repeats the full parse's last step ----------------------
 
-def _full_parse_last_action(text):
-    steps = parse_prompt(text).steps
+def _repeating(action):
+    """The loop actor's answer when the last step's action is `action`."""
+    return format_actor_output(ActorOutput(
+        "keep going", "look around" if action is None else action))
+
+
+def _reference_last_action(text):
+    steps = _reference_parse_prompt(text).steps
     return steps[-1][0] if steps else None
 
 
 @settings(max_examples=1000, deadline=None)
 @given(_TAGGED_TEXT)
 def test_last_action_matches_the_full_parse_on_any_string(text):
-    _no_last_parse()
-    assert last_action(text) == _full_parse_last_action(text)
+    """On a plain string the loop actor repeats the last step of the parse."""
+    assert loop_actor(text, 0) == _repeating(_reference_last_action(text))
 
 
 @settings(max_examples=200, deadline=None)
-@given(view=histories(_TAGGED_TEXT, _TAGGED_TEXT), data=st.data())
+@given(view=histories(_LINE, _THOUGHT), data=st.data())
 def test_last_action_matches_the_full_parse_on_renders(mh1_task, view, data):
-    _no_last_parse()
+    """On a render the loop actor repeats the last step its view keeps,
+    which is the last step of the text's parse."""
     for render in (render_actor_prompt, render_thinker_prompt):
         budget = data.draw(budgets(_build_lengths(render, mh1_task, view)))
         prompt = render(mh1_task, view, budget)
-        assert last_action(prompt) == _full_parse_last_action(prompt)
+        expected = _repeating(_reference_last_action(prompt))
+        assert loop_actor(prompt, 0) == loop_actor(str(prompt), 0) == expected
 
 
 @pytest.mark.parametrize("text,expected", [
@@ -565,143 +568,112 @@ def test_last_action_matches_the_full_parse_on_renders(mh1_task, view, data):
     ("x\nAction: a\nObservation: b\nAction: c\nObservation: d\nAction: e", "c"),
 ])
 def test_last_action_skips_lone_actions(text, expected):
-    assert last_action(text) == _full_parse_last_action(text) == expected
+    assert _reference_last_action(text) == expected
+    assert loop_actor(text, 0) == _repeating(expected)
 
 
-# --- the resumed parse against the reference ---------------------------------
+# --- the view a render carries -------------------------------------------------
 
-# `\nAction: x\nObservation: y\n` ends a run with a line break, an end mark
-_RESUME_TEXT = st.lists(st.one_of(_FRAGMENTS, st.sampled_from([
-    "\nDeep Thought: t", "\nDeep Thought: t\nu", "\nDeep Thought: ",
-    "\nAction: x\nObservation: y", "Deep Thought: t\n",
-    "\nAction: x\nObservation: y\n"])), max_size=24).map("".join)
-
-
-@settings(max_examples=1000, deadline=None)
-@given(first=_RESUME_TEXT, suffix=_RESUME_TEXT, data=st.data())
-def test_parse_prompt_resumes_exactly_after_a_shared_prefix(first, suffix, data):
-    _no_last_parse()
-    second = first[:data.draw(st.integers(0, len(first)))] + suffix
-    assert parse_prompt(first) == _reference_parse_prompt(first)
-    assert parse_prompt(second) == _reference_parse_prompt(second)
+def _render_each(task, view, data):
+    """The actor and thinker renders of `view` and the reflection request on
+    its steps, each at a budget drawn from nothing at all to more than its
+    whole prompt."""
+    steps_only = HistoryView(view.task_id, view.initial_observation,
+                             steps=view.steps, reflections=view.reflections)
+    for render, v in ((render_actor_prompt, view), (render_thinker_prompt, view),
+                      (_render_reflection, steps_only)):
+        yield render(task, v, data.draw(budgets(_build_lengths(render, task, v))))
 
 
-@pytest.mark.parametrize("first,second", [
-    # an action pending before the thought pairs with a later observation
-    ("Action: a\nDeep Thought: t\n\nAttention:\nObservation: b",
-     "Action: a\nDeep Thought: u\n\nAttention:\nObservation: c"),
-    # a reflections section open before the thought takes a later item
-    ("The Task: i\nPrevious Reflections:\n- r\nDeep Thought: t\nAction: x\n- s",
-     "The Task: i\nPrevious Reflections:\n- r\nDeep Thought: u\nAction: y\n- v"),
-    # steps and thoughts before the latest shared thought, then new ones
-    ("Initial Observation: o\nAction: a\nObservation: b\nDeep Thought: t\n"
-     "Action: c\nObservation: d\nDeep Thought: u",
-     "Initial Observation: o\nAction: a\nObservation: b\nDeep Thought: t\n"
-     "Action: c\nObservation: d\nDeep Thought: w\nAction: e\nObservation: f"),
-])
-def test_parse_prompt_resumes_with_the_state_before_the_thought(first, second):
-    parse_prompt(first)
-    assert parse_prompt(second) == _reference_parse_prompt(second)
+@settings(max_examples=300, deadline=None)
+@given(view=histories(_LINE, _THOUGHT), data=st.data())
+def test_a_render_carries_the_view_its_text_parses_to(mh1_task, view, data):
+    """Within and over the budget, with thoughts and reflections: what a
+    render's view shows is what its text shows."""
+    for prompt in _render_each(mh1_task, view, data):
+        assert isinstance(prompt, prompts.Prompt)
+        assert prompt.view == parse_prompt(str(prompt))
 
 
-@pytest.mark.parametrize("first,second,resumes", [
-    # a run that ends the text leaves no end mark: the observation goes on
-    ("Action: a\nObservation: b", "Action: a\nObservation: bc", False),
-    # a lone observation after the run pairs with no action
-    ("Action: a\nObservation: b\n\nAttention:",
-     "Action: a\nObservation: b\nObservation: c\n\nAttention:", True),
-    # a thought after the run, then a run it anchors before
-    ("Action: a\nObservation: b\n\nAttention:",
-     "Action: a\nObservation: b\nDeep Thought: t\nAction: c\nObservation: d"
-     "\n\nAttention:", True),
-], ids=["run-ends-the-text", "lone-observation", "thought"])
-def test_parse_prompt_resumes_at_the_end_of_a_run(monkeypatch, first, second,
-                                                  resumes):
-    starts = []
-    scan = prompts._scan
-
-    def recording_scan(text, pos, *args):
-        starts.append(pos)
-        return scan(text, pos, *args)
-
-    monkeypatch.setattr(prompts, "_scan", recording_scan)
-    _no_last_parse()
-    # the same prompt again keeps the end mark it resumed at
-    for prompt in (first, second, second):
-        assert parse_prompt(prompt) == _reference_parse_prompt(prompt)
-    assert starts[0] == 0 and [pos > 0 for pos in starts[1:]] == [resumes] * 2
+def test_a_tag_line_inside_a_history_line_is_history(task):
+    """A thought that holds an `Action: ` and an `Observation: ` line, as a
+    remote thinker may write: the text parses to one more step and a cut
+    thought, but the view, and so a scripted fixture, keeps the history."""
+    view = HistoryView(task.id, "obs", steps=[("look around", "You see a door.")])
+    thought = "Plan:\nAction: go to kitchen\nObservation: made up"
+    view.add_thought(thought)
+    prompt = render_actor_prompt(task, view)
+    assert prompt.view.steps == [("look around", "You see a door.")]
+    assert prompt.view.thoughts == [(1, thought)]
+    parsed = parse_prompt(str(prompt))
+    assert parsed.steps == [("look around", "You see a door."),
+                            ("go to kitchen", "made up")]
+    assert parsed.thoughts == [(1, "Plan:")]
+    assert loop_actor(prompt, 0) == _repeating("look around")
+    assert loop_actor(str(prompt), 0) == _repeating("go to kitchen")
 
 
-def _checked_parses(monkeypatch):
-    """Make the policies' `parse_prompt` check each parse against the
-    reference; returns the prompts and the scan start of each parse."""
-    seen = []
-    scan = prompts._scan
-
-    def recording_scan(text, pos, *args):
-        seen[-1][1] = pos
-        return scan(text, pos, *args)
-
-    def checked(prompt):
-        seen.append([prompt, None])
-        parsed = parse_prompt(prompt)
-        assert parsed == _reference_parse_prompt(prompt)
-        return parsed
-
-    monkeypatch.setattr(prompts, "_scan", recording_scan)
-    monkeypatch.setattr(policies, "parse_prompt", checked)
-    return seen
-
-
-def test_parse_prompt_resumes_exactly_in_an_episode(keymaze1, monkeypatch):
-    """Every actor and thinker prompt of an episode, in call order. A prompt
-    that follows a prompt of its own role with a thought resumes."""
-    seen = _checked_parses(monkeypatch)
-    task = keymaze1.tasks["keymaze-1"]
-    traj = run_mode(keymaze1, scripted("actor", "greedy-actor"), task,
-                    RunConfig(mode="ttexplore", max_steps=60, n_trigger=3),
-                    scripted("thinker", "oracle-thinker"))
-    assert traj.error is None and len(traj.thoughts) >= 5
-    assert len(seen) == len(traj.steps) + len(traj.thoughts)
-    resumable = [pos for (before, _), (prompt, pos) in zip(seen, seen[1:])
-                 if before[:40] == prompt[:40] and "\nDeep Thought: " in before]
-    assert len(resumable) > len(seen) // 3 and all(resumable)
+def test_a_view_is_a_snapshot_of_its_render(task, view):
+    """Appends after a render reach neither a view read before them nor one
+    first read after them, and changing a view's lists reaches neither the
+    history nor the next render."""
+    view.add_step("go to fridge 1", "You arrive at fridge 1.")
+    view.reflections.append("open the fridge first")
+    renders = [render(task, view, budget)
+               for render in (render_actor_prompt, render_thinker_prompt)
+               for budget in (10 ** 6, 0)]
+    expected = [parse_prompt(str(p)) for p in renders]
+    read = renders[::2]
+    assert [p.view for p in read] == expected[::2]
+    history = (list(view.steps), list(view.thoughts), list(view.reflections))
+    view.add_step("open fridge 1", "Nothing happened.")
+    view.add_thought("one more thought")
+    view.reflections.append("a later reflection")
+    assert [p.view for p in renders] == expected
+    for p in renders:
+        p.view.steps.append(("x", "y"))
+        p.view.thoughts.clear()
+        p.view.reflections.append("z")
+    assert (view.steps[:-1], view.thoughts[:-1], view.reflections[:-1]) == history
+    again = render_actor_prompt(task, view)
+    assert again.view == parse_prompt(str(again))
 
 
-def test_every_react_parse_resumes_at_the_end_of_the_last_run(minihouse1,
-                                                               monkeypatch):
-    """A ReAct prompt has no thought: each actor parse after the second
-    resumes at the end of the previous prompt's run of step pairs. The
-    first prompt holds no step, so the second has nothing to resume at."""
-    seen = _checked_parses(monkeypatch)
-    task = minihouse1.tasks["minihouse-1"]
-    traj = run_mode(minihouse1, scripted("actor", "greedy-actor"), task,
-                    RunConfig(mode="react", max_steps=40))
-    assert traj.error is None and len(seen) == len(traj.steps) > 20
-    assert all(pos > 0 for _, pos in seen[2:])
-
-
-def test_parse_prompt_resumes_exactly_in_a_forge_run(minihouse2, monkeypatch):
-    seen = _checked_parses(monkeypatch)
-    result = pipeline.forge(minihouse2, [minihouse2.tasks["minihouse-2"]],
-                            strong=scripted("actor", "oracle-actor"),
-                            weak=scripted("actor", "wanderer-actor"),
-                            thinker=scripted("thinker", "noisy-thinker"),
-                            actor_frozen=scripted("actor", "obedient-actor"),
-                            cfg=pipeline.PipelineConfig(), seeds=[0])
-    assert result.manifest["groups"] == 2
-    assert any(pos > 0 for _, pos in seen)
+@settings(max_examples=200, deadline=None)
+@given(view=histories(st.one_of(_LINE, st.sampled_from(
+           [a for plan in SOLUTIONS.values() for a in plan])),
+           st.one_of(_THOUGHT, st.sampled_from([
+               "Summary: blocked.\nPlan:\n- go to fridge 1\n- open fridge 1",
+               "Plan:\n- look around"]))),
+       seed=st.integers(0, 10 ** 6), data=st.data())
+def test_scripted_policies_answer_a_render_as_its_text(mh1_task, view, seed, data):
+    """Every scripted policy reads a render's view and a plain string's
+    parse, and answers both alike."""
+    for prompt in _render_each(mh1_task, view, data):
+        for name, policy in SCRIPTED_POLICIES.items():
+            assert policy(prompt, seed) == policy(str(prompt), seed), name
 
 
 def _episode_prompts(world_id):
+    """Every policy prompt of a ttexplore episode, in call order, as text."""
+    seen = []
+
+    def recording(name):
+        def policy(prompt, seed):
+            seen.append(str(prompt))
+            return SCRIPTED_POLICIES[name](prompt, seed)
+        return policy
+
     world = load_builtin_world(world_id)
     task = next(iter(world.tasks.values()))
     with pytest.MonkeyPatch.context() as monkeypatch:
-        seen = _checked_parses(monkeypatch)
-        run_mode(world, scripted("actor", "greedy-actor"), task,
+        for role, name in (("actor", "greedy-actor"), ("thinker", "oracle-thinker")):
+            monkeypatch.setitem(SCRIPTED_POLICIES, f"recording-{role}",
+                                recording(name))
+        run_mode(world, scripted("actor", "recording-actor"), task,
                  RunConfig(mode="ttexplore", max_steps=30, n_trigger=3),
-                 scripted("thinker", "oracle-thinker"))
-    return [prompt for prompt, _ in seen]
+                 scripted("thinker", "recording-thinker"))
+    return seen
 
 
 def _join_all(threads):
@@ -719,30 +691,10 @@ def episode_prompts():
     return sequences, [[_reference_parse_prompt(p) for p in s] for s in sequences]
 
 
-def test_threads_keep_their_own_parse(episode_prompts):
-    """Two threads take turns parsing two episodes' prompts; each gets the
-    reference views and keeps its own last prompt."""
-    sequences, expected = episode_prompts
-    turns = [threading.Semaphore(1), threading.Semaphore(0)]
-    results, last = [[], []], [None, None]
-
-    def parse_in_turn(me):
-        for i in range(max(map(len, sequences))):
-            assert turns[me].acquire(timeout=30)
-            if i < len(sequences[me]):
-                results[me].append(parse_prompt(sequences[me][i]))
-            turns[1 - me].release()
-        last[me] = prompts._last_parse.state[0]
-
-    _join_all([threading.Thread(target=parse_in_turn, args=(me,))
-               for me in (0, 1)])
-    assert results == expected
-    assert last[0] is sequences[0][-1] and last[1] is sequences[1][-1]
-
-
 def test_parse_prompt_under_thread_switching(episode_prompts):
     """More threads than cores, switching as often as the interpreter
-    allows, each parsing one episode's prompts three times over."""
+    allows, each parsing one episode's prompts three times over: a parse
+    keeps no state that another can disturb."""
     sequences, expected = episode_prompts
     results = {}
 
@@ -759,261 +711,6 @@ def test_parse_prompt_under_thread_switching(episode_prompts):
     finally:
         sys.setswitchinterval(interval)
     assert results == {me: True for me in range(8)}
-
-
-def test_last_action_leaves_the_parse_state_alone(task, view):
-    prompt = render_actor_prompt(task, view)
-    parse_prompt(prompt)
-    state = prompts._last_parse.state
-    assert last_action(prompt + "\nAction: a\nObservation: b") == "a"
-    assert last_action("Deep Thought: t\nAction: a\nObservation: b") == "a"
-    assert prompts._last_parse.state is state
-
-
-def _reachable(root):
-    """Every object reachable from `root` through tuples, lists, dicts and
-    prompt views."""
-    found, stack = {}, [root]
-    while stack:
-        obj = stack.pop()
-        if id(obj) in found:
-            continue
-        found[id(obj)] = obj
-        if isinstance(obj, (tuple, list)):
-            stack += obj
-        elif isinstance(obj, dict):
-            stack += [*obj.keys(), *obj.values()]
-        elif isinstance(obj, prompts.PromptView):
-            stack.append(vars(obj))
-    return list(found.values())
-
-
-def test_parse_state_holds_only_the_last_prompt_and_its_view(task, view):
-    """Marks hold counts, not views, so a resume keeps no old view alive;
-    the returned view shares no list with the state. The step after the
-    last thought leaves an end mark."""
-    first = render_thinker_prompt(task, view)
-    parse_prompt(first)
-    view.add_step("go to fridge 1", "You arrive at fridge 1.")
-    view.add_thought("Plan:\n- open fridge 1")
-    view.add_step("open fridge 1", "Nothing happened.")
-    second = render_thinker_prompt(task, view)
-    parsed = parse_prompt(second)
-    marks, end = prompts._last_parse.state[2:]
-    assert len(marks) == 2 and end[0] > marks[-1][0]
-    _assert_state_holds_only(first, second, parsed)
-
-
-def _assert_state_holds_only(first, second, parsed):
-    prompt, own, marks, end = state = prompts._last_parse.state
-    assert prompt is second and own == parsed
-    reached = _reachable(state)
-    assert [o for o in reached if isinstance(o, prompts.PromptView)] == [own]
-    assert own is not parsed
-    assert not any(o is lst for o in reached
-                   for lst in (parsed.steps, parsed.thoughts, parsed.reflections))
-    for mark in [*marks, *([end] if end else [])]:
-        assert all(isinstance(x, (int, str, type(None))) for x in mark)
-    assert not any(isinstance(o, str) and len(o) >= len(first) and o is not second
-                   for o in reached)
-
-
-def _many_thoughts_prompt(task, thoughts):
-    view = HistoryView(task.id, "You are in the hallway.")
-    for i in range(thoughts):
-        view.add_step(f"go to room {i}", "Nothing happened.")
-        view.add_thought(f"thought {i}")
-    return render_thinker_prompt(task, view)
-
-
-def test_a_resume_costs_log_marks_prefix_comparisons(task, monkeypatch):
-    """A miss, a partial hit and a full hit each cost at most
-    floor(log2(marks)) + 1 prefix comparisons; with evenly spaced thoughts
-    they copy at most twice the prompt's length between them."""
-    marks = 256
-    prompt = _many_thoughts_prompt(task, marks)
-    middle = prompt.index("Deep Thought: thought 100\n")
-    probes = []
-    shares = prompts._shares
-
-    def counting(new, old, start, end):
-        probes.append(end - start)
-        return shares(new, old, start, end)
-
-    monkeypatch.setattr(prompts, "_shares", counting)
-    for changed in ("X" + prompt[1:],  # the head shifted: a miss
-                    prompt[:middle - 2] + "X" + prompt[middle - 1:],
-                    prompt + "\nAction: a\nObservation: b"):
-        parse_prompt(prompt)
-        probes.clear()
-        assert parse_prompt(changed) == _reference_parse_prompt(changed)
-        assert 0 < len(probes) <= marks.bit_length()
-        assert sum(probes) <= 2 * len(prompt)
-
-
-# --- the relocated parse against the reference -------------------------------
-
-def _recorded_relocations(monkeypatch):
-    """Record the outcome of each full comparison and the characters each
-    relocation comparison copies."""
-    outcomes, copied = [], []
-    relocate, moved = prompts._relocate, prompts._moved
-
-    def recording_relocate(*args):
-        outcomes.append(relocate(*args))
-        return outcomes[-1]
-
-    def recording_moved(text, old, start, end, shift):
-        copied.append(end - start)
-        return moved(text, old, start, end, shift)
-
-    monkeypatch.setattr(prompts, "_relocate", recording_relocate)
-    monkeypatch.setattr(prompts, "_moved", recording_moved)
-    return outcomes, copied
-
-
-@pytest.mark.parametrize("char_budget", [5_000, 30_000])
-def test_parse_prompt_relocates_exactly_past_the_budget(keymaze1, monkeypatch,
-                                                        char_budget):
-    """Every thinker prompt of a loop-actor episode past its budget parses
-    as the reference does, and some parses relocate. No parse makes more
-    than one failed full comparison, and the relocation comparisons of a
-    parse copy less than the prompt's length."""
-    outcomes, copied = _recorded_relocations(monkeypatch)
-    parses = []
-
-    def checked(prompt):
-        outcomes.clear()
-        copied.clear()
-        parsed = parse_prompt(prompt)
-        assert parsed == _reference_parse_prompt(prompt)
-        if TRUNCATION_MARKER in prompt:
-            parses.append((outcomes.count(True), outcomes.count(False),
-                           sum(copied) / len(prompt)))
-        return parsed
-
-    monkeypatch.setattr(policies, "parse_prompt", checked)
-    task = keymaze1.tasks["keymaze-1"]
-    traj = run_mode(keymaze1, scripted("actor", "loop-actor"), task,
-                    RunConfig(mode="ttexplore", max_steps=400, n_trigger=3,
-                              char_budget=char_budget),
-                    scripted("thinker", "oracle-thinker"))
-    assert traj.error is None
-    relocated, failed, copied_share = zip(*parses)
-    assert len(parses) > 80 and sum(relocated) > 5
-    assert max(failed) <= 1 and max(copied_share) < 1
-
-
-@settings(max_examples=300, deadline=None)
-@given(view=histories(_LINE, _THOUGHT), added=st.lists(st.tuples(_LINE, _LINE),
-                                                      min_size=1, max_size=4),
-       thought=_THOUGHT, data=st.data())
-def test_parse_prompt_relocates_exactly_after_truncation(mh1_task, view, added,
-                                                         thought, data):
-    """A render at budget B, parsed, then the render at B of the same
-    history with steps and a thought appended: both parse as the reference
-    does, whether the second parse resumes, relocates or scans plainly."""
-    _no_last_parse()
-    for render in (render_actor_prompt, render_thinker_prompt):
-        budget = data.draw(budgets(_build_lengths(render, mh1_task, view)))
-        grown = view.copy()
-        for step in added:
-            grown.add_step(*step)
-        grown.add_thought(thought)
-        for prompt in (render(mh1_task, view, budget),
-                       render(mh1_task, grown, budget)):
-            assert parse_prompt(prompt) == _reference_parse_prompt(prompt)
-
-
-def _truncated_thinker_prompts(task, thoughts, char_budget):
-    """Thinker prompts over budget before and after one more step and
-    thought; each step is followed by a thought."""
-    view = HistoryView(task.id, "You are in the hallway.")
-    renders = []
-    for i in range(thoughts + 1):
-        view.add_step(f"go to room {i}", "Nothing happened.")
-        view.add_thought(f"thought {i}")
-        renders.append(render_thinker_prompt(task, view, char_budget))
-    assert TRUNCATION_MARKER in renders[-2]
-    return renders[-2], renders[-1]
-
-
-def test_parse_state_after_a_relocation_holds_only_the_last_prompt_and_its_view(
-        task, monkeypatch):
-    """A relocation copies the old parse's marks and view items, and keeps
-    neither the old prompt nor the old view."""
-    outcomes, _ = _recorded_relocations(monkeypatch)
-    first, second = _truncated_thinker_prompts(task, 60, 3_000)
-    parse_prompt(first)
-    outcomes.clear()
-    parsed = parse_prompt(second)
-    assert outcomes == [True] and len(prompts._last_parse.state[2]) == 61
-    _assert_state_holds_only(first, second, parsed)
-
-
-def test_a_relocated_stretch_keeps_its_state_and_its_marks(monkeypatch):
-    """A stretch that takes a reflection, changes the instruction and the
-    initial observation, and ends with an action pending, moved behind a
-    reflection and a step; then a prompt that resumes at a mark the
-    relocation moved, with an action pending there."""
-    outcomes, _ = _recorded_relocations(monkeypatch)
-    stretch = ("Deep Thought: a\nAction: x\n- s\nThe Task: k\n"
-               "Initial Observation: n\nDeep Thought: b\nAction: y\n"
-               "Observation: z\nAction: p\nDeep Thought: c")
-    parse_prompt("Previous Reflections:\n" + stretch)
-    outcomes.clear()
-    moved = ("Previous Reflections:\n- r\nAction: w\nObservation: v\n"
-             + stretch + "\n\nAttention:\nObservation: o\nDeep Thought: d")
-    resumed = (moved[:moved.index("Deep Thought: b") + len("Deep Thought: ")]
-               + "e\n\nAttention:\nObservation: u")
-    for prompt in (moved, resumed):
-        assert parse_prompt(prompt) == _reference_parse_prompt(prompt)
-    assert outcomes == [True]
-
-
-def test_a_changed_character_in_the_moved_part_falls_back_to_a_plain_scan(
-        task, monkeypatch):
-    """The one full comparison fails, and the parse scans on plainly."""
-    outcomes, _ = _recorded_relocations(monkeypatch)
-    first, second = _truncated_thinker_prompts(task, 60, 3_000)
-    changed = second.index("Deep Thought: thought 50") + len("Deep Thought: ")
-    second = second[:changed] + "T" + second[changed + 1:]
-    parse_prompt(first)
-    outcomes.clear()
-    assert parse_prompt(second) == _reference_parse_prompt(second)
-    assert outcomes == [False]
-
-
-def test_a_changed_reflections_flag_falls_back_to_a_plain_scan(monkeypatch):
-    """The same text after a thought, with the reflections section open in
-    the old prompt and closed in the new: the item `- s` is a reflection in
-    one and not in the other."""
-    outcomes, _ = _recorded_relocations(monkeypatch)
-    stretch = ("Deep Thought: a\nAction: x\n- s\nDeep Thought: b\n"
-               "Action: y\nObservation: z\nDeep Thought: c")
-    parse_prompt("Previous Reflections:\n" + stretch)
-    outcomes.clear()
-    new = "Attention:\n" + stretch + "\nDeep Thought: d"
-    assert parse_prompt(new) == _reference_parse_prompt(new)
-    assert outcomes == []
-
-
-def test_a_parse_makes_at_most_one_failed_full_comparison(task, monkeypatch):
-    """Adjacent thoughts pass every quick check; the changed action after
-    them fails the full comparison, once, and the parse scans on plainly."""
-    outcomes, copied = _recorded_relocations(monkeypatch)
-    view = HistoryView(task.id, "You are in the hallway.")
-    for _ in range(200):
-        view.add_thought("the same thought")
-    view.add_step("go to room 1", "Nothing happened.")
-    view.add_thought("the last thought")
-    old = render_thinker_prompt(task, view)
-    new = "X" + old[1:].replace("go to room 1", "go to room 2")
-    parse_prompt(old)
-    outcomes.clear()
-    copied.clear()
-    assert parse_prompt(new) == _reference_parse_prompt(new)
-    assert outcomes == [False] and sum(copied) <= len(new)
 
 
 # --- reflection request ------------------------------------------------------
