@@ -23,6 +23,7 @@ from .config import (
     ExperimentConfig,
     _check_types,
     load_config,
+    repeated,
     resolve_world_path,
 )
 from .metrics import DEFAULT_K, aggregate, episode_metrics
@@ -173,6 +174,8 @@ def main() -> None:
 def cmd_run(config_path, mode, n_trigger, max_steps, samples_n, retries_n,
             seeds, store_dir, label, parallelism) -> None:
     """Run a batch of episodes and persist transcripts plus a manifest."""
+    if (twice := repeated(seeds)) is not None:
+        _fail(f"--seed {twice} is given twice")
     exp = _load_experiment(config_path, {
         "mode": mode, "n_trigger": n_trigger, "max_steps": max_steps,
         "samples_N": samples_n, "retries_N": retries_n})

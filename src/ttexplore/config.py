@@ -11,7 +11,8 @@ and backends check their own rules when they are made (positive run values,
 a known scripted name, an http(s) endpoint), and their errors fail naming
 the file and the section or policy key. A `run.char_budget` below the
 largest prompt with no history of the selected tasks fails too: no prompt
-of such a run could fit it.
+of such a run could fit it. So does a `tasks` or `seeds` list that holds a
+value twice, which would run one episode twice.
 API keys come from environment variables only, never from config files.
 """
 
@@ -75,6 +76,11 @@ def _check_types(data: dict, types: dict, where: str) -> None:
         if not ok:
             raise ConfigValidationError(
                 f"{where}: {name} must be {what}, got {value!r}")
+
+
+def repeated(values: list | tuple) -> Optional[object]:
+    """The first value of `values` that an earlier one equals, or None."""
+    return next((v for i, v in enumerate(values) if v in values[:i]), None)
 
 
 def _section(section, types: dict, where: str) -> dict:
@@ -186,6 +192,9 @@ def load_config(path: str | Path,
     if data.get("parallelism", 1) < 1:
         raise ConfigValidationError(
             f"{path}: parallelism must be >= 1, got {data['parallelism']}")
+    for key in ("tasks", "seeds"):
+        if (twice := repeated(data.get(key, []))) is not None:
+            raise ConfigValidationError(f"{path}: {key} holds {twice!r} twice")
     world = load_world(resolve_world_path(data["world"]))
     task_ids = data.get("tasks", list(world.tasks))
     for tid in task_ids:

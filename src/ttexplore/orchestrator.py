@@ -4,10 +4,10 @@
 is of one of two kinds: plain ReAct (actor only) or ttexplore (the actor
 plus a thinker triggered every `n_trigger` steps). Mode `reflexion` retries
 failed episodes on `seed` with reflections and `bestofn` keeps the best of
-N episodes, sample i on `seed + i`; for these two, `inner_mode` picks the
-episode kind. Thinker invocations never consume the step budget. Episodes
-are strictly sequential inside; the batch runner parallelizes across
-episodes only.
+N episodes, sample i on `sample_seed(seed, i, N)`, which is `seed * N + i`;
+for these two, `inner_mode` picks the episode kind. Thinker invocations
+never consume the step budget. Episodes are strictly sequential inside; the
+batch runner parallelizes across episodes only.
 
 `run_steps` is the one actor loop: every episode runs on it, and so do
 `forge`'s weak probes and frozen-actor continuations, which start from a
@@ -256,11 +256,20 @@ def _reflexion(world: TextWorld, actor: PolicyHandle, task: TaskSpec,
     return best  # set by the first of at least one attempt
 
 
+def sample_seed(seed: int, index: int, count: int) -> int:
+    """The seed of sample `index` of `count`: no two (seed, index) pairs of
+    one count share it, since `index` is its remainder modulo `count`."""
+    if not 0 <= index < count:
+        raise ValueError(f"sample index {index} is outside range({count})")
+    return seed * count + index
+
+
 def _best_of_n(world: TextWorld, actor: PolicyHandle, task: TaskSpec,
                cfg: RunConfig, thinker: Optional[PolicyHandle], seed: int) -> Trajectory:
-    """samples_N independent episodes, sample i with seed `seed + i`."""
-    return select_best([_run_episode(world, actor, task, cfg, thinker, seed + i)
-                        for i in range(cfg.samples_N)])
+    """samples_N independent episodes, sample i on `sample_seed(seed, i, N)`."""
+    n = cfg.samples_N
+    return select_best([_run_episode(world, actor, task, cfg, thinker,
+                                     sample_seed(seed, i, n)) for i in range(n)])
 
 
 def select_best(samples: list[Trajectory]) -> Trajectory:
@@ -274,7 +283,7 @@ def run_mode(world: TextWorld, actor: PolicyHandle, task: TaskSpec,
              seed: int = 0) -> Trajectory:
     """One episode of `cfg.mode` on `seed`; `RunConfig.episode_thinker`
     decides whether the thinker runs. The trajectory records the seed its
-    steps ran on: a `bestofn` episode's is its chosen sample's, `seed + i`."""
+    steps ran on: a `bestofn` episode's is its chosen sample's, `seed * N + i`."""
     thinker = cfg.episode_thinker(thinker)
     if cfg.mode == "reflexion":
         return _reflexion(world, actor, task, cfg, thinker, seed)

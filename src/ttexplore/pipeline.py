@@ -16,6 +16,11 @@ the sub-task's start score as the floor: a sub-task is completed at the
 first step whose score rises above it. A policy backend failure anywhere in
 `forge`, the strong run's included, raises `BackendFailure` naming the task
 and seed; `forge` returns nothing partial.
+
+Thought seeds come from `orchestrator.sample_seed`: a rollout context's
+from its strong run's seed and prefix length, each thought request's from
+the context's seed and the request's index. The strong run, the probe and
+the continuations run on the episode seed.
 """
 
 from __future__ import annotations
@@ -31,6 +36,7 @@ from .orchestrator import (
     Trajectory,
     run_mode,
     run_steps,
+    sample_seed,
     write_jsonl,
 )
 from .policies import PolicyHandle, RemoteError, complete
@@ -53,6 +59,7 @@ UNSET = "unset"
 
 BINARY = "binary"
 STEP_PENALTY = "step_penalty"
+RETRY_BUDGET = 3  # thinker parse failures that a thought group survives
 
 
 class PipelineError(RuntimeError):
@@ -107,6 +114,7 @@ class SubTask:
 class RolloutContext:
     context_id: str
     sub: SubTask
+    seed: int  # the seed its thought samples derive from
     prompt: str
     history: HistoryView
     state: WorldState  # after the prefix and x weak steps; never mutated
@@ -223,30 +231,31 @@ def build_rollout_context(task: TaskSpec, sub: SubTask,
                             "first (easy sub-tasks have none)")
     state, view = sub.context
     prompt = render_thinker_prompt(task, view, char_budget=cfg.run.char_budget)
-    context_id = f"{task.id}-s{sub.seed}-p{len(sub.prefix_actions)}"
-    return RolloutContext(context_id=context_id, sub=sub, prompt=prompt,
-                          history=view, state=state)
+    prefix = len(sub.prefix_actions)  # at most the strong run's max_steps
+    seed = sample_seed(sub.seed, prefix, task.max_steps_default + 1)
+    return RolloutContext(context_id=f"{task.id}-s{sub.seed}-p{prefix}", sub=sub,
+                          seed=seed, prompt=prompt, history=view, state=state)
 
 
 class GroupDiscarded(PipelineError):
     """A context whose thought group could not be filled; never padded."""
 
 
-def sample_thoughts(thinker: PolicyHandle, context: RolloutContext, m: int,
-                    base_seed: int = 0,
-                    retry_budget: int = 3) -> list[DeepThought]:
+def sample_thoughts(thinker: PolicyHandle, context: RolloutContext,
+                    m: int) -> list[DeepThought]:
     anchor = len(context.history.steps)
     thoughts: list[DeepThought] = []
-    seed = base_seed
     failures = 0
     while len(thoughts) < m:
+        # this request's index, below m + RETRY_BUDGET
+        seed = sample_seed(context.seed, len(thoughts) + failures,
+                           m + RETRY_BUDGET + 1)
         raw = complete(thinker, context.prompt, seed=seed)
-        seed += 1
         try:
             text = parse_thinker_output(raw)
         except ParseError:
             failures += 1
-            if failures > retry_budget:
+            if failures > RETRY_BUDGET:
                 raise GroupDiscarded(
                     f"context {context.context_id}: thought sampling failed "
                     f"{failures} times")
@@ -292,8 +301,8 @@ def evaluate_thought(world: TextWorld, actor_frozen: PolicyHandle,
 
 def rollout_group(world: TextWorld, task: TaskSpec, context: RolloutContext,
                   thinker: PolicyHandle, actor_frozen: PolicyHandle,
-                  cfg: PipelineConfig, base_seed: int = 0) -> RolloutGroup:
-    thoughts = sample_thoughts(thinker, context, cfg.m, base_seed=base_seed)
+                  cfg: PipelineConfig) -> RolloutGroup:
+    thoughts = sample_thoughts(thinker, context, cfg.m)
     records = [evaluate_thought(world, actor_frozen, task, context, thought, cfg)
                for thought in thoughts]
     return RolloutGroup(context_id=context.context_id, prompt=context.prompt,
@@ -327,10 +336,11 @@ def build_multinode_contexts(world: TextWorld, task: TaskSpec,
                              thinker: PolicyHandle, actor_frozen: PolicyHandle,
                              cfg: PipelineConfig, nodes: int,
                              base_seed: int = 0) -> MultiNodeGroup:
-    """Rollouts whose task-level reward is shared by every thinking node:
-    an episode that completes the task is rewarded at its completing step,
-    any other episode gets 0. A policy backend failure in a rollout raises
-    `BackendFailure` naming the task and seed, as in `forge`.
+    """Rollouts whose task-level reward is shared by every thinking node,
+    rollout j on `sample_seed(base_seed, j, m)`: an episode that completes
+    the task is rewarded at its completing step, any other episode gets 0.
+    A policy backend failure in a rollout raises `BackendFailure` naming
+    the task and the rollout's seed, as in `forge`.
     Node counts of 2 and 4 map to trigger intervals of 9 and 6 under the
     rollout step cap; a node count of 1 is the standard single-node path."""
     if nodes == 1:
@@ -344,7 +354,7 @@ def build_multinode_contexts(world: TextWorld, task: TaskSpec,
                         char_budget=cfg.run.char_budget)
     rollouts = []
     for j in range(cfg.m):
-        seed = base_seed + j
+        seed = sample_seed(base_seed, j, cfg.m)
         traj = run_mode(world, actor_frozen, task, run_cfg, thinker, seed)
         if traj.error is not None:
             raise BackendFailure(f"{task.id} seed {seed}: {traj.error}")
@@ -438,11 +448,9 @@ def forge(world: TextWorld, tasks: list[TaskSpec], strong: PolicyHandle,
                 all_subs.extend(subs)
                 for sub in filter_subtasks(subs):
                     context = build_rollout_context(task, sub, cfg)
-                    base_seed = seed * 10_000 + len(sub.prefix_actions) * 100
                     try:
-                        groups.append(rollout_group(
-                            world, task, context, thinker, actor_frozen, cfg,
-                            base_seed=base_seed))
+                        groups.append(rollout_group(world, task, context, thinker,
+                                                    actor_frozen, cfg))
                     except GroupDiscarded as exc:
                         skipped.append(str(exc))
     except RemoteError as exc:  # a policy backend failed

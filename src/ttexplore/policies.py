@@ -342,10 +342,13 @@ def obedient_actor(prompt: str, seed: int) -> str:
 
 @_answers_reflections
 def oracle_actor(prompt: str, seed: int) -> str:
-    """Strong policy: plays the known-good script by position."""
+    """Strong policy: plays the known-good script from the step after the
+    last visible action that the script holds, so a truncated prompt does
+    not restart it; from the count of visible steps when it sees none."""
     view = prompt_view(prompt)
     script = SOLUTIONS.get(view.instruction, [])
-    idx = len(view.steps)
+    idx = next((script.index(a) + 1 for a, _ in reversed(view.steps)
+                if a in script), len(view.steps))
     if idx < len(script):
         return format_actor_output(
             ActorOutput("executing the known solution", script[idx]))

@@ -248,6 +248,44 @@ def test_an_unknown_task_fails_at_load(runner, tmp_path, command, out):
     assert not (tmp_path / "runs").exists()
 
 
+@pytest.mark.parametrize("command,out", [("validate", None), ("run", "--store-dir"),
+                                         ("forge", "--out")])
+@pytest.mark.parametrize("key,values,shown", [
+    ("seeds", [0, 1, 0], "0"),
+    ("seeds", [-3, -3], "-3"),
+    ("tasks", ["minihouse-2", "minihouse-2"], "'minihouse-2'"),
+])
+def test_a_value_listed_twice_fails_at_load(runner, tmp_path, command, out,
+                                            key, values, shown):
+    """A repeated seed or task would run one episode twice and count it
+    twice in the aggregate, or write each of its groups twice."""
+    cfg = write_config(tmp_path, config_doc(**{key: values}))
+    args = [command, "--config", str(cfg)]
+    if out is not None:
+        args += [out, str(tmp_path / "runs")]
+    result = runner.invoke(main, args)
+    assert result.exit_code == 2, result.output
+    assert f"exp.yaml: {key} holds {shown} twice" in result.output
+    assert not (tmp_path / "runs").exists()
+
+
+def test_run_rejects_a_seed_flag_given_twice(runner, tmp_path):
+    cfg = write_config(tmp_path, config_doc(seeds=[0, 1, 2]))
+    result = runner.invoke(main, ["run", "--config", str(cfg), "--seed", "1",
+                                  "--seed", "2", "--seed", "1",
+                                  "--store-dir", str(tmp_path / "runs")])
+    assert result.exit_code == 2, result.output
+    assert "--seed 1 is given twice" in result.output
+    assert not (tmp_path / "runs").exists()
+    # distinct flags replace the file's seeds
+    result = runner.invoke(main, ["run", "--config", str(cfg), "--seed", "2",
+                                  "--seed", "1", "--store-dir", str(tmp_path / "runs")])
+    assert result.exit_code == 0, result.output
+    store = next((tmp_path / "runs").iterdir())
+    manifest = json.loads((store / "manifest.json").read_text())
+    assert [e["seed"] for e in manifest["episodes"]] == [2, 1]
+
+
 def test_run_rejects_a_parallelism_flag_below_one(runner, tmp_path):
     cfg = write_config(tmp_path)
     result = runner.invoke(main, ["run", "--config", str(cfg), "--parallelism", "-2",

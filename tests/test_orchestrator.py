@@ -18,6 +18,7 @@ from ttexplore.orchestrator import (
     read_transcript,
     run_batch,
     run_mode,
+    sample_seed,
     select_best,
     write_json_atomic,
     write_jsonl,
@@ -354,6 +355,31 @@ def test_best_of_n_single_sample_is_identity(minihouse1, greedy, oracle_thinker)
     assert best.final.process_score == direct.final.process_score
 
 
+def test_best_of_n_episodes_of_consecutive_seeds_share_no_sample(minihouse2,
+                                                                greedy):
+    """Sample i of a best-of-N episode on seed s runs on s * N + i, so the
+    episodes of seeds 0-5 each keep a sample of their own."""
+    task = minihouse2.tasks["minihouse-2"]
+    results = run_batch(minihouse2, [(task, seed) for seed in range(6)],
+                        RunConfig(mode="bestofn", samples_N=5), greedy,
+                        thinker=scripted("thinker", "noisy-thinker"))
+    assert [r.trajectory.seed for r in results] == [0, 5, 10, 15, 21, 25]
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.integers(-10**12, 10**12), st.integers(-10**4, 10**4),
+       st.integers(1, 10**4))
+def test_sample_seed_is_injective(seed, index, count):
+    """For one count, `divmod` recovers (seed, index) from the derived seed
+    whenever 0 <= index < count, negative seeds included, so no two such
+    pairs share it; any other index raises."""
+    if not 0 <= index < count:
+        with pytest.raises(ValueError, match="outside range"):
+            sample_seed(seed, index, count)
+        return
+    assert divmod(sample_seed(seed, index, count), count) == (seed, index)
+
+
 def test_select_best_prefers_score_then_lowest_index():
     from ttexplore.orchestrator import Final, Trajectory
 
@@ -528,5 +554,5 @@ def test_a_batch_episode_is_run_mode_on_its_seed(minihouse2, greedy, mode):
     assert [r.trajectory for r in results] == direct
     for traj, seed in zip(direct, (3, 4)):
         # a best-of-N episode records its chosen sample's seed
-        offsets = range(cfg.samples_N) if mode == "bestofn" else [0]
-        assert traj.seed - seed in offsets
+        samples = range(cfg.samples_N) if mode == "bestofn" else [0]
+        assert traj.seed in [sample_seed(seed, i, len(samples)) for i in samples]

@@ -14,6 +14,7 @@ from ttexplore.orchestrator import (
     Trajectory,
     _act,
     run_mode,
+    sample_seed,
 )
 from ttexplore.pipeline import (
     BINARY,
@@ -39,6 +40,7 @@ from ttexplore.pipeline import (
     forge,
     replay_with_history,
     rollout_group,
+    RETRY_BUDGET,
     sample_thoughts,
 )
 from ttexplore.policies import SCRIPTED_POLICIES, ConfigError, RemoteError, scripted
@@ -193,17 +195,14 @@ def test_rollout_group_rewards_follow_thought_quality(minihouse2, classified_sub
     ctx = build_rollout_context(task, subs[1], cfg)
     frozen = scripted("actor", "obedient-actor")
     good = rollout_group(minihouse2, task, ctx,
-                         scripted("thinker", "oracle-thinker"), frozen, cfg,
-                         base_seed=0)
+                         scripted("thinker", "oracle-thinker"), frozen, cfg)
     assert all(r.reward == 1.0 for r in good.records)
     assert all(r.improved_at == 3 for r in good.records)
     bad = rollout_group(minihouse2, task, ctx,
-                        scripted("thinker", "null-thinker"), frozen, cfg,
-                        base_seed=0)
+                        scripted("thinker", "null-thinker"), frozen, cfg)
     assert all(r.reward == 0.0 for r in bad.records)
     mixed = rollout_group(minihouse2, task, ctx,
-                          scripted("thinker", "noisy-thinker"), frozen, cfg,
-                          base_seed=0)
+                          scripted("thinker", "noisy-thinker"), frozen, cfg)
     assert len(mixed.records) == cfg.m
     assert {r.reward for r in mixed.records} == {0.0, 1.0}
 
@@ -214,7 +213,7 @@ def test_continuation_capped_at_y_minus_x(minihouse2, classified_subs):
     ctx = build_rollout_context(task, subs[0], cfg)
     group = rollout_group(minihouse2, task, ctx,
                           scripted("thinker", "null-thinker"),
-                          scripted("actor", "obedient-actor"), cfg, base_seed=0)
+                          scripted("actor", "obedient-actor"), cfg)
     for record in group.records:
         assert len(record.continuation) == cfg.y - cfg.x
 
@@ -224,11 +223,39 @@ def test_unfillable_group_is_discarded_not_padded(minihouse2, classified_subs,
     subs, cfg = classified_subs
     task = minihouse2.tasks["minihouse-2"]
     ctx = build_rollout_context(task, subs[1], cfg)
-    monkeypatch.setitem(SCRIPTED_POLICIES, "tagless-thinker",
-                        lambda prompt, seed: "no tags")
-    with pytest.raises(GroupDiscarded):
-        sample_thoughts(scripted("thinker", "tagless-thinker"), ctx, cfg.m,
-                        retry_budget=2)
+    seeds = []
+
+    def tagless(prompt, seed):
+        seeds.append(seed)
+        return "no tags"
+
+    monkeypatch.setitem(SCRIPTED_POLICIES, "tagless-thinker", tagless)
+    with pytest.raises(GroupDiscarded,
+                       match=f"failed {RETRY_BUDGET + 1} times$"):
+        sample_thoughts(scripted("thinker", "tagless-thinker"), ctx, cfg.m)
+    # request k draws the context's k-th sample seed
+    assert seeds == [sample_seed(ctx.seed, k, cfg.m + RETRY_BUDGET + 1)
+                     for k in range(RETRY_BUDGET + 1)]
+
+
+def test_forge_draws_each_thought_on_its_own_seed(minihouse2, monkeypatch):
+    """No two thought requests of a forge run share a seed, across the
+    contexts of one seed and across seeds."""
+    seeds = []
+
+    def recording(prompt, seed):
+        seeds.append(seed)
+        return SCRIPTED_POLICIES["noisy-thinker"](prompt, seed)
+
+    monkeypatch.setitem(SCRIPTED_POLICIES, "recording-thinker", recording)
+    result = forge(minihouse2, [minihouse2.tasks["minihouse-2"]],
+                   strong=scripted("actor", "oracle-actor"),
+                   weak=scripted("actor", "wanderer-actor"),
+                   thinker=scripted("thinker", "recording-thinker"),
+                   actor_frozen=scripted("actor", "obedient-actor"),
+                   cfg=PipelineConfig(), seeds=[-1, 0, 1, 2])
+    assert len(seeds) == 4 * len(result.groups) > 4
+    assert len(set(seeds)) == len(seeds)
 
 
 def reference_evaluate_thought(world, actor_frozen, task, context, thought, cfg):
@@ -305,7 +332,7 @@ def test_rollout_group_leaves_the_context_untouched(minihouse2, classified_subs)
     state, history = copy.deepcopy(ctx.state), copy.deepcopy(ctx.history)
     group = rollout_group(minihouse2, task, ctx,
                           scripted("thinker", "oracle-thinker"),
-                          scripted("actor", "obedient-actor"), cfg, base_seed=0)
+                          scripted("actor", "obedient-actor"), cfg)
     assert all(r.improved_at for r in group.records)  # the actor did move
     assert ctx.state == state
     assert ctx.history == history
@@ -331,6 +358,22 @@ def test_forge_folds_each_context_once(minihouse2, monkeypatch):
     assert len(calls) == result.manifest["subtasks"] == 3
 
 
+@pytest.mark.parametrize("world_name", ["minihouse1", "minihouse2", "keymaze1"])
+def test_forge_writes_groups_at_the_least_budget_a_forge_config_takes(world_name):
+    """1,147 characters is the largest thinker prompt with no history of the
+    built-in worlds; the oracle's truncated prompts still show a step of its
+    script, so its strong runs succeed and forge has sub-tasks to group."""
+    world = load_builtin_world(world_name)
+    result = forge(world, list(world.tasks.values()),
+                   strong=scripted("actor", "oracle-actor"),
+                   weak=scripted("actor", "wanderer-actor"),
+                   thinker=scripted("thinker", "noisy-thinker"),
+                   actor_frozen=scripted("actor", "obedient-actor"),
+                   cfg=PipelineConfig(run=RunConfig(char_budget=1147)))
+    assert all(t.final.success for t in result.strong_trajectories)
+    assert result.groups and not result.skipped
+
+
 # --- multi-node rollouts -----------------------------------------------------
 
 def test_multinode_interval_mapping(minihouse2):
@@ -340,7 +383,7 @@ def test_multinode_interval_mapping(minihouse2):
     for nodes, interval in ((2, 9), (4, 6)):
         cfg = PipelineConfig(m=2)
         group = build_multinode_contexts(minihouse2, task, thinker, actor, cfg,
-                                         nodes, base_seed=0)
+                                         nodes)
         assert group.interval == interval
         assert group.max_steps == 25
         for rollout in group.rollouts:
@@ -366,7 +409,7 @@ def test_multinode_raises_on_a_failed_backend(minihouse2, monkeypatch):
     monkeypatch.setitem(SCRIPTED_POLICIES, "crash-thinker", explode)
     task = minihouse2.tasks["minihouse-2"]
     with pytest.raises(BackendFailure,
-                       match=r"^minihouse-2 seed 7: RemoteError: backend gone$"):
+                       match=r"^minihouse-2 seed 14: RemoteError: backend gone$"):
         build_multinode_contexts(minihouse2, task,
                                  scripted("thinker", "crash-thinker"),
                                  scripted("actor", "greedy-actor"),
@@ -432,7 +475,7 @@ def test_export_grpo_schema(minihouse2, classified_subs, tmp_path):
     ctx = build_rollout_context(task, subs[1], cfg)
     group = rollout_group(minihouse2, task, ctx,
                           scripted("thinker", "noisy-thinker"),
-                          scripted("actor", "obedient-actor"), cfg, base_seed=0)
+                          scripted("actor", "obedient-actor"), cfg)
     out = tmp_path / "grpo.jsonl"
     stats = export_grpo([group], out)
     assert stats == {"groups": 1}

@@ -68,6 +68,25 @@ def test_oracle_actor_plays_script_by_position(minihouse1):
         steps.append((action, "ok"))
 
 
+def test_oracle_actor_plays_on_from_the_last_script_step_it_sees(minihouse1):
+    """A truncated prompt shows only the latest steps: the oracle plays the
+    step after the last visible one of its script, and counts the visible
+    steps only when it sees none of them."""
+    script = SOLUTIONS["put the apple on the table"]
+    task = minihouse1.tasks["minihouse-1"]
+    handle = scripted("actor", "oracle-actor")
+    view = HistoryView(task.id, minihouse1.reset(task, 0)[1].text)
+    for action in script[:4]:
+        view.add_step(action, "ok " * 40)
+    view.add_step("look around", "ok")
+    prompt = render_actor_prompt(task, view, char_budget=1147)
+    assert len(prompt.view.steps) < 5  # the first steps were dropped
+    assert parse_actor_output(complete(handle, prompt)).action == script[4]
+    unscripted = actor_prompt(minihouse1, "minihouse-1",
+                              steps=[("look around", "ok")] * 2)
+    assert parse_actor_output(complete(handle, unscripted)).action == script[2]
+
+
 def test_loop_actor_repeats_last_action(minihouse1):
     handle = scripted("actor", "loop-actor")
     prompt = actor_prompt(minihouse1, "minihouse-1")
