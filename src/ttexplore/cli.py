@@ -23,7 +23,6 @@ from .config import (
     ExperimentConfig,
     _check_types,
     load_config,
-    repeated,
     resolve_world_path,
 )
 from .metrics import DEFAULT_K, aggregate, episode_metrics
@@ -32,6 +31,7 @@ from .orchestrator import (
     RunStoreError,
     _persist,
     read_transcript,
+    repeated,
     run_batch,
     write_json_atomic,
 )

@@ -26,7 +26,7 @@ import yaml
 
 from .pipeline import PipelineConfig
 from .policies import ConfigError, PolicyHandle, RemoteBackend, ScriptedBackend
-from .orchestrator import RunConfig
+from .orchestrator import RunConfig, repeated
 from .prompts import HistoryView, render_actor_prompt, render_thinker_prompt
 from .world import TaskSpec, TextWorld, builtin_world_path, load_world
 
@@ -76,11 +76,6 @@ def _check_types(data: dict, types: dict, where: str) -> None:
         if not ok:
             raise ConfigValidationError(
                 f"{where}: {name} must be {what}, got {value!r}")
-
-
-def repeated(values: list | tuple) -> Optional[object]:
-    """The first value of `values` that an earlier one equals, or None."""
-    return next((v for i, v in enumerate(values) if v in values[:i]), None)
 
 
 def _section(section, types: dict, where: str) -> dict:

@@ -358,6 +358,13 @@ def _episode_manifest_entry(traj: Trajectory,
     }
 
 
+def repeated(values: list | tuple) -> Optional[object]:
+    """The first value of `values` that an earlier one equals, or None; the
+    values are hashable, so a batch of any size is checked in one pass."""
+    seen: set = set()
+    return next((v for v in values if v in seen or seen.add(v)), None)
+
+
 def _persist(path: Path, write, *args) -> None:
     """`write(path, *args)`; an OSError becomes a RunStoreError naming
     `path`."""
@@ -372,9 +379,12 @@ def run_batch(world: TextWorld, items: list[tuple[TaskSpec, int]], cfg: RunConfi
               store_dir: Optional[Path] = None,
               parallelism: int = 1,
               world_file: Optional[str] = None) -> list[EpisodeResult]:
-    """Run one episode per (task, seed) item; results keep input order. A
+    """Run one episode per (task, seed) item; results keep input order. An
+    item given twice raises `ValueError` before the store is touched. A
     `store_dir` loses any manifest before the first episode and gets the run
     store after the last; a failed store write raises `RunStoreError`."""
+    if (twice := repeated([(task.id, seed) for task, seed in items])) is not None:
+        raise ValueError(f"task {twice[0]!r} seed {twice[1]} is given twice")
     if store_dir is not None:
         store_dir = Path(store_dir)
         _persist(store_dir, lambda p: p.mkdir(parents=True, exist_ok=True))

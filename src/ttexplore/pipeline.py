@@ -34,6 +34,7 @@ from .orchestrator import (
     RunConfig,
     StepRecord,
     Trajectory,
+    repeated,
     run_mode,
     run_steps,
     sample_seed,
@@ -422,8 +423,12 @@ def forge(world: TextWorld, tasks: list[TaskSpec], strong: PolicyHandle,
           weak: PolicyHandle, thinker: PolicyHandle,
           actor_frozen: PolicyHandle, cfg: PipelineConfig,
           seeds: Optional[list[int]] = None) -> ForgeResult:
-    """Run the full data factory over the given tasks."""
+    """Run the full data factory over the given tasks; a task id or a seed
+    given twice raises `ValueError` before the first strong run."""
     seeds = seeds if seeds is not None else [0]
+    for name, values in (("tasks", [t.id for t in tasks]), ("seeds", seeds)):
+        if (twice := repeated(values)) is not None:
+            raise ValueError(f"{name} holds {twice!r} twice")
     strong_trajs: list[Trajectory] = []
     all_subs: list[SubTask] = []
     groups: list[RolloutGroup] = []

@@ -5,7 +5,11 @@ Two backend families:
 * scripted — named, deterministic functions of (prompt, seed), so the whole
   test suite runs offline. Each reads the episode state that the prompt
   shows: the view a render carries, or a parse of a plain-string prompt.
-  The behavior table lives in this module.
+  An actor is a function of that view and the seed to a (thought, action)
+  pair, behind one adapter, `_actor`, that resolves the view, formats the
+  pair and answers the Reflexion baseline's reflection request; a thinker
+  takes the prompt itself, whose text `noisy-thinker` hashes. The behavior
+  table lives in this module.
 * remote — a chat-completions style HTTP endpoint; one single-turn request per
   call, API key taken from an environment variable. The decode settings
   (`temperature`, `max_output_tokens`) are fields of `RemoteBackend`, the one
@@ -285,100 +289,95 @@ def _latest_plan_step(view: PromptView) -> Optional[str]:
     return None
 
 
-def _repeat_last(view: PromptView) -> str:
+def _repeat_last(view: PromptView) -> tuple[str, str]:
     """Repeat the last step's action, or look around before the first."""
-    return format_actor_output(ActorOutput(
-        "keep going", view.steps[-1][0] if view.steps else "look around"))
+    return "keep going", view.steps[-1][0] if view.steps else "look around"
 
 
-def _answers_reflections(actor: Callable[[str, int], str]) -> Callable[[str, int], str]:
-    """`actor`, answering a reflection request with the canned reflection.
-    Only the reflection render starts with the marker; an actor prompt can
-    hold it elsewhere, in a world's action doc, say."""
-    @functools.wraps(actor)
-    def answer(prompt: str, seed: int) -> str:
+def _actor(policy: Callable[[PromptView, int], tuple[str, str]]
+           ) -> Callable[[str, int], str]:
+    """The scripted actor of `policy`, a function of what a prompt shows
+    and the seed to a (thought, action) pair: it answers a reflection
+    request with the canned reflection, and any other prompt with the pair
+    in tag form. Only the reflection render starts with the marker; an
+    actor prompt can hold it elsewhere, in a world's action doc, say."""
+    @functools.wraps(policy)
+    def actor(prompt: str, seed: int) -> str:
         if prompt.startswith(REFLECTION_MARKER):
             return CANNED_REFLECTION
-        return actor(prompt, seed)
-    return answer
+        return format_actor_output(ActorOutput(*policy(prompt_view(prompt), seed)))
+    return actor
 
 
-@_answers_reflections
-def loop_actor(prompt: str, seed: int) -> str:
+@_actor
+def loop_actor(view: PromptView, seed: int) -> tuple[str, str]:
     """Repeats its last action."""
-    return _repeat_last(prompt_view(prompt))
+    return _repeat_last(view)
 
 
-@_answers_reflections
-def greedy_actor(prompt: str, seed: int) -> str:
+@_actor
+def greedy_actor(view: PromptView, seed: int) -> tuple[str, str]:
     """Rule-ignorant subgoal chaser; follows the latest deep thought's plan
     lines when one is present."""
-    view = prompt_view(prompt)
     planned = _latest_plan_step(view)
     if planned is not None:
-        return format_actor_output(ActorOutput("following the plan", planned))
+        return "following the plan", planned
     naive = NAIVE_PLANS.get(view.instruction, ["look around"])
     done = _successful_actions(view)
     attempted = [a for a, _ in view.steps]
     candidates = [a for a in naive if a not in done]
     if not candidates:
-        return format_actor_output(ActorOutput("nothing left to try", "look around"))
+        return "nothing left to try", "look around"
     for action in candidates:
         if action not in attempted:
-            return format_actor_output(ActorOutput("trying the direct approach", action))
-    return format_actor_output(ActorOutput("trying again", candidates[-1]))
+            return "trying the direct approach", action
+    return "trying again", candidates[-1]
 
 
-@_answers_reflections
-def obedient_actor(prompt: str, seed: int) -> str:
+@_actor
+def obedient_actor(view: PromptView, seed: int) -> tuple[str, str]:
     """Follows the latest thought's plan lines; with no plan it degenerates to
     repeating its last action."""
-    view = prompt_view(prompt)
     planned = _latest_plan_step(view)
     if planned is not None:
-        return format_actor_output(ActorOutput("following the plan", planned))
+        return "following the plan", planned
     return _repeat_last(view)
 
 
-@_answers_reflections
-def oracle_actor(prompt: str, seed: int) -> str:
+@_actor
+def oracle_actor(view: PromptView, seed: int) -> tuple[str, str]:
     """Strong policy: plays the known-good script from the step after the
     last visible action that the script holds, so a truncated prompt does
     not restart it; from the count of visible steps when it sees none."""
-    view = prompt_view(prompt)
     script = SOLUTIONS.get(view.instruction, [])
     idx = next((script.index(a) + 1 for a, _ in reversed(view.steps)
                 if a in script), len(view.steps))
     if idx < len(script):
-        return format_actor_output(
-            ActorOutput("executing the known solution", script[idx]))
-    return format_actor_output(ActorOutput("done", "look around"))
+        return "executing the known solution", script[idx]
+    return "done", "look around"
 
 
-@_answers_reflections
-def wanderer_actor(prompt: str, seed: int) -> str:
+@_actor
+def wanderer_actor(view: PromptView, seed: int) -> tuple[str, str]:
     """Weak policy: cycles a fixed action list, position keyed to history
     length so behavior depends on the replayed prefix."""
-    view = prompt_view(prompt)
     cycle = WANDER_CYCLES.get(view.instruction)
     if not cycle:
         naive = NAIVE_PLANS.get(view.instruction, [])
         cycle = naive + ["look around"] if naive else ["look around"]
-    action = cycle[len(view.steps) % len(cycle)]
-    return format_actor_output(ActorOutput("wandering", action))
+    return "wandering", cycle[len(view.steps) % len(cycle)]
 
 
-@_answers_reflections
-def staged_actor(prompt: str, seed: int) -> str:
+@_actor
+def staged_actor(view: PromptView, seed: int) -> tuple[str, str]:
     """Executes two more solution steps per reflection received; used to
     exercise the retry harness."""
-    view = prompt_view(prompt)
     script = SOLUTIONS.get(view.instruction, [])
     limit = 2 * (len(view.reflections) + 1)
     idx = len(view.steps)
     if idx < min(limit, len(script)):
-        return format_actor_output(ActorOutput("one more stage", script[idx]))
-    return format_actor_output(ActorOutput("out of ideas", "look around"))
+        return "one more stage", script[idx]
+    return "out of ideas", "look around"
 
 
 # keyed on exactly the guard ids of `world.GUARDS`

@@ -17,18 +17,17 @@ character budget, plus the deep thoughts, which are never dropped.
 
 A render returns a `Prompt`: the text, which is what a model reads, and
 the `PromptView` of exactly what that text shows, which is what the
-scripted fixtures read. The view is a snapshot of counts into the
-append-only `HistoryView`, built field by field on first read.
-`parse_prompt` reads a view from a plain string in one regex pass; the
-fixtures fall back to it for a prompt that is not a render, such as one a
-stub server received.
+scripted fixtures read. A render makes the view of the append-only
+`HistoryView`'s lists and `parse_prompt`, one regex pass over a plain
+string, of the lists it collects; the fixtures fall back to the parse for a
+prompt that is not a render, such as one a stub server received.
 """
 
 from __future__ import annotations
 
 import re
 from bisect import bisect_left, bisect_right
-from dataclasses import dataclass, field, fields
+from dataclasses import dataclass
 from enum import Enum
 from functools import cached_property
 from typing import Iterable
@@ -115,7 +114,7 @@ class HistoryView:
         for anchor, text in thoughts:
             for step in steps[len(self._steps):anchor]:
                 self.add_step(*step)
-            self._put_thought(anchor, text)
+            self.add_thought(text)
         for step in steps[len(self._steps):]:
             self.add_step(*step)
 
@@ -136,10 +135,7 @@ class HistoryView:
 
     def add_thought(self, text: str) -> None:
         """A deep thought anchored after the latest step."""
-        self._put_thought(len(self._steps), text)
-
-    def _put_thought(self, anchor: int, text: str) -> None:
-        list.append(self._thoughts, (anchor, text))
+        list.append(self._thoughts, (len(self._steps), text))
         line = f"Deep Thought: {text}"
         self._lines.append(line)
         self._chars += len(line) + 1
@@ -171,51 +167,49 @@ class HistoryView:
                 f"thoughts={self._thoughts!r})")
 
 
-@dataclass(eq=False)
 class PromptView:
     """What a prompt shows of an episode: the instruction, the initial
     observation, the (action, observation) steps, the deep thoughts at their
-    step positions, and the reflections."""
-    instruction: str = ""
-    initial_observation: str = ""
-    steps: list[tuple[str, str]] = field(default_factory=list)
-    thoughts: list[tuple[int, str]] = field(default_factory=list)
-    reflections: list[str] = field(default_factory=list)
+    step positions, and the reflections.
 
-    def __eq__(self, other: object) -> bool:
-        # a render's view equals a parse's view that shows the same
-        return isinstance(other, PromptView) and all(
-            getattr(self, f.name) == getattr(other, f.name)
-            for f in fields(PromptView))
+    A view records the lengths of the `steps` and `thoughts` lists it is
+    given and the count of the oldest steps the prompt dropped, and builds
+    the kept steps and thoughts on first read. So a render of an append-only
+    `HistoryView` pays nothing for a view no one reads, and later appends to
+    the history do not reach the view."""
 
-
-class _ShownView(PromptView):
-    """The view of one render: the counts of steps and thoughts that the
-    append-only `HistoryView` held when it was rendered, and the steps the
-    budget dropped. The steps and thoughts are built on first read, from
-    those counts, so a render pays nothing for a view no one reads, and
-    later appends to the history do not reach it."""
-
-    def __init__(self, history: HistoryView, drop: int, instruction: str,
-                 initial_observation: str, reflections: Iterable[str]):
+    def __init__(self, steps: list[tuple[str, str]],
+                 thoughts: list[tuple[int, str]], drop: int = 0,
+                 instruction: str = "", initial_observation: str = "",
+                 reflections: Iterable[str] = ()):
         self.instruction = instruction
         self.initial_observation = initial_observation
         self.reflections = list(reflections)
-        self._history = history
+        self._all_steps, self._step_count = steps, len(steps)
+        self._all_thoughts, self._thought_count = thoughts, len(thoughts)
         self._drop = drop
-        self._steps = len(history.steps)
-        self._thoughts = len(history.thoughts)
 
     @cached_property
     def steps(self) -> list[tuple[str, str]]:
-        return self._history.steps[self._drop:self._steps]
+        return self._all_steps[self._drop:self._step_count]
 
     @cached_property
     def thoughts(self) -> list[tuple[int, str]]:
         # a thought anchored at a dropped step follows the truncation marker
         drop = self._drop
         return [(max(0, anchor - drop), text)
-                for anchor, text in self._history.thoughts[:self._thoughts]]
+                for anchor, text in self._all_thoughts[:self._thought_count]]
+
+    def _shown(self) -> tuple:
+        return (self.steps, self.thoughts, self.instruction,
+                self.initial_observation, self.reflections)
+
+    def __eq__(self, other: object) -> bool:
+        # a render's view equals a parse's view that shows the same
+        return isinstance(other, PromptView) and self._shown() == other._shown()
+
+    def __repr__(self) -> str:
+        return "PromptView({!r}, {!r}, 0, {!r}, {!r}, {!r})".format(*self._shown())
 
 
 class Prompt(str):
@@ -372,8 +366,8 @@ def _fit_budget(head: str, tail: str, view: HistoryView, char_budget: int,
         drop = min(bisect_left(view._cost, excess + len(TRUNCATION_MARKER) + 1, 1),
                    len(view.steps))
     prompt = Prompt("\n".join([head, *view._history_lines(drop), tail]))
-    prompt.view = _ShownView(view, drop, instruction, initial_observation,
-                             reflections)
+    prompt.view = PromptView(view.steps, view.thoughts, drop, instruction,
+                             initial_observation, reflections)
     return prompt
 
 
@@ -449,29 +443,32 @@ def parse_prompt(prompt: str) -> PromptView:
 
     The engine skips every other line, which cannot change the view.
     """
-    view, pending_action, in_reflections = PromptView(), None, False
+    steps, thoughts, reflections = [], [], []
+    instruction = initial_observation = ""
+    pending_action, in_reflections = None, False
     text = "\n" + prompt
     for token in _PROMPT_TOKEN_RE.finditer(text):
         kind = token.lastgroup
         if kind == "pairs":
-            view.steps += _PAIR_RE.findall(text, token.start(), token.end())
+            steps += _PAIR_RE.findall(text, token.start(), token.end())
             pending_action = None
             continue
         value = token.group(kind)
         if kind == "thought":
-            view.thoughts.append((len(view.steps), value.rstrip()))
+            thoughts.append((len(steps), value.rstrip()))
         elif kind == "action":
             pending_action = value
         elif kind == "observation" and pending_action is not None:
-            view.steps.append((pending_action, value))
+            steps.append((pending_action, value))
             pending_action = None
         elif kind == "item" and in_reflections:
-            view.reflections.append(value)
+            reflections.append(value)
         elif kind == "instruction":
-            view.instruction = value
+            instruction = value
             in_reflections = False
         elif kind == "initial":
-            view.initial_observation = value
+            initial_observation = value
         elif kind == "section":
             in_reflections = value == "Previous Reflections:"
-    return view
+    return PromptView(steps, thoughts, 0, instruction, initial_observation,
+                      reflections)

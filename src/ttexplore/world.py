@@ -8,11 +8,12 @@ table; the built-in checks after it cover validity alone. Seeds only shuffle
 entity enumeration order in observation text, never reachability or scoring.
 
 `world_from_dict` checks a world file's mapping in one pass, and `load_world`
-adds the file's name to its errors. Rooms, entity ids and `hand` are one
-namespace; a receptacle stands in a room, so no action moves one and `go to`
-it reads its room off it; an object lies in a receptacle or the hand, where
-`take` and `put` reach it; every name a subgoal condition reads is declared.
-A world that loads so gives a defined step for every action.
+adds the file's name to its errors. No section holds an unknown key. Rooms,
+entity ids and `hand` are one namespace; a receptacle stands in a room, so
+no action moves one and `go to` it reads its room off it; an object lies in
+a receptacle or the hand, where `take` and `put` reach it; every name a
+subgoal condition reads is declared. A world that loads so gives a defined
+step for every action.
 
 A step costs what its action touches: the new state shares every entity the
 action leaves unchanged with the state it came from, and a seed's listing
@@ -438,6 +439,7 @@ def validate_task(task: TaskSpec) -> None:
             if spec is None:
                 raise WorldValidationError(
                     f"{where}: unknown condition kind {kind!r}")
+            _only(cond, f"{where}: {kind} condition", "kind", *spec[0])
             for key in spec[0]:
                 name = _field(cond, key, f"{where}: {kind} condition", _STRING)
                 what, names = declared[key]
@@ -459,6 +461,18 @@ _STRINGS = ("a list of strings",
 _KIND = ("'object' or 'receptacle'", lambda v: v in ("object", "receptacle"))
 _POSITIVE_INT = ("a positive int", lambda v: type(v) is int and v > 0)
 _OPEN = ("true or false", lambda v: v is None or type(v) is bool)
+_BOOL = ("true or false", lambda v: type(v) is bool)
+
+
+def _only(spec, where: str, *keys: str) -> None:
+    """`spec` is a mapping with no key but `keys`, so that a misspelt
+    optional key fails instead of leaving its default in force."""
+    if not isinstance(spec, dict):
+        raise WorldValidationError(f"{where}: expected a mapping, got {spec!r}")
+    unknown = set(spec) - set(keys)
+    if unknown:
+        raise WorldValidationError(
+            f"unknown key(s) in {where}: {', '.join(sorted(map(str, unknown)))}")
 
 
 def _field(spec, key: str, where: str, must=None, default=_REQUIRED):
@@ -494,6 +508,7 @@ def world_from_dict(data) -> TextWorld:
     entity, agent, rule or task and the key."""
     world_id = _field(data, "id", "world", _STRING)
     top = f"world {world_id!r}"
+    _only(data, top, "id", "rooms", "entities", "agent", "rules", "tasks")
     rooms = _field(data, "rooms", top, _STRINGS)
     specs = _field(data, "entities", top, _MAPPING)
     agent_spec = _field(data, "agent", top, _MAPPING)
@@ -514,6 +529,7 @@ def world_from_dict(data) -> TextWorld:
         where = f"entity {eid!r}"
         if not isinstance(eid, str):
             raise WorldValidationError(f"{where}: id must be a string")
+        _only(spec, where, "kind", "location", "open", "attributes")
         ent = entities[eid] = Entity(
             id=eid,
             kind=_field(spec, "kind", where, _KIND),
@@ -547,6 +563,7 @@ def world_from_dict(data) -> TextWorld:
                 f"entity {ent.id!r}: location must be a receptacle or {HAND!r} "
                 f"for an object, got {ent.location!r}")
 
+    _only(agent_spec, "agent", "room", "facing", "hand")
     agent = Agent(room=_field(agent_spec, "room", "agent", _STRING),
                   facing=_field(agent_spec, "facing", "agent", _STRING_OR_NONE, None),
                   hand=_field(agent_spec, "hand", "agent", _STRING_OR_NONE, None))
@@ -570,6 +587,7 @@ def world_from_dict(data) -> TextWorld:
     rules = []
     for i, r in enumerate(rule_specs, start=1):
         rid = _field(r, "id", f"rule {i}", _STRING)
+        _only(r, f"rule {rid!r}", "id", "guard", "effect")
         guard = _field(r, "guard", f"rule {rid!r}", _STRING)
         if guard not in GUARDS:
             raise WorldValidationError(
@@ -585,12 +603,15 @@ def world_from_dict(data) -> TextWorld:
         tid = _field(tdata, "id", f"task {i}", _STRING)
         if tid in world.tasks:
             raise WorldValidationError(f"task {i}: id {tid!r} is already in use")
-        subgoals = []
-        for j, g in enumerate(tdata.get("subgoals", [])):
-            conditions = _field(g, "all", f"task {tid!r}: subgoal {j}")
-            subgoals.append(Subgoal(description=g.get("description", ""),
-                                    conditions=conditions))
         where = f"task {tid!r}"
+        _only(tdata, where, "id", "instruction", "max_steps", "action_space",
+              "examples", "subgoals", "allow_initial_subgoals")
+        subgoals = []
+        for j, g in enumerate(_field(tdata, "subgoals", where, _LIST, [])):
+            goal = f"{where}: subgoal {j}"
+            _only(g, goal, "description", "all")
+            subgoals.append(Subgoal(description=g.get("description", ""),
+                                    conditions=_field(g, "all", goal)))
         task = TaskSpec(
             id=tid,
             instruction=_field(tdata, "instruction", where, _STRING),
@@ -601,8 +622,9 @@ def world_from_dict(data) -> TextWorld:
             max_steps_default=_field(tdata, "max_steps", where, _POSITIVE_INT, 50),
         )
         validate_task(task)
+        allow_initial = _field(tdata, "allow_initial_subgoals", where, _BOOL, False)
         initial_score = world.process_score(task.initial_world, task)
-        if initial_score.satisfied_subgoals and not tdata.get("allow_initial_subgoals"):
+        if initial_score.satisfied_subgoals and not allow_initial:
             raise WorldValidationError(
                 f"task {task.id!r}: initial world already satisfies subgoals "
                 f"{sorted(initial_score.satisfied_subgoals)}")

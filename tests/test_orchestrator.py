@@ -434,6 +434,23 @@ def test_run_batch_parallel_preserves_order(minihouse1, oracle, tmp_path):
         [r.trajectory.seed for r in serial] == [0, 1, 2, 3]
 
 
+def test_run_batch_rejects_an_item_given_twice(minihouse2, greedy, tmp_path,
+                                              monkeypatch):
+    """A repeated (task, seed) item would run one episode twice and count it
+    twice: it fails before any episode runs or the store is touched."""
+    task = minihouse2.tasks["minihouse-2"]
+    (tmp_path / "manifest.json").write_text("{}")
+    monkeypatch.setattr(orchestrator, "run_mode", lambda *a: pytest.fail("ran"))
+    with pytest.raises(ValueError, match="task 'minihouse-2' seed 0 is given twice"):
+        run_batch(minihouse2, [(task, 0), (task, 1), (task, 0)],
+                  RunConfig(mode="react"), greedy, store_dir=tmp_path / "new")
+    assert not (tmp_path / "new").exists()
+    with pytest.raises(ValueError, match="given twice"):
+        run_batch(minihouse2, [(task, 0), (task, 0)], RunConfig(mode="react"),
+                  greedy, store_dir=tmp_path)
+    assert (tmp_path / "manifest.json").read_text() == "{}"
+
+
 def test_a_parallel_store_is_byte_identical_to_a_serial_one(
         minihouse1, greedy, oracle_thinker, tmp_path):
     items = [(task, s) for task in minihouse1.tasks.values() for s in range(5)]

@@ -542,6 +542,25 @@ def test_export_sft_matches_a_per_thought_rebuild(keymaze1, char_budget,
     assert truncated == (char_budget == 1500)
 
 
+@pytest.mark.parametrize("tasks,seeds,message", [
+    (2, [0], "tasks holds 'minihouse-2' twice"),
+    (1, [0, 1, 0], "seeds holds 0 twice"),
+    (2, [0, 0], "tasks holds 'minihouse-2' twice"),
+])
+def test_forge_rejects_a_task_or_seed_given_twice(minihouse2, monkeypatch,
+                                                  tasks, seeds, message):
+    """A repeated task or seed would forge each group twice: it fails before
+    the first strong run."""
+    monkeypatch.setattr(pipeline, "run_mode", lambda *a, **k: pytest.fail("ran"))
+    with pytest.raises(ValueError, match=message):
+        forge(minihouse2, [minihouse2.tasks["minihouse-2"]] * tasks,
+              strong=scripted("actor", "oracle-actor"),
+              weak=scripted("actor", "wanderer-actor"),
+              thinker=scripted("thinker", "noisy-thinker"),
+              actor_frozen=scripted("actor", "obedient-actor"),
+              cfg=PipelineConfig(), seeds=seeds)
+
+
 def test_forge_end_to_end(minihouse2, tmp_path):
     result = forge(minihouse2, [minihouse2.tasks["minihouse-2"]],
                    strong=scripted("actor", "oracle-actor"),

@@ -139,8 +139,10 @@ def test_greedy_actor_follows_plan_lines(minihouse1):
     assert parse_actor_output(complete(handle, prompt)).action == "open fridge 1"
 
 
-def test_actors_answer_reflection_requests_raw():
-    raw = complete(scripted("actor", "greedy-actor"),
+@pytest.mark.parametrize("name", [n for n in SCRIPTED_POLICIES
+                                  if n.endswith("-actor")])
+def test_actors_answer_reflection_requests_raw(name):
+    raw = complete(scripted("actor", name),
                    f"{REFLECTION_MARKER} the attempt failed")
     assert raw == CANNED_REFLECTION
     assert "<think>" not in raw

@@ -423,7 +423,8 @@ def test_parse_prompt_recovers_reflections(task):
 
 def _reference_parse_prompt(prompt):
     """The line-by-line state machine the regex tokenizer replaced."""
-    view = prompts.PromptView()
+    steps, thoughts, reflections = [], [], []
+    instruction = initial_observation = ""
     lines = prompt.split("\n")
     i = 0
     pending_action = None
@@ -431,21 +432,21 @@ def _reference_parse_prompt(prompt):
     while i < len(lines):
         line = lines[i]
         if line.startswith("The Task: "):
-            view.instruction = line[len("The Task: "):]
+            instruction = line[len("The Task: "):]
             in_reflections = False
         elif line.startswith("Initial Observation: "):
-            view.initial_observation = line[len("Initial Observation: "):]
+            initial_observation = line[len("Initial Observation: "):]
         elif line == "Previous Reflections:":
             in_reflections = True
         elif line == "Attention:":
             in_reflections = False
         elif in_reflections and line.startswith("- "):
-            view.reflections.append(line[2:])
+            reflections.append(line[2:])
         elif line.startswith("Action: "):
             pending_action = line[len("Action: "):]
         elif line.startswith("Observation: "):
             if pending_action is not None:
-                view.steps.append((pending_action, line[len("Observation: "):]))
+                steps.append((pending_action, line[len("Observation: "):]))
                 pending_action = None
         elif line.startswith("Deep Thought: "):
             text_lines = [line[len("Deep Thought: "):]]
@@ -458,9 +459,10 @@ def _reference_parse_prompt(prompt):
                     break
                 i += 1
                 text_lines.append(lines[i])
-            view.thoughts.append((len(view.steps), "\n".join(text_lines).rstrip()))
+            thoughts.append((len(steps), "\n".join(text_lines).rstrip()))
         i += 1
-    return view
+    return prompts.PromptView(steps, thoughts, 0, instruction,
+                              initial_observation, reflections)
 
 
 # Pieces of every tag line the parser knows, render lines it skips, filler and

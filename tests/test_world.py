@@ -412,6 +412,9 @@ def test_rule_effect_reject_accepted(tmp_path):
     (lambda d: d["tasks"][0].update(max_steps=3.7), "task 'minihouse-1'", "max_steps"),
     (lambda d: d["tasks"][0].update(max_steps=0), "task 'minihouse-1'", "max_steps"),
     (lambda d: d["tasks"][0].update(max_steps=True), "task 'minihouse-1'", "max_steps"),
+    (lambda d: d["tasks"][0].update(subgoals=5), "task 'minihouse-1'", "subgoals"),
+    (lambda d: d["tasks"][0].update(subgoals="open it"), "task 'minihouse-1'",
+     "subgoals"),
     # every value used as a name is a string
     (lambda d: d["rooms"].append(7), "world 'minihouse-1-world'", "rooms"),
     (lambda d: d["entities"].update({7: d["entities"].pop("plate 1")}),
@@ -438,6 +441,7 @@ def test_rule_effect_reject_accepted(tmp_path):
 ], ids=["examples-text", "attributes-text", "kind-misspelled", "open-text",
          "action-space-list",
         "instruction-int", "max-steps-float", "max-steps-zero", "max-steps-bool",
+        "subgoals-int", "subgoals-text",
         "room-int", "entity-id-int", "location-list", "location-int",
         "agent-room-list", "facing-int", "hand-list", "rule-id-list",
         "guard-list", "task-id-int", "task-id-list", "condition-entity-list",
@@ -450,6 +454,47 @@ def test_a_value_of_the_wrong_type_names_the_file_the_owner_and_the_key(
     with pytest.raises(WorldValidationError) as exc:
         load_world(path)
     assert str(exc.value).startswith(f"{path}: {where}: {key} must be ")
+
+
+@pytest.mark.parametrize("edit,where,key", [
+    (lambda d: d.update(task=[]), "world 'minihouse-1-world'", "task"),
+    (lambda d: d["entities"]["fridge 1"].update(
+        opne=d["entities"]["fridge 1"].pop("open")), "entity 'fridge 1'", "opne"),
+    (lambda d: d["agent"].update(facng=None), "agent", "facng"),
+    (lambda d: d["rules"][0].update(efect="reject"), "rule 'must-face-target'", "efect"),
+    (lambda d: d["tasks"][0].update(max_step=12), "task 'minihouse-1'", "max_step"),
+    (lambda d: d["tasks"][0]["subgoals"][0].update(descripton="open it"),
+     "task 'minihouse-1': subgoal 0", "descripton"),
+    (lambda d: d["tasks"][0]["subgoals"][2]["all"][0].update(containr="table 1"),
+     "task 'minihouse-1': subgoal 2: located condition", "containr"),
+], ids=["world", "entity", "agent", "rule", "task", "subgoal", "condition"])
+def test_an_unknown_key_fails_naming_the_file_and_the_section(tmp_path, edit,
+                                                              where, key):
+    """A misspelt optional key would leave its default in force: a fridge
+    with `opne: false` would stand open, and a task with `max_step: 12`
+    would keep 50 steps."""
+    doc = builtin_doc("minihouse1")
+    edit(doc)
+    path = write_world(tmp_path, doc)
+    with pytest.raises(WorldValidationError) as exc:
+        load_world(path)
+    assert str(exc.value) == f"{path}: unknown key(s) in {where}: {key}"
+
+
+@pytest.mark.parametrize("allow,loads", [(True, True), (False, False),
+                                         ("no", False), (1, False)])
+def test_allow_initial_subgoals_is_a_bool(tmp_path, allow, loads):
+    doc = world_doc()
+    doc["entities"]["box 1"]["open"] = True
+    doc["tasks"][0]["allow_initial_subgoals"] = allow
+    path = write_world(tmp_path, doc)
+    if loads:
+        assert set(load_world(path).tasks) == {"t"}
+        return
+    message = "initial world" if allow is False else \
+        f"allow_initial_subgoals must be true or false, got {allow!r}"
+    with pytest.raises(WorldValidationError, match=message):
+        load_world(path)
 
 
 @pytest.mark.parametrize("locations", [
