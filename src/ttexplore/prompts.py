@@ -7,13 +7,20 @@ When a rendered prompt would exceed the character budget, the oldest
 observation, and every deep thought are always retained.
 
 A `HistoryView` renders each history line once, when it is appended, and
-keeps a running prefix sum of the steps' character costs. A render states
-its fixed text before and after the history and joins the prompt once, with
-no per-step Python: the full prompt's length is the sum of its parts'
-lengths, so the drop count comes from bisecting the prefix sums for its
-excess, and no prompt is built only to be measured. What still grows with
-the history is C-speed copying of what the prompt keeps: about the
-character budget, plus the deep thoughts, which are never dropped.
+keeps a running prefix sum of the steps' character costs. The actor and
+thinker renders take their fixed text before and after the history, their
+frame, from a bounded LRU cache of 256 frames per role. A frame is keyed by
+the content it shows: the task's examples (actor only), action doc and
+instruction, the view's initial observation and reflections (actor only),
+and whether the history is empty. It is never keyed by a task id, which two
+tasks may share, or by the view, whose fields are public; so editing either
+reaches the next render, and memory stays flat over any number of episodes
+and seeds. A render then joins the prompt once, with no per-step Python:
+the full prompt's length is the sum of its parts' lengths, so the drop
+count comes from bisecting the prefix sums for its excess, and no prompt is
+built only to be measured. What still grows with the history is C-speed
+copying of what the prompt keeps: about the character budget, plus the
+deep thoughts, which are never dropped.
 
 A render returns a `Prompt`: the text, which is what a model reads, and
 the `PromptView` of exactly what that text shows, which is what the
@@ -25,6 +32,7 @@ prompt that is not a render, such as one a stub server received.
 
 from __future__ import annotations
 
+import functools
 import re
 from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
@@ -244,6 +252,18 @@ def _check_history(task: TaskSpec, view: HistoryView) -> None:
 def render_actor_prompt(task: TaskSpec, view: HistoryView,
                         char_budget: int = DEFAULT_CHAR_BUDGET) -> Prompt:
     _check_history(task, view)
+    head, tail = _actor_frame(tuple(task.examples), task.action_space_doc,
+                              task.instruction, view.initial_observation,
+                              bool(view._lines), tuple(view.reflections))
+    return _fit_budget(head, tail, view, char_budget, task.instruction,
+                       view.initial_observation, view.reflections)
+
+
+@functools.lru_cache(maxsize=256)
+def _actor_frame(examples: tuple[str, ...], action_space_doc: str,
+                 instruction: str, initial_observation: str, history: bool,
+                 reflections: tuple[str, ...]) -> tuple[str, str]:
+    """The actor prompt's text before and after the history."""
     head = [
         "You are an Action Agent responsible for achieving a text-based task.",
         "",
@@ -251,20 +271,20 @@ def render_actor_prompt(task: TaskSpec, view: HistoryView,
         "multi-turn interaction.",
         "",
         "Task Examples:",
-        "\n".join(e.rstrip() for e in task.examples),
+        "\n".join(e.rstrip() for e in examples),
         "",
         "Task Actions:",
-        task.action_space_doc.rstrip(),
+        action_space_doc.rstrip(),
         "",
-        f"The Task: {task.instruction}",
+        f"The Task: {instruction}",
         "",
-        f"Initial Observation: {view.initial_observation}",
+        f"Initial Observation: {initial_observation}",
     ]
-    if view._lines:
+    if history:
         head += ["", "History:"]
     tail = []
-    if view.reflections:
-        tail += ["", "Previous Reflections:", *(f"- {r}" for r in view.reflections)]
+    if reflections:
+        tail += ["", "Previous Reflections:", *(f"- {r}" for r in reflections)]
     tail += [
         "",
         "Attention:",
@@ -275,14 +295,22 @@ def render_actor_prompt(task: TaskSpec, view: HistoryView,
         "strictly. Use the following format:",
         ACTOR_FORMAT_BLOCK,
     ]
-    return _fit_budget("\n".join(head), "\n".join(tail), view, char_budget,
-                       task.instruction, view.initial_observation,
-                       view.reflections)
+    return "\n".join(head), "\n".join(tail)
 
 
 def render_thinker_prompt(task: TaskSpec, view: HistoryView,
                           char_budget: int = DEFAULT_CHAR_BUDGET) -> Prompt:
     _check_history(task, view)
+    head, tail = _thinker_frame(task.action_space_doc, task.instruction,
+                                view.initial_observation, bool(view._lines))
+    return _fit_budget(head, tail, view, char_budget, task.instruction,
+                       view.initial_observation)
+
+
+@functools.lru_cache(maxsize=256)
+def _thinker_frame(action_space_doc: str, instruction: str,
+                   initial_observation: str, history: bool) -> tuple[str, str]:
+    """The thinker prompt's text before and after the history."""
     head = [
         "You are a Thinker Agent responsible for uncovering the implicit "
         "rules of the environment. You must analyze the history trajectory "
@@ -292,15 +320,15 @@ def render_thinker_prompt(task: TaskSpec, view: HistoryView,
         "Here is the information about the task environment.",
         "",
         "Task Actions:",
-        task.action_space_doc.rstrip(),
+        action_space_doc.rstrip(),
         "",
-        f"The Task: {task.instruction}",
+        f"The Task: {instruction}",
         "",
-        f"Initial Observation: {view.initial_observation}",
+        f"Initial Observation: {initial_observation}",
         "",
         "History Trajectory:",
     ]
-    if not view._lines:
+    if not history:
         head.append("(no interaction yet)")
     tail = [
         "",
@@ -318,8 +346,7 @@ def render_thinker_prompt(task: TaskSpec, view: HistoryView,
         "Use the following format for your response:",
         THINKER_FORMAT_BLOCK,
     ]
-    return _fit_budget("\n".join(head), "\n".join(tail), view, char_budget,
-                       task.instruction, view.initial_observation)
+    return "\n".join(head), "\n".join(tail)
 
 
 def render_reflection_prompt(task: TaskSpec, view: HistoryView,

@@ -1,6 +1,7 @@
 """Prompt rendering, tagged-output parsing, truncation, and introspection."""
 
 import copy
+import dataclasses
 import sys
 import threading
 from unittest import mock
@@ -145,6 +146,107 @@ def _reference_fit_budget(head, tail, view, char_budget, *shown):
         drop += 1
         prompt = _joined(head, tail, view, drop)
     return prompt
+
+
+def _reference_frame(render, task, view):
+    """The fixed text before and after a render's history, built anew on
+    every call from the task and the view."""
+    if render is render_thinker_prompt:
+        head = [
+            "You are a Thinker Agent responsible for uncovering the implicit "
+            "rules of the environment. You must analyze the history trajectory "
+            "carefully and reason about any confusing feedback from the "
+            "environment.",
+            "",
+            "Here is the information about the task environment.",
+            "",
+            "Task Actions:",
+            task.action_space_doc.rstrip(),
+            "",
+            f"The Task: {task.instruction}",
+            "",
+            f"Initial Observation: {view.initial_observation}",
+            "",
+            "History Trajectory:",
+            *([] if view.steps or view.thoughts else ["(no interaction yet)"]),
+        ]
+        tail = [
+            "",
+            "Attention:",
+            "1. If you think all the feedback in the history trajectory is "
+            "reasonable, summarize the subgoals you have completed and provide "
+            "your next plan.",
+            "2. If you find the environment's feedback in the latest steps "
+            "confusing, think carefully about possible reasons. Do not assume "
+            "the environment is erroneous; instead, consider what hidden rules "
+            "could explain the observations.",
+            "3. For any uncertainties, try to formulate hypotheses and design "
+            "plans to verify them.",
+            "",
+            "Use the following format for your response:",
+            THINKER_FORMAT_BLOCK,
+        ]
+        return "\n".join(head), "\n".join(tail)
+    head = [
+        "You are an Action Agent responsible for achieving a text-based task.",
+        "",
+        "Now you need to finish a text-based task in an environment with "
+        "multi-turn interaction.",
+        "",
+        "Task Examples:",
+        "\n".join(e.rstrip() for e in task.examples),
+        "",
+        "Task Actions:",
+        task.action_space_doc.rstrip(),
+        "",
+        f"The Task: {task.instruction}",
+        "",
+        f"Initial Observation: {view.initial_observation}",
+        *(["", "History:"] if view.steps or view.thoughts else []),
+    ]
+    tail = []
+    if view.reflections:
+        tail += ["", "Previous Reflections:", *(f"- {r}" for r in view.reflections)]
+    tail += [
+        "",
+        "Attention:",
+        "1. You MUST provide your thought (one or two lines) before taking action.",
+        "2. You MUST issue only ONE action in each interaction stage.",
+        "",
+        "Please provide your response to the task following the format "
+        "strictly. Use the following format:",
+        ACTOR_FORMAT_BLOCK,
+    ]
+    return "\n".join(head), "\n".join(tail)
+
+
+@pytest.mark.parametrize("render", [render_actor_prompt, render_thinker_prompt])
+@pytest.mark.parametrize("steps", [0, 30])
+def test_a_render_frames_the_task_and_view_it_is_given(task, render, steps):
+    """Renders equal the reference, which builds the frame on every call:
+    for tasks that share an id but not their examples, action doc or
+    instruction, after the view's initial observation is reassigned, and
+    after a reflection is appended, within and over the budget."""
+    tasks = [task,
+             dataclasses.replace(task, examples=["Task: other\n> look around"]),
+             dataclasses.replace(task, action_space_doc="- look around\n"),
+             dataclasses.replace(task, instruction="open the fridge")]
+    view = HistoryView(task.id, "You are in the hallway.",
+                       steps=[(f"go to room {i}", "Nothing happened.")
+                              for i in range(steps)])
+
+    def check():
+        for t in tasks:
+            head, tail = _reference_frame(render, t, view)
+            for budget in (10 ** 6, len(head) + len(tail) + 200):
+                assert render(t, view, budget) == \
+                    _reference_fit_budget(head, tail, view, budget)
+
+    check()
+    view.initial_observation = "You are in the garden."
+    check()
+    view.reflections.append("open the fridge first")
+    check()
 
 
 TASK_ID = "minihouse-1"

@@ -56,6 +56,32 @@ def test_parse_action_keeps_raw_and_trims():
     assert action.raw == "open fridge 1"
 
 
+@st.composite
+def _action_texts(draw):
+    """Action-like text in mixed case with surrounding whitespace."""
+    space = st.text(alphabet=" \t\n", max_size=3)
+    name = st.text(alphabet="ab 1", max_size=8)
+    words = [draw(st.sampled_from(["look around", "go to ", "open ", "take ",
+                                   "put ", "dance "])), draw(name),
+             draw(st.sampled_from(["", " from ", " in ", " on "])), draw(name)]
+    text = "".join(words)
+    flips = draw(st.lists(st.booleans(), min_size=len(text), max_size=len(text)))
+    text = "".join(c.upper() if up else c for c, up in zip(text, flips))
+    return draw(space) + text + draw(space)
+
+
+@settings(max_examples=500, deadline=None)
+@given(st.one_of(_action_texts(), st.text()))
+def test_the_cached_parse_equals_the_uncached_one(text):
+    """`parse_action` shares one frozen `Action` per text, in a bounded cache."""
+    action = parse_action(text)
+    assert action == parse_action.__wrapped__(text)
+    assert parse_action(text) == action
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        action.verb = "look"
+    assert isinstance(parse_action.cache_info().maxsize, int)
+
+
 # --- stepping and the rejection sentinel -----------------------------------
 
 def test_rejected_action_yields_exact_sentinel(minihouse1):
