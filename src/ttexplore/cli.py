@@ -97,7 +97,7 @@ def _read_store(store: Path) -> tuple[dict, list[list[dict]]]:
         _fail(f"{store}: not a run store (no manifest.json)")
     try:
         manifest = json.loads(manifest_path.read_text(encoding="utf-8"))
-    except json.JSONDecodeError as exc:
+    except (OSError, UnicodeError, json.JSONDecodeError) as exc:
         _fail(f"{manifest_path}: corrupt manifest: {exc}")
     if not isinstance(manifest, dict):
         _fail(f"{manifest_path}: the manifest is not a mapping")
@@ -222,7 +222,8 @@ def cmd_metrics(store, k, as_jsonl) -> None:
     try:
         walls = json.loads(timings_path.read_text(encoding="utf-8"))["episodes"]
         count = len(walls)
-    except (json.JSONDecodeError, LookupError, TypeError) as exc:
+    except (OSError, UnicodeError, json.JSONDecodeError, LookupError,
+            TypeError) as exc:
         _fail(f"{timings_path}: corrupt timings: {exc}")
     if count != len(episodes):
         _fail(f"{timings_path}: {count} episode timings, the manifest lists "

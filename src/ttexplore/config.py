@@ -28,7 +28,7 @@ from .pipeline import PipelineConfig
 from .policies import ConfigError, PolicyHandle, RemoteBackend, ScriptedBackend
 from .orchestrator import RunConfig, repeated
 from .prompts import HistoryView, render_actor_prompt, render_thinker_prompt
-from .world import TaskSpec, TextWorld, builtin_world_path, load_world
+from .world import TaskSpec, TextWorld, builtin_world_path, load_world, read_yaml
 
 
 class ConfigValidationError(ValueError):
@@ -173,7 +173,7 @@ def load_config(path: str | Path,
     if not path.exists():
         raise ConfigValidationError(f"config file not found: {path}")
     try:
-        data = yaml.safe_load(path.read_text(encoding="utf-8")) or {}
+        data = read_yaml(path) or {}
     except (OSError, UnicodeError, yaml.YAMLError) as exc:
         raise ConfigValidationError(f"{path}: cannot load config: {exc}") from None
     if not isinstance(data, dict):

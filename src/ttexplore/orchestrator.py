@@ -7,7 +7,8 @@ failed episodes on `seed` with reflections and `bestofn` keeps the best of
 N episodes, sample i on `sample_seed(seed, i, N)`, which is `seed * N + i`;
 for these two, `inner_mode` picks the episode kind. Thinker invocations
 never consume the step budget. Episodes are strictly sequential inside; the
-batch runner parallelizes across episodes only.
+batch runner parallelizes across episodes only, on a thread pool that it
+imports only when `parallelism` is above 1.
 
 `run_steps` is the one actor loop: every episode runs on it, and so do
 `forge`'s weak probes and frozen-actor continuations, which start from a
@@ -27,7 +28,6 @@ import json
 import logging
 import os
 import time
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import asdict, dataclass, field
 from pathlib import Path
 from typing import Optional
@@ -326,10 +326,14 @@ def write_jsonl(path: Path, records: list) -> None:
 
 
 def read_transcript(path: Path) -> list:
-    """The JSON value of each line of `path`; a line that is not JSON fails
-    naming the file and the line. Only a newline ends a line: JSON leaves
-    U+2028 and other line separators unescaped inside strings."""
-    lines = path.read_text(encoding="utf-8").split("\n")
+    """The JSON value of each line of `path`; a file that cannot be read as
+    UTF-8 fails naming the file, and a line that is not JSON naming the file
+    and the line. Only a newline ends a line: JSON leaves U+2028 and other
+    line separators unescaped inside strings."""
+    try:
+        lines = path.read_text(encoding="utf-8").split("\n")
+    except (OSError, UnicodeError) as exc:
+        raise RunStoreError(f"{path}: cannot read transcripts: {exc}") from None
     if lines[-1] == "":
         lines.pop()
     values = []
@@ -400,6 +404,7 @@ def run_batch(world: TextWorld, items: list[tuple[TaskSpec, int]], cfg: RunConfi
         return EpisodeResult(trajectory=traj, metrics=m, wall_s=wall_s)
 
     if parallelism > 1:
+        from concurrent.futures import ThreadPoolExecutor  # serial runs skip it
         with ThreadPoolExecutor(max_workers=parallelism) as pool:
             results = list(pool.map(one, items))
     else:

@@ -17,7 +17,9 @@ Two backend families:
   once; 5xx, 429, timeouts and malformed bodies are retried up to
   `max_retries` times. A retry waits 0.5 s times the attempt number, or,
   after a 429 with an integer `Retry-After`, that many seconds, at most
-  `timeout_s`.
+  `timeout_s`. The HTTP stack (`urllib.request`, `http.client`, and with
+  them `email` and `ssl`) is imported at the first remote call, so a
+  process that runs only scripted policies never loads it.
 
 A backend checks itself when it is made: a scripted name that
 `SCRIPTED_POLICIES` lacks, an endpoint that is not an http(s) URL with a
@@ -31,15 +33,12 @@ episode; any other exception a policy raises is a bug and propagates.
 from __future__ import annotations
 
 import functools
-import http.client
 import json
 import math
 import os
 import random
 import time
-import urllib.error
 import urllib.parse
-import urllib.request
 import zlib
 from dataclasses import dataclass
 from typing import Callable, Optional
@@ -129,6 +128,11 @@ def complete(policy: PolicyHandle, prompt: str, seed: int = 0) -> str:
 
 
 def _complete_remote(backend: RemoteBackend, prompt: str) -> str:
+    # imported on first use, so scripted runs never load the HTTP stack
+    import http.client
+    import urllib.error
+    import urllib.request
+
     headers = {"Content-Type": "application/json"}
     api_key = os.environ.get(backend.api_key_env)
     if api_key:

@@ -8,7 +8,10 @@ table; the built-in checks after it cover validity alone. Seeds only shuffle
 entity enumeration order in observation text, never reachability or scoring.
 
 `world_from_dict` checks a world file's mapping in one pass, and `load_world`
-adds the file's name to its errors. No section holds an unknown key. Rooms,
+adds the file's name to its errors. `read_yaml` is the one reader of world
+and config files: it parses with libyaml (`yaml.CSafeLoader`) when PyYAML
+has it, and with the pure-Python `yaml.SafeLoader`, which reads the same
+data several times slower, otherwise. No section holds an unknown key. Rooms,
 entity ids and `hand` are one namespace; a receptacle stands in a room, so
 no action moves one and `go to` it reads its room off it; an object lies in
 a receptacle or the hand, where `take` and `put` reach it; every name a
@@ -496,11 +499,21 @@ def _field(spec, key: str, where: str, must=None, default=_REQUIRED):
     return value
 
 
+# libyaml's safe loader when PyYAML was built with it
+_YAML_LOADER = getattr(yaml, "CSafeLoader", yaml.SafeLoader)
+
+
+def read_yaml(path: Path):
+    """The data of the UTF-8 YAML file at `path`, read as `yaml.safe_load`
+    reads it; raises OSError, UnicodeError or yaml.YAMLError."""
+    return yaml.load(path.read_text(encoding="utf-8"), Loader=_YAML_LOADER)
+
+
 def load_world(path: str | Path) -> TextWorld:
     """`world_from_dict` of a world file's YAML; every error names the file."""
     path = Path(path)
     try:
-        data = yaml.safe_load(path.read_text(encoding="utf-8"))
+        data = read_yaml(path)
     except (OSError, UnicodeError, yaml.YAMLError) as exc:
         raise WorldValidationError(f"{path}: cannot load world file: {exc}") from None
     try:

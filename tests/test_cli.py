@@ -565,6 +565,27 @@ def test_corrupt_manifest_names_the_file(runner, tmp_path, command):
     assert "manifest.json" in result.output
 
 
+@pytest.mark.parametrize("command, name", [
+    ("metrics", "manifest.json"), ("replay", "manifest.json"),
+    ("metrics", "transcripts.jsonl"), ("replay", "transcripts.jsonl"),
+    # replay does not read the wall times
+    ("metrics", "timings.json")])
+@pytest.mark.parametrize("damage", ["non-utf8", "directory"])
+def test_unreadable_store_file_names_the_file(runner, tmp_path, command, name,
+                                              damage):
+    store = run_store(runner, tmp_path)
+    path = store / name
+    if damage == "non-utf8":
+        path.write_bytes(b"\xff\xfe{")
+    else:
+        path.unlink()
+        path.mkdir()
+    result = runner.invoke(main, [command, str(store)])
+    assert result.exit_code == 2, result.output
+    assert isinstance(result.exception, SystemExit)  # no traceback
+    assert result.output.startswith(f"error: {path}: ")
+
+
 @pytest.mark.parametrize("command", ["metrics", "replay"])
 @pytest.mark.parametrize("shape", ["list", "episodes-mapping",
                                    "episode-number"])

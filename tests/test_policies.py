@@ -406,3 +406,22 @@ def test_import_loads_no_third_party_http_client():
                                "print('requests' in sys.modules)"],
         capture_output=True, text=True, env=env, timeout=60, check=True)
     assert out.stdout.strip() == "False"
+
+
+def test_a_scripted_process_loads_no_http_stack_or_thread_pool():
+    # the remote backend imports the HTTP stack at its first call and the
+    # batch runner its thread pool at parallelism > 1: loading the example
+    # config, its world and its budget check imports neither
+    root = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+    env = {**os.environ,
+           "PYTHONPATH": os.pathsep.join([os.path.dirname(os.path.dirname(
+               ttexplore.__file__)), os.environ.get("PYTHONPATH", "")])}
+    code = ("import sys, ttexplore, ttexplore.cli\n"
+            "from ttexplore.config import load_config\n"
+            "load_config('example-config.yaml')\n"
+            "print(sorted(m for m in ('http.client', 'urllib.request', 'ssl',"
+            " 'concurrent.futures') if m in sys.modules))")
+    out = subprocess.run([sys.executable, "-c", code], cwd=root,
+                         capture_output=True, text=True, env=env, timeout=60,
+                         check=True)
+    assert out.stdout.strip() == "[]"

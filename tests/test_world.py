@@ -5,6 +5,7 @@ import copy
 import dataclasses
 import random
 from decimal import ROUND_HALF_UP, Decimal
+from pathlib import Path
 
 import pytest
 import yaml
@@ -23,6 +24,7 @@ from ttexplore.world import (
     load_builtin_world,
     load_world,
     parse_action,
+    read_yaml,
     world_from_dict,
 )
 
@@ -652,6 +654,37 @@ def test_builtin_worlds_load():
         world = load_builtin_world(name)
         assert world.id == wid
         assert world.tasks
+
+
+# --- the YAML reader ---------------------------------------------------------
+
+SHIPPED_YAML = [*(builtin_world_path(name) for name in
+                  ("minihouse1", "minihouse2", "keymaze1")),
+                Path(__file__).resolve().parents[1] / "example-config.yaml"]
+
+
+@pytest.mark.parametrize("path", SHIPPED_YAML, ids=lambda p: p.name)
+def test_the_reader_reads_a_shipped_file_as_safe_load_does(path):
+    text = path.read_text(encoding="utf-8")
+    assert read_yaml(path) == yaml.load(text, Loader=yaml.SafeLoader)
+
+
+yaml_scalars = (st.text() | st.integers() | st.booleans() | st.none()
+                | st.floats(allow_nan=False, allow_infinity=False))
+yaml_docs = st.recursive(
+    yaml_scalars,
+    lambda inner: st.dictionaries(st.text(), inner, max_size=5)
+    | st.lists(inner, max_size=5),
+    max_leaves=20)
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.dictionaries(st.text(), yaml_docs, max_size=5))
+def test_the_reader_reads_a_dump_as_safe_load_does(tmp_path_factory, doc):
+    path = tmp_path_factory.mktemp("yaml") / "doc.yaml"
+    path.write_text(yaml.safe_dump(doc), encoding="utf-8")
+    assert read_yaml(path) == yaml.load(path.read_text(encoding="utf-8"),
+                                        Loader=yaml.SafeLoader) == doc
 
 
 # --- properties over random action sequences ---------------------------------
