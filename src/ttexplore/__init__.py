@@ -8,7 +8,6 @@ and the thinker training-data pipeline.
 from .world import (
     SENTINEL,
     Observation,
-    ProcessScore,
     TaskSpec,
     TextWorld,
     WorldState,
@@ -71,8 +70,8 @@ from .pipeline import (
 __version__ = "0.1.0"
 
 __all__ = [
-    "SENTINEL", "Observation", "ProcessScore", "TaskSpec", "TextWorld",
-    "WorldState", "WorldValidationError", "load_builtin_world", "load_world",
+    "SENTINEL", "Observation", "TaskSpec", "TextWorld", "WorldState",
+    "WorldValidationError", "load_builtin_world", "load_world",
     "parse_action", "world_from_dict",
     "ActorOutput", "ContractViolation", "DeepThought", "HistoryView",
     "ParseError", "parse_actor_output", "parse_prompt", "parse_thinker_output",

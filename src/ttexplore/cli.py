@@ -298,7 +298,7 @@ def _verify_episode(world: TextWorld, task, entry: dict,
     mismatching step or of a manifest outcome the replay contradicts, or None
     when everything matches."""
     state, _ = world.reset(task, entry["seed"])
-    score, done = world.process_score(state, task).value, False
+    score, done = world.process_score(state, task), False
     for record in records:
         step = record["step"]
         state, obs, score, done = world.step(state, record["action"], task)

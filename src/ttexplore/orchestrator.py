@@ -223,7 +223,7 @@ def _run_episode(world: TextWorld, actor: PolicyHandle, task: TaskSpec,
         last = traj.steps[-1]
         traj.final = Final(last.done, last.score_after, len(traj.steps))
     else:
-        traj.final = Final(False, world.process_score(state, task).value, 0)
+        traj.final = Final(False, world.process_score(state, task), 0)
     return traj
 
 

@@ -26,6 +26,7 @@ the continuations run on the episode seed.
 from __future__ import annotations
 
 import logging
+import math
 from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Optional
@@ -91,8 +92,9 @@ class PipelineConfig:
             raise ValueError("thresholds must satisfy 0 < x < y")
         if self.m < 1:
             raise ValueError("m must be >= 1")
-        if self.penalty_rate < 0:
-            raise ValueError("penalty rate must be >= 0")
+        if not 0 <= self.penalty_rate < math.inf:  # JSON takes neither nan nor inf
+            raise ValueError(f"penalty_rate must be >= 0 and finite, "
+                             f"got {self.penalty_rate}")
         if self.reward_mode not in (BINARY, STEP_PENALTY):
             raise ValueError(f"unknown reward mode {self.reward_mode!r}")
 
@@ -106,7 +108,6 @@ class SubTask:
     target_score: float
     difficulty: str = UNSET
     weak_actions: list[str] = field(default_factory=list)
-    completion_step: Optional[int] = None
     # the probe's state and history after x weak steps; None when easy
     context: Optional[tuple[WorldState, HistoryView]] = None
 
@@ -123,7 +124,6 @@ class RolloutContext:
 
 @dataclass
 class RewardRecord:
-    context_id: str
     thought: DeepThought
     continuation: list[StepRecord]
     reward: float
@@ -148,7 +148,7 @@ def divide_subtasks(world: TextWorld, task: TaskSpec,
     milestone j-1, so its prefix is the strong trajectory up to and including
     the step that reached the previous milestone. The first sub-task starts
     at the task's initial score."""
-    start = world.process_score(task.initial_world, task).value
+    start = world.process_score(task.initial_world, task)
     scores = [s.score_after for s in strong_traj.steps]
     actions = strong_traj.actions()
     increases = [i for i in range(len(scores))
@@ -178,7 +178,7 @@ def replay_with_history(world: TextWorld, task: TaskSpec, seed: int,
     """Fold the actions from reset into (state, view, process score)."""
     state, obs0 = world.reset(task, seed)
     view = HistoryView(task.id, obs0.text)
-    score = world.process_score(state, task).value
+    score = world.process_score(state, task)
     for action in actions:
         state, obs, score, _ = world.step(state, action, task)
         view.add_step(action, obs.text)
@@ -205,7 +205,6 @@ def classify_difficulty(world: TextWorld, task: TaskSpec, sub: SubTask,
                   sub.seed, cfg.run, floor=sub.start_score)
     completed = steps[-1].score_after > sub.start_score
     sub.weak_actions = [s.action for s in steps]
-    sub.completion_step = len(steps) if completed else None
     sub.difficulty = (HARD if not completed
                       else EASY if len(steps) <= cfg.x else MEDIUM)
     return sub
@@ -295,9 +294,8 @@ def evaluate_thought(world: TextWorld, actor_frozen: PolicyHandle,
     improved_at = (len(continuation) if continuation[-1].score_after > start
                    else None)
     reward = continuation_reward(cfg.reward_mode, improved_at, cfg.penalty_rate)
-    return RewardRecord(context_id=context.context_id, thought=thought,
-                        continuation=continuation, reward=reward,
-                        improved_at=improved_at)
+    return RewardRecord(thought=thought, continuation=continuation,
+                        reward=reward, improved_at=improved_at)
 
 
 def rollout_group(world: TextWorld, task: TaskSpec, context: RolloutContext,
@@ -318,28 +316,15 @@ ROLLOUT_MAX_STEPS = 25
 NODE_INTERVALS = {2: 9, 4: 6}  # trigger intervals under ROLLOUT_MAX_STEPS
 
 
-@dataclass
-class MultiNodeRollout:
-    trajectory: Trajectory
-    reward: float
-    trigger_steps: list[int]
-
-
-@dataclass
-class MultiNodeGroup:
-    task_id: str
-    interval: int
-    max_steps: int
-    rollouts: list[MultiNodeRollout]
-
-
 def build_multinode_contexts(world: TextWorld, task: TaskSpec,
                              thinker: PolicyHandle, actor_frozen: PolicyHandle,
                              cfg: PipelineConfig, nodes: int,
-                             base_seed: int = 0) -> MultiNodeGroup:
-    """Rollouts whose task-level reward is shared by every thinking node,
-    rollout j on `sample_seed(base_seed, j, m)`: an episode that completes
-    the task is rewarded at its completing step, any other episode gets 0.
+                             base_seed: int = 0) -> list[tuple[Trajectory, float]]:
+    """`cfg.m` (trajectory, reward) pairs, rollout j on the seed
+    `sample_seed(base_seed, j, m)`. Every thinking node of a rollout shares
+    its task-level reward: an episode that completes the task is rewarded at
+    its completing step, any other episode gets 0. A trajectory's thought
+    anchors are its trigger steps.
     A policy backend failure in a rollout raises `BackendFailure` naming
     the task and the rollout's seed, as in `forge`.
     Node counts of 2 and 4 map to trigger intervals of 9 and 6 under the
@@ -349,8 +334,7 @@ def build_multinode_contexts(world: TextWorld, task: TaskSpec,
                          "use divide/classify/rollout instead")
     if nodes not in NODE_INTERVALS:
         raise ValueError(f"unsupported node count: {nodes}")
-    interval = NODE_INTERVALS[nodes]
-    run_cfg = RunConfig(mode="ttexplore", n_trigger=interval,
+    run_cfg = RunConfig(mode="ttexplore", n_trigger=NODE_INTERVALS[nodes],
                         max_steps=ROLLOUT_MAX_STEPS,
                         char_budget=cfg.run.char_budget)
     rollouts = []
@@ -364,11 +348,8 @@ def build_multinode_contexts(world: TextWorld, task: TaskSpec,
                                      traj.final.steps_used if traj.final.success
                                      else None,
                                      cfg.penalty_rate)
-        rollouts.append(MultiNodeRollout(
-            trajectory=traj, reward=reward,
-            trigger_steps=[t.anchor_step for t in traj.thoughts]))
-    return MultiNodeGroup(task_id=task.id, interval=interval,
-                          max_steps=ROLLOUT_MAX_STEPS, rollouts=rollouts)
+        rollouts.append((traj, reward))
+    return rollouts
 
 
 # ---------------------------------------------------------------------------

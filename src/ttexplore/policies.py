@@ -321,7 +321,7 @@ def loop_actor(view: PromptView, seed: int) -> tuple[str, str]:
 
 @_actor
 def greedy_actor(view: PromptView, seed: int) -> tuple[str, str]:
-    """Rule-ignorant subgoal chaser; follows the latest deep thought's plan
+    """Subgoal chaser blind to the rules; follows the latest deep thought's plan
     lines when one is present."""
     planned = _latest_plan_step(view)
     if planned is not None:

@@ -1,11 +1,17 @@
 """Deterministic partially observable text-world engine.
 
 Worlds are declared in YAML: rooms, entities, a rule table, and tasks with
-subgoal predicates. Each rule names a guard; the table is checked in
+subgoal predicates. The table maps each rule id to a guard; it is checked in
 declaration order, the first guard that fires rejects the action, and the
-step yields the sentinel observation. The hidden rules come only from this
-table; the built-in checks after it cover validity alone. Seeds only shuffle
-entity enumeration order in observation text, never reachability or scoring.
+step yields the sentinel observation. Only this table rejects a step for a
+hidden rule; the built-in checks after it cover validity alone. Scoring is
+not bound by it: a subgoal with a `facing` condition, such as minihouse2's
+"carried to the table" and keymaze1's "carried to the shelf", holds only
+while the agent stands at the destination, whatever the table says. So
+`greedy-actor`, whose naive plan puts the item down without a `go to`,
+stays at 66.67 on those two worlds even with an empty table. Seeds only
+shuffle entity enumeration order in observation text, never reachability or
+scoring.
 
 `world_from_dict` checks a world file's mapping in one pass, and `load_world`
 adds the file's name to its errors. `read_yaml` is the one reader of world
@@ -87,18 +93,6 @@ class WorldState:
 @dataclass(frozen=True)
 class Observation:
     text: str
-
-
-@dataclass(frozen=True)
-class ProcessScore:
-    value: float
-    satisfied_subgoals: frozenset[int]
-
-
-@dataclass(frozen=True)
-class Rule:
-    id: str
-    guard: str  # a key of GUARDS
 
 
 @dataclass
@@ -244,6 +238,18 @@ def _shuffle_order(seed: str, n: int) -> tuple[int, ...]:
     return tuple(order)
 
 
+def _satisfied(state: WorldState, task: TaskSpec) -> list[int]:
+    """The indices of the task's subgoals whose conditions all hold."""
+    satisfied = []
+    for i, goal in enumerate(task.subgoals):
+        for cond in goal.conditions:
+            if not CONDITIONS[cond["kind"]][1](state, cond):
+                break
+        else:
+            satisfied.append(i)
+    return satisfied
+
+
 def _percent(part: int, whole: int) -> float:
     """100 * part / whole rounded half-up to two decimals, in integers: the
     one division by 100 rounds the exact hundredths to the nearest double."""
@@ -254,12 +260,12 @@ class TextWorld:
     """A world definition plus its rule table; all operations are pure."""
 
     def __init__(self, world_id: str, rooms: list[str], entities: dict[str, Entity],
-                 agent: Agent, rules: list[Rule]):
+                 agent: Agent, rules: dict[str, str]):
         self.id = world_id
         self.rooms = tuple(sorted(rooms))
         self.entities = entities
         self.agent = agent
-        self.rules = rules
+        self.rules = rules  # rule id -> guard name, in declaration order
         self.tasks: dict[str, TaskSpec] = {}
 
     # -- episode operations --------------------------------------------
@@ -287,19 +293,12 @@ class TextWorld:
                                Agent(agent.room, agent.facing, agent.hand),
                                state.rng_seed)
             text = self._apply(state, action)
-        score = self.process_score(state, task).value
+        score = self.process_score(state, task)
         return state, Observation(text), score, score == 100.0
 
-    def process_score(self, state: WorldState, task: TaskSpec) -> ProcessScore:
-        satisfied = []
-        for i, goal in enumerate(task.subgoals):
-            for cond in goal.conditions:
-                if not CONDITIONS[cond["kind"]][1](state, cond):
-                    break
-            else:
-                satisfied.append(i)
-        return ProcessScore(value=_percent(len(satisfied), len(task.subgoals)),
-                            satisfied_subgoals=frozenset(satisfied))
+    def process_score(self, state: WorldState, task: TaskSpec) -> float:
+        """The percentage of the task's subgoals that `state` satisfies."""
+        return _percent(len(_satisfied(state, task)), len(task.subgoals))
 
     def replay(self, task: TaskSpec, seed: int, actions: list[str]) -> WorldState:
         state, _ = self.reset(task, seed)
@@ -312,9 +311,9 @@ class TextWorld:
     def _verdict(self, state: WorldState, action: Action) -> Optional[str]:
         """The id of the first rule in the table, in declaration order, or
         of the first validity check that rejects the action; None allows it."""
-        for rule in self.rules:
-            if GUARDS[rule.guard](state, action):
-                return rule.id
+        for rule_id, guard in self.rules.items():
+            if GUARDS[guard](state, action):
+                return rule_id
         return self._builtin_check(state, action)
 
     def _builtin_check(self, state: WorldState, action: Action) -> Optional[str]:
@@ -604,9 +603,11 @@ def world_from_dict(data) -> TextWorld:
             f"agent: facing must be a receptacle in room {agent.room!r}, "
             f"got {agent.facing!r}")
 
-    rules = []
+    rules: dict[str, str] = {}
     for i, r in enumerate(rule_specs, start=1):
         rid = _field(r, "id", f"rule {i}", _STRING)
+        if rid in rules:
+            raise WorldValidationError(f"rule {rid!r}: id is already in use")
         _only(r, f"rule {rid!r}", "id", "guard", "effect")
         guard = _field(r, "guard", f"rule {rid!r}", _STRING)
         if guard not in GUARDS:
@@ -616,7 +617,7 @@ def world_from_dict(data) -> TextWorld:
             raise WorldValidationError(
                 f"rule {rid!r}: unknown effect {r['effect']!r}; "
                 f"rules can only reject")
-        rules.append(Rule(id=rid, guard=guard))
+        rules[rid] = guard
     world = TextWorld(world_id, rooms, entities, agent, rules)
 
     for i, tdata in enumerate(task_specs, start=1):
@@ -643,11 +644,11 @@ def world_from_dict(data) -> TextWorld:
         )
         validate_task(task)
         allow_initial = _field(tdata, "allow_initial_subgoals", where, _BOOL, False)
-        initial_score = world.process_score(task.initial_world, task)
-        if initial_score.satisfied_subgoals and not allow_initial:
+        satisfied = _satisfied(task.initial_world, task)
+        if satisfied and not allow_initial:
             raise WorldValidationError(
                 f"task {task.id!r}: initial world already satisfies subgoals "
-                f"{sorted(initial_score.satisfied_subgoals)}")
+                f"{satisfied}")
         world.tasks[task.id] = task
     return world
 

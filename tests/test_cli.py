@@ -915,6 +915,14 @@ REMOTE = {"backend": "remote", "model": "m",
      ["bad.yaml:actor", "temperature must be >= 0 and finite, got nan"]),
     ("--config", _config_yaml(actor={**REMOTE, "temperature": -0.5}),
      ["bad.yaml:actor", "temperature must be >= 0 and finite, got -0.5"]),
+    ("--world", _world_yaml(lambda d: d["rules"].append(
+        {"id": "must-face-target", "guard": "locked-needs-key"})),
+     ["rule 'must-face-target': id is already in use"]),
+    ("--config", _config_yaml(pipeline={"reward_mode": "step_penalty",
+                                        "penalty_rate": float("nan")}),
+     ["bad.yaml:pipeline", "penalty_rate must be >= 0 and finite, got nan"]),
+    ("--config", _config_yaml(pipeline={"penalty_rate": float("inf")}),
+     ["bad.yaml:pipeline", "penalty_rate must be >= 0 and finite, got inf"]),
 ], ids=["missing-world", "empty-world", "entity-without-kind",
         "rule-without-guard", "task-without-instruction", "subgoal-not-a-mapping",
         "task-max-steps-not-an-int", "world-yaml-syntax", "config-yaml-syntax",
@@ -931,7 +939,9 @@ REMOTE = {"backend": "remote", "model": "m",
         "run-retries-zero", "run-samples-zero", "run-char-budget-zero",
         "remote-max-retries-negative", "remote-timeout-zero",
         "remote-timeout-infinite", "remote-max-output-tokens-zero",
-        "remote-temperature-nan", "remote-temperature-negative"])
+        "remote-temperature-nan", "remote-temperature-negative",
+        "rule-id-twice", "pipeline-penalty-rate-nan",
+        "pipeline-penalty-rate-infinite"])
 def test_validate_malformed_input_fails_naming_the_file_and_key(
         runner, tmp_path, option, text, named):
     path = tmp_path / "bad.yaml"

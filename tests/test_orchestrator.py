@@ -30,7 +30,7 @@ from ttexplore.policies import (
     RemoteError,
     scripted,
 )
-from ttexplore.world import Rule, TextWorld, builtin_world_path, load_world
+from ttexplore.world import TextWorld, builtin_world_path, load_world
 
 
 # --- configuration validation ----------------------------------------------
@@ -267,7 +267,7 @@ def test_abort_before_the_first_step_keeps_the_initial_score(open_fridge,
 def test_own_bug_crashes_instead_of_aborting(minihouse1, greedy):
     # built directly, so load_world's guard check never sees the bad rule
     world = TextWorld(minihouse1.id, list(minihouse1.rooms), minihouse1.entities,
-                      minihouse1.agent, [Rule("r", "no-such-guard")])
+                      minihouse1.agent, {"r": "no-such-guard"})
     world.tasks = minihouse1.tasks
     with pytest.raises(KeyError, match="no-such-guard"):
         run_mode(world, greedy, world.tasks["minihouse-1"],

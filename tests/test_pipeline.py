@@ -115,9 +115,8 @@ def classified_subs(minihouse2, oracle):
 def test_wanderer_probe_labels(classified_subs):
     subs, _ = classified_subs
     assert [s.difficulty for s in subs] == [HARD, MEDIUM, EASY]
-    assert subs[0].completion_step is None
-    assert subs[1].completion_step == 6
-    assert subs[2].completion_step == 1
+    # a completed probe ends at its completing step
+    assert [len(s.weak_actions) for s in subs[1:]] == [6, 1]
 
 
 def test_filter_drops_easy_only(classified_subs):
@@ -276,9 +275,8 @@ def reference_evaluate_thought(world, actor_frozen, task, context, thought, cfg)
             improved_at = t
             break
     reward = continuation_reward(cfg.reward_mode, improved_at, cfg.penalty_rate)
-    return RewardRecord(context_id=context.context_id, thought=thought,
-                        continuation=continuation, reward=reward,
-                        improved_at=improved_at)
+    return RewardRecord(thought=thought, continuation=continuation,
+                        reward=reward, improved_at=improved_at)
 
 
 @pytest.mark.parametrize("world_name", ["minihouse1", "minihouse2", "keymaze1"])
@@ -382,14 +380,13 @@ def test_multinode_interval_mapping(minihouse2):
     actor = scripted("actor", "greedy-actor")
     for nodes, interval in ((2, 9), (4, 6)):
         cfg = PipelineConfig(m=2)
-        group = build_multinode_contexts(minihouse2, task, thinker, actor, cfg,
-                                         nodes)
-        assert group.interval == interval
-        assert group.max_steps == 25
-        for rollout in group.rollouts:
-            assert rollout.trajectory.final.steps_used <= 25
-            assert all(t % interval == 0 for t in rollout.trigger_steps)
-            assert rollout.reward in (0.0, 1.0)
+        rollouts = build_multinode_contexts(minihouse2, task, thinker, actor,
+                                            cfg, nodes)
+        assert len(rollouts) == cfg.m
+        for traj, reward in rollouts:
+            assert traj.final.steps_used <= 25
+            assert all(t.anchor_step % interval == 0 for t in traj.thoughts)
+            assert reward in (0.0, 1.0)
 
 
 def test_multinode_rejects_unsupported_counts(minihouse2):
@@ -436,13 +433,13 @@ def test_forge_reports_only_a_remote_error_as_a_backend_failure(
 
 def test_multinode_reward_counts_from_the_initial_score(open_fridge):
     task = open_fridge.tasks["minihouse-1"]
-    group = build_multinode_contexts(open_fridge, task,
-                                     scripted("thinker", "null-thinker"),
-                                     scripted("actor", "loop-actor"),
-                                     PipelineConfig(m=2), 2)
-    for rollout in group.rollouts:
-        assert rollout.trajectory.final.process_score == 33.33
-        assert rollout.reward == 0.0
+    rollouts = build_multinode_contexts(open_fridge, task,
+                                        scripted("thinker", "null-thinker"),
+                                        scripted("actor", "loop-actor"),
+                                        PipelineConfig(m=2), 2)
+    for traj, reward in rollouts:
+        assert traj.final.process_score == 33.33
+        assert reward == 0.0
 
 
 @pytest.mark.parametrize("nodes,successes", [(2, [False, False, True, True]),
@@ -454,16 +451,16 @@ def test_multinode_reward_is_the_task_outcome(keymaze1, nodes, successes):
     args = (keymaze1, task, scripted("thinker", "noisy-thinker"),
             scripted("actor", "greedy-actor"))
     binary = build_multinode_contexts(*args, PipelineConfig(), nodes)
-    finals = [r.trajectory.final for r in binary.rollouts]
+    finals = [traj.final for traj, _ in binary]
     assert [f.success for f in finals] == successes
     assert [f.process_score for f in finals] == [100.0 if s else 33.33 for s in successes]
-    assert [r.reward for r in binary.rollouts] == [1.0 if s else 0.0 for s in successes]
+    assert [reward for _, reward in binary] == [1.0 if s else 0.0 for s in successes]
     penalty = build_multinode_contexts(*args, PipelineConfig(reward_mode=STEP_PENALTY),
                                        nodes)
-    assert [r.trajectory.final for r in penalty.rollouts] == finals
+    assert [traj.final for traj, _ in penalty] == finals
     # the task completes at step 18: 1 - 0.05 * 17
     assert [f.steps_used for f in finals if f.success] == [18] * sum(successes)
-    assert [r.reward for r in penalty.rollouts] == \
+    assert [reward for _, reward in penalty] == \
         [pytest.approx(0.15) if s else 0.0 for s in successes]
 
 
@@ -631,3 +628,12 @@ def test_pipeline_config_validation():
         PipelineConfig(reward_mode="bonus")
     with pytest.raises(AttributeError):  # frozen, so it stays checked
         PipelineConfig().m = 0
+
+
+@pytest.mark.parametrize("rate", [float("nan"), float("inf")])
+def test_a_penalty_rate_that_is_not_finite_is_rejected(rate):
+    """`max(0.0, nan)` is 0.0, so a NaN rate would zero every step-penalty
+    reward, and the forge manifest would hold a value JSON cannot carry."""
+    with pytest.raises(ValueError, match=f"^penalty_rate must be >= 0 and "
+                                         f"finite, got {rate}$"):
+        PipelineConfig(reward_mode=STEP_PENALTY, penalty_rate=rate)

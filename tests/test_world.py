@@ -241,7 +241,7 @@ def run_actions(world, task, actions, seed=0):
     scores, dones = [], []
     for action in actions:
         state, _, score, done = world.step(state, action, task)
-        assert score == world.process_score(state, task).value
+        assert score == world.process_score(state, task)
         scores.append(score)
         dones.append(done)
     return state, scores, dones
@@ -424,7 +424,7 @@ def test_rule_effect_reject_accepted(tmp_path):
     doc = world_doc()
     doc["rules"][0]["effect"] = "reject"
     world = load_world(write_world(tmp_path, doc))
-    assert [(r.id, r.guard) for r in world.rules] == [("r1", "closed-blocks-access")]
+    assert world.rules == {"r1": "closed-blocks-access"}
 
 
 @pytest.mark.parametrize("edit,where,key", [
@@ -525,6 +525,18 @@ def test_allow_initial_subgoals_is_a_bool(tmp_path, allow, loads):
         load_world(path)
 
 
+def test_initially_satisfied_subgoals_are_named_at_load(tmp_path):
+    doc = builtin_doc("minihouse2")
+    doc["entities"]["cabinet 1"]["open"] = True
+    doc["entities"]["soap 1"]["location"] = "table 1"
+    path = write_world(tmp_path, doc)
+    with pytest.raises(WorldValidationError) as exc:
+        load_world(path)
+    # the soap was never held, so "carried to the table" does not hold
+    assert str(exc.value) == (f"{path}: task 'minihouse-2': initial world "
+                              f"already satisfies subgoals [0, 2]")
+
+
 @pytest.mark.parametrize("locations", [
     {"fridge 1": "fridge 1"},
     {"fridge 1": "cabinet 1", "cabinet 1": "fridge 1"},
@@ -559,9 +571,14 @@ def test_a_containment_cycle_fails_at_load(tmp_path, locations):
     (lambda d: d["rooms"].append("hand"), "world 'minihouse-1-world'", "rooms"),
     (lambda d: d["entities"].update(hand={"kind": "object", "location": "table 1"}),
      "world 'minihouse-1-world'", "rooms"),
+    # one id would name rejections by two guards
+    (lambda d: d["rules"].append({"id": "must-face-target",
+                                  "guard": "locked-needs-key"}),
+     "rule 'must-face-target'", "id"),
 ], ids=["task-id-twice", "room-twice", "hand-unknown", "hand-not-in-hand",
         "hand-missing", "facing-in-another-room", "facing-an-object",
-        "entity-named-like-a-room", "room-named-hand", "entity-named-hand"])
+        "entity-named-like-a-room", "room-named-hand", "entity-named-hand",
+        "rule-id-twice"])
 def test_a_duplicate_name_or_a_wrong_hand_or_facing_fails_at_load(
         tmp_path, edit, where, key):
     doc = builtin_doc("minihouse1")
@@ -716,10 +733,10 @@ def _unwitnessed_rules(world):
     one."""
     task = next(iter(world.tasks.values()))
     unwitnessed = {}
-    for rule in world.rules:
+    for rule_id in world.rules:
         without = copy.copy(world)
-        without.rules = [r for r in world.rules if r is not rule]
-        unwitnessed[rule.id] = without
+        without.rules = {r: g for r, g in world.rules.items() if r != rule_id}
+        unwitnessed[rule_id] = without
     start, _ = world.reset(task, seed=0)
     seen = {_state_key(start)}
     queue = collections.deque([start])
@@ -797,7 +814,7 @@ def test_step_properties(episode):
             reference = state.copy()
             assert world._apply(reference, parse_action(action)) == obs.text
             assert new_state == reference
-        assert score == world.process_score(new_state, task).value
+        assert score == world.process_score(new_state, task)
         assert done == (score == 100.0)
         snapshots.append((new_state, copy.deepcopy(new_state)))
         assert all(returned == snapshot for returned, snapshot in snapshots)
