@@ -66,7 +66,8 @@ def _fresh_store(root: Path, label: str | None) -> Path:
 # the keys of a manifest episode and of a transcript record that `metrics`
 # and `replay` read, with the types `run_batch` writes
 _EPISODE_TYPES = {"task_id": str, "seed": int, "success": bool,
-                  "process_score": float}
+                  "process_score": float, "steps_used": int,
+                  "initial_observation": str}
 _RECORD_TYPES = {"step": int, "action": str, "observation": str,
                  "score": float, "done": bool}
 
@@ -295,9 +296,25 @@ def cmd_replay(store, world_override) -> None:
 def _verify_episode(world: TextWorld, task, entry: dict,
                     records: list[dict]) -> str | None:
     """Replay the recorded actions and return a description of the first
-    mismatching step or of a manifest outcome the replay contradicts, or None
-    when everything matches."""
-    state, _ = world.reset(task, entry["seed"])
+    part of the manifest entry or step the replay contradicts, or None when
+    everything matches. The entry's step count is its transcript's, its
+    initial observation is the reset's, and its thought anchors are
+    non-decreasing integers in [0, len(records)]."""
+    if entry["steps_used"] != len(records):
+        return (f"steps_used {entry['steps_used']} but the transcript holds "
+                f"{len(records)} records")
+    state, obs0 = world.reset(task, entry["seed"])
+    if obs0.text != entry["initial_observation"]:
+        return (f"initial observation mismatch, stored "
+                f"{entry['initial_observation']!r}, reset gave {obs0.text!r}")
+    thoughts = entry.get("thoughts", [])
+    anchors = ([t.get("anchor_step") if isinstance(t, dict) else None
+                for t in thoughts] if isinstance(thoughts, list) else [None])
+    bounds = [0, *anchors, len(records)]
+    if not (all(type(a) is int for a in anchors)
+            and all(a <= b for a, b in zip(bounds, bounds[1:]))):
+        return (f"thought anchors {anchors} are not non-decreasing integers "
+                f"in [0, {len(records)}]")
     score, done = world.process_score(state, task), False
     for record in records:
         step = record["step"]

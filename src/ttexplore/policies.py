@@ -8,7 +8,9 @@ Two backend families:
   An actor is a function of that view and the seed to a (thought, action)
   pair, behind one adapter, `_actor`, that resolves the view, formats the
   pair and answers the Reflexion baseline's reflection request; a thinker
-  takes the prompt itself, whose text `noisy-thinker` hashes. The behavior
+  takes the prompt itself, whose text `noisy-thinker` hashes. Each deep
+  thought's `Plan:` lines are parsed once, into a bounded cache keyed by the
+  thought's text, however many steps follow the thought. The behavior
   table lives in this module.
 * remote — a chat-completions style HTTP endpoint; one single-turn request per
   call, API key taken from an environment variable. The decode settings
@@ -45,10 +47,9 @@ from typing import Callable, Optional
 
 from .prompts import (
     REFLECTION_MARKER,
-    ActorOutput,
     Prompt,
     PromptView,
-    format_actor_output,
+    format_actor_tags,
     format_thinker_output,
     parse_prompt,
 )
@@ -261,11 +262,9 @@ def prompt_view(prompt: str) -> PromptView:
     return prompt.view if isinstance(prompt, Prompt) else parse_prompt(prompt)
 
 
-def _successful_actions(view: PromptView) -> set[str]:
-    return {a for a, o in view.steps if o != SENTINEL}
-
-
-def _plan_lines(thought_text: str) -> list[str]:
+@functools.lru_cache(maxsize=256)
+def _plan_lines(thought_text: str) -> tuple[str, ...]:
+    """The `- ` lines after the thought's first `Plan:` line, stripped."""
     lines = thought_text.split("\n")
     plan: list[str] = []
     in_plan = False
@@ -278,7 +277,7 @@ def _plan_lines(thought_text: str) -> list[str]:
                 plan.append(line[2:].strip())
             else:
                 break
-    return plan
+    return tuple(plan)
 
 
 def _latest_plan_step(view: PromptView) -> Optional[str]:
@@ -309,7 +308,7 @@ def _actor(policy: Callable[[PromptView, int], tuple[str, str]]
     def actor(prompt: str, seed: int) -> str:
         if prompt.startswith(REFLECTION_MARKER):
             return CANNED_REFLECTION
-        return format_actor_output(ActorOutput(*policy(prompt_view(prompt), seed)))
+        return format_actor_tags(*policy(prompt_view(prompt), seed))
     return actor
 
 
@@ -327,8 +326,11 @@ def greedy_actor(view: PromptView, seed: int) -> tuple[str, str]:
     if planned is not None:
         return "following the plan", planned
     naive = NAIVE_PLANS.get(view.instruction, ["look around"])
-    done = _successful_actions(view)
-    attempted = [a for a, _ in view.steps]
+    attempted, done = set(), set()
+    for action, observation in view.steps:
+        attempted.add(action)
+        if observation != SENTINEL:
+            done.add(action)
     candidates = [a for a in naive if a not in done]
     if not candidates:
         return "nothing left to try", "look around"

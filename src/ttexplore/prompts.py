@@ -27,7 +27,10 @@ the `PromptView` of exactly what that text shows, which is what the
 scripted fixtures read. A render makes the view of the append-only
 `HistoryView`'s lists and `parse_prompt`, one regex pass over a plain
 string, of the lists it collects; the fixtures fall back to the parse for a
-prompt that is not a render, such as one a stub server received.
+prompt that is not a render, such as one a stub server received. A view's
+`steps` and `thoughts` are computed on first read and stored on the view,
+through a plain descriptor that takes no lock, so later reads are attribute
+lookups.
 """
 
 from __future__ import annotations
@@ -37,7 +40,6 @@ import re
 from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
 from enum import Enum
-from functools import cached_property
 from typing import Iterable
 
 from .world import TaskSpec
@@ -175,6 +177,19 @@ class HistoryView:
                 f"thoughts={self._thoughts!r})")
 
 
+class _stored:
+    """A lazy attribute that its first read stores on the instance."""
+
+    def __init__(self, compute):
+        self.compute, self.name = compute, compute.__name__
+
+    def __get__(self, instance, owner=None):
+        if instance is None:
+            return self
+        value = instance.__dict__[self.name] = self.compute(instance)
+        return value
+
+
 class PromptView:
     """What a prompt shows of an episode: the instruction, the initial
     observation, the (action, observation) steps, the deep thoughts at their
@@ -197,11 +212,11 @@ class PromptView:
         self._all_thoughts, self._thought_count = thoughts, len(thoughts)
         self._drop = drop
 
-    @cached_property
+    @_stored
     def steps(self) -> list[tuple[str, str]]:
         return self._all_steps[self._drop:self._step_count]
 
-    @cached_property
+    @_stored
     def thoughts(self) -> list[tuple[int, str]]:
         # a thought anchored at a dropped step follows the truncation marker
         drop = self._drop
@@ -429,7 +444,12 @@ def parse_thinker_output(raw: str) -> str:
 
 def format_actor_output(output: ActorOutput) -> str:
     """Canonical tag form; parse(format(x)) == x."""
-    return f"<think>{output.thought}</think>\n<answer>{output.action}</answer>"
+    return format_actor_tags(output.thought, output.action)
+
+
+def format_actor_tags(thought: str, action: str) -> str:
+    """A thought and an action in the actor's tag form."""
+    return f"<think>{thought}</think>\n<answer>{action}</answer>"
 
 
 def format_thinker_output(text: str) -> str:

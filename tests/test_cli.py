@@ -629,7 +629,8 @@ def test_a_manifest_with_no_episodes_names_the_file(runner, tmp_path, command,
 
 @pytest.mark.parametrize("command", ["metrics", "replay"])
 @pytest.mark.parametrize("where,key", [
-    *[("manifest", key) for key in ("task_id", "seed", "success", "process_score")],
+    *[("manifest", key) for key in ("task_id", "seed", "success", "process_score",
+                                    "steps_used", "initial_observation")],
     *[("transcript", key) for key in ("step", "action", "observation", "score",
                                       "done", None)],
 ])
@@ -660,6 +661,8 @@ def test_a_missing_store_key_names_the_file(runner, tmp_path, command, where,
     ("manifest", "process_score", float("inf")),
     ("manifest", "success", 1),
     ("manifest", "seed", 0.5),
+    ("manifest", "steps_used", 12.0),
+    ("manifest", "initial_observation", None),
     ("transcript", "score", "33.33"),
     ("transcript", "score", float("nan")),
     ("transcript", "action", None),
@@ -692,6 +695,58 @@ def test_replay_fails_on_a_tampered_manifest_outcome(runner, tmp_path):
     result = runner.invoke(main, ["replay", str(store)])
     assert result.exit_code != 0
     assert "manifest outcome mismatch" in result.output
+
+
+def edit_episode(store, edit, episode=0):
+    """Apply `edit` to a manifest episode of the store in place."""
+    path = store / "manifest.json"
+    manifest = json.loads(path.read_text())
+    edit(manifest["episodes"][episode])
+    path.write_text(json.dumps(manifest))
+
+
+@pytest.mark.parametrize("edit,named", [
+    (lambda e: e.update(steps_used=3),
+     "steps_used 3 but the transcript holds 12 records"),
+    (lambda e: e.update(initial_observation="You are on the moon."),
+     "initial observation mismatch, stored 'You are on the moon.'"),
+    (lambda e: e["thoughts"].append({"anchor_step": 999, "text": "late"}),
+     "thought anchors [6, 999] are not non-decreasing integers in [0, 12]"),
+    (lambda e: e["thoughts"].append({"anchor_step": 3, "text": "early"}),
+     "thought anchors [6, 3] are not non-decreasing integers in [0, 12]"),
+    (lambda e: e["thoughts"][0].update(anchor_step=-1),
+     "thought anchors [-1] are not non-decreasing integers in [0, 12]"),
+    (lambda e: e["thoughts"][0].update(anchor_step="6"),
+     "thought anchors ['6'] are not non-decreasing integers in [0, 12]"),
+], ids=["steps-used", "initial-observation", "anchor-past-the-end",
+        "anchors-decreasing", "anchor-negative", "anchor-not-an-int"])
+def test_replay_fails_on_a_manifest_that_contradicts_its_transcript(
+        runner, tmp_path, edit, named):
+    """The manifest's step count, initial observation and thought anchors
+    must agree with the transcript and the world, not only its outcome."""
+    store = run_store(runner, tmp_path)
+    manifest = json.loads((store / "manifest.json").read_text())
+    entry = manifest["episodes"][0]
+    assert (entry["steps_used"], [t["anchor_step"] for t in entry["thoughts"]]) \
+        == (12, [6])
+    edit_episode(store, edit)
+    result = runner.invoke(main, ["replay", str(store)])
+    assert result.exit_code == 1
+    assert f"FAIL episode 0 (minihouse-2 s0): {named}" in result.output
+    assert "replay PASS" not in result.output
+
+
+@pytest.mark.parametrize("mode", ["ttexplore", "react", "reflexion", "bestofn"])
+def test_replay_passes_every_mode_over_the_budget(runner, tmp_path, mode):
+    """Stores of every mode pass, with truncated prompts too; a reflexion
+    episode is its best attempt and a bestofn one its chosen sample."""
+    doc = config_doc(seeds=[0, 1, 2])
+    doc["run"] = {"mode": mode, "n_trigger": 3, "max_steps": 20,
+                  "char_budget": 1500, "retries_N": 2, "samples_N": 3}
+    store = run_store(runner, tmp_path, doc)
+    result = runner.invoke(main, ["replay", str(store)])
+    assert result.exit_code == 0, result.output
+    assert "replay PASS" in result.output
 
 
 # --- forge -------------------------------------------------------------------

@@ -7,11 +7,14 @@ import sys
 
 import pytest
 import yaml
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import ttexplore
-from ttexplore import policies
+from ttexplore import load_builtin_world, policies
 from ttexplore.orchestrator import RunConfig, run_mode
 from ttexplore.policies import (
+    NAIVE_PLANS,
     SCRIPTED_POLICIES,
     SOLUTIONS,
     CANNED_REFLECTION,
@@ -29,7 +32,7 @@ from ttexplore.prompts import (
     render_actor_prompt,
     render_thinker_prompt,
 )
-from ttexplore.world import GUARDS, builtin_world_path, load_world
+from ttexplore.world import GUARDS, SENTINEL, builtin_world_path, load_world
 
 
 def actor_prompt(world, task_id, steps=(), thoughts=()):
@@ -137,6 +140,109 @@ def test_greedy_actor_follows_plan_lines(minihouse1):
     prompt = actor_prompt(minihouse1, "minihouse-1", steps=steps,
                           thoughts=[(1, thought)])
     assert parse_actor_output(complete(handle, prompt)).action == "open fridge 1"
+
+
+# Reference copies of `greedy-actor` and `obedient-actor` as they were
+# written before their plan parse was cached and their history scan became
+# one pass: a fresh plan parse per step and list scans of the history.
+
+def _reference_plan_lines(thought_text):
+    plan, in_plan = [], False
+    for line in thought_text.split("\n"):
+        if line.strip() == "Plan:":
+            in_plan = True
+            continue
+        if in_plan:
+            if line.startswith("- "):
+                plan.append(line[2:].strip())
+            else:
+                break
+    return plan
+
+
+def _reference_latest_plan_step(view):
+    if not view.thoughts:
+        return None
+    anchor_pos, text = view.thoughts[-1]
+    plan = _reference_plan_lines(text)
+    idx = len(view.steps) - anchor_pos
+    return plan[idx] if 0 <= idx < len(plan) else None
+
+
+def _reference_greedy(view):
+    planned = _reference_latest_plan_step(view)
+    if planned is not None:
+        return "following the plan", planned
+    naive = NAIVE_PLANS.get(view.instruction, ["look around"])
+    done = {a for a, o in view.steps if o != SENTINEL}
+    attempted = [a for a, _ in view.steps]
+    candidates = [a for a in naive if a not in done]
+    if not candidates:
+        return "nothing left to try", "look around"
+    for action in candidates:
+        if action not in attempted:
+            return "trying the direct approach", action
+    return "trying again", candidates[-1]
+
+
+def _reference_obedient(view):
+    planned = _reference_latest_plan_step(view)
+    if planned is not None:
+        return "following the plan", planned
+    return "keep going", view.steps[-1][0] if view.steps else "look around"
+
+
+def _reference_actor(policy, prompt):
+    if prompt.startswith(REFLECTION_MARKER):
+        return CANNED_REFLECTION
+    thought, action = policy(policies.prompt_view(prompt))
+    return f"<think>{thought}</think>\n<answer>{action}</answer>"
+
+
+_TASKS = [task for world in ("minihouse1", "minihouse2", "keymaze1")
+          for task in load_builtin_world(world).tasks.values()]
+_ACTIONS = sorted({a for plan in [*SOLUTIONS.values(), *NAIVE_PLANS.values()]
+                   for a in plan} | {"look around", "dance"})
+_ACTION = st.one_of(st.sampled_from(_ACTIONS), st.text(alphabet="ab ", max_size=8))
+_OBSERVATION = st.one_of(st.just(SENTINEL), st.just(SENTINEL),
+                         st.sampled_from(["You see a door.", ""]),
+                         st.text(alphabet="ab .", max_size=12))
+# plan lines among summaries, a `Plan:` line with spaces around it, a line
+# that ends the plan, and thoughts with no plan at all
+_THOUGHT_LINE = st.one_of(
+    st.sampled_from(["Plan:", " Plan: ", "Summary: blocked.", "-", "- ", "done"]),
+    _ACTION.map(lambda a: f"- {a}"), _ACTION.map(lambda a: f"-  {a} "),
+    _ACTION.map(lambda a: f" - {a}"))
+_PLAN_THOUGHT = st.lists(_THOUGHT_LINE, min_size=1, max_size=8).map("\n".join)
+
+
+@st.composite
+def _actor_renders(draw):
+    """An actor render of a random history, mostly at a budget small enough
+    to drop some of its steps."""
+    task = draw(st.sampled_from(_TASKS))
+    naive = st.sampled_from(NAIVE_PLANS[task.instruction])
+    steps = draw(st.lists(st.tuples(st.one_of(naive, naive, naive, _ACTION),
+                                    _OBSERVATION), max_size=16))
+    anchor = st.integers(0, len(steps))
+    thoughts = draw(st.lists(st.tuples(anchor, _PLAN_THOUGHT), max_size=3))
+    view = HistoryView(task.id, "You are in the hallway.", steps=steps,
+                       thoughts=thoughts,
+                       reflections=draw(st.lists(st.just("go first"), max_size=1)))
+    budget = draw(st.one_of(st.integers(850, 1400), st.just(10 ** 6)))
+    return render_actor_prompt(task, view, budget)
+
+
+@settings(max_examples=400, deadline=None)
+@given(prompt=_actor_renders(), seed=st.integers(0, 10 ** 6))
+def test_greedy_and_obedient_actors_decide_as_their_reference(prompt, seed):
+    """On any render, and on its text, the rewritten fixtures give the
+    completion of the reference copies above."""
+    for name, reference in (("greedy-actor", _reference_greedy),
+                            ("obedient-actor", _reference_obedient)):
+        for p in (prompt, str(prompt)):
+            assert SCRIPTED_POLICIES[name](p, seed) == \
+                _reference_actor(reference, p), name
 
 
 @pytest.mark.parametrize("name", [n for n in SCRIPTED_POLICIES

@@ -10,7 +10,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from ttexplore import load_builtin_world, prompts
+from ttexplore import load_builtin_world, policies, prompts
 from ttexplore.orchestrator import RunConfig, run_mode
 from ttexplore.policies import SCRIPTED_POLICIES, SOLUTIONS, loop_actor, scripted
 from ttexplore.prompts import (
@@ -720,7 +720,8 @@ def test_a_tag_line_inside_a_history_line_is_history(task):
 def test_a_view_is_a_snapshot_of_its_render(task, view):
     """Appends after a render reach neither a view read before them nor one
     first read after them, and changing a view's lists reaches neither the
-    history nor the next render."""
+    history nor the next render. A field's first read stores a fresh plain
+    list on the view, which every later read returns."""
     view.add_step("go to fridge 1", "You arrive at fridge 1.")
     view.reflections.append("open the fridge first")
     renders = [render(task, view, budget)
@@ -729,6 +730,12 @@ def test_a_view_is_a_snapshot_of_its_render(task, view):
     expected = [parse_prompt(str(p)) for p in renders]
     read = renders[::2]
     assert [p.view for p in read] == expected[::2]
+    for p in read:
+        assert {"steps", "thoughts"} <= vars(p.view).keys()
+        assert p.view.steps is p.view.steps and p.view.thoughts is p.view.thoughts
+        assert type(p.view.steps) is list and p.view.steps is not view.steps
+        assert type(p.view.thoughts) is list and p.view.thoughts is not view.thoughts
+    assert not {"steps", "thoughts"} & vars(renders[1].view).keys()
     history = (list(view.steps), list(view.thoughts), list(view.reflections))
     view.add_step("open fridge 1", "Nothing happened.")
     view.add_thought("one more thought")
@@ -741,6 +748,8 @@ def test_a_view_is_a_snapshot_of_its_render(task, view):
     assert (view.steps[:-1], view.thoughts[:-1], view.reflections[:-1]) == history
     again = render_actor_prompt(task, view)
     assert again.view == parse_prompt(str(again))
+    # the fixtures' per-thought plan cache is bounded like the frame caches
+    assert policies._plan_lines.cache_info().maxsize is not None
 
 
 @settings(max_examples=200, deadline=None)
