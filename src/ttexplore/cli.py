@@ -2,9 +2,10 @@
 
 Subcommands: run (batch episodes into a fresh run store), metrics
 (recompute summary statistics from a store's `transcripts.jsonl`), replay
-(verify a stored run against the world), forge (build thinker training
-data), and validate (check configs and world files without running
-anything).
+(verify a stored run against the world, each episode's mode against the
+config, and its metrics and the aggregate against the transcripts), forge
+(build thinker training data), and validate (check configs and world files
+without running anything).
 """
 
 from __future__ import annotations
@@ -25,7 +26,7 @@ from .config import (
     load_config,
     resolve_world_path,
 )
-from .metrics import DEFAULT_K, aggregate, episode_metrics
+from .metrics import DEFAULT_K, aggregate, aggregate_deterministic, episode_metrics
 from .orchestrator import (
     MODES,
     RunStoreError,
@@ -131,6 +132,13 @@ def _read_store(store: Path) -> tuple[dict, list[list[dict]]]:
     return manifest, transcripts
 
 
+def _transcript_metrics(transcripts: list[list[dict]], k: int = DEFAULT_K) -> list:
+    """Each episode's exploration metrics, from its step records."""
+    return [episode_metrics([r["action"] for r in records],
+                            [r["observation"] for r in records], k=k)
+            for records in transcripts]
+
+
 def _label(index: int, entry: dict) -> str:
     return f"episode {index} ({entry['task_id']} s{entry['seed']})"
 
@@ -233,9 +241,7 @@ def cmd_metrics(store, k, as_jsonl) -> None:
         _check_entry({"wall_s": wall_s}, {"wall_s": float},
                      f"{timings_path}: episode {i}")
 
-    metrics = [episode_metrics([r["action"] for r in records],
-                               [r["observation"] for r in records], k=k)
-               for records in transcripts]
+    metrics = _transcript_metrics(transcripts, k)
     # success and process score come from the manifest, which replay
     # verifies against the transcripts
     table = aggregate([(entry["success"], entry["process_score"], m, wall_s)
@@ -262,9 +268,13 @@ def cmd_metrics(store, k, as_jsonl) -> None:
               help="World file to replay against (default: the one recorded "
                    "in the manifest).")
 def cmd_replay(store, world_override) -> None:
-    """Re-execute every stored episode and verify each recorded score."""
+    """Re-execute every stored episode and verify each recorded score, and
+    the metrics and aggregate the transcripts give."""
     store = Path(store)
     manifest, transcripts = _read_store(store)
+    config = manifest.get("config")
+    if not (isinstance(config, dict) and isinstance(config.get("mode"), str)):
+        _fail(f"{store / 'manifest.json'}: config has no mode")
     world_file = world_override or manifest.get("world_file")
     if not world_file:
         _fail("manifest records no world file; pass --world")
@@ -273,24 +283,50 @@ def cmd_replay(store, world_override) -> None:
     except (ConfigValidationError, WorldValidationError) as exc:
         _fail(str(exc))
 
+    episodes = manifest["episodes"]
+    metrics = _transcript_metrics(transcripts)
     failures = 0
-    for i, (entry, records) in enumerate(zip(manifest["episodes"], transcripts)):
+    for i, (entry, records, m) in enumerate(zip(episodes, transcripts, metrics)):
         task = world.tasks.get(entry["task_id"])
         if task is None:
             click.echo(f"FAIL {_label(i, entry)}: task {entry['task_id']!r} "
                        f"not in world {world.id!r}")
             failures += 1
             continue
-        mismatch = _verify_episode(world, task, entry, records)
+        mismatch = (_verify_episode(world, task, entry, records)
+                    or _mismatch("mode", entry.get("mode"), config["mode"])
+                    or _mismatch("metrics", entry.get("metrics"), m._asdict()))
         if mismatch is None:
             click.echo(f"PASS {_label(i, entry)}")
         else:
             click.echo(f"FAIL {_label(i, entry)}: {mismatch}")
             failures += 1
+    # success and process score as each episode's check above verified them
+    mismatch = _mismatch("aggregate", manifest.get("aggregate"),
+                         aggregate_deterministic([
+                             (entry["success"], entry["process_score"], m, 0.0)
+                             for entry, m in zip(episodes, metrics)]))
+    if mismatch is not None:
+        click.echo(f"FAIL {mismatch}")
+        failures += 1
     if failures:
-        click.echo(f"{failures} episode(s) failed verification", err=True)
+        click.echo(f"{failures} check(s) failed verification", err=True)
         sys.exit(1)
     click.echo("replay PASS")
+
+
+def _mismatch(key: str, stored, derived) -> str | None:
+    """None when `stored` and `derived` are one JSON value; otherwise the key
+    path of their first difference, with the two values there."""
+    if (isinstance(stored, dict) and isinstance(derived, dict)
+            and stored.keys() == derived.keys()):
+        return next(filter(None, (_mismatch(f"{key}.{k}", stored[k], derived[k])
+                                  for k in sorted(derived))), None)
+    stored_json = json.dumps(stored, sort_keys=True)
+    derived_json = json.dumps(derived, sort_keys=True)
+    if stored_json == derived_json:
+        return None
+    return f"{key} mismatch, stored {stored_json}, replay derives {derived_json}"
 
 
 def _verify_episode(world: TextWorld, task, entry: dict,
@@ -298,8 +334,9 @@ def _verify_episode(world: TextWorld, task, entry: dict,
     """Replay the recorded actions and return a description of the first
     part of the manifest entry or step the replay contradicts, or None when
     everything matches. The entry's step count is its transcript's, its
-    initial observation is the reset's, and its thought anchors are
-    non-decreasing integers in [0, len(records)]."""
+    initial observation is the reset's, its thought anchors are
+    non-decreasing integers in [0, len(records)], and an episode that
+    completed the task has no error."""
     if entry["steps_used"] != len(records):
         return (f"steps_used {entry['steps_used']} but the transcript holds "
                 f"{len(records)} records")
@@ -332,6 +369,10 @@ def _verify_episode(world: TextWorld, task, entry: dict,
         return (f"manifest outcome mismatch, stored score "
                 f"{entry['process_score']} success {entry['success']}, replay "
                 f"gave {score} {done}")
+    if done and entry.get("error") is not None:
+        # no policy failure aborts an episode that ran to completion
+        return (f"error {entry['error']!r} on an episode whose last step "
+                f"completed the task")
     return None
 
 

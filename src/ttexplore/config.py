@@ -14,13 +14,13 @@ largest prompt with no history of the selected tasks fails too: no prompt
 of such a run could fit it. So does a `tasks` or `seeds` list that holds a
 value twice, which would run one episode twice.
 API keys come from environment variables only, never from config files.
+The loaded `ExperimentConfig` is a `typing.NamedTuple`.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from pathlib import Path
-from typing import Optional, get_args, get_origin, get_type_hints
+from typing import NamedTuple, Optional, get_args, get_origin, get_type_hints
 
 import yaml
 
@@ -117,8 +117,7 @@ def parse_policy(data: dict, role: str, where: str) -> PolicyHandle:
     return PolicyHandle(role=role, backend=backend)
 
 
-@dataclass
-class ExperimentConfig:
+class ExperimentConfig(NamedTuple):
     world_file: str
     world: TextWorld
     tasks: list[TaskSpec]

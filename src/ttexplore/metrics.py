@@ -3,15 +3,18 @@
 Trajectory length is the number of environment steps taken, including
 rejected ones; deep thoughts are not steps and never enter the sequences.
 Strings are compared exactly after whitespace trimming.
+
+`ExplorationMetrics` and `SummaryTable` are `typing.NamedTuple`s: immutable,
+`_asdict()` is the field mapping a manifest stores, and `_replace(...)` a
+changed copy. As tuples they encode as JSON arrays, and one compares equal
+to a plain tuple of the same values.
 """
 
 from __future__ import annotations
 
 import json
 from collections import Counter
-from dataclasses import asdict, dataclass
-from decimal import ROUND_HALF_UP, Decimal
-from typing import Iterable, Sequence
+from typing import Iterable, NamedTuple, Sequence
 
 DEFAULT_K = 3
 
@@ -20,16 +23,12 @@ class EmptyTrajectoryError(ValueError):
     pass
 
 
-@dataclass(frozen=True)
-class ExplorationMetrics:
+class ExplorationMetrics(NamedTuple):
     action_diversity: float
     action_repetition: float
     observation_diversity: float
     observation_repetition: float
     k: int = DEFAULT_K
-
-    def as_dict(self) -> dict:
-        return asdict(self)
 
 
 def _trimmed(values: Sequence[str]) -> list[str]:
@@ -76,13 +75,13 @@ def episode_metrics(actions: Sequence[str], observations: Sequence[str],
 
 
 def _mean2(values: Iterable[float]) -> float:
+    from decimal import ROUND_HALF_UP, Decimal  # at the first mean, not at start-up
     values = list(values)
     total = sum(Decimal(str(v)) for v in values) / Decimal(len(values))
     return float(total.quantize(Decimal("0.01"), rounding=ROUND_HALF_UP))
 
 
-@dataclass(frozen=True)
-class SummaryTable:
+class SummaryTable(NamedTuple):
     count: int
     success_rate: float  # percent
     mean_process_score: float
@@ -92,14 +91,11 @@ class SummaryTable:
     mean_observation_diversity: float
     mean_observation_repetition: float
 
-    def as_dict(self) -> dict:
-        return asdict(self)
-
     def to_jsonl(self) -> str:
-        return json.dumps(self.as_dict(), ensure_ascii=False)
+        return json.dumps(self._asdict(), ensure_ascii=False)
 
     def to_text(self) -> str:
-        rows = list(self.as_dict().items())
+        rows = list(self._asdict().items())
         width = max(len(name) for name, _ in rows)
         return "\n".join(f"{name.ljust(width)}  {value}" for name, value in rows)
 
@@ -110,7 +106,7 @@ Episode = tuple[bool, float, ExplorationMetrics, float]
 def aggregate_deterministic(episodes: Sequence[Episode]) -> dict:
     """Aggregate stats safe to persist in a reproducible manifest: everything
     from the summary table except wall-clock timing."""
-    table = aggregate(episodes).as_dict()
+    table = aggregate(episodes)._asdict()
     table.pop("mean_wall_s")
     return table
 

@@ -20,17 +20,21 @@ failed attempt logs one warning on this module's logger.
 run store after the last episode: `transcripts.jsonl`, whose line i+1 holds
 episode i's step records, then `timings.json`, and `manifest.json` last. A
 batch that fails leaves no manifest.
+
+`RunConfig` is a frozen dataclass, so `dataclasses.replace` re-runs its
+checks. `StepRecord`, `Final` and `EpisodeResult` are `typing.NamedTuple`s,
+immutable and compared field by field; `Trajectory` is a plain class, whose
+`steps`, `thoughts`, `final` and `error` the runner fills in.
 """
 
 from __future__ import annotations
 
 import json
-import logging
 import os
 import time
-from dataclasses import asdict, dataclass, field
+from dataclasses import asdict, dataclass
 from pathlib import Path
-from typing import Optional
+from typing import NamedTuple, Optional
 
 from . import metrics as metrics_mod
 from .policies import PolicyHandle, RemoteError, complete
@@ -45,9 +49,7 @@ from .prompts import (
     render_reflection_prompt,
     render_thinker_prompt,
 )
-from .world import TaskSpec, TextWorld, WorldState
-
-log = logging.getLogger(__name__)
+from .world import TaskSpec, TextWorld, WorldState, _Record
 
 FALLBACK_ACTION = "look around"
 
@@ -99,31 +101,37 @@ class RunConfig:
         return thinker
 
 
-@dataclass
-class StepRecord:
+class StepRecord(NamedTuple):
     action: str
     observation: str
     score_after: float
     done: bool = False
 
 
-@dataclass
-class Final:
+class Final(NamedTuple):
     success: bool
     process_score: float
     steps_used: int
 
 
-@dataclass
-class Trajectory:
-    task_id: str
-    seed: int
-    mode: str
-    initial_observation: str
-    steps: list[StepRecord] = field(default_factory=list)
-    thoughts: list[DeepThought] = field(default_factory=list)
-    final: Final = field(default_factory=lambda: Final(False, 0.0, 0))
-    error: Optional[str] = None
+class Trajectory(_Record):
+    """One episode as it runs: the runner appends to `steps` and assigns
+    `thoughts`, `final` and `error` when the episode ends."""
+
+    def __init__(self, task_id: str, seed: int, mode: str,
+                 initial_observation: str,
+                 steps: Optional[list[StepRecord]] = None,
+                 thoughts: Optional[list[DeepThought]] = None,
+                 final: Final = Final(False, 0.0, 0),
+                 error: Optional[str] = None):
+        self.task_id = task_id
+        self.seed = seed
+        self.mode = mode
+        self.initial_observation = initial_observation
+        self.steps = [] if steps is None else steps
+        self.thoughts = [] if thoughts is None else thoughts
+        self.final = final
+        self.error = error
 
     def actions(self) -> list[str]:
         return [s.action for s in self.steps]
@@ -132,8 +140,7 @@ class Trajectory:
         return [s.observation for s in self.steps]
 
 
-@dataclass
-class EpisodeResult:
+class EpisodeResult(NamedTuple):
     trajectory: Trajectory
     metrics: metrics_mod.ExplorationMetrics
     wall_s: float
@@ -152,8 +159,9 @@ def _parsed_completion(policy: PolicyHandle, prompt: str, seed: int, parse,
         try:
             return parse(complete(policy, prompt, seed=seed))
         except ParseError as exc:
-            log.warning("%s parse failure (%s); %s", policy.role,
-                        exc.kind.value, then)
+            import logging  # at the first record, so a clean run never loads it
+            logging.getLogger(__name__).warning(
+                "%s parse failure (%s); %s", policy.role, exc.kind.value, then)
     return None
 
 
@@ -200,7 +208,8 @@ def run_steps(world: TextWorld, actor: PolicyHandle, task: TaskSpec,
 
 def _aborted(exc: Exception) -> str:
     """Log a policy backend failure; return it as a trajectory's `error`."""
-    log.error("episode aborted: %s", exc)
+    import logging  # at the first record, so a clean run never loads it
+    logging.getLogger(__name__).error("episode aborted: %s", exc)
     return f"{type(exc).__name__}: {exc}"
 
 
@@ -357,7 +366,7 @@ def _episode_manifest_entry(traj: Trajectory,
         "initial_observation": traj.initial_observation,
         "thoughts": [{"anchor_step": t.anchor_step, "text": t.text}
                      for t in traj.thoughts],
-        "metrics": m.as_dict(),
+        "metrics": m._asdict(),
         "error": traj.error,
     }
 

@@ -21,15 +21,19 @@ Thought seeds come from `orchestrator.sample_seed`: a rollout context's
 from its strong run's seed and prefix length, each thought request's from
 the context's seed and the request's index. The strong run, the probe and
 the continuations run on the episode seed.
+
+`PipelineConfig` is a frozen dataclass, so `dataclasses.replace` re-runs its
+checks. `RolloutContext`, `RewardRecord`, `RolloutGroup` and `ForgeResult`
+are `typing.NamedTuple`s, immutable and compared field by field; `SubTask`
+is a plain class, which `classify_difficulty` fills in.
 """
 
 from __future__ import annotations
 
-import logging
 import math
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Optional
+from typing import NamedTuple, Optional
 
 from .orchestrator import (
     RunConfig,
@@ -50,9 +54,7 @@ from .prompts import (
     parse_thinker_output,
     render_thinker_prompt,
 )
-from .world import TaskSpec, TextWorld, WorldState
-
-log = logging.getLogger(__name__)
+from .world import TaskSpec, TextWorld, WorldState, _Record
 
 EASY = "easy"
 MEDIUM = "medium"
@@ -99,21 +101,28 @@ class PipelineConfig:
             raise ValueError(f"unknown reward mode {self.reward_mode!r}")
 
 
-@dataclass
-class SubTask:
-    parent_task_id: str
-    seed: int
-    prefix_actions: list[str]
-    start_score: float
-    target_score: float
-    difficulty: str = UNSET
-    weak_actions: list[str] = field(default_factory=list)
-    # the probe's state and history after x weak steps; None when easy
-    context: Optional[tuple[WorldState, HistoryView]] = None
+class SubTask(_Record):
+    """A stretch of a strong trajectory between two score milestones;
+    `classify_difficulty` assigns its `difficulty`, `weak_actions` and
+    `context`."""
+
+    def __init__(self, parent_task_id: str, seed: int, prefix_actions: list[str],
+                 start_score: float, target_score: float,
+                 difficulty: str = UNSET,
+                 weak_actions: Optional[list[str]] = None,
+                 context: Optional[tuple[WorldState, HistoryView]] = None):
+        self.parent_task_id = parent_task_id
+        self.seed = seed
+        self.prefix_actions = prefix_actions
+        self.start_score = start_score
+        self.target_score = target_score
+        self.difficulty = difficulty
+        self.weak_actions = [] if weak_actions is None else weak_actions
+        # the probe's state and history after x weak steps; None when easy
+        self.context = context
 
 
-@dataclass
-class RolloutContext:
+class RolloutContext(NamedTuple):
     context_id: str
     sub: SubTask
     seed: int  # the seed its thought samples derive from
@@ -122,16 +131,14 @@ class RolloutContext:
     state: WorldState  # after the prefix and x weak steps; never mutated
 
 
-@dataclass
-class RewardRecord:
+class RewardRecord(NamedTuple):
     thought: DeepThought
     continuation: list[StepRecord]
     reward: float
     improved_at: Optional[int] = None  # 1-based continuation step
 
 
-@dataclass
-class RolloutGroup:
+class RolloutGroup(NamedTuple):
     context_id: str
     prompt: str
     records: list[RewardRecord]
@@ -154,8 +161,9 @@ def divide_subtasks(world: TextWorld, task: TaskSpec,
     increases = [i for i in range(len(scores))
                  if scores[i] > (scores[i - 1] if i > 0 else start)]
     if not increases:
-        log.warning("strong trajectory for %s is flat; no sub-tasks",
-                    strong_traj.task_id)
+        import logging  # at the first record, so a clean run never loads it
+        logging.getLogger(__name__).warning(
+            "strong trajectory for %s is flat; no sub-tasks", strong_traj.task_id)
         return []
     subs: list[SubTask] = []
     prev_end = 0  # steps included in the prefix
@@ -391,8 +399,7 @@ def export_sft(world: TextWorld, tasks: dict[str, TaskSpec],
     return {"records": len(records)}
 
 
-@dataclass
-class ForgeResult:
+class ForgeResult(NamedTuple):
     strong_trajectories: list[Trajectory]
     subtasks: list[SubTask]
     groups: list[RolloutGroup]

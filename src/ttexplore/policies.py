@@ -30,6 +30,10 @@ finite, a `temperature` that is negative or not finite, or a
 `max_output_tokens` below 1 raises `ConfigError` naming the field before
 any episode runs. A `RemoteError` is then the one failure that aborts an
 episode; any other exception a policy raises is a bug and propagates.
+
+The two backends are frozen dataclasses, so `dataclasses.replace` re-runs
+these checks; a `PolicyHandle`, a role and a backend, is a
+`typing.NamedTuple`.
 """
 
 from __future__ import annotations
@@ -43,7 +47,7 @@ import time
 import urllib.parse
 import zlib
 from dataclasses import dataclass
-from typing import Callable, Optional
+from typing import Callable, NamedTuple, Optional
 
 from .prompts import (
     REFLECTION_MARKER,
@@ -108,8 +112,7 @@ class RemoteBackend:
                 raise ConfigError(f"{name} must be {rule}, got {getattr(self, name)}")
 
 
-@dataclass
-class PolicyHandle:
+class PolicyHandle(NamedTuple):
     role: str  # "actor" | "thinker"
     backend: ScriptedBackend | RemoteBackend
 

@@ -31,6 +31,9 @@ prompt that is not a render, such as one a stub server received. A view's
 `steps` and `thoughts` are computed on first read and stored on the view,
 through a plain descriptor that takes no lock, so later reads are attribute
 lookups.
+
+`ActorOutput` and `DeepThought` are `typing.NamedTuple`s: immutable and
+compared field by field.
 """
 
 from __future__ import annotations
@@ -38,9 +41,8 @@ from __future__ import annotations
 import functools
 import re
 from bisect import bisect_left, bisect_right
-from dataclasses import dataclass
 from enum import Enum
-from typing import Iterable
+from typing import Iterable, NamedTuple
 
 from .world import TaskSpec
 
@@ -64,14 +66,12 @@ class ContractViolation(ValueError):
     request."""
 
 
-@dataclass(frozen=True)
-class ActorOutput:
+class ActorOutput(NamedTuple):
     thought: str
     action: str
 
 
-@dataclass(frozen=True)
-class DeepThought:
+class DeepThought(NamedTuple):
     text: str
     anchor_step: int
 
@@ -442,13 +442,9 @@ def parse_thinker_output(raw: str) -> str:
     return match.group(1).strip()
 
 
-def format_actor_output(output: ActorOutput) -> str:
-    """Canonical tag form; parse(format(x)) == x."""
-    return format_actor_tags(output.thought, output.action)
-
-
 def format_actor_tags(thought: str, action: str) -> str:
-    """A thought and an action in the actor's tag form."""
+    """A thought and an action in the actor's tag form; `parse_actor_output`
+    of it is `ActorOutput(thought, action)` for stripped, non-empty values."""
     return f"<think>{thought}</think>\n<answer>{action}</answer>"
 
 

@@ -27,20 +27,26 @@ step for every action.
 A step costs what its action touches: the new state shares every entity the
 action leaves unchanged with the state it came from, a seed's listing order
 is computed once per container and list length, and `parse_action` parses
-each distinct action text once, into a frozen `Action` that every later
-step of that text shares. Both caches are bounded LRU caches (1,024 orders,
-4,096 parses), so memory stays flat over any number of seeds and actions.
+each distinct action text once, into an `Action` that every later step of
+that text shares. Both caches are bounded LRU caches (1,024 orders, 4,096
+parses), so memory stays flat over any number of seeds and actions.
 States are therefore values: callers never mutate one that `reset` or
 `step` returned.
+
+`Observation`, `Subgoal`, `TaskSpec` and `Action` are `typing.NamedTuple`s:
+immutable, compared field by field, and equal to a plain tuple of the same
+values; `task._replace(...)` is a changed copy and `_asdict()` the field
+mapping. `Entity`, `Agent` and `WorldState` are plain classes, since a step
+assigns to the copies it makes; two compare equal when they are of one class
+and hold equal attributes.
 """
 
 from __future__ import annotations
 
 import functools
 import random
-from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Optional
+from typing import NamedTuple, Optional
 
 import yaml
 
@@ -53,28 +59,51 @@ class WorldValidationError(ValueError):
     """A world or task definition violates the schema."""
 
 
-@dataclass
-class Entity:
-    id: str
-    kind: str  # "object" | "receptacle"
-    location: str  # room id, receptacle id, or "hand"
-    open: Optional[bool] = None
-    attributes: set[str] = field(default_factory=set)
+class _Record:
+    """`==` and a repr over an instance's attributes, in the order its
+    `__init__` sets them, for the records that are assigned to after they
+    are made: two compare equal when they are of one class and hold equal
+    values."""
+
+    def __eq__(self, other: object) -> bool:
+        if type(other) is not type(self):
+            return NotImplemented
+        return vars(self) == vars(other)
+
+    def __repr__(self) -> str:
+        shown = ", ".join(f"{k}={v!r}" for k, v in vars(self).items())
+        return f"{type(self).__name__}({shown})"
 
 
-@dataclass
-class Agent:
-    room: str
-    facing: Optional[str] = None
-    hand: Optional[str] = None
+class Entity(_Record):
+    """An object or a receptacle of a world state; `step` changes only a copy
+    that `_own` made for the new state."""
+
+    def __init__(self, id: str, kind: str, location: str,
+                 open: Optional[bool] = None,
+                 attributes: Optional[set[str]] = None):
+        self.id = id
+        self.kind = kind  # "object" | "receptacle"
+        self.location = location  # room id, receptacle id, or "hand"
+        self.open = open
+        self.attributes = set() if attributes is None else attributes
 
 
-@dataclass
-class WorldState:
-    rooms: tuple[str, ...]
-    entities: dict[str, Entity]
-    agent: Agent
-    rng_seed: int
+class Agent(_Record):
+    def __init__(self, room: str, facing: Optional[str] = None,
+                 hand: Optional[str] = None):
+        self.room = room
+        self.facing = facing
+        self.hand = hand
+
+
+class WorldState(_Record):
+    def __init__(self, rooms: tuple[str, ...], entities: dict[str, Entity],
+                 agent: Agent, rng_seed: int):
+        self.rooms = rooms
+        self.entities = entities
+        self.agent = agent
+        self.rng_seed = rng_seed
 
     def copy(self) -> "WorldState":
         """Copies entities, their attribute sets and the agent; shares `rooms`.
@@ -90,19 +119,16 @@ class WorldState:
         )
 
 
-@dataclass(frozen=True)
-class Observation:
+class Observation(NamedTuple):
     text: str
 
 
-@dataclass
-class Subgoal:
+class Subgoal(NamedTuple):
     description: str
     conditions: list[dict]  # conjunction of condition descriptors
 
 
-@dataclass
-class TaskSpec:
+class TaskSpec(NamedTuple):
     id: str
     instruction: str
     initial_world: WorldState
@@ -112,15 +138,14 @@ class TaskSpec:
     max_steps_default: int = 50
 
 
-@dataclass(frozen=True)
-class Action:
+class Action(NamedTuple):
     verb: str  # go | open | take | put | look | unknown
     item: Optional[str] = None
     target: Optional[str] = None
     raw: str = ""
 
 
-# pure, and its `Action` is frozen, so every step of one text may share one
+# pure, and an `Action` is immutable, so every step of one text may share one
 # parse
 @functools.lru_cache(maxsize=4096)
 def parse_action(text: str) -> Action:

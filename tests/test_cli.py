@@ -24,7 +24,7 @@ from ttexplore.policies import (
     RemoteError,
     scripted,
 )
-from ttexplore.prompts import ActorOutput, format_actor_output
+from ttexplore.prompts import format_actor_tags
 from ttexplore.world import builtin_world_path
 
 
@@ -520,7 +520,7 @@ def test_a_failed_rerun_into_a_used_store_leaves_no_manifest(runner, tmp_path,
     def fails_on_seed_1(prompt, seed):
         if seed == 1:
             raise KeyError("seed 1")
-        return format_actor_output(ActorOutput("wait", "look around"))
+        return format_actor_tags("wait", "look around")
     monkeypatch.setitem(SCRIPTED_POLICIES, "seed-1-bug-actor", fails_on_seed_1)
     world = load_builtin_world("minihouse1")
     items = [(world.tasks["minihouse-1"], seed) for seed in (0, 1)]
@@ -718,12 +718,21 @@ def edit_episode(store, edit, episode=0):
      "thought anchors [-1] are not non-decreasing integers in [0, 12]"),
     (lambda e: e["thoughts"][0].update(anchor_step="6"),
      "thought anchors ['6'] are not non-decreasing integers in [0, 12]"),
+    (lambda e: e.update(mode="react"),
+     'mode mismatch, stored "react", replay derives "ttexplore"'),
+    (lambda e: e.update(error="RemoteError: made up"),
+     "error 'RemoteError: made up' on an episode whose last step completed "
+     "the task"),
+    (lambda e: e["metrics"].update(action_diversity=0.123),
+     "metrics.action_diversity mismatch, stored 0.123, replay derives "),
 ], ids=["steps-used", "initial-observation", "anchor-past-the-end",
-        "anchors-decreasing", "anchor-negative", "anchor-not-an-int"])
+        "anchors-decreasing", "anchor-negative", "anchor-not-an-int", "mode",
+        "error-on-a-completed-episode", "metrics"])
 def test_replay_fails_on_a_manifest_that_contradicts_its_transcript(
         runner, tmp_path, edit, named):
-    """The manifest's step count, initial observation and thought anchors
-    must agree with the transcript and the world, not only its outcome."""
+    """The manifest's step count, initial observation, thought anchors,
+    mode, error and metrics must agree with the transcript, the world and
+    the config, not only its outcome."""
     store = run_store(runner, tmp_path)
     manifest = json.loads((store / "manifest.json").read_text())
     entry = manifest["episodes"][0]
@@ -734,6 +743,33 @@ def test_replay_fails_on_a_manifest_that_contradicts_its_transcript(
     assert result.exit_code == 1
     assert f"FAIL episode 0 (minihouse-2 s0): {named}" in result.output
     assert "replay PASS" not in result.output
+
+
+def test_replay_fails_on_an_aggregate_that_its_transcripts_do_not_give(
+        runner, tmp_path):
+    store = run_store(runner, tmp_path)
+    path = store / "manifest.json"
+    manifest = json.loads(path.read_text())
+    assert manifest["aggregate"]["count"] == 1
+    manifest["aggregate"]["count"] = 42
+    path.write_text(json.dumps(manifest))
+    result = runner.invoke(main, ["replay", str(store)])
+    assert result.exit_code == 1
+    assert "PASS episode 0 (minihouse-2 s0)" in result.output
+    assert "FAIL aggregate.count mismatch, stored 42, replay derives 1" \
+        in result.output
+    assert "replay PASS" not in result.output
+
+
+def test_replay_rejects_a_manifest_whose_config_has_no_mode(runner, tmp_path):
+    store = run_store(runner, tmp_path)
+    path = store / "manifest.json"
+    manifest = json.loads(path.read_text())
+    del manifest["config"]["mode"]
+    path.write_text(json.dumps(manifest))
+    result = runner.invoke(main, ["replay", str(store)])
+    assert result.exit_code == 2
+    assert f"error: {path}: config has no mode" in result.output
 
 
 @pytest.mark.parametrize("mode", ["ttexplore", "react", "reflexion", "bestofn"])

@@ -1,7 +1,6 @@
 """Prompt rendering, tagged-output parsing, truncation, and introspection."""
 
 import copy
-import dataclasses
 import sys
 import threading
 from unittest import mock
@@ -22,7 +21,7 @@ from ttexplore.prompts import (
     HistoryView,
     ParseError,
     ParseErrorKind,
-    format_actor_output,
+    format_actor_tags,
     format_thinker_output,
     parse_actor_output,
     parse_prompt,
@@ -228,9 +227,9 @@ def test_a_render_frames_the_task_and_view_it_is_given(task, render, steps):
     instruction, after the view's initial observation is reassigned, and
     after a reflection is appended, within and over the budget."""
     tasks = [task,
-             dataclasses.replace(task, examples=["Task: other\n> look around"]),
-             dataclasses.replace(task, action_space_doc="- look around\n"),
-             dataclasses.replace(task, instruction="open the fridge")]
+             task._replace(examples=["Task: other\n> look around"]),
+             task._replace(action_space_doc="- look around\n"),
+             task._replace(instruction="open the fridge")]
     view = HistoryView(task.id, "You are in the hallway.",
                        steps=[(f"go to room {i}", "Nothing happened.")
                               for i in range(steps)])
@@ -452,7 +451,7 @@ def test_anchor_zero_thoughts_keep_their_order(task):
 
 def test_actor_round_trip():
     out = ActorOutput(thought="consider the fridge", action="open fridge 1")
-    assert parse_actor_output(format_actor_output(out)) == out
+    assert parse_actor_output(format_actor_tags(out.thought, out.action)) == out
 
 
 def test_thinker_round_trip():
@@ -633,8 +632,8 @@ def test_parse_prompt_tokenizes_only_tagged_lines(world_id, render):
 
 def _repeating(action):
     """The loop actor's answer when the last step's action is `action`."""
-    return format_actor_output(ActorOutput(
-        "keep going", "look around" if action is None else action))
+    return format_actor_tags("keep going",
+                             "look around" if action is None else action)
 
 
 def _reference_last_action(text):

@@ -2,7 +2,6 @@
 
 import collections
 import copy
-import dataclasses
 import random
 from decimal import ROUND_HALF_UP, Decimal
 from pathlib import Path
@@ -75,11 +74,12 @@ def _action_texts(draw):
 @settings(max_examples=500, deadline=None)
 @given(st.one_of(_action_texts(), st.text()))
 def test_the_cached_parse_equals_the_uncached_one(text):
-    """`parse_action` shares one frozen `Action` per text, in a bounded cache."""
+    """`parse_action` shares one immutable `Action` per text, in a bounded
+    cache."""
     action = parse_action(text)
     assert action == parse_action.__wrapped__(text)
     assert parse_action(text) == action
-    with pytest.raises(dataclasses.FrozenInstanceError):
+    with pytest.raises(AttributeError):
         action.verb = "look"
     assert isinstance(parse_action.cache_info().maxsize, int)
 
@@ -100,7 +100,7 @@ def test_rejected_action_leaves_state_unchanged(minihouse1):
     state, obs, _, _ = minihouse1.step(state, "take apple 1 from fridge 1",
                                        task)
     assert obs.text == SENTINEL
-    assert dataclasses.asdict(state) == dataclasses.asdict(before)
+    assert state == before
 
 
 def test_accepted_action_does_not_mutate_input_state(minihouse1):
@@ -341,7 +341,7 @@ def test_replay_reproduces_final_state(minihouse1):
     task = minihouse1.tasks["minihouse-1"]
     direct, _, _ = run_actions(minihouse1, task, SOLUTION_1, seed=3)
     replayed = minihouse1.replay(task, 3, SOLUTION_1)
-    assert dataclasses.asdict(direct) == dataclasses.asdict(replayed)
+    assert direct == replayed
 
 
 # --- schema validation -----------------------------------------------------
@@ -757,7 +757,7 @@ def _unwitnessed_rules(world):
 
 def _state_key(state):
     # `step` copies the entity dict, which keeps the entities in their order
-    return (dataclasses.astuple(state.agent),
+    return (tuple(vars(state.agent).values()),
             tuple((e.location, e.open, frozenset(e.attributes))
                   for e in state.entities.values()))
 
@@ -842,10 +842,11 @@ def test_enumeration_order_is_a_fresh_seeded_shuffle(seed, container, ids):
 
 def test_state_fields_are_pinned():
     """`WorldState.copy` copies field by field, so a new field needs a look there."""
-    assert [f.name for f in dataclasses.fields(Entity)] == \
+    agent = Agent("hallway")
+    assert list(vars(Entity("apple 1", "object", HAND))) == \
         ["id", "kind", "location", "open", "attributes"]
-    assert [f.name for f in dataclasses.fields(Agent)] == ["room", "facing", "hand"]
-    assert [f.name for f in dataclasses.fields(WorldState)] == \
+    assert list(vars(agent)) == ["room", "facing", "hand"]
+    assert list(vars(WorldState((), {}, agent, 0))) == \
         ["rooms", "entities", "agent", "rng_seed"]
 
 
